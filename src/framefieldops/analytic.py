@@ -153,7 +153,7 @@ class WarpResult:
     warped_mesh: SimplicialMesh
 
 
-def warp_experiment(base_mesh, warp, epsilon, k, bc="neumann", path="auto"):
+def warp_experiment(base_mesh, warp, epsilon, k, bc="neumann"):
     """Spectra of the constant-field operator and its coframe pullback.
 
     Builds the constant axis-aligned operator on ``base_mesh`` and the map
@@ -169,8 +169,8 @@ def warp_experiment(base_mesh, warp, epsilon, k, bc="neumann", path="auto"):
 
     op_base = assemble_operator(base_mesh, field_base, epsilon, bc)
     op_warp = assemble_operator(warped, field_warp, epsilon, bc)
-    eig_base = eigs_generalized(op_base, op_base.vertex_mass, k, path=path)
-    eig_warp = eigs_generalized(op_warp, op_warp.vertex_mass, k, path=path)
+    eig_base = eigs_generalized(op_base, op_base.vertex_mass, k)
+    eig_warp = eigs_generalized(op_warp, op_warp.vertex_mass, k)
     return WarpResult(
         values_base=eig_base.values,
         values_warped=eig_warp.values,

@@ -39,7 +39,7 @@ class SpectralEmbedding:
         )
 
 
-def build_embedding(op, n_modes=64, path="auto"):
+def build_embedding(op, n_modes=64):
     """Spectral embedding of the operator's nonzero modes.
 
     Zero modes (below 1e-8 of the largest computed eigenvalue) are
@@ -49,7 +49,7 @@ def build_embedding(op, n_modes=64, path="auto"):
     """
     dim = op.mesh.dim
     request = min(n_modes + dim + 3, op.matrix.shape[0] - 1)
-    eig = eigs_generalized(op, op.vertex_mass, request, path=path)
+    eig = eigs_generalized(op, op.vertex_mass, request)
     lam_max = float(np.max(eig.values))
     keep = np.flatnonzero(eig.values > ZERO_MODE_RELTOL * lam_max)
     if len(keep) < n_modes:

@@ -220,7 +220,7 @@ def cmd_diffuse(args):
 def cmd_eigs(args):
     run = Run(args)
     mesh, _, op = _assemble_from_args(run, args)
-    eig = eigs_generalized(op, op.vertex_mass, args.num, path=args.solver)
+    eig = eigs_generalized(op, op.vertex_mass, args.num)
     lam_max = float(np.max(eig.values))
     zero = eig.values <= 1e-8 * lam_max
     rows = np.column_stack([eig.values, eig.vectors.T])
@@ -243,7 +243,7 @@ def cmd_distance(args):
     mesh = _load_mesh(run, args.mesh)
     field = _load_field(run, mesh, args.field)
     op = assemble_operator(mesh, field, args.epsilon, "neumann")
-    emb = build_embedding(op, args.modes, path=args.solver)
+    emb = build_embedding(op, args.modes)
     d = distance_field(emb, args.source)
     _save_scalar_csv(run.out("distance.csv"), d)
     write_vtk(run.out("distance.vtk"), mesh, {"distance": d})
@@ -335,22 +335,23 @@ def build_parser():
     p_diff.add_argument("--u0", help="CSV with an explicit initial condition")
     p_diff.set_defaults(func=cmd_diffuse)
 
-    p_eig = sub.add_parser("eigs", help="generalized eigenpairs")
+    p_eig = sub.add_parser(
+        "eigs", help="smallest generalized eigenpairs (sparse LU shift-invert Lanczos)"
+    )
     common(p_eig)
-    p_eig.add_argument("--num", type=int, default=64)
-    p_eig.add_argument("--solver", default="auto",
-                       choices=["auto", "dense", "iterative"])
+    p_eig.add_argument("--num", type=int, default=64, help="number of eigenpairs")
     p_eig.set_defaults(func=cmd_eigs)
 
-    p_dist = sub.add_parser("distance", help="spectral distance field")
+    p_dist = sub.add_parser(
+        "distance", help="spectral distance field from the smallest nonzero modes"
+    )
     p_dist.add_argument("--mesh", required=True)
     p_dist.add_argument("--field", required=True)
     p_dist.add_argument("--epsilon", type=float, default=0.1)
     p_dist.add_argument("--source", type=int, default=0)
-    p_dist.add_argument("--modes", type=int, default=64)
+    p_dist.add_argument("--modes", type=int, default=64,
+                        help="nonzero modes in the spectral embedding")
     p_dist.add_argument("--trace", help="comma-separated start vertices for paths")
-    p_dist.add_argument("--solver", default="auto",
-                        choices=["auto", "dense", "iterative"])
     p_dist.set_defaults(func=cmd_distance)
 
     p_col = sub.add_parser("color", help="boundary-value coloring")

@@ -122,17 +122,14 @@ class AssembledOperator:
         return True
 
 
-def divergence_matrix(mesh, measures=None):
+def divergence_matrix(mesh):
     """Piecewise-linear symmetric tensor divergence operator.
 
     Maps per-vertex Mandel tensors (vertex-major layout, m components per
     vertex) to the constant divergence vector per element (element-major,
     dim rows each).  Off-diagonal Mandel components carry 1/sqrt(2) so the
-    result is the divergence of the physical tensor.  ``measures`` is
-    accepted for signature symmetry with the energy assembly; the operator
-    itself only needs shape gradients.
+    result is the divergence of the physical tensor.
     """
-    del measures
     g = mesh.shape_gradients()  # (ne, k, dim)
     ne, k, dim = g.shape
     m = mandel_size(dim)

@@ -116,11 +116,14 @@ class FrameField:
         return epsilon_forms_batch(self.forms(), self.norms, epsilon)
 
     def fingerprint(self):
-        """Stable content hash of the field (dimension, components, weights)."""
+        """Stable content hash of the field and its mesh (dimension, vertices,
+        elements, components, weights)."""
         import hashlib
 
         h = hashlib.sha256()
         h.update(np.int64(self.mesh.dim).tobytes())
+        h.update(self.mesh.vertices.tobytes())
+        h.update(self.mesh.elements.tobytes())
         h.update(self.components.tobytes())
         h.update(self.weights.tobytes())
         return h.hexdigest()
@@ -238,9 +241,7 @@ def harmonic_cross_field_2d(mesh, measures=None):
 
         L_ii = L[interior][:, interior]
         L_ib = L[interior][:, bverts]
-        rhs = -L_ib @ data
-        for c in range(2):
-            rep[interior, c] = solve_spd(L_ii, rhs[:, c])
+        rep[interior] = solve_spd(L_ii, -L_ib @ data)
 
     mag = np.linalg.norm(rep, axis=1)
     singular = np.flatnonzero(mag < 1e-8)

@@ -37,8 +37,9 @@ class SimplicialMesh:
     Raises
     ------
     GeometryError
-        On inverted or degenerate elements, duplicate elements, indices out
-        of range, or a facet shared by more than two elements.
+        On non-finite coordinates, inverted or degenerate elements, duplicate
+        elements, indices out of range, vertices that belong to no element,
+        or a facet shared by more than two elements.
     """
 
     def __init__(self, vertices, elements):
@@ -46,6 +47,8 @@ class SimplicialMesh:
         self.elements = np.ascontiguousarray(elements, dtype=np.int64)
         if self.vertices.ndim != 2 or self.vertices.shape[1] not in (2, 3):
             raise GeometryError("vertices must be an (nv, 2) or (nv, 3) array")
+        if not np.all(np.isfinite(self.vertices)):
+            raise GeometryError("vertex coordinates must be finite")
         self.dim = self.vertices.shape[1]
         if self.elements.ndim != 2 or self.elements.shape[1] != self.dim + 1:
             raise GeometryError(
@@ -57,6 +60,12 @@ class SimplicialMesh:
             raise GeometryError("element vertex index out of range")
         if len(self.elements) == 0:
             raise GeometryError("mesh has no elements")
+        uses = np.bincount(self.elements.ravel(), minlength=len(self.vertices))
+        unused = np.flatnonzero(uses == 0)
+        if len(unused):
+            raise GeometryError(
+                f"{len(unused)} vertices belong to no element (first: {unused[0]})"
+            )
 
         sorted_elems = np.sort(self.elements, axis=1)
         if len(np.unique(sorted_elems, axis=0)) != len(sorted_elems):

@@ -1,15 +1,16 @@
 """Independent reference computations the production code is tested against.
 
 Each oracle takes the brute-force route on purpose: the dense KKT solve
-works straight from the first-order optimality matrix, the QP oracle
-enumerates every active set, and the random frame helpers build tensors
-from their definition.
+works straight from the first-order optimality matrix, the eigen oracle
+diagonalizes the full dense pencil, the QP oracle enumerates every active
+set, and the random frame helpers build tensors from their definition.
 """
 
 import itertools
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
+from scipy import sparse
+from scipy.linalg import eigh, lu_factor, lu_solve
 
 from framefieldops import OdecoFrame
 
@@ -50,6 +51,13 @@ def dense_kkt_apply(system, factor, u):
     sol = lu_solve(factor, rhs)
     lam = sol[nvm : 2 * nvm]
     return K.T @ lam
+
+
+def dense_eigs(A, M_diag, k):
+    """k smallest eigenpairs of ``A phi = lambda M phi`` by dense ``eigh``."""
+    dense = A.toarray() if sparse.issparse(A) else np.asarray(A, dtype=float)
+    vals, vecs = eigh(dense, np.diag(M_diag))
+    return vals[:k], vecs[:, :k]
 
 
 def box_qp_active_set(A, lower, upper, fixed_indices=(), fixed_values=()):

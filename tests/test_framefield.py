@@ -276,3 +276,14 @@ def test_fingerprint_changes_with_field(disk_mesh):
     f2 = ff.constant_field(disk_mesh, rotation_frame_2d(0.2))
     assert f1.fingerprint() != f2.fingerprint()
     assert f1.fingerprint() == ff.constant_field(disk_mesh, ff.axis_frame(2)).fingerprint()
+
+
+def test_fingerprint_changes_with_mesh():
+    square = meshgen.structured_square(4)
+    stretched = ff.SimplicialMesh(square.vertices * [2.0, 1.0], square.elements)
+    ops = [
+        ff.assemble_operator(m, ff.constant_field(m, ff.axis_frame(2)), 0.5, "neumann")
+        for m in (square, stretched)
+    ]
+    assert abs(ops[0].matrix - ops[1].matrix).max() > 1.0
+    assert ops[0].fingerprint != ops[1].fingerprint

@@ -242,3 +242,13 @@ def test_generators_are_valid():
         assert np.all(mesh.element_volumes > 0)
         # re-validating in the constructor exercises all invariants
         ff.SimplicialMesh(mesh.vertices, mesh.elements)
+
+
+def test_nan_coordinate_rejected():
+    with pytest.raises(ff.GeometryError, match="finite"):
+        ff.SimplicialMesh([[0, 0], [1, 0], [np.nan, 1]], [[0, 1, 2]])
+
+
+def test_unreferenced_vertex_rejected():
+    with pytest.raises(ff.GeometryError, match="belong to no element"):
+        ff.SimplicialMesh([[0, 0], [1, 0], [0, 1], [5, 5]], [[0, 1, 2]])

@@ -6,7 +6,7 @@ import framefieldops as ff
 from framefieldops.errors import NumericalError
 from framefieldops.solve import check_symmetric
 
-from oracles import box_qp_active_set
+from oracles import box_qp_active_set, dense_eigs
 
 
 def test_check_symmetric():
@@ -21,10 +21,10 @@ def test_solve_spd_identity_and_nullspace():
     b = np.arange(n, dtype=float)
     x = ff.solve_spd(sparse.eye(n, format="csr"), b)
     assert np.abs(x - b).max() < 1e-12
-    # singular system with known nullspace: zero rhs gives zero solution
+    # zero right-hand side gives the zero solution
     L = sparse.diags([np.ones(n - 1), -2 * np.ones(n), np.ones(n - 1)], [-1, 0, 1])
     L = -(L + L.T) / 2
-    x = ff.solve_spd(L.tocsr(), np.zeros(n), nullspace=[np.ones(n)])
+    x = ff.solve_spd(L.tocsr(), np.zeros(n))
     assert np.abs(x).max() < 1e-12
 
 
@@ -32,20 +32,20 @@ def test_solve_spd_matches_dense_oracle():
     rng = np.random.default_rng(1)
     R = rng.standard_normal((50, 50))
     A = R @ R.T + np.eye(50)
-    b = rng.standard_normal(50)
-    x = ff.solve_spd(sparse.csr_matrix(A), b)
-    oracle = np.linalg.solve(A, b)
-    assert np.abs(x - oracle).max() < 1e-8
+    for shape in ((50,), (50, 2)):
+        b = rng.standard_normal(shape)
+        x = ff.solve_spd(sparse.csr_matrix(A), b)
+        assert x.shape == shape
+        assert np.abs(x - np.linalg.solve(A, b)).max() < 1e-8
 
 
 def test_solve_spd_projects_rhs_with_warning():
     n = 20
     D = sparse.diags([np.ones(n), -np.ones(n - 1)], [0, 1], shape=(n - 1, n))
     A = (D.T @ D).tocsr()  # Neumann 1D Laplacian, ones in the nullspace
-    ones = np.ones(n)
-    with pytest.warns(UserWarning, match="projecting"):
-        x = ff.solve_spd(A, ones, nullspace=[ones])
-    assert np.abs(x).max() < 1e-10
+    # A singular system is rejected; it is not solved in a projected sense.
+    with pytest.raises(NumericalError):
+        ff.solve_spd(A, np.ones(n))
 
 
 def test_eigs_neumann_disk(disk_mesh, disk_harmonic_field):
@@ -63,13 +63,23 @@ def test_eigs_natural_square_affine_zeros(small_square_mesh):
     assert np.abs(eig.values[:3]).max() < 1e-8 * eig.values.max()
 
 
-def test_eigs_paths_cross_validate(disk_mesh, disk_harmonic_field):
-    op = ff.assemble_operator(disk_mesh, disk_harmonic_field, 0.1, "neumann")
-    d = ff.eigs_generalized(op, op.vertex_mass, 15, path="dense")
-    i = ff.eigs_generalized(op, op.vertex_mass, 15, path="iterative")
-    assert np.abs(d.values - i.values).max() < 1e-8 * max(d.values.max(), 1.0)
-    for eig in (d, i):
+def test_eigs_paths_cross_validate(
+    disk_mesh, disk_harmonic_field, small_square_mesh, small_ball_mesh
+):
+    square_field = ff.constant_field(small_square_mesh, ff.axis_frame(2))
+    ball_field = ff.helical_field_3d(small_ball_mesh, [0.0, 0.0, 1.0], 2.0)
+    ops = [
+        ff.assemble_operator(disk_mesh, disk_harmonic_field, 0.1, "neumann"),
+        ff.assemble_operator(small_ball_mesh, ball_field, 0.05, "natural"),
+        ff.assemble_operator(small_square_mesh, square_field, 0.4, "natural"),
+    ]
+    for op in ops:
+        eig = ff.eigs_generalized(op, op.vertex_mass, 15)
+        oracle, _ = dense_eigs(op.matrix, op.vertex_mass, 15)
+        assert np.abs(eig.values - oracle).max() < 1e-8 * oracle.max()
         eig.validate(op.matrix, op.vertex_mass)
+    # the natural square's affine zero modes are among those found
+    assert np.abs(eig.values[:3]).max() < 1e-8 * eig.values.max()
 
 
 def test_eigs_input_validation(disk_mesh, disk_harmonic_field):
