@@ -54,7 +54,6 @@ from .fem import (
     apply_dirichlet_partition,
     assemble_operator,
     bilaplacian_mixed_natural,
-    boundary_constraint_matrix,
     divergence_matrix,
     energy_block_matrix,
 )

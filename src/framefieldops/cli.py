@@ -309,19 +309,19 @@ def build_parser():
     p_gen.set_defaults(func=cmd_field_gen)
 
     def common(p, bc_default="neumann", eps_default=0.1):
+        # bc_default=None leaves out --bc, for commands with a fixed BC.
         p.add_argument("--mesh", required=True)
         p.add_argument("--field", required=True)
         p.add_argument("--epsilon", type=float, default=eps_default)
-        p.add_argument("--bc", default=bc_default, choices=["natural", "neumann"])
+        if bc_default is not None:
+            p.add_argument("--bc", default=bc_default, choices=["natural", "neumann"])
 
     p_asm = sub.add_parser("assemble", help="write the operator as MatrixMarket")
     common(p_asm)
     p_asm.set_defaults(func=cmd_assemble)
 
     p_dir = sub.add_parser("dirichlet", help="boundary-value solve")
-    p_dir.add_argument("--mesh", required=True)
-    p_dir.add_argument("--field", required=True)
-    p_dir.add_argument("--epsilon", type=float, default=0.1)
+    common(p_dir, bc_default=None)
     p_dir.add_argument("--boundary", help="CSV of per-boundary-vertex values")
     p_dir.add_argument("--periods", type=int, default=4,
                        help="square-wave periods when --boundary is omitted")
@@ -345,9 +345,7 @@ def build_parser():
     p_dist = sub.add_parser(
         "distance", help="spectral distance field from the smallest nonzero modes"
     )
-    p_dist.add_argument("--mesh", required=True)
-    p_dist.add_argument("--field", required=True)
-    p_dist.add_argument("--epsilon", type=float, default=0.1)
+    common(p_dist, bc_default=None)
     p_dist.add_argument("--source", type=int, default=0)
     p_dist.add_argument("--modes", type=int, default=64,
                         help="nonzero modes in the spectral embedding")
@@ -355,9 +353,7 @@ def build_parser():
     p_dist.set_defaults(func=cmd_distance)
 
     p_col = sub.add_parser("color", help="boundary-value coloring")
-    p_col.add_argument("--mesh", required=True)
-    p_col.add_argument("--field", required=True)
-    p_col.add_argument("--epsilon", type=float, default=0.01)
+    common(p_col, bc_default=None, eps_default=0.01)
     p_col.add_argument("--boundary-colors", required=True,
                        help="CSV with one r,g,b row per boundary vertex")
     p_col.set_defaults(func=cmd_color)

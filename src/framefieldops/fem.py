@@ -5,14 +5,17 @@ per-vertex symmetric tensor V standing in for the Hessian, enforced by a
 Lagrange multiplier field.  Stationarity of the discrete Lagrangian gives a
 saddle system in (V, Lambda, mu, u); eliminating everything but u yields
 
-    A = G' A D (Mbar - Mbar B' (B Mbar B')^{-1} B Mbar) D' A G,
+    A = G' A D (Mbar - Mbar B' (B Mbar B')^+ B Mbar) D' A G,
 
 with Mbar = M^{-1} M_T M^{-1} block-diagonal over vertices.  The boundary
 constraint matrix B realizes either weak Neumann conditions (tangential
 components of Lambda n vanish) or natural conditions (Lambda zero on the
-boundary).  Since every B row touches a single vertex block, the projected
-middle matrix is assembled blockwise; each boundary block is inverted
-densely with a pseudoinverse fallback for singular frame tensors.
+boundary).  Every B row touches a single vertex block, so the projected
+middle matrix is block-diagonal too.  One rule gives its boundary blocks:
+under natural conditions B_v is the identity and the projected block is
+exactly zero; under weak Neumann conditions every B_v has dim - 1 rows and
+the boundary blocks are projected with one batched eigenvalue pseudoinverse,
+which also covers the singular blocks of zero-weight frame tensors.
 
 Assembly is vectorized and deterministic: identical inputs produce
 bitwise-identical matrices.
@@ -43,8 +46,10 @@ class MixedSystem:
     G maps vertex scalars to element gradients; D maps vertex Mandel
     tensors to element divergence vectors; A and M are the diagonal element
     and dual-vertex volume matrices (replicated per component); M_T is the
-    block-diagonal energy matrix; B stacks the per-boundary-vertex
-    constraint rows.
+    block-diagonal energy matrix.  ``constraint_rows`` is the ``(nb, r, m)``
+    array of boundary constraint rows, one ``r x m`` block per vertex of
+    ``measures.boundary_vertices`` in that order; B is their block-diagonal
+    placement and is not stored.
     """
 
     G: sparse.csr_matrix
@@ -52,32 +57,11 @@ class MixedSystem:
     A: np.ndarray
     M: np.ndarray
     M_T: sparse.bsr_matrix
-    B: sparse.csr_matrix
-    constraint_blocks: list
+    constraint_rows: np.ndarray
     bc_kind: str
     epsilon: float
     mesh: object
     measures: object
-
-    def kkt_matrix(self):
-        """Dense first-order optimality matrix over (V, Lambda, mu).
-
-        The u-row and u-column (G' A D and its transpose) are kept out; this
-        is the subsystem one solves to evaluate the reduced operator on a
-        given u.  Intended for small verification problems.
-        """
-        Mt = self.M_T.toarray()
-        M = np.diag(self.M)
-        B = self.B.toarray()
-        nvm, nb = Mt.shape[0], B.shape[0]
-        Z = np.zeros
-        return np.block(
-            [
-                [Mt, M, Z((nvm, nb))],
-                [M, Z((nvm, nvm)), B.T],
-                [Z((nb, nvm)), B, Z((nb, nb))],
-            ]
-        )
 
 
 @dataclass
@@ -171,40 +155,28 @@ def energy_block_matrix(field, measures, epsilon):
 
 
 def constraint_blocks(measures, bc_kind, dim):
-    """Per-boundary-vertex constraint rows.
+    """Boundary constraint rows as one ``(nb, r, m)`` array.
 
-    ``neumann``: one row per tangent t, the Mandel vector of sym(t n^T),
-    forcing the tangential-normal tensor components to vanish.
-    ``natural``: the identity block, pinning the whole multiplier to zero.
+    ``neumann``: r = dim - 1 rows per vertex, the Mandel vectors of
+    sym(t n^T) over its tangents t, forcing the tangential-normal tensor
+    components to vanish.
+    ``natural``: the m x m identity, pinning the whole multiplier to zero.
 
-    Returns a list of (vertex index, rows) pairs in boundary order.
+    Blocks follow ``measures.boundary_vertices``.
     """
     if bc_kind not in BC_KINDS:
         raise ValueError(f"bc_kind must be one of {BC_KINDS}, got {bc_kind!r}")
     m = mandel_size(dim)
-    out = []
-    for b, v in enumerate(measures.boundary_vertices):
-        if bc_kind == "natural":
-            out.append((int(v), np.eye(m)))
-        else:
-            n = measures.boundary_normals[b]
-            rows = np.empty((dim - 1, m))
-            for t_i in range(dim - 1):
-                t = measures.boundary_tangents[b, t_i]
-                rows[t_i] = sym_to_mandel(0.5 * (np.outer(t, n) + np.outer(n, t)))
-            out.append((int(v), rows))
-    return out
+    nb = len(measures.boundary_vertices)
+    if bc_kind == "natural":
+        return np.broadcast_to(np.eye(m), (nb, m, m))
+    t = measures.boundary_tangents  # (nb, dim - 1, dim)
+    n = measures.boundary_normals[:, None, :]  # (nb, 1, dim)
+    tn = t[..., :, None] * n[..., None, :]
+    return sym_to_mandel(0.5 * (tn + np.swapaxes(tn, -1, -2)))
 
 
-def boundary_constraint_matrix(measures, bc_kind, dim, num_vertices):
-    """Assemble the sparse constraint matrix from the per-vertex blocks."""
-    blocks = constraint_blocks(measures, bc_kind, dim)
-    return _blocks_to_matrix(blocks, mandel_size(dim), num_vertices)
-
-
-def build_mixed_system(
-    mesh, field, epsilon, bc_kind, measures=None, blocks_override=None
-):
+def build_mixed_system(mesh, field, epsilon, bc_kind, measures=None):
     """Assemble every matrix of the saddle problem for one configuration."""
     if not 0.0 < epsilon <= 1.0:
         raise ValueError(f"epsilon must lie in (0, 1], got {epsilon}")
@@ -213,25 +185,13 @@ def build_mixed_system(
     if measures is None:
         measures = compute_measures(mesh)
     m = mandel_size(mesh.dim)
-    G = gradient_matrix(mesh)
-    D = divergence_matrix(mesh)
-    A = np.repeat(measures.element_volumes, mesh.dim)
-    M = np.repeat(measures.dual_volumes, m)
-    M_T = energy_block_matrix(field, measures, epsilon)
-    blocks = (
-        blocks_override
-        if blocks_override is not None
-        else constraint_blocks(measures, bc_kind, mesh.dim)
-    )
-    B = _blocks_to_matrix(blocks, m, mesh.num_vertices)
     return MixedSystem(
-        G=G,
-        D=D,
-        A=A,
-        M=M,
-        M_T=M_T,
-        B=B,
-        constraint_blocks=blocks,
+        G=gradient_matrix(mesh),
+        D=divergence_matrix(mesh),
+        A=np.repeat(measures.element_volumes, mesh.dim),
+        M=np.repeat(measures.dual_volumes, m),
+        M_T=energy_block_matrix(field, measures, epsilon),
+        constraint_rows=constraint_blocks(measures, bc_kind, mesh.dim),
         bc_kind=bc_kind,
         epsilon=epsilon,
         mesh=mesh,
@@ -239,63 +199,35 @@ def build_mixed_system(
     )
 
 
-def _blocks_to_matrix(blocks, m, num_vertices):
-    rows, cols, vals = [], [], []
-    r0 = 0
-    for v, block in blocks:
-        r = block.shape[0]
-        rr, cc = np.meshgrid(np.arange(r), np.arange(m), indexing="ij")
-        rows.append((r0 + rr).ravel())
-        cols.append((v * m + cc).ravel())
-        vals.append(np.asarray(block, dtype=float).ravel())
-        r0 += r
-    if not blocks:
-        return sparse.csr_matrix((0, num_vertices * m))
-    B = sparse.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(r0, num_vertices * m),
-    )
-    return B.tocsr()
-
-
-def _pinv_psd(S, cutoff=1e-12):
-    # Dense Cholesky when safely positive definite, else eigenvalue
-    # pseudoinverse with a relative cutoff; tolerates zero-weight vertices
-    # of conformal fields.
-    try:
-        np.linalg.cholesky(S)  # positive-definiteness probe
-        return np.linalg.solve(S, np.eye(S.shape[0])), False
-    except np.linalg.LinAlgError:
-        w, V = np.linalg.eigh(S)
-        keep = w > cutoff * max(w.max(), 0.0) if w.size else w > 0
-        winv = np.zeros_like(w)
-        winv[keep] = 1.0 / w[keep]
-        return (V * winv) @ V.T, True
-
-
 def projected_middle_blocks(system):
-    """Per-vertex blocks of P = Mbar - Mbar B' (B Mbar B')^{-1} B Mbar.
+    """Per-vertex blocks of P = Mbar - Mbar B' (B Mbar B')^+ B Mbar.
 
-    Mbar has block Q_eps(v) / dual_volume(v); interior vertices keep their
-    Mbar block, boundary vertices are projected onto the kernel of their
-    constraint rows.  Singular boundary blocks (zero-weight conformal
-    vertices) fall back to a pseudoinverse with a warning.
+    Mbar has block Q_eps(v) / dual_volume(v).  Interior vertices keep their
+    Mbar block.  Under natural conditions B_v is the identity, so boundary
+    blocks are exactly zero.  Under weak Neumann conditions the boundary
+    blocks are projected onto the kernel of their constraint rows with one
+    batched eigenvalue pseudoinverse of the ``(nb, r, r)`` Gram blocks
+    B_v Mbar_v B_v'; eigenvalues at or below 1e-12 times the block's
+    largest are dropped.  Blocks that lose an eigenvalue (zero-weight
+    conformal vertices) are counted in a warning.
     """
-    mesh, measures = system.mesh, system.measures
-    m = mandel_size(mesh.dim)
-    nv = mesh.num_vertices
-    dual = measures.dual_volumes
+    dual = system.measures.dual_volumes
+    bv = system.measures.boundary_vertices
     mt_blocks = np.asarray(system.M_T.data)  # dual_v * Q_eps(v), vertex order
-    mbar = mt_blocks / (dual**2)[:, None, None]
-    P = mbar.copy()
-    n_singular = 0
-    for v, Brows in system.constraint_blocks:
-        Mb = mbar[v]
-        S = Brows @ Mb @ Brows.T
-        Sinv, used_pinv = _pinv_psd(S)
-        n_singular += used_pinv
-        MB = Mb @ Brows.T
-        P[v] = Mb - MB @ Sinv @ MB.T
+    P = mt_blocks / (dual**2)[:, None, None]
+    if system.bc_kind == "natural":
+        P[bv] = 0.0
+        return P
+    B = system.constraint_rows
+    Bt = np.swapaxes(B, -1, -2)
+    Mb = P[bv]
+    MB = Mb @ Bt
+    w, V = np.linalg.eigh((B @ Mb) @ Bt)
+    keep = w > 1e-12 * w.max(axis=-1, initial=0.0)[:, None]
+    winv = np.divide(1.0, w, out=np.zeros_like(w), where=keep)
+    S_pinv = (V * winv[:, None, :]) @ np.swapaxes(V, -1, -2)
+    P[bv] = Mb - (MB @ S_pinv) @ np.swapaxes(MB, -1, -2)
+    n_singular = int(np.count_nonzero(~keep.all(axis=-1)))
     if n_singular:
         warnings.warn(
             f"{n_singular} singular boundary constraint blocks; used pseudoinverse"
@@ -311,9 +243,7 @@ def _operator_fingerprint(field, epsilon, bc_kind):
     return h.hexdigest()
 
 
-def assemble_operator(
-    mesh, field, epsilon, bc_kind, measures=None, blocks_override=None
-):
+def assemble_operator(mesh, field, epsilon, bc_kind, measures=None):
     """Assemble the sparse discrete frame field operator.
 
     Parameters
@@ -324,17 +254,12 @@ def assemble_operator(
     epsilon : float
         Ellipticity parameter in (0, 1]; 1 reproduces the Bilaplacian.
     bc_kind : {"natural", "neumann"}
-    blocks_override : list, optional
-        Replacement constraint blocks (testing hook; the projector is
-        invariant under invertible per-block rescaling).
 
     Returns
     -------
     AssembledOperator
     """
-    system = build_mixed_system(
-        mesh, field, epsilon, bc_kind, measures=measures, blocks_override=blocks_override
-    )
+    system = build_mixed_system(mesh, field, epsilon, bc_kind, measures=measures)
     P_blocks = projected_middle_blocks(system)
     nv = mesh.num_vertices
     m = mandel_size(mesh.dim)
@@ -355,32 +280,6 @@ def assemble_operator(
         mesh=mesh,
         boundary_vertices=system.measures.boundary_vertices.copy(),
     )
-
-
-def assemble_natural_shortcut(mesh, field, epsilon, measures=None):
-    """Natural-condition operator by deleting boundary multiplier blocks.
-
-    Setting the multiplier to zero on the boundary removes its columns
-    outright: A = G' A D* Mbar* (D*)' A G with starred boundary blocks
-    deleted.  Cross-validated against the general Schur path in the tests.
-    """
-    if measures is None:
-        measures = compute_measures(mesh)
-    system = build_mixed_system(mesh, field, epsilon, "natural", measures=measures)
-    m = mandel_size(mesh.dim)
-    nv = mesh.num_vertices
-    keep_vertices = np.setdiff1d(np.arange(nv), measures.boundary_vertices)
-    keep = (keep_vertices[:, None] * m + np.arange(m)[None, :]).ravel()
-    K = (system.D.T @ sparse.diags(system.A) @ system.G).tocsr()[keep]
-    mbar = np.asarray(system.M_T.data) / (measures.dual_volumes**2)[:, None, None]
-    Mbar = sparse.bsr_matrix(
-        (mbar[keep_vertices], np.arange(len(keep_vertices)),
-         np.arange(len(keep_vertices) + 1)),
-        shape=(len(keep), len(keep)),
-    )
-    op = (K.T @ (Mbar @ K)).tocsr()
-    op = 0.5 * (op + op.T)
-    return op
 
 
 def bilaplacian_mixed_natural(mesh, measures=None):

@@ -318,6 +318,28 @@ def _orient_elements(vertices, elements, dim):
     return out
 
 
+# Child simplices of the midpoint refinement as rows of local node indices:
+# the element's vertices come first, then its edge midpoints in the order of
+# _LOCAL_EDGES.
+_LOCAL_EDGES = {
+    2: ((0, 1), (1, 2), (2, 0)),
+    3: ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)),
+}
+_TRI_CHILDREN = np.array([[0, 3, 5], [1, 4, 3], [2, 5, 4], [3, 4, 5]])
+_TET_CORNERS = np.array([[0, 4, 5, 6], [1, 4, 7, 8], [2, 5, 7, 9], [3, 6, 8, 9]])
+# Octahedron diagonals (m01, m23), (m02, m13), (m03, m12), and for each the
+# four tets it spans with the ring midpoint pairs whose parent edges share
+# an endpoint.
+_OCTA_DIAGONALS = np.array([[4, 9], [5, 8], [6, 7]])
+_OCTA_SPLITS = np.array(
+    [
+        [[4, 9, 5, 6], [4, 9, 5, 7], [4, 9, 6, 8], [4, 9, 7, 8]],
+        [[5, 8, 4, 6], [5, 8, 4, 7], [5, 8, 6, 9], [5, 8, 7, 9]],
+        [[6, 7, 4, 5], [6, 7, 4, 8], [6, 7, 5, 9], [6, 7, 8, 9]],
+    ]
+)
+
+
 def refine_uniform(mesh):
     """Midpoint refinement: 1-to-4 for triangles, 1-to-8 for tetrahedra.
 
@@ -325,7 +347,8 @@ def refine_uniform(mesh):
     appended per unique edge.  Total volume and the boundary polygon are
     preserved exactly, and mean edge length halves on triangle meshes.
     The central octahedron of each tetrahedron is split along its shortest
-    diagonal to bound aspect-ratio degradation.
+    diagonal to bound aspect-ratio degradation.  Children are listed parent
+    by parent: for a tetrahedron its four corner tets, then the octahedron's.
 
     The refined mesh records the coarse edge behind each appended vertex in
     ``parent_edges``, which supports exact linear prolongation.
@@ -335,55 +358,27 @@ def refine_uniform(mesh):
     midpoints = 0.5 * (mesh.vertices[edges[:, 0]] + mesh.vertices[edges[:, 1]])
     vertices = np.vstack([mesh.vertices, midpoints])
 
-    # Edge (a, b) with a < b -> index of its midpoint vertex.
-    edge_id = {(int(a), int(b)): nv + i for i, (a, b) in enumerate(edges)}
+    # Midpoint index of every local edge, by lookup in the sorted edge keys.
+    t = mesh.elements
+    local = np.asarray(_LOCAL_EDGES[mesh.dim])
+    a, b = t[:, local[:, 0]], t[:, local[:, 1]]
+    keys = np.minimum(a, b) * nv + np.maximum(a, b)
+    mids = nv + np.searchsorted(edges[:, 0] * nv + edges[:, 1], keys)
+    nodes = np.hstack([t, mids])
 
-    def mid(a, b):
-        return edge_id[(a, b) if a < b else (b, a)]
-
-    new_elements = []
     if mesh.dim == 2:
-        for tri in mesh.elements:
-            a, b, c = (int(v) for v in tri)
-            ab, bc, ca = mid(a, b), mid(b, c), mid(c, a)
-            new_elements += [
-                (a, ab, ca),
-                (b, bc, ab),
-                (c, ca, bc),
-                (ab, bc, ca),
-            ]
+        children = nodes[:, _TRI_CHILDREN]
     else:
-        for tet in mesh.elements:
-            v0, v1, v2, v3 = (int(v) for v in tet)
-            m01, m02, m03 = mid(v0, v1), mid(v0, v2), mid(v0, v3)
-            m12, m13, m23 = mid(v1, v2), mid(v1, v3), mid(v2, v3)
-            new_elements += [
-                (v0, m01, m02, m03),
-                (v1, m01, m12, m13),
-                (v2, m02, m12, m23),
-                (v3, m03, m13, m23),
-            ]
-            # Interior octahedron: split along its shortest diagonal.
-            parent = {
-                m01: (v0, v1), m02: (v0, v2), m03: (v0, v3),
-                m12: (v1, v2), m13: (v1, v3), m23: (v2, v3),
-            }
-            diags = [(m01, m23), (m02, m13), (m03, m12)]
-            lengths = [
-                np.linalg.norm(vertices[d0] - vertices[d1]) for d0, d1 in diags
-            ]
-            d0, d1 = diags[int(np.argmin(lengths))]
-            ring = [p for p in (m01, m02, m03, m12, m13, m23) if p not in (d0, d1)]
-            # Two ring midpoints are octahedron-adjacent iff their parent
-            # edges share an endpoint; each such pair spans a tet with the
-            # diagonal.
-            for i in range(4):
-                for j in range(i + 1, 4):
-                    a, b = ring[i], ring[j]
-                    if len(set(parent[a]) & set(parent[b])) == 1:
-                        new_elements.append((d0, d1, a, b))
+        ends = vertices[nodes[:, _OCTA_DIAGONALS]]  # (ne, 3, 2, 3)
+        d = ends[:, :, 0] - ends[:, :, 1]
+        # sqrt(d . d) rounds like np.linalg.norm of one vector, which keeps
+        # the choice among exactly tied diagonals (symmetric meshes) stable.
+        lengths = np.sqrt(np.vecdot(d, d))
+        split = _OCTA_SPLITS[np.argmin(lengths, axis=1)]  # (ne, 4, 4)
+        octa = np.take_along_axis(nodes, split.reshape(len(t), 16), axis=1)
+        children = np.hstack([nodes[:, _TET_CORNERS.ravel()], octa])
 
-    new_elements = np.asarray(new_elements, dtype=np.int64)
+    new_elements = children.reshape(-1, mesh.dim + 1)
     new_elements = _orient_elements(vertices, new_elements, mesh.dim)
     fine = SimplicialMesh(vertices, new_elements)
     fine.parent_edges = edges.copy()

@@ -48,27 +48,10 @@ def disk(rings, radius=1.0):
         ring_start.append(ring_start[k] + count)
     vertices = np.asarray(vertices)
 
-    tris = []
     # Innermost fan around the center.
-    for i in range(6):
-        tris.append((0, 1 + i, 1 + (i + 1) % 6))
-    # Angular merge between ring k and ring k+1.
+    tris = [(0, 1 + i, 1 + (i + 1) % 6) for i in range(6)]
     for k in range(1, rings):
-        n_in, n_out = 6 * k, 6 * (k + 1)
-        s_in, s_out = ring_start[k], ring_start[k + 1]
-        ang_in = 2.0 * np.pi * np.arange(n_in + 1) / n_in
-        ang_out = 2.0 * np.pi * np.arange(n_out + 1) / n_out
-        i = j = 0
-        while i < n_in or j < n_out:
-            vi = s_in + i % n_in
-            vj = s_out + j % n_out
-            advance_outer = j < n_out and (i == n_in or ang_out[j + 1] <= ang_in[i + 1])
-            if advance_outer:
-                tris.append((vi, vj, s_out + (j + 1) % n_out))
-                j += 1
-            else:
-                tris.append((vi, vj, s_in + (i + 1) % n_in))
-                i += 1
+        tris += _ring_band(k, ring_start[k], ring_start[k + 1])
     elements = _orient_elements(vertices, np.array(tris, dtype=np.int64), 2)
     return SimplicialMesh(vertices, elements)
 
@@ -92,23 +75,31 @@ def annulus(inner_rings, outer_rings, radius=1.0):
     vertices = np.asarray(vertices)
     tris = []
     for k in range(inner_rings, outer_rings):
-        n_in, n_out = 6 * k, 6 * (k + 1)
-        s_in, s_out = ring_start[k], ring_start[k + 1]
-        ang_in = 2.0 * np.pi * np.arange(n_in + 1) / n_in
-        ang_out = 2.0 * np.pi * np.arange(n_out + 1) / n_out
-        i = j = 0
-        while i < n_in or j < n_out:
-            vi = s_in + i % n_in
-            vj = s_out + j % n_out
-            advance_outer = j < n_out and (i == n_in or ang_out[j + 1] <= ang_in[i + 1])
-            if advance_outer:
-                tris.append((vi, vj, s_out + (j + 1) % n_out))
-                j += 1
-            else:
-                tris.append((vi, vj, s_in + (i + 1) % n_in))
-                i += 1
+        tris += _ring_band(k, ring_start[k], ring_start[k + 1])
     elements = _orient_elements(vertices, np.array(tris, dtype=np.int64), 2)
     return SimplicialMesh(vertices, elements)
+
+
+def _ring_band(k, s_in, s_out):
+    # Triangulate the band between ring k (6k points from index s_in) and
+    # ring k+1 (6k+6 points from s_out) by an angular merge: advance on
+    # whichever ring reaches the next angle first.
+    n_in, n_out = 6 * k, 6 * (k + 1)
+    ang_in = 2.0 * np.pi * np.arange(n_in + 1) / n_in
+    ang_out = 2.0 * np.pi * np.arange(n_out + 1) / n_out
+    tris = []
+    i = j = 0
+    while i < n_in or j < n_out:
+        vi = s_in + i % n_in
+        vj = s_out + j % n_out
+        advance_outer = j < n_out and (i == n_in or ang_out[j + 1] <= ang_in[i + 1])
+        if advance_outer:
+            tris.append((vi, vj, s_out + (j + 1) % n_out))
+            j += 1
+        else:
+            tris.append((vi, vj, s_in + (i + 1) % n_in))
+            i += 1
+    return tris
 
 
 def box(nx, ny, nz, lo=(0.0, 0.0, 0.0), hi=(1.0, 1.0, 1.0)):

@@ -228,69 +228,20 @@ def alignment_quadratic(S, form):
     return float(v @ form.Q @ v)
 
 
-def _unit_samples(dim, count):
-    # Deterministic quasi-uniform unit directions: evenly spaced half-circle
-    # angles in 2D, a Fibonacci sphere in 3D.
-    if dim == 2:
-        t = (np.arange(count) + 0.5) / count * np.pi
-        return np.column_stack([np.cos(t), np.sin(t)])
-    i = np.arange(count) + 0.5
-    phi = np.pi * (1.0 + np.sqrt(5.0)) * i
-    z = 1.0 - 2.0 * i / count
-    r = np.sqrt(np.maximum(0.0, 1.0 - z * z))
-    return np.column_stack([r * np.cos(phi), r * np.sin(phi), z])
+def spectral_norm(frame):
+    """Spectral norm max_{|v|=1} T(v, v, v, v) of an odeco tensor.
 
-
-def _quartic_values(Q, V):
-    M = V[:, :, None] * V[:, None, :]
-    W = sym_to_mandel(M)
-    return np.einsum("kp,pq,kq->k", W, Q, W)
-
-
-def spectral_norm(obj, samples=1024):
-    """Spectral norm max_{|v|=1} T(v, v, v, v).
-
-    For an :class:`OdecoFrame` the closed form ``max_a |w_a|`` is returned.
-    For a raw :class:`Sym4Form` the quartic is maximized over quasi-random
-    unit samples followed by projected gradient ascent with step halving
-    (stationarity threshold 1e-10); exact maximization of a general quartic
-    is NP-hard, but every field in scope is odeco where the closed form
-    applies.
+    For an :class:`OdecoFrame` this is the closed form ``max_a |w_a|``.
+    Exact maximization of a general quartic is NP-hard, and every field in
+    scope is odeco, so a raw :class:`Sym4Form` raises :class:`FieldError`.
     """
-    if isinstance(obj, OdecoFrame):
-        if obj.weights.size == 0:
-            return 0.0
-        return float(np.max(np.abs(obj.weights)))
-    form = obj
-    V = _unit_samples(form.dim, samples)
-    vals = _quartic_values(form.Q, V)
-    v = V[int(np.argmax(vals))]
-    best = float(np.max(vals))
-
-    def quartic(u):
-        w = sym_to_mandel(np.outer(u, u))
-        return float(w @ form.Q @ w)
-
-    step = 1.0
-    for _ in range(200):
-        grad = 4.0 * contract(np.outer(v, v), form) @ v
-        tangential = grad - (grad @ v) * v
-        if np.linalg.norm(tangential) <= 1e-10 * max(1.0, abs(best)):
-            break
-        improved = False
-        while step > 1e-14:
-            cand = v + step * tangential
-            cand /= np.linalg.norm(cand)
-            val = quartic(cand)
-            if val > best:
-                v, best = cand, val
-                improved = True
-                step *= 1.5
-                break
-            step *= 0.5
-        if not improved:
-            break
-    return best
+    if not isinstance(frame, OdecoFrame):
+        raise FieldError(
+            f"spectral norm needs an OdecoFrame, got {type(frame).__name__}"
+        )
+    if frame.weights.size == 0:
+        return 0.0
+    return float(np.max(np.abs(frame.weights)))
 
 
 def modify_epsilon(form, norm_t, epsilon):

@@ -1,7 +1,9 @@
 """Independent reference computations the production code is tested against.
 
 Each oracle takes the brute-force route on purpose: the dense KKT solve
-works straight from the first-order optimality matrix, the eigen oracle
+works straight from the first-order optimality matrix with the sparse
+constraint matrix B placed explicitly, the natural-condition shortcut
+deletes the boundary multiplier blocks outright, the eigen oracle
 diagonalizes the full dense pencil, the QP oracle enumerates every active
 set, and the random frame helpers build tensors from their definition.
 """
@@ -12,7 +14,9 @@ import numpy as np
 from scipy import sparse
 from scipy.linalg import eigh, lu_factor, lu_solve
 
-from framefieldops import OdecoFrame
+from framefieldops import OdecoFrame, compute_measures
+from framefieldops.fem import build_mixed_system
+from framefieldops.symtensor import mandel_size
 
 
 def random_rotation(rng, dim):
@@ -33,9 +37,44 @@ def random_symmetric(rng, dim):
     return 0.5 * (S + S.T)
 
 
+def constraint_matrix(system):
+    """Sparse constraint matrix B with the blocks of ``system.constraint_rows``
+    placed at their boundary vertices' Mandel columns."""
+    rows = system.constraint_rows
+    nb, r, m = rows.shape
+    bv = system.measures.boundary_vertices
+    ri = np.broadcast_to(np.arange(nb * r).reshape(nb, r, 1), rows.shape)
+    ci = np.broadcast_to(bv[:, None, None] * m + np.arange(m), rows.shape)
+    return sparse.csr_matrix(
+        (rows.ravel(), (ri.ravel(), ci.ravel())),
+        shape=(nb * r, system.mesh.num_vertices * m),
+    )
+
+
+def dense_kkt_matrix(system):
+    """Dense first-order optimality matrix over (V, Lambda, mu).
+
+    The u-row and u-column (G' A D and its transpose) are kept out; this
+    is the subsystem one solves to evaluate the reduced operator on a
+    given u.
+    """
+    Mt = system.M_T.toarray()
+    M = np.diag(system.M)
+    B = constraint_matrix(system).toarray()
+    nvm, nb = Mt.shape[0], B.shape[0]
+    Z = np.zeros
+    return np.block(
+        [
+            [Mt, M, Z((nvm, nb))],
+            [M, Z((nvm, nvm)), B.T],
+            [Z((nb, nvm)), B, Z((nb, nb))],
+        ]
+    )
+
+
 def dense_kkt_factor(system):
     """LU factorization of the (V, Lambda, mu) optimality block."""
-    return lu_factor(system.kkt_matrix())
+    return lu_factor(dense_kkt_matrix(system))
 
 
 def dense_kkt_apply(system, factor, u):
@@ -46,11 +85,36 @@ def dense_kkt_apply(system, factor, u):
     """
     K = system.D.T @ (system.A[:, None] * system.G.toarray())
     nvm = system.M_T.shape[0]
-    nb = system.B.shape[0]
+    nb = constraint_matrix(system).shape[0]
     rhs = np.concatenate([np.zeros(nvm), -(K @ u), np.zeros(nb)])
     sol = lu_solve(factor, rhs)
     lam = sol[nvm : 2 * nvm]
     return K.T @ lam
+
+
+def natural_shortcut(mesh, field, epsilon, measures=None):
+    """Natural-condition operator by deleting boundary multiplier blocks.
+
+    Setting the multiplier to zero on the boundary removes its columns
+    outright: A = G' A D* Mbar* (D*)' A G with starred boundary blocks
+    deleted.
+    """
+    if measures is None:
+        measures = compute_measures(mesh)
+    system = build_mixed_system(mesh, field, epsilon, "natural", measures=measures)
+    m = mandel_size(mesh.dim)
+    nv = mesh.num_vertices
+    keep_vertices = np.setdiff1d(np.arange(nv), measures.boundary_vertices)
+    keep = (keep_vertices[:, None] * m + np.arange(m)[None, :]).ravel()
+    K = (system.D.T @ sparse.diags(system.A) @ system.G).tocsr()[keep]
+    mbar = np.asarray(system.M_T.data) / (measures.dual_volumes**2)[:, None, None]
+    Mbar = sparse.bsr_matrix(
+        (mbar[keep_vertices], np.arange(len(keep_vertices)),
+         np.arange(len(keep_vertices) + 1)),
+        shape=(len(keep), len(keep)),
+    )
+    op = (K.T @ (Mbar @ K)).tocsr()
+    return 0.5 * (op + op.T)
 
 
 def dense_eigs(A, M_diag, k):

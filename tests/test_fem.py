@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy import sparse
@@ -5,7 +7,6 @@ from scipy import sparse
 import framefieldops as ff
 from framefieldops import meshgen
 from framefieldops.fem import (
-    assemble_natural_shortcut,
     build_mixed_system,
     constraint_blocks,
     projected_middle_blocks,
@@ -13,7 +14,13 @@ from framefieldops.fem import (
 from framefieldops.symtensor import mandel_size
 
 from conftest import rotation_frame_2d
-from oracles import dense_kkt_apply, dense_kkt_factor, random_octahedral_frame
+from oracles import (
+    constraint_matrix,
+    dense_kkt_apply,
+    dense_kkt_factor,
+    natural_shortcut,
+    random_octahedral_frame,
+)
 
 
 def middle_matrix(system):
@@ -95,25 +102,23 @@ def test_energy_blocks(disk_mesh, disk_measures):
 def test_constraint_rows_2d():
     mesh = meshgen.structured_square(2, 0.0, 1.0)
     meas = ff.compute_measures(mesh)
-    blocks = dict_blocks = constraint_blocks(meas, "neumann", 2)
-    by_vertex = {v: rows for v, rows in blocks}
+    rows = constraint_blocks(meas, "neumann", 2)
+    # one row per tangent per boundary vertex, in boundary-vertex order
+    assert rows.shape == (len(meas.boundary_vertices), 1, 3)
     # bottom-edge midpoint: n = (0, -1), tangent (-1, 0) up to sign;
     # the single row pins the shear component: (0, 0, +-sqrt(2)/2)
-    bottom = [
-        v for v in by_vertex
-        if abs(mesh.vertices[v][1]) < 1e-12 and abs(mesh.vertices[v][0] - 0.5) < 1e-12
-    ]
-    row = by_vertex[bottom[0]][0]
+    p = mesh.vertices[meas.boundary_vertices]
+    bottom = np.flatnonzero((np.abs(p[:, 1]) < 1e-12) & (np.abs(p[:, 0] - 0.5) < 1e-12))
+    row = rows[bottom[0], 0]
     assert np.abs(np.abs(row) - [0.0, 0.0, np.sqrt(2.0) / 2.0]).max() < 1e-12
-    # row count: one per tangent per boundary vertex
-    B = ff.boundary_constraint_matrix(meas, "neumann", 2, mesh.num_vertices)
-    assert B.shape[0] == len(meas.boundary_vertices) * 1
 
 
 def test_natural_constraints_select_blocks(unit_tet_mesh):
-    meas = ff.compute_measures(unit_tet_mesh)
-    B = ff.boundary_constraint_matrix(meas, "natural", 3, 4)
-    # every vertex lies on the boundary: B is a permutation of the identity
+    field = ff.constant_field(unit_tet_mesh, ff.axis_frame(3))
+    system = build_mixed_system(unit_tet_mesh, field, 0.5, "natural")
+    assert system.constraint_rows.shape == (4, 6, 6)
+    B = constraint_matrix(system)
+    # every vertex lies on the boundary: B is the identity
     assert B.shape == (24, 24)
     assert abs(B - sparse.eye(24)).max() == 0.0
 
@@ -140,7 +145,7 @@ def test_bilaplacian_reduction(disk_mesh):
 def test_natural_shortcut_matches_schur(disk_mesh, eps):
     field = ff.constant_field(disk_mesh, rotation_frame_2d(0.3))
     op = ff.assemble_operator(disk_mesh, field, eps, "natural")
-    short = assemble_natural_shortcut(disk_mesh, field, eps)
+    short = natural_shortcut(disk_mesh, field, eps)
     assert abs(op.matrix - short).max() <= 1e-12 * abs(short).max()
 
 
@@ -164,23 +169,19 @@ def test_operator_invariants(disk_mesh, disk_harmonic_field, bc):
 def test_projector_annihilates_constraints(disk_mesh, disk_harmonic_field):
     system = build_mixed_system(disk_mesh, disk_harmonic_field, 0.2, "neumann")
     P = middle_matrix(system)
-    assert abs(system.B @ P).max() < 1e-10
+    assert abs(constraint_matrix(system) @ P).max() < 1e-10
 
 
 def test_constraint_rescaling_invariance(disk_mesh, disk_harmonic_field):
     rng = np.random.default_rng(11)
-    base = ff.assemble_operator(disk_mesh, disk_harmonic_field, 0.2, "neumann")
-    blocks = constraint_blocks(ff.compute_measures(disk_mesh), "neumann", 2)
-    scaled = []
-    for v, rows in blocks:
-        r = rows.shape[0]
-        S = rng.standard_normal((r, r)) + 3.0 * np.eye(r)
-        scaled.append((v, S @ rows))
-    redone = ff.assemble_operator(
-        disk_mesh, disk_harmonic_field, 0.2, "neumann", blocks_override=scaled
-    )
-    scale = abs(base.matrix).max()
-    assert abs(base.matrix - redone.matrix).max() <= 1e-10 * scale
+    system = build_mixed_system(disk_mesh, disk_harmonic_field, 0.2, "neumann")
+    rows = system.constraint_rows
+    nb, r, _ = rows.shape
+    S = rng.standard_normal((nb, r, r)) + 3.0 * np.eye(r)
+    scaled = dataclasses.replace(system, constraint_rows=S @ rows)
+    base = projected_middle_blocks(system)
+    redone = projected_middle_blocks(scaled)
+    assert np.abs(base - redone).max() <= 1e-10 * np.abs(base).max()
 
 
 @pytest.mark.parametrize("dim", [2, 3])
