@@ -17,6 +17,7 @@ if _threads:
 import argparse
 import hashlib
 import json
+import logging
 import sys
 import time
 from pathlib import Path
@@ -288,6 +289,9 @@ def cmd_validate(args):
 def build_parser():
     parser = _Parser(prog="framefieldops", description=__doc__)
     parser.add_argument("--output-dir", "-o", default=".", help="output directory")
+    parser.add_argument("--log-level", default="warning",
+                        choices=["debug", "info", "warning", "error"],
+                        help="package log messages at or above this level go to stderr")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_field = sub.add_parser("field", help="frame field utilities")
@@ -375,6 +379,11 @@ def main(argv=None):
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    log = logging.getLogger("framefieldops")
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
+    log.addHandler(handler)
+    log.setLevel(args.log_level.upper())
     try:
         return args.func(args)
     except UsageError as exc:
@@ -386,6 +395,9 @@ def main(argv=None):
     except (FrameFieldOpsError, OSError, ValueError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    finally:
+        log.removeHandler(handler)
+        log.setLevel(logging.NOTSET)
 
 
 if __name__ == "__main__":

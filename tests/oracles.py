@@ -164,3 +164,14 @@ def box_qp_active_set(A, lower, upper, fixed_indices=(), fixed_values=()):
         if obj < best:
             best, best_x = obj, x
     return best, best_x
+
+
+def boundary_facets_by_unique(mesh):
+    """Outward boundary facets by ``np.unique`` over the sorted facet rows,
+    in lexicographic order of their sorted vertex tuples."""
+    facets = mesh._oriented_facets()
+    _, first, counts = np.unique(
+        np.sort(facets, axis=1), axis=0, return_index=True, return_counts=True
+    )
+    boundary = facets[first[counts == 1]]
+    return boundary[np.lexsort(np.sort(boundary, axis=1).T[::-1])]

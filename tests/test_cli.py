@@ -175,6 +175,17 @@ def test_validate_exit_codes(monkeypatch, tmp_path):
     assert (tmp_path / "warp.csv").exists()
 
 
+def test_log_level_shows_validation_progress(tmp_path, capsys):
+    args = ["validate", "square-spectrum", "--base-n", "6"]
+    main(["-o", str(tmp_path / "quiet"), *args])
+    assert "square spectrum eps=" not in capsys.readouterr().err
+    main(["-o", str(tmp_path / "loud"), "--log-level", "info", *args])
+    err = capsys.readouterr().err
+    # one line per (epsilon, bc, level) and one verdict line per epsilon
+    assert err.count("INFO framefieldops.validation: square spectrum eps=") == 12
+    assert err.count("best bc") == 2
+
+
 def test_validate_small_runs(tmp_path):
     # the isotropy check needs the isoline resolved, so anisotropy runs at
     # its default disk size (still a couple of seconds)

@@ -1,9 +1,15 @@
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import framefieldops as ff
 from framefieldops import meshgen
 from framefieldops.geometry import prolong_linear
+
+from oracles import boundary_facets_by_unique
 
 
 OFF_SQUARE = """OFF
@@ -72,10 +78,65 @@ def test_load_nonplanar_fails(tmp_path):
 
 
 def test_malformed_file(tmp_path):
-    path = tmp_path / "bad.off"
-    path.write_text("OFF\n4 2 0\n0 0\n")
-    with pytest.raises(ff.MeshFormatError):
+    cases = [
+        ("bad.off", "OFF\n4 2 0\n0 0\n"),
+        # zero or negative counts used to reach _to_planar and raise IndexError
+        ("bad.off", "OFF\n0 0 0\n0 0 0\n1 0 0\n0 1 0\n"),
+        ("bad.off", "OFF\n-1 1 0\n3 0 1 2\n"),
+        ("bad.off", "OFF\n3 0 0\n0 0 0\n1 0 0\n0 1 0\n"),
+        # ragged rows used to raise a bare ValueError from np.array
+        ("bad.obj", "v 1 0\nv 0 0 0\nv 0 1 0\nf 1 2 3\n"),
+        ("bad.off", "OFF\n3 2 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n3 0 1\n"),
+        # an index beyond int64 used to raise OverflowError
+        ("bad.off", "OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 99999999999999999999\n"),
+    ]
+    for name, text in cases:
+        path = tmp_path / name
+        path.write_text(text)
+        with pytest.raises(ff.MeshFormatError):
+            ff.load_mesh(path)
+
+
+@pytest.fixture(scope="module")
+def valid_mesh_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("valid")
+    square = meshgen.structured_square(2)
+    files = {}
+    for name, mesh in (("m.off", square), ("m.obj", square), ("m.mesh", meshgen.ball())):
+        ff.save_mesh(mesh, root / name)
+        files[name] = (root / name).read_bytes()
+    return files
+
+
+# Replacements for one whitespace-separated token: empty, zero, negative,
+# huge, non-finite and non-numeric values, line breaks and stray keywords.
+GARBLE_TOKENS = st.one_of(
+    st.sampled_from([b"", b"0", b"-1", b"4", b"99999999999999999999", b"1e999",
+                     b"nan", b"x", b"\n", b" 0\n", b"v", b"f", b"End"]),
+    st.binary(max_size=3),
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    name=st.sampled_from(["m.mesh", "m.obj", "m.off"]),
+    edits=st.lists(st.tuples(st.floats(0.0, 1.0, exclude_max=True), GARBLE_TOKENS),
+                   max_size=3),
+    keep=st.floats(0.0, 1.0),
+)
+def test_garbled_mesh_files_raise_package_errors(
+    valid_mesh_files, tmp_path_factory, name, edits, keep
+):
+    tokens = re.split(rb"(\s+)", valid_mesh_files[name])
+    for where, token in edits:
+        tokens[int(where * len(tokens))] = token
+    data = b"".join(tokens)
+    path = tmp_path_factory.mktemp("garbled") / name
+    path.write_bytes(data[: round(keep * len(data))])
+    try:
         ff.load_mesh(path)
+    except (ff.MeshFormatError, ff.GeometryError):
+        pass
 
 
 def test_mesh_echo_roundtrip(tmp_path, disk_mesh, small_ball_mesh):
@@ -93,6 +154,10 @@ def test_validation_errors():
         ff.SimplicialMesh([[0, 0], [1, 0], [0, 1]], [[0, 2, 1]])
     with pytest.raises(ff.GeometryError):  # duplicate elements
         ff.SimplicialMesh([[0, 0], [1, 0], [0, 1]], [[0, 1, 2], [0, 1, 2]])
+    with pytest.raises(ff.GeometryError, match="duplicate"):  # rotated, not adjacent
+        ff.SimplicialMesh(
+            [[0, 0], [1, 0], [0, 1], [1, 1]], [[0, 1, 2], [1, 3, 2], [2, 0, 1]]
+        )
     with pytest.raises(ff.GeometryError):  # index out of range
         ff.SimplicialMesh([[0, 0], [1, 0], [0, 1]], [[0, 1, 3]])
     with pytest.raises(ff.GeometryError):  # facet shared by 3 elements
@@ -219,6 +284,17 @@ def test_boundary_facets_belong_to_one_element(disk_mesh, small_ball_mesh):
             counts[f] = counts.get(f, 0) + 1
         for f in boundary:
             assert counts[f] == 1
+
+
+def test_boundary_facets_match_unique_oracle():
+    R = ff.refine_uniform
+    for mesh in (
+        R(R(meshgen.disk(16))),
+        R(R(R(meshgen.ball()))),
+        meshgen.jittered_delaunay(3, 3),
+        R(meshgen.annulus(3, 6)),
+    ):
+        assert np.array_equal(mesh.boundary_facets, boundary_facets_by_unique(mesh))
 
 
 def test_prolongation_exact_on_linears(disk_mesh):

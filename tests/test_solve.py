@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 from scipy import sparse
+from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 import framefieldops as ff
+from framefieldops import meshgen
 from framefieldops.errors import NumericalError
 from framefieldops.solve import check_symmetric
 
@@ -28,15 +30,30 @@ def test_solve_spd_identity_and_nullspace():
     assert np.abs(x).max() < 1e-12
 
 
+def disk_interior_laplacian():
+    mesh = ff.refine_uniform(meshgen.disk(4))
+    measures = ff.compute_measures(mesh)
+    G = ff.gradient_matrix(mesh)
+    L = (G.T @ sparse.diags(np.repeat(measures.element_volumes, 2)) @ G).tocsr()
+    interior = np.setdiff1d(np.arange(mesh.num_vertices), measures.boundary_vertices)
+    return L[interior][:, interior]
+
+
 def test_solve_spd_matches_dense_oracle():
     rng = np.random.default_rng(1)
     R = rng.standard_normal((50, 50))
-    A = R @ R.T + np.eye(50)
-    for shape in ((50,), (50, 2)):
-        b = rng.standard_normal(shape)
-        x = ff.solve_spd(sparse.csr_matrix(A), b)
-        assert x.shape == shape
-        assert np.abs(x - np.linalg.solve(A, b)).max() < 1e-8
+    laplacian = disk_interior_laplacian()
+    # The factor works in RCM order; on this mesh that permutation is not its
+    # own inverse, so scattering the solution back the wrong way shows.
+    perm = reverse_cuthill_mckee(laplacian, symmetric_mode=True)
+    assert not np.array_equal(perm[perm], np.arange(len(perm)))
+    for A in (R @ R.T + np.eye(50), laplacian.toarray()):
+        n = len(A)
+        for shape in ((n,), (n, 2)):
+            b = rng.standard_normal(shape)
+            x = ff.solve_spd(sparse.csr_matrix(A), b)
+            assert x.shape == shape
+            assert np.abs(x - np.linalg.solve(A, b)).max() < 1e-8
 
 
 def test_solve_spd_projects_rhs_with_warning():
