@@ -56,6 +56,7 @@ from .fem import (
     bilaplacian_mixed_natural,
     divergence_matrix,
     energy_block_matrix,
+    weak_hessian,
 )
 from .solve import (
     EigenResult,

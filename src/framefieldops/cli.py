@@ -97,7 +97,7 @@ class Run:
 
     def finish(self, extra=None):
         manifest = {
-            "command": sys.argv[1:] if sys.argv[1:] else vars(self.args),
+            "command": self.args.argv,
             "inputs": self.inputs,
             "outputs": sorted(self.outputs),
             "versions": {
@@ -269,15 +269,27 @@ def cmd_color(args):
     return EXIT_OK
 
 
+# The optional ``validate`` flags each experiment takes, by keyword.
+VALIDATE_FLAGS = {
+    "square-spectrum": {"base_n"},
+    "refine-spectrum": {"rings"},
+    "warp": set(),
+    "dirichlet-convergence": {"rings"},
+    "anisotropy": {"rings"},
+}
+
+
 def cmd_validate(args):
+    kwargs = {
+        key: getattr(args, key)
+        for key in ("base_n", "rings")
+        if getattr(args, key) is not None
+    }
+    misapplied = sorted(set(kwargs) - VALIDATE_FLAGS[args.experiment])
+    if misapplied:
+        flags = ", ".join("--" + key.replace("_", "-") for key in misapplied)
+        raise UsageError(f"{flags} does not apply to validate {args.experiment}")
     run = Run(args)
-    kwargs = {}
-    if args.experiment == "square-spectrum" and args.base_n:
-        kwargs["base_n"] = args.base_n
-    if args.experiment == "refine-spectrum" and args.rings:
-        kwargs["rings"] = args.rings
-    if args.experiment == "anisotropy" and args.rings:
-        kwargs["rings"] = args.rings
     report = VALIDATORS[args.experiment](**kwargs)
     report.write_csv(run.out(f"{report.name}.csv"))
     run.finish({"experiment": report.name, "passed": report.passed,
@@ -367,18 +379,21 @@ def build_parser():
     p_val.add_argument("--base-n", type=int, default=None,
                        help="square-spectrum base resolution")
     p_val.add_argument("--rings", type=int, default=None,
-                       help="disk resolution for disk-based experiments")
+                       help="disk resolution for refine-spectrum, "
+                            "dirichlet-convergence and anisotropy")
     p_val.set_defaults(func=cmd_validate)
     return parser
 
 
 def main(argv=None):
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    args.argv = argv  # recorded as the manifest's "command"
     log = logging.getLogger("framefieldops")
     handler = logging.StreamHandler(sys.stderr)
     handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))

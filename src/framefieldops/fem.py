@@ -17,6 +17,11 @@ exactly zero; under weak Neumann conditions every B_v has dim - 1 rows and
 the boundary blocks are projected with one batched eigenvalue pseudoinverse,
 which also covers the singular blocks of zero-weight frame tensors.
 
+The outer factor K = D' A G depends on the mesh alone, so ``weak_hessian``
+builds it once per mesh and caches it there.  The cache cannot go stale
+because mesh arrays are read-only.  Each assembly forms only the middle
+blocks and the product K' P K.
+
 Assembly is vectorized and deterministic: identical inputs produce
 bitwise-identical matrices.
 """
@@ -41,20 +46,18 @@ BC_KINDS = ("natural", "neumann")
 
 @dataclass
 class MixedSystem:
-    """All matrices of the discrete saddle problem.
+    """The configuration-dependent matrices of the discrete saddle problem.
 
-    G maps vertex scalars to element gradients; D maps vertex Mandel
-    tensors to element divergence vectors; A and M are the diagonal element
-    and dual-vertex volume matrices (replicated per component); M_T is the
-    block-diagonal energy matrix.  ``constraint_rows`` is the ``(nb, r, m)``
-    array of boundary constraint rows, one ``r x m`` block per vertex of
-    ``measures.boundary_vertices`` in that order; B is their block-diagonal
-    placement and is not stored.
+    M is the dual-vertex volume diagonal (replicated per component); M_T is
+    the block-diagonal energy matrix.  ``constraint_rows`` is the
+    ``(nb, r, m)`` array of boundary constraint rows, one ``r x m`` block
+    per vertex of ``measures.boundary_vertices`` in that order; B is their
+    block-diagonal placement and is not stored.  The gradient G, the
+    divergence D and the element volumes A enter only through the
+    mesh-only product K = D' A G, which ``weak_hessian`` builds once per
+    mesh, so they are not stored here either.
     """
 
-    G: sparse.csr_matrix
-    D: sparse.csr_matrix
-    A: np.ndarray
     M: np.ndarray
     M_T: sparse.bsr_matrix
     constraint_rows: np.ndarray
@@ -113,33 +116,54 @@ def divergence_matrix(mesh):
     vertex) to the constant divergence vector per element (element-major,
     dim rows each).  Off-diagonal Mandel components carry 1/sqrt(2) so the
     result is the divergence of the physical tensor.
+
+    Built straight into CSR: row (e, i) holds, for each vertex of element e
+    in ascending index order, the dim Mandel components that involve
+    direction i, so every row has (dim + 1) * dim distinct sorted columns.
     """
     g = mesh.shape_gradients()  # (ne, k, dim)
     ne, k, dim = g.shape
     m = mandel_size(dim)
     pairs = mandel_pairs(dim)
-    rows, cols, vals = [], [], []
-    elem_rows = np.arange(ne) * dim
-    for local in range(k):
-        vcols = mesh.elements[:, local] * m
-        for c, (i, j) in enumerate(pairs):
-            if i == j:
-                rows.append(elem_rows + i)
-                cols.append(vcols + c)
-                vals.append(g[:, local, i])
-            else:
-                rows.append(elem_rows + j)
-                cols.append(vcols + c)
-                vals.append(g[:, local, i] / _SQRT2)
-                rows.append(elem_rows + i)
-                cols.append(vcols + c)
-                vals.append(g[:, local, j] / _SQRT2)
-    D = sparse.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+    # comp[i]: the components (a, b) with i in {a, b}, ascending; component
+    # (a, b) puts d_b of the hat function into row a and d_a into row b.
+    comp = np.array(
+        [[c for c, pair in enumerate(pairs) if i in pair] for i in range(dim)]
+    )
+    other = np.array([[sum(pairs[c]) - i for c in row] for i, row in enumerate(comp)])
+    divisor = np.where(comp < dim, 1.0, _SQRT2)  # diagonal components come first
+    order = np.argsort(mesh.elements, axis=1)
+    verts = np.take_along_axis(mesh.elements, order, axis=1)
+    grads = np.take_along_axis(g, order[:, :, None], axis=1)
+    # Both arrays are indexed (element, row direction i, vertex, component).
+    indices = verts[:, None, :, None] * m + comp[None, :, None, :]
+    data = np.swapaxes(grads[:, :, other], 1, 2) / divisor[None, :, None, :]
+    indptr = np.arange(ne * dim + 1) * (k * dim)
+    return sparse.csr_matrix(
+        (data.ravel(), indices.ravel(), indptr),
         shape=(ne * dim, mesh.num_vertices * m),
     )
-    D.sum_duplicates()
-    return D.tocsr()
+
+
+def weak_hessian(mesh):
+    """The mesh-only factor K = D' A G of the operator, cached on the mesh.
+
+    G maps vertex scalars to element gradients, A weights the rows of each
+    element by its volume, and D' tests them against the divergence of
+    every vertex's tensor hat functions, so K u is, up to sign, the weak
+    Hessian of u tested against the multiplier basis.  K depends on the mesh alone: the
+    frame field, epsilon and the boundary condition only enter the middle
+    blocks of K' P K.  It is therefore built on first use and reused by
+    every assembly on the mesh, which is safe because a mesh's arrays are
+    read-only.  A uses ``mesh.element_volumes``, the array
+    ``compute_measures`` reports.
+    """
+    if mesh._weak_hessian is None:
+        G = gradient_matrix(mesh)
+        D = divergence_matrix(mesh)
+        A = sparse.diags(np.repeat(mesh.element_volumes, mesh.dim))
+        mesh._weak_hessian = (D.T @ A @ G).tocsr()
+    return mesh._weak_hessian
 
 
 def energy_block_matrix(field, measures, epsilon):
@@ -186,9 +210,6 @@ def build_mixed_system(mesh, field, epsilon, bc_kind, measures=None):
         measures = compute_measures(mesh)
     m = mandel_size(mesh.dim)
     return MixedSystem(
-        G=gradient_matrix(mesh),
-        D=divergence_matrix(mesh),
-        A=np.repeat(measures.element_volumes, mesh.dim),
         M=np.repeat(measures.dual_volumes, m),
         M_T=energy_block_matrix(field, measures, epsilon),
         constraint_rows=constraint_blocks(measures, bc_kind, mesh.dim),
@@ -266,7 +287,7 @@ def assemble_operator(mesh, field, epsilon, bc_kind, measures=None):
     P = sparse.bsr_matrix(
         (P_blocks, np.arange(nv), np.arange(nv + 1)), shape=(nv * m, nv * m)
     )
-    K = (system.D.T @ sparse.diags(system.A) @ system.G).tocsr()
+    K = weak_hessian(mesh)
     op = (K.T @ (P @ K)).tocsr()
     op = 0.5 * (op + op.T)
     op.sum_duplicates()
@@ -293,12 +314,9 @@ def bilaplacian_mixed_natural(mesh, measures=None):
         measures = compute_measures(mesh)
     m = mandel_size(mesh.dim)
     nv = mesh.num_vertices
-    G = gradient_matrix(mesh)
-    D = divergence_matrix(mesh)
-    A = sparse.diags(np.repeat(measures.element_volumes, mesh.dim))
     keep_vertices = np.setdiff1d(np.arange(nv), np.unique(mesh.boundary_facets))
     keep = (keep_vertices[:, None] * m + np.arange(m)[None, :]).ravel()
-    K = (D.T @ A @ G).tocsr()[keep]
+    K = weak_hessian(mesh)[keep]
     Minv = sparse.diags(1.0 / np.repeat(measures.dual_volumes[keep_vertices], m))
     op = (K.T @ (Minv @ K)).tocsr()
     return 0.5 * (op + op.T)

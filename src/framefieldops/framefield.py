@@ -391,28 +391,22 @@ def _locate_barycentric(points, mesh, k_candidates=32):
 
     Candidate elements come from a centroid KD-tree; the element with the
     largest minimum barycentric coordinate wins, which also serves as the
-    nearest-element fallback for points outside the mesh.
+    nearest-element fallback for points outside the mesh.  All candidates
+    of all points are evaluated in one batch, with the element inverses
+    taken from the mesh's cached shape gradients.
     """
     centroids = mesh.vertices[mesh.elements].mean(axis=1)
     tree = cKDTree(centroids)
     k = min(k_candidates, mesh.num_elements)
     _, cand = tree.query(points, k=k)
-    cand = np.atleast_2d(cand)
-    elems = np.empty(len(points), dtype=np.int64)
-    barys = np.empty((len(points), mesh.dim + 1))
-    p0 = mesh.vertices[mesh.elements[:, 0]]
-    E = np.swapaxes(
-        mesh.vertices[mesh.elements[:, 1:]] - p0[:, None, :], 1, 2
-    )
-    Einv = np.linalg.inv(E)
-    for i, p in enumerate(points):
-        cs = cand[i]
-        lam = np.einsum("cij,cj->ci", Einv[cs], p - p0[cs])
-        bary = np.column_stack([1.0 - lam.sum(axis=1), lam])
-        best = int(np.argmax(bary.min(axis=1)))
-        elems[i] = cs[best]
-        barys[i] = bary[best]
-    return elems, barys
+    cand = cand.reshape(len(points), k)
+    Einv = mesh.shape_gradients()[cand, 1:, :]  # (n, k, dim, dim)
+    p0 = mesh.vertices[mesh.elements[cand, 0]]  # (n, k, dim)
+    lam = np.einsum("nkij,nkj->nki", Einv, points[:, None, :] - p0)
+    bary = np.concatenate([1.0 - lam.sum(axis=2, keepdims=True), lam], axis=2)
+    best = np.argmax(bary.min(axis=2), axis=1)
+    rows = np.arange(len(points))
+    return cand[rows, best], bary[rows, best]
 
 
 _OCTAHEDRAL_ROTATIONS = None

@@ -5,9 +5,12 @@ tetrahedral mesh (dim=3) with consistently oriented elements of positive
 signed volume.  Boundary facets are recovered by facet-incidence counting
 and oriented outward.
 
-All derived quantities (volumes, shape-function gradients, boundary data)
-are cached on the mesh and computed with vectorized numpy.  Meshes are
-immutable after construction and safe to share across threads.
+All derived quantities (volumes, shape-function gradients, boundary data,
+and the mixed FEM factor ``fem.weak_hessian``) are cached on the mesh and
+computed with vectorized numpy.  A mesh keeps private read-only copies of its
+vertex and element arrays, so nothing can edit them in place behind those
+caches; meshes are immutable after construction and safe to share across
+threads.
 """
 
 import logging
@@ -49,6 +52,12 @@ class SimplicialMesh:
         Shape ``(ne, dim + 1)`` vertex indices.  Every element must have
         positive signed volume (consistent orientation).
 
+    Both arrays are copied and stored read-only, so later edits to the
+    arrays passed in cannot reach the mesh, and writing to ``mesh.vertices``
+    or ``mesh.elements`` raises ``ValueError``.  This is what makes the
+    cached shape gradients, edges and mixed factor ``K`` safe to build once
+    per mesh.
+
     Raises
     ------
     GeometryError
@@ -58,8 +67,10 @@ class SimplicialMesh:
     """
 
     def __init__(self, vertices, elements):
-        self.vertices = np.ascontiguousarray(vertices, dtype=float)
-        self.elements = np.ascontiguousarray(elements, dtype=np.int64)
+        self.vertices = np.array(vertices, dtype=float, order="C")
+        self.elements = np.array(elements, dtype=np.int64, order="C")
+        self.vertices.flags.writeable = False
+        self.elements.flags.writeable = False
         if self.vertices.ndim != 2 or self.vertices.shape[1] not in (2, 3):
             raise GeometryError("vertices must be an (nv, 2) or (nv, 3) array")
         if not np.all(np.isfinite(self.vertices)):
@@ -101,6 +112,7 @@ class SimplicialMesh:
         self._shape_gradients = None
         self._edges = None
         self._vertex_neighbors = None
+        self._weak_hessian = None  # filled by fem.weak_hessian
 
     # -- basic queries ----------------------------------------------------
 

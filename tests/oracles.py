@@ -6,17 +6,21 @@ constraint matrix B placed explicitly, the natural-condition shortcut
 deletes the boundary multiplier blocks outright, the eigen oracle
 diagonalizes the full dense pencil, the QP oracle enumerates every active
 set, and the random frame helpers build tensors from their definition.
+The mixed factor K = D' A G is rebuilt here from its parts, never read
+from the mesh cache, and the divergence reference places one COO triplet
+per (vertex, component, row) and lets ``sum_duplicates`` order them.
 """
 
 import itertools
 
 import numpy as np
 from scipy import sparse
-from scipy.linalg import eigh, lu_factor, lu_solve
+from scipy.linalg import block_diag, eigh, lu_factor, lu_solve
 
-from framefieldops import OdecoFrame, compute_measures
+from framefieldops import OdecoFrame, compute_measures, divergence_matrix
 from framefieldops.fem import build_mixed_system
-from framefieldops.symtensor import mandel_size
+from framefieldops.geometry import gradient_matrix
+from framefieldops.symtensor import _SQRT2, mandel_pairs, mandel_size
 
 
 def random_rotation(rng, dim):
@@ -35,6 +39,50 @@ def random_octahedral_frame(rng, dim, weight=1.0):
 def random_symmetric(rng, dim):
     S = rng.standard_normal((dim, dim))
     return 0.5 * (S + S.T)
+
+
+def divergence_by_coo(mesh):
+    """Tensor divergence matrix from COO triplets, one array per local
+    vertex and Mandel component, merged by ``sum_duplicates``."""
+    g = mesh.shape_gradients()  # (ne, k, dim)
+    ne, k, dim = g.shape
+    m = mandel_size(dim)
+    rows, cols, vals = [], [], []
+    elem_rows = np.arange(ne) * dim
+    for local in range(k):
+        vcols = mesh.elements[:, local] * m
+        for c, (i, j) in enumerate(mandel_pairs(dim)):
+            if i == j:
+                rows.append(elem_rows + i)
+                cols.append(vcols + c)
+                vals.append(g[:, local, i])
+            else:
+                rows.append(elem_rows + j)
+                cols.append(vcols + c)
+                vals.append(g[:, local, i] / _SQRT2)
+                rows.append(elem_rows + i)
+                cols.append(vcols + c)
+                vals.append(g[:, local, j] / _SQRT2)
+    D = sparse.coo_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(ne * dim, mesh.num_vertices * m),
+    )
+    D.sum_duplicates()
+    return D.tocsr()
+
+
+def mixed_factor(mesh):
+    """K = D' A G from the gradient, the divergence and the element volumes,
+    bypassing the cache of ``fem.weak_hessian``."""
+    A = sparse.diags(np.repeat(mesh.element_volumes, mesh.dim))
+    return (divergence_matrix(mesh).T @ A @ gradient_matrix(mesh)).tocsr()
+
+
+def operator_from_blocks(mesh, P_blocks):
+    """Dense K' P K with the per-vertex middle blocks on the diagonal of P
+    and K from ``mixed_factor``."""
+    K = mixed_factor(mesh).toarray()
+    return K.T @ block_diag(*P_blocks) @ K
 
 
 def constraint_matrix(system):
@@ -83,7 +131,7 @@ def dense_kkt_apply(system, factor, u):
     Given u, solves the first-order conditions for (V, Lambda, mu) with
     -D'AGu as the Lambda-row right-hand side, then evaluates G'AD Lambda.
     """
-    K = system.D.T @ (system.A[:, None] * system.G.toarray())
+    K = mixed_factor(system.mesh).toarray()
     nvm = system.M_T.shape[0]
     nb = constraint_matrix(system).shape[0]
     rhs = np.concatenate([np.zeros(nvm), -(K @ u), np.zeros(nb)])
@@ -106,7 +154,7 @@ def natural_shortcut(mesh, field, epsilon, measures=None):
     nv = mesh.num_vertices
     keep_vertices = np.setdiff1d(np.arange(nv), measures.boundary_vertices)
     keep = (keep_vertices[:, None] * m + np.arange(m)[None, :]).ravel()
-    K = (system.D.T @ sparse.diags(system.A) @ system.G).tocsr()[keep]
+    K = mixed_factor(mesh)[keep]
     mbar = np.asarray(system.M_T.data) / (measures.dual_volumes**2)[:, None, None]
     Mbar = sparse.bsr_matrix(
         (mbar[keep_vertices], np.arange(len(keep_vertices)),

@@ -1,4 +1,6 @@
+import csv
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -11,8 +13,10 @@ from framefieldops.cli import (
     EXIT_OK,
     EXIT_USAGE,
     EXIT_VALIDATION,
+    VALIDATE_FLAGS,
     main,
 )
+from framefieldops.validation import VALIDATORS
 
 
 @pytest.fixture(scope="module")
@@ -195,3 +199,34 @@ def test_validate_small_runs(tmp_path):
     assert main(
         ["-o", str(tmp_path / "dir"), "validate", "dirichlet-convergence"]
     ) == EXIT_OK
+
+
+def test_manifest_records_argv_and_rings_reach_dirichlet(monkeypatch, tmp_path):
+    # called from Python with nothing on the real command line
+    monkeypatch.setattr(sys, "argv", ["framefieldops"])
+    argv = ["-o", str(tmp_path), "validate", "dirichlet-convergence", "--rings", "3"]
+    assert main(argv) == EXIT_OK
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest["command"] == argv
+    with open(tmp_path / "dirichlet-convergence.csv") as fh:
+        first = next(csv.DictReader(fh))
+    expected = ff.mean_edge_length(meshgen.disk(3))
+    assert float(first["mean_edge_length"]) == pytest.approx(expected, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["warp", "--rings", "4"],
+        ["warp", "--base-n", "6"],
+        ["square-spectrum", "--rings", "4"],
+        ["refine-spectrum", "--base-n", "6"],
+        ["dirichlet-convergence", "--base-n", "6"],
+        ["anisotropy", "--base-n", "6", "--rings", "4"],
+    ],
+)
+def test_validate_rejects_misapplied_flags(args, tmp_path, capsys):
+    assert set(VALIDATE_FLAGS) == set(VALIDATORS)
+    assert main(["-o", str(tmp_path / "out"), "validate", *args]) == EXIT_USAGE
+    assert f"does not apply to validate {args[0]}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()

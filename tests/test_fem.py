@@ -18,7 +18,10 @@ from oracles import (
     constraint_matrix,
     dense_kkt_apply,
     dense_kkt_factor,
+    divergence_by_coo,
+    mixed_factor,
     natural_shortcut,
+    operator_from_blocks,
     random_octahedral_frame,
 )
 
@@ -48,6 +51,19 @@ def test_divergence_constant_and_linear(dim):
     expect = np.zeros(dim)
     expect[0] = 1.0
     assert np.abs(div - expect).max() < 1e-12
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_divergence_matches_coo_oracle(dim):
+    mesh = meshgen.jittered_delaunay(dim, 5 if dim == 2 else 4, seed=3)
+    D = ff.divergence_matrix(mesh)
+    ref = divergence_by_coo(mesh)
+    assert D.shape == ref.shape
+    assert np.array_equal(D.indptr, ref.indptr)
+    assert np.array_equal(D.indices, ref.indices)
+    assert np.all(np.abs(D.data - ref.data) <= np.spacing(np.abs(ref.data)))
+    # every row holds (dim + 1) * dim entries
+    assert np.all(np.diff(D.indptr) == (dim + 1) * dim)
 
 
 @pytest.mark.parametrize("dim", [2, 3])
@@ -252,6 +268,40 @@ def test_assembly_is_deterministic(disk_mesh, disk_harmonic_field):
     b = ff.assemble_operator(disk_mesh, disk_harmonic_field, 0.2, "neumann")
     assert (a.matrix != b.matrix).nnz == 0
     assert a.fingerprint == b.fingerprint
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("bc", ["natural", "neumann"])
+def test_operator_matches_oracle_product(dim, bc):
+    # K' P K with K rebuilt from G, D and the element volumes outside the
+    # mesh cache, and the product taken densely
+    rng = np.random.default_rng(dim + 40)
+    mesh = meshgen.jittered_delaunay(dim, 6 if dim == 2 else 3, seed=dim + 5)
+    field = ff.constant_field(mesh, random_octahedral_frame(rng, dim))
+    for eps in (1.0, 0.05):
+        op = ff.assemble_operator(mesh, field, eps, bc)
+        blocks = projected_middle_blocks(build_mixed_system(mesh, field, eps, bc))
+        ref = operator_from_blocks(mesh, blocks)
+        assert np.abs(op.matrix.toarray() - ref).max() <= 1e-14 * np.abs(ref).max()
+
+
+def test_weak_hessian_is_built_once_per_mesh():
+    # repeated assemblies on one mesh are compared bitwise by
+    # test_assembly_is_deterministic
+    mesh = meshgen.disk(5)
+    field = ff.constant_field(mesh, rotation_frame_2d(0.4))
+    K = ff.weak_hessian(mesh)
+    ff.assemble_operator(mesh, field, 0.3, "neumann")
+    ff.bilaplacian_mixed_natural(mesh)
+    assert ff.weak_hessian(mesh) is K
+    assert abs(K - mixed_factor(mesh)).max() == 0.0
+    # a refined mesh builds its own factor and leaves the coarse one alone
+    fine = ff.refine_uniform(mesh)
+    K_fine = ff.weak_hessian(fine)
+    assert K_fine is not K
+    assert K_fine.shape == (fine.num_vertices * 3, fine.num_vertices)
+    assert abs(K_fine - mixed_factor(fine)).max() == 0.0
+    assert ff.weak_hessian(mesh) is K
 
 
 def test_epsilon_validation(disk_mesh, disk_harmonic_field):

@@ -328,3 +328,18 @@ def test_nan_coordinate_rejected():
 def test_unreferenced_vertex_rejected():
     with pytest.raises(ff.GeometryError, match="belong to no element"):
         ff.SimplicialMesh([[0, 0], [1, 0], [0, 1], [5, 5]], [[0, 1, 2]])
+
+
+def test_mesh_arrays_are_private_and_read_only():
+    vertices = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+    elements = np.array([[0, 1, 2], [0, 2, 3]])
+    mesh = ff.SimplicialMesh(vertices, elements)
+    # edits to the caller's arrays do not reach the mesh
+    vertices[2] = [5.0, 7.0]
+    elements[1] = [3, 2, 0]
+    assert mesh.vertices[2].tolist() == [1.0, 1.0]
+    assert mesh.elements[1].tolist() == [0, 2, 3]
+    with pytest.raises(ValueError):
+        mesh.vertices[0, 0] = 0.5
+    with pytest.raises(ValueError):
+        mesh.elements[0, 0] = 1
