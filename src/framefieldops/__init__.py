@@ -11,6 +11,7 @@ from .errors import (
     GeometryError,
     MeshFormatError,
     NumericalError,
+    ParameterError,
 )
 from .geometry import (
     MeshMeasures,

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .errors import GeometryError
+from .errors import GeometryError, ParameterError
 from .fem import assemble_operator
 from .framefield import axis_frame, constant_field, map_coframe_field
 from .geometry import SimplicialMesh
@@ -40,9 +40,9 @@ def square_spectrum(epsilon, count):
     provably the globally smallest ones.
     """
     if not 0.0 < epsilon <= 1.0:
-        raise ValueError(f"epsilon must lie in (0, 1], got {epsilon}")
+        raise ParameterError(f"epsilon must lie in (0, 1], got {epsilon}")
     if count < 1:
-        raise ValueError("count must be at least 1")
+        raise ParameterError("count must be at least 1")
 
     def lam(a, b):
         wa, wb = a * np.pi / 2.0, b * np.pi / 2.0
@@ -76,7 +76,7 @@ class ConformalMap:
         if self.name == "exponential":
             w = np.exp(z)
             return w, w
-        raise ValueError(f"unknown map {self.name!r}")
+        raise ParameterError(f"unknown map {self.name!r}")
 
     def apply(self, points):
         points = np.asarray(points, dtype=float)
@@ -137,9 +137,9 @@ def conformal_warp(name, **params):
         params.setdefault("c", 0.05)
     elif name == "exponential":
         if params:
-            raise ValueError("the exponential map takes no parameters")
+            raise ParameterError("the exponential map takes no parameters")
     else:
-        raise ValueError(f"unknown map {name!r}")
+        raise ParameterError(f"unknown map {name!r}")
     return ConformalMap(name=name, params=params)
 
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalError
+from .errors import NumericalError, ParameterError
 from .solve import eigs_generalized, solve_box_qp
 
 logger = logging.getLogger(__name__)
@@ -30,7 +30,7 @@ class SpectralEmbedding:
 
     def truncated(self, n):
         if not 0 < n <= self.n_modes:
-            raise ValueError(f"mode count must lie in (0, {self.n_modes}]")
+            raise ParameterError(f"mode count must lie in (0, {self.n_modes}]")
         return SpectralEmbedding(
             coordinates=self.coordinates[:, :n],
             eigenvalues=self.eigenvalues[:n],
@@ -82,7 +82,7 @@ def trace_descent_path(mesh, dist, start):
     """
     neighbors = mesh.vertex_neighbors()
     if len(neighbors[start]) == 0:
-        raise ValueError(f"start vertex {start} is isolated")
+        raise ParameterError(f"start vertex {start} is isolated")
     path = [start]
     current = start
     while True:
@@ -122,9 +122,9 @@ def color_by_boundary(op, boundary_colors):
     boundary_colors = np.asarray(boundary_colors, dtype=float)
     bv = op.boundary_vertices
     if boundary_colors.shape != (len(bv), 3):
-        raise ValueError(f"boundary colors must have shape {(len(bv), 3)}")
+        raise ParameterError(f"boundary colors must have shape {(len(bv), 3)}")
     if boundary_colors.min() < -1e-12 or boundary_colors.max() > 1.0 + 1e-12:
-        raise ValueError("colors must lie in [0, 1]")
+        raise ParameterError("colors must lie in [0, 1]")
     nv = op.matrix.shape[0]
     out = np.empty((nv, 3))
     for c in range(3):
@@ -157,7 +157,7 @@ def radial_ratio(points, center):
     """
     r = np.linalg.norm(points - np.asarray(center, dtype=float), axis=1)
     if len(r) == 0:
-        raise ValueError("no isoline points")
+        raise ParameterError("no isoline points")
     return float(np.max(r) / np.min(r))
 
 

@@ -34,7 +34,7 @@ from .apps import (
     square_wave_boundary,
     trace_descent_path,
 )
-from .errors import FrameFieldOpsError, NumericalError
+from .errors import FrameFieldOpsError, NumericalError, ParameterError
 from .fem import apply_dirichlet_partition, assemble_operator
 from .framefield import (
     axis_frame,
@@ -123,8 +123,21 @@ def _load_field(run, mesh, path):
     return load_field(mesh, path)
 
 
-def _parse_ints(text):
-    return [int(t) for t in text.split(",") if t.strip() != ""]
+def _load_csv(run, path):
+    run.track_input(path)
+    try:
+        return np.loadtxt(path, delimiter=",")
+    except ValueError as exc:
+        raise ParameterError(f"{path}: malformed CSV ({exc})") from exc
+
+
+def _parse_list(text, kind=int):
+    try:
+        return [kind(t) for t in text.split(",") if t.strip() != ""]
+    except ValueError as exc:
+        raise UsageError(
+            f"expected comma-separated {kind.__name__} values, got {text!r}"
+        ) from exc
 
 
 def _save_scalar_csv(path, values):
@@ -145,7 +158,7 @@ def cmd_field_gen(args):
     elif args.kind == "harmonic2d":
         field = harmonic_cross_field_2d(mesh)
     elif args.kind == "helical":
-        axis = [float(t) for t in args.axis.split(",")]
+        axis = _parse_list(args.axis, float)
         field = helical_field_3d(mesh, axis, args.pitch)
     elif args.kind == "coframe":
         warp = conformal_warp(args.map, **({"c": args.c} if args.map == "polynomial" else {}))
@@ -189,8 +202,7 @@ def cmd_dirichlet(args):
     measures = compute_measures(mesh)
     op = assemble_operator(mesh, field, args.epsilon, "neumann", measures=measures)
     if args.boundary:
-        run.track_input(args.boundary)
-        u0 = np.loadtxt(args.boundary, delimiter=",")
+        u0 = _load_csv(run, args.boundary)
         if u0.shape != op.boundary_vertices.shape:
             raise FrameFieldOpsError("boundary value count mismatch")
     else:
@@ -206,11 +218,10 @@ def cmd_diffuse(args):
     run = Run(args)
     mesh, _, op = _assemble_from_args(run, args)
     if args.u0:
-        run.track_input(args.u0)
-        u0 = np.loadtxt(args.u0, delimiter=",")
+        u0 = _load_csv(run, args.u0)
     else:
         u0 = np.zeros(mesh.num_vertices)
-        u0[_parse_ints(args.impulse)] = 1.0
+        u0[_parse_list(args.impulse)] = 1.0
     u = diffuse(op, u0, args.tau)
     _save_scalar_csv(run.out("diffused.csv"), u)
     write_vtk(run.out("diffused.vtk"), mesh, {"u": u, "u0": u0})
@@ -249,7 +260,7 @@ def cmd_distance(args):
     _save_scalar_csv(run.out("distance.csv"), d)
     write_vtk(run.out("distance.vtk"), mesh, {"distance": d})
     if args.trace:
-        paths = [trace_descent_path(mesh, d, s) for s in _parse_ints(args.trace)]
+        paths = [trace_descent_path(mesh, d, s) for s in _parse_list(args.trace)]
         write_polyline_obj(run.out("paths.obj"), paths)
     run.finish({"source": args.source, "modes": args.modes, "epsilon": args.epsilon})
     return EXIT_OK
@@ -260,8 +271,7 @@ def cmd_color(args):
     mesh = _load_mesh(run, args.mesh)
     field = _load_field(run, mesh, args.field)
     op = assemble_operator(mesh, field, args.epsilon, "natural")
-    run.track_input(args.boundary_colors)
-    colors = np.loadtxt(args.boundary_colors, delimiter=",")
+    colors = _load_csv(run, args.boundary_colors)
     col = color_by_boundary(op, colors)
     np.savetxt(run.out("colors.csv"), col, delimiter=",", fmt=FMT)
     write_vtk(run.out("colors.vtk"), mesh, {"rgb": col})
@@ -407,7 +417,7 @@ def main(argv=None):
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except (FrameFieldOpsError, OSError, ValueError) as exc:
+    except (FrameFieldOpsError, OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     finally:

@@ -17,5 +17,13 @@ class FieldError(FrameFieldOpsError):
     """Frame field data violates its invariants."""
 
 
+class ParameterError(FrameFieldOpsError, ValueError):
+    """An argument or an input value is out of its allowed range or shape.
+
+    It is also a ``ValueError``, so callers that catch the builtin still see
+    it.
+    """
+
+
 class NumericalError(FrameFieldOpsError):
     """A solver failed to converge or a matrix violated its contract."""

@@ -17,10 +17,12 @@ exactly zero; under weak Neumann conditions every B_v has dim - 1 rows and
 the boundary blocks are projected with one batched eigenvalue pseudoinverse,
 which also covers the singular blocks of zero-weight frame tensors.
 
-The outer factor K = D' A G depends on the mesh alone, so ``weak_hessian``
-builds it once per mesh and caches it there.  The cache cannot go stale
-because mesh arrays are read-only.  Each assembly forms only the middle
-blocks and the product K' P K.
+Everything that depends on the mesh alone is built once per mesh and cached
+on it: the measures (``compute_measures``), the shape gradients, and the
+outer factor K = D' A G with its CSR transpose (``weak_hessian``).  The
+caches cannot go stale because every mesh array, and every array of these
+results, is read-only.  Each assembly forms only the middle blocks, places
+them as a block-diagonal CSR matrix P, and takes the product K' P K.
 
 Assembly is vectorized and deterministic: identical inputs produce
 bitwise-identical matrices.
@@ -35,7 +37,7 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse import linalg as spla
 
-from .errors import FieldError, NumericalError
+from .errors import FieldError, NumericalError, ParameterError
 from .geometry import compute_measures, gradient_matrix
 from .symtensor import _SQRT2, mandel_pairs, mandel_size, sym_to_mandel
 
@@ -88,24 +90,27 @@ class AssembledOperator:
         """Check symmetry, positive semidefiniteness, and the constant-mode
         nullspace (plus the affine nullspace under natural conditions)."""
         A = self.matrix
-        scale = abs(A).max()
+        n = A.shape[0]
+        scale = np.abs(A.data).max(initial=0.0)
         if abs(A - A.T).max() > 1e-12 * scale:
             raise NumericalError("assembled operator is not symmetric")
         norm_a = spla.norm(A, np.inf)
-        rng = np.random.default_rng(seed)
-        for _ in range(5):
-            x = rng.standard_normal(A.shape[0])
-            q = x @ (A @ x)
+        # Five random probes, then the constant and (natural) coordinate
+        # functions, each set applied in one sparse-times-dense product.
+        X = np.random.default_rng(seed).standard_normal((5, n))
+        for x, Ax in zip(X, (A @ X.T).T):
+            q = x @ Ax
             if q < -1e-10 * norm_a * (x @ x):
                 raise NumericalError(f"operator not PSD: x'Ax = {q:.3e}")
-        ones = np.ones(A.shape[0])
-        if np.linalg.norm(A @ ones) > 1e-10 * norm_a * np.sqrt(A.shape[0]):
-            raise NumericalError("constants are not in the nullspace")
+        Y = np.ones((n, 1))
         if self.bc_kind == "natural":
-            for d in range(self.mesh.dim):
-                x = self.mesh.vertices[:, d]
-                if np.linalg.norm(A @ x) > 1e-8 * norm_a * np.linalg.norm(x):
-                    raise NumericalError("affine functions not annihilated")
+            Y = np.column_stack([Y, self.mesh.vertices])
+        AY = A @ Y
+        if np.linalg.norm(AY[:, 0]) > 1e-10 * norm_a * np.sqrt(n):
+            raise NumericalError("constants are not in the nullspace")
+        for x, Ax in zip(Y.T[1:], AY.T[1:]):
+            if np.linalg.norm(Ax) > 1e-8 * norm_a * np.linalg.norm(x):
+                raise NumericalError("affine functions not annihilated")
         return True
 
 
@@ -156,13 +161,22 @@ def weak_hessian(mesh):
     blocks of K' P K.  It is therefore built on first use and reused by
     every assembly on the mesh, which is safe because a mesh's arrays are
     read-only.  A uses ``mesh.element_volumes``, the array
-    ``compute_measures`` reports.
+    ``compute_measures`` reports.  K' is built and cached in CSR next to K,
+    for the left factor of every product K' P K.  Both are in canonical
+    format (sorted indices, no duplicates), and their ``data``,
+    ``indices`` and ``indptr`` are read-only.
     """
     if mesh._weak_hessian is None:
         G = gradient_matrix(mesh)
         D = divergence_matrix(mesh)
         A = sparse.diags(np.repeat(mesh.element_volumes, mesh.dim))
-        mesh._weak_hessian = (D.T @ A @ G).tocsr()
+        K = (D.T @ A @ G).tocsr()
+        Kt = K.T.tocsr()
+        for M in (K, Kt):
+            M.sum_duplicates()
+            for array in (M.data, M.indices, M.indptr):
+                array.flags.writeable = False
+        mesh._weak_hessian, mesh._weak_hessian_t = K, Kt
     return mesh._weak_hessian
 
 
@@ -189,7 +203,7 @@ def constraint_blocks(measures, bc_kind, dim):
     Blocks follow ``measures.boundary_vertices``.
     """
     if bc_kind not in BC_KINDS:
-        raise ValueError(f"bc_kind must be one of {BC_KINDS}, got {bc_kind!r}")
+        raise ParameterError(f"bc_kind must be one of {BC_KINDS}, got {bc_kind!r}")
     m = mandel_size(dim)
     nb = len(measures.boundary_vertices)
     if bc_kind == "natural":
@@ -203,7 +217,7 @@ def constraint_blocks(measures, bc_kind, dim):
 def build_mixed_system(mesh, field, epsilon, bc_kind, measures=None):
     """Assemble every matrix of the saddle problem for one configuration."""
     if not 0.0 < epsilon <= 1.0:
-        raise ValueError(f"epsilon must lie in (0, 1], got {epsilon}")
+        raise ParameterError(f"epsilon must lie in (0, 1], got {epsilon}")
     if field.mesh is not mesh:
         raise FieldError("field was built on a different mesh")
     if measures is None:
@@ -284,16 +298,22 @@ def assemble_operator(mesh, field, epsilon, bc_kind, measures=None):
     P_blocks = projected_middle_blocks(system)
     nv = mesh.num_vertices
     m = mandel_size(mesh.dim)
-    P = sparse.bsr_matrix(
-        (P_blocks, np.arange(nv), np.arange(nv + 1)), shape=(nv * m, nv * m)
+    # Block-diagonal P straight in CSR: row (v, a) holds block v's row a in
+    # columns v*m .. v*m + m - 1.
+    columns = np.arange(nv * m).reshape(nv, 1, m)
+    P = sparse.csr_matrix(
+        (P_blocks.ravel(), np.broadcast_to(columns, (nv, m, m)).ravel(),
+         np.arange(nv * m + 1) * m),
+        shape=(nv * m, nv * m),
     )
     K = weak_hessian(mesh)
-    op = (K.T @ (P @ K)).tocsr()
-    op = 0.5 * (op + op.T)
-    op.sum_duplicates()
+    X = mesh._weak_hessian_t @ (P @ K)
+    op = X + X.T
+    op.data *= 0.5
     op.eliminate_zeros()
+    op.sort_indices()
     return AssembledOperator(
-        matrix=op.tocsr(),
+        matrix=op,
         vertex_mass=system.measures.dual_volumes.copy(),
         bc_kind=bc_kind,
         epsilon=epsilon,
@@ -339,11 +359,11 @@ def apply_dirichlet_partition(op, boundary_values):
         One value per boundary vertex, in ``op.boundary_vertices`` order.
     """
     if op.bc_kind != "neumann":
-        raise ValueError("Dirichlet partition requires the weak-Neumann operator")
+        raise ParameterError("Dirichlet partition requires the weak-Neumann operator")
     boundary_values = np.asarray(boundary_values, dtype=float)
     bv = op.boundary_vertices
     if boundary_values.shape != bv.shape:
-        raise ValueError("boundary value count does not match boundary vertices")
+        raise ParameterError("boundary value count does not match boundary vertices")
     from .solve import solve_spd
 
     nv = op.matrix.shape[0]

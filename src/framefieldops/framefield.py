@@ -117,13 +117,12 @@ class FrameField:
 
     def fingerprint(self):
         """Stable content hash of the field and its mesh (dimension, vertices,
-        elements, components, weights)."""
-        import hashlib
+        elements, components, weights).
 
-        h = hashlib.sha256()
-        h.update(np.int64(self.mesh.dim).tobytes())
-        h.update(self.mesh.vertices.tobytes())
-        h.update(self.mesh.elements.tobytes())
+        Continues from the mesh's cached hash state, so the mesh arrays are
+        hashed once per mesh, not once per call.
+        """
+        h = self.mesh.hash_state()
         h.update(self.components.tobytes())
         h.update(self.weights.tobytes())
         return h.hexdigest()
@@ -283,6 +282,8 @@ def helical_field_3d(mesh, axis, pitch):
     if mesh.dim != 3:
         raise FieldError("helical fields are volumetric (dim=3)")
     axis = np.asarray(axis, dtype=float)
+    if axis.shape != (3,):
+        raise FieldError(f"axis must have 3 components, got shape {axis.shape}")
     norm = np.linalg.norm(axis)
     if norm < 1e-12:
         raise FieldError("axis must be nonzero")
@@ -389,16 +390,14 @@ def check_boundary_alignment(field, measures, tol=1e-6):
 def _locate_barycentric(points, mesh, k_candidates=32):
     """Containing element and barycentric coordinates per query point.
 
-    Candidate elements come from a centroid KD-tree; the element with the
-    largest minimum barycentric coordinate wins, which also serves as the
-    nearest-element fallback for points outside the mesh.  All candidates
-    of all points are evaluated in one batch, with the element inverses
-    taken from the mesh's cached shape gradients.
+    Candidate elements come from the mesh's cached centroid KD-tree; the
+    element with the largest minimum barycentric coordinate wins, which also
+    serves as the nearest-element fallback for points outside the mesh.  All
+    candidates of all points are evaluated in one batch, with the element
+    inverses taken from the mesh's cached shape gradients.
     """
-    centroids = mesh.vertices[mesh.elements].mean(axis=1)
-    tree = cKDTree(centroids)
     k = min(k_candidates, mesh.num_elements)
-    _, cand = tree.query(points, k=k)
+    _, cand = mesh.centroid_tree().query(points, k=k)
     cand = cand.reshape(len(points), k)
     Einv = mesh.shape_gradients()[cand, 1:, :]  # (n, k, dim, dim)
     p0 = mesh.vertices[mesh.elements[cand, 0]]  # (n, k, dim)
@@ -499,8 +498,14 @@ def save_field(field, path):
 
 
 def load_field(mesh, path):
-    """Load a field saved by :func:`save_field` onto ``mesh``."""
-    rows = np.atleast_2d(np.loadtxt(path, delimiter=",", comments="#"))
+    """Load a field saved by :func:`save_field` onto ``mesh``.
+
+    Raises ``FieldError`` when the file does not parse as numeric CSV rows.
+    """
+    try:
+        rows = np.atleast_2d(np.loadtxt(path, delimiter=",", comments="#"))
+    except ValueError as exc:
+        raise FieldError(f"{path}: malformed field file ({exc})") from exc
     if rows.shape[0] != mesh.num_vertices:
         raise FieldError(
             f"field file has {rows.shape[0]} rows for {mesh.num_vertices} vertices"

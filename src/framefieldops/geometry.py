@@ -5,25 +5,36 @@ tetrahedral mesh (dim=3) with consistently oriented elements of positive
 signed volume.  Boundary facets are recovered by facet-incidence counting
 and oriented outward.
 
-All derived quantities (volumes, shape-function gradients, boundary data,
-and the mixed FEM factor ``fem.weak_hessian``) are cached on the mesh and
-computed with vectorized numpy.  A mesh keeps private read-only copies of its
-vertex and element arrays, so nothing can edit them in place behind those
-caches; meshes are immutable after construction and safe to share across
+Everything derived from the mesh alone is built once, with vectorized numpy,
+and cached on the mesh: element volumes and boundary facets at construction;
+shape gradients, edges, 1-ring neighbors, ``compute_measures``' result, the
+content-hash state, the element-centroid KD-tree and the mixed FEM factor
+``fem.weak_hessian`` with its transpose on first use.  Every array the mesh
+holds or hands out is read-only, starting with private copies of its vertex
+and element arrays, so nothing can edit one in place behind a cache built
+from it; meshes are immutable after construction and safe to share across
 threads.
 """
 
+import hashlib
 import logging
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
+from scipy.spatial import cKDTree
 
-from .errors import GeometryError, MeshFormatError
+from .errors import GeometryError, MeshFormatError, ParameterError
 
 logger = logging.getLogger(__name__)
 
 _FACTORIAL = {2: 2.0, 3: 6.0}
+
+
+def _frozen(array):
+    """``array`` marked read-only, for the arrays a mesh caches."""
+    array.flags.writeable = False
+    return array
 
 
 def _row_groups(rows):
@@ -54,9 +65,13 @@ class SimplicialMesh:
 
     Both arrays are copied and stored read-only, so later edits to the
     arrays passed in cannot reach the mesh, and writing to ``mesh.vertices``
-    or ``mesh.elements`` raises ``ValueError``.  This is what makes the
-    cached shape gradients, edges and mixed factor ``K`` safe to build once
-    per mesh.
+    or ``mesh.elements`` raises ``ValueError``.  The same holds for every
+    array derived from them: ``element_volumes``, ``boundary_facets``,
+    ``parent_edges``, ``shape_gradients()``, ``edges()``, the arrays of
+    ``vertex_neighbors()`` and of ``compute_measures(mesh)``, and the
+    index and value arrays of the mixed factor ``K`` and its transpose.
+    This is what makes each of them, and the hash state and centroid tree,
+    safe to build once per mesh and share.
 
     Raises
     ------
@@ -67,10 +82,8 @@ class SimplicialMesh:
     """
 
     def __init__(self, vertices, elements):
-        self.vertices = np.array(vertices, dtype=float, order="C")
-        self.elements = np.array(elements, dtype=np.int64, order="C")
-        self.vertices.flags.writeable = False
-        self.elements.flags.writeable = False
+        self.vertices = _frozen(np.array(vertices, dtype=float, order="C"))
+        self.elements = _frozen(np.array(elements, dtype=np.int64, order="C"))
         if self.vertices.ndim != 2 or self.vertices.shape[1] not in (2, 3):
             raise GeometryError("vertices must be an (nv, 2) or (nv, 3) array")
         if not np.all(np.isfinite(self.vertices)):
@@ -104,15 +117,20 @@ class SimplicialMesh:
                 f"element {bad} has nonpositive volume {vols[bad]:.3e}; "
                 "elements must be consistently oriented and nondegenerate"
             )
-        self.element_volumes = vols
-        self.boundary_facets = self._extract_boundary()
+        self.element_volumes = _frozen(vols)
+        self.boundary_facets = _frozen(self._extract_boundary())
         # Optional refinement provenance: (n_new, 2) coarse edge endpoints for
         # vertices appended by refine_uniform; None for meshes built directly.
         self.parent_edges = None
         self._shape_gradients = None
         self._edges = None
         self._vertex_neighbors = None
-        self._weak_hessian = None  # filled by fem.weak_hessian
+        self._hash_state = None
+        self._centroid_tree = None
+        self._measures = None  # filled by compute_measures
+        # K and its CSR transpose, filled by fem.weak_hessian
+        self._weak_hessian = None
+        self._weak_hessian_t = None
 
     # -- basic queries ----------------------------------------------------
 
@@ -162,7 +180,8 @@ class SimplicialMesh:
             k = self.dim + 1
             pairs = [t[:, [i, j]] for i in range(k) for j in range(i + 1, k)]
             e = np.sort(np.concatenate(pairs), axis=1)
-            self._edges = np.unique(e, axis=0)
+            order, starts = _row_groups(e)
+            self._edges = _frozen(e[order[starts]])
         return self._edges
 
     def vertex_neighbors(self):
@@ -171,7 +190,7 @@ class SimplicialMesh:
             e = self.edges()
             both = np.concatenate([e, e[:, ::-1]])
             order = np.lexsort((both[:, 1], both[:, 0]))
-            both = both[order]
+            both = _frozen(both[order])
             splits = np.searchsorted(both[:, 0], np.arange(self.num_vertices + 1))
             self._vertex_neighbors = [
                 both[splits[v] : splits[v + 1], 1] for v in range(self.num_vertices)
@@ -187,16 +206,49 @@ class SimplicialMesh:
             Shape ``(ne, dim + 1, dim)``: gradient of the hat function of
             each local vertex on each element.  Rows sum to zero, which makes
             the gradient operator annihilate constants exactly.
+
+        Row i >= 1 is row i of the inverse of the edge matrix with columns
+        ``p_i - p_0``, taken in closed form: the adjugate over the
+        determinant in 2D, and the cross products of the other two edges
+        over the determinant in 3D.
         """
         if self._shape_gradients is None:
             p = self.vertices[self.elements]
-            E = np.swapaxes(p[:, 1:, :] - p[:, :1, :], 1, 2)  # columns p_i - p_0
-            Einv = np.linalg.inv(E)
+            e = p[:, 1:, :] - p[:, :1, :]  # rows p_i - p_0
             g = np.empty((self.num_elements, self.dim + 1, self.dim))
-            g[:, 1:, :] = Einv  # row i of E^-1 is grad of barycentric coord i
-            g[:, 0, :] = -np.sum(Einv, axis=1)
-            self._shape_gradients = g
+            if self.dim == 2:
+                g[:, 1, 0], g[:, 1, 1] = e[:, 1, 1], -e[:, 1, 0]
+                g[:, 2, 0], g[:, 2, 1] = -e[:, 0, 1], e[:, 0, 0]
+            else:
+                g[:, 1] = np.cross(e[:, 1], e[:, 2])
+                g[:, 2] = np.cross(e[:, 2], e[:, 0])
+                g[:, 3] = np.cross(e[:, 0], e[:, 1])
+            det = np.einsum("ei,ei->e", e[:, 0], g[:, 1])
+            g[:, 1:] /= det[:, None, None]
+            g[:, 0] = -np.sum(g[:, 1:], axis=1)
+            self._shape_gradients = _frozen(g)
         return self._shape_gradients
+
+    def hash_state(self):
+        """SHA-256 state after hashing the dimension, vertices and elements.
+
+        The state is computed once; each call returns a fresh copy that the
+        caller may extend (``FrameField.fingerprint`` adds the field).
+        """
+        if self._hash_state is None:
+            h = hashlib.sha256()
+            h.update(np.int64(self.dim).tobytes())
+            h.update(self.vertices.tobytes())
+            h.update(self.elements.tobytes())
+            self._hash_state = h
+        return self._hash_state.copy()
+
+    def centroid_tree(self):
+        """KD-tree over the element centroids, indexed like the elements."""
+        if self._centroid_tree is None:
+            centroids = self.vertices[self.elements].mean(axis=1)
+            self._centroid_tree = cKDTree(centroids)
+        return self._centroid_tree
 
     def __repr__(self):
         return (
@@ -205,9 +257,9 @@ class SimplicialMesh:
         )
 
 
-@dataclass
+@dataclass(frozen=True)
 class MeshMeasures:
-    """Volumes and boundary frames of a mesh.
+    """Volumes and boundary frames of a mesh, read-only.
 
     Attributes
     ----------
@@ -256,10 +308,17 @@ def compute_measures(mesh):
     Boundary normals at a vertex average the outward normals of incident
     boundary facets weighted by facet measure, then normalize; the tangent
     basis is a deterministic orthonormal completion.
+
+    The measures depend on the mesh alone, so they are computed on the first
+    call and every later call returns the same read-only ``MeshMeasures``.
     """
-    vols = mesh.element_volumes
-    if np.any(vols <= 0.0):
-        raise GeometryError("zero-measure element")
+    if mesh._measures is None:
+        mesh._measures = _build_measures(mesh)
+    return mesh._measures
+
+
+def _build_measures(mesh):
+    vols = mesh.element_volumes  # positive: SimplicialMesh checks it
     dual = np.zeros(mesh.num_vertices)
     for k in range(mesh.dim + 1):
         np.add.at(dual, mesh.elements[:, k], vols / (mesh.dim + 1))
@@ -296,11 +355,11 @@ def compute_measures(mesh):
 
     return MeshMeasures(
         element_volumes=vols,
-        dual_volumes=dual,
-        boundary_vertices=bverts,
-        boundary_normals=normals,
-        boundary_tangents=tangents,
-        boundary_areas=areas,
+        dual_volumes=_frozen(dual),
+        boundary_vertices=_frozen(bverts),
+        boundary_normals=_frozen(normals),
+        boundary_tangents=_frozen(tangents),
+        boundary_areas=_frozen(areas),
     )
 
 
@@ -405,18 +464,18 @@ def refine_uniform(mesh):
     new_elements = children.reshape(-1, mesh.dim + 1)
     new_elements = _orient_elements(vertices, new_elements, mesh.dim)
     fine = SimplicialMesh(vertices, new_elements)
-    fine.parent_edges = edges.copy()
+    fine.parent_edges = edges  # read-only, so it can be shared
     return fine
 
 
 def prolong_linear(fine_mesh, coarse_values):
     """Interpolate coarse vertex values onto a mesh built by refine_uniform."""
     if fine_mesh.parent_edges is None:
-        raise ValueError("mesh does not carry refinement provenance")
+        raise ParameterError("mesh does not carry refinement provenance")
     coarse_values = np.asarray(coarse_values, dtype=float)
     nc = fine_mesh.num_vertices - len(fine_mesh.parent_edges)
     if coarse_values.shape[0] != nc:
-        raise ValueError("coarse value count does not match parent mesh")
+        raise ParameterError("coarse value count does not match parent mesh")
     mids = 0.5 * (
         coarse_values[fine_mesh.parent_edges[:, 0]]
         + coarse_values[fine_mesh.parent_edges[:, 1]]

@@ -8,6 +8,7 @@ is what the convergence studies rely on.
 import numpy as np
 from scipy.spatial import Delaunay
 
+from .errors import ParameterError
 from .geometry import SimplicialMesh, _orient_elements
 
 
@@ -63,7 +64,7 @@ def annulus(inner_rings, outer_rings, radius=1.0):
     boundaries are regular polygons.
     """
     if not 1 <= inner_rings < outer_rings:
-        raise ValueError("need 1 <= inner_rings < outer_rings")
+        raise ParameterError("need 1 <= inner_rings < outer_rings")
     vertices = []
     ring_start = {}
     for k in range(inner_rings, outer_rings + 1):

@@ -25,7 +25,7 @@ from scipy.linalg import eigh  # noqa: F401  unused here; perfbench/tracing.py w
 from scipy.sparse import linalg as spla
 from scipy.sparse.csgraph import reverse_cuthill_mckee
 
-from .errors import NumericalError
+from .errors import NumericalError, ParameterError
 
 logger = logging.getLogger(__name__)
 
@@ -203,12 +203,12 @@ def eigs_generalized(A, M_diag, k, which="smallest", seed=0):
         does not converge, or a pair fails ``EigenResult.validate``.
     """
     if which != "smallest":
-        raise ValueError("only the smallest end of the spectrum is supported")
+        raise ParameterError("only the smallest end of the spectrum is supported")
     A = check_symmetric(_operator_matrix(A))
     M_diag = np.asarray(M_diag, dtype=float)
     n = A.shape[0]
     if not 0 < k < n:
-        raise ValueError(f"k must lie in (0, {n}), got {k}")
+        raise ParameterError(f"k must lie in (0, {n}), got {k}")
     if np.any(M_diag <= 0):
         raise NumericalError("mass diagonal must be positive")
 
@@ -233,11 +233,11 @@ def eigs_generalized(A, M_diag, k, which="smallest", seed=0):
 def diffuse(op, u0, tau):
     """One implicit-Euler step of ``du/dt = -A u``: solve (M + tau A) u = M u0."""
     if tau <= 0:
-        raise ValueError("diffusion time must be positive")
+        raise ParameterError("diffusion time must be positive")
     A = _operator_matrix(op)
     M_diag = op.vertex_mass if hasattr(op, "vertex_mass") else None
     if M_diag is None:
-        raise ValueError("diffuse requires an operator with a vertex mass")
+        raise ParameterError("diffuse requires an operator with a vertex mass")
     system = (sparse.diags(M_diag) + tau * A).tocsr()
     return solve_spd(system, M_diag * np.asarray(u0, dtype=float))
 
@@ -274,14 +274,14 @@ def solve_box_qp(
     lower = np.asarray(lower, dtype=float)
     upper = np.asarray(upper, dtype=float)
     if np.any(lower > upper):
-        raise ValueError("lower bound exceeds upper bound")
+        raise ParameterError("lower bound exceeds upper bound")
     fixed_indices = np.asarray(fixed_indices, dtype=np.int64)
     fixed_values = np.asarray(fixed_values, dtype=float)
     if len(fixed_indices) and (
         np.any(fixed_values < lower[fixed_indices] - 1e-12)
         or np.any(fixed_values > upper[fixed_indices] + 1e-12)
     ):
-        raise ValueError("fixed values violate the bounds")
+        raise ParameterError("fixed values violate the bounds")
 
     free = np.setdiff1d(np.arange(n), fixed_indices)
     x = np.zeros(n)

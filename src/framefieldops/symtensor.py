@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import FieldError
+from .errors import FieldError, ParameterError
 
 _SQRT2 = np.sqrt(2.0)
 
@@ -31,14 +31,14 @@ _PAIRS = {
 def mandel_size(dim):
     """Number of Mandel components for symmetric matrices in ``dim`` dimensions."""
     if dim not in (2, 3):
-        raise ValueError(f"dimension must be 2 or 3, got {dim}")
+        raise ParameterError(f"dimension must be 2 or 3, got {dim}")
     return 3 if dim == 2 else 6
 
 
 def mandel_pairs(dim):
     """Index pairs (i, j) addressed by each Mandel component, diagonals first."""
     if dim not in _PAIRS:
-        raise ValueError(f"dimension must be 2 or 3, got {dim}")
+        raise ParameterError(f"dimension must be 2 or 3, got {dim}")
     return _PAIRS[dim]
 
 
@@ -72,7 +72,7 @@ def mandel_to_sym(v):
     m = v.shape[-1]
     dim = {3: 2, 6: 3}.get(m)
     if dim is None:
-        raise ValueError(f"Mandel vector length must be 3 or 6, got {m}")
+        raise ParameterError(f"Mandel vector length must be 3 or 6, got {m}")
     S = np.zeros(v.shape[:-1] + (dim, dim))
     for c, (i, j) in enumerate(mandel_pairs(dim)):
         if i == j:
@@ -215,7 +215,7 @@ def contract(A, form):
     """
     A = np.asarray(A, dtype=float)
     if A.shape != (form.dim, form.dim):
-        raise ValueError(f"matrix shape {A.shape} does not match form dim {form.dim}")
+        raise ParameterError(f"matrix shape {A.shape} does not match form dim {form.dim}")
     return mandel_to_sym(form.Q @ sym_to_mandel(A))
 
 
@@ -223,7 +223,7 @@ def alignment_quadratic(S, form):
     """Quadratic form S : T : S measuring alignment of S with the frame."""
     S = np.asarray(S, dtype=float)
     if S.shape != (form.dim, form.dim):
-        raise ValueError(f"matrix shape {S.shape} does not match form dim {form.dim}")
+        raise ParameterError(f"matrix shape {S.shape} does not match form dim {form.dim}")
     v = sym_to_mandel(S)
     return float(v @ form.Q @ v)
 
@@ -251,9 +251,9 @@ def modify_epsilon(form, norm_t, epsilon):
     the full-symmetry flag is cleared.
     """
     if not 0.0 < epsilon <= 1.0:
-        raise ValueError(f"epsilon must lie in (0, 1], got {epsilon}")
+        raise ParameterError(f"epsilon must lie in (0, 1], got {epsilon}")
     if norm_t < 0.0:
-        raise ValueError("tensor norm must be nonnegative")
+        raise ParameterError("tensor norm must be nonnegative")
     m = mandel_size(form.dim)
     Q = norm_t * np.eye(m) - (1.0 - epsilon) * form.Q
     return Sym4Form(form.dim, Q, fully_symmetric=False)
@@ -262,7 +262,7 @@ def modify_epsilon(form, norm_t, epsilon):
 def epsilon_forms_batch(Q_stack, norms, epsilon):
     """Vectorized :func:`modify_epsilon` over stacked per-vertex forms."""
     if not 0.0 < epsilon <= 1.0:
-        raise ValueError(f"epsilon must lie in (0, 1], got {epsilon}")
+        raise ParameterError(f"epsilon must lie in (0, 1], got {epsilon}")
     Q_stack = np.asarray(Q_stack, dtype=float)
     norms = np.asarray(norms, dtype=float)
     m = Q_stack.shape[-1]

@@ -8,17 +8,23 @@ diagonalizes the full dense pencil, the QP oracle enumerates every active
 set, and the random frame helpers build tensors from their definition.
 The mixed factor K = D' A G is rebuilt here from its parts, never read
 from the mesh cache, and the divergence reference places one COO triplet
-per (vertex, component, row) and lets ``sum_duplicates`` order them.
+per (vertex, component, row) and lets ``sum_duplicates`` order them.  The
+mesh-cache references take the slow general route the closed forms
+replaced: a LAPACK inverse per element, ``np.unique`` over edge rows, a
+BSR middle matrix times the transpose view of K, one sequential hash over
+every array, and a centroid KD-tree built per call.
 """
 
+import hashlib
 import itertools
 
 import numpy as np
 from scipy import sparse
 from scipy.linalg import block_diag, eigh, lu_factor, lu_solve
+from scipy.spatial import cKDTree
 
-from framefieldops import OdecoFrame, compute_measures, divergence_matrix
-from framefieldops.fem import build_mixed_system
+from framefieldops import OdecoFrame, compute_measures, divergence_matrix, weak_hessian
+from framefieldops.fem import build_mixed_system, projected_middle_blocks
 from framefieldops.geometry import gradient_matrix
 from framefieldops.symtensor import _SQRT2, mandel_pairs, mandel_size
 
@@ -223,3 +229,72 @@ def boundary_facets_by_unique(mesh):
     )
     boundary = facets[first[counts == 1]]
     return boundary[np.lexsort(np.sort(boundary, axis=1).T[::-1])]
+
+
+def shape_gradients_by_inv(mesh):
+    """Shape gradients from the batched LAPACK inverse of each element's
+    edge matrix (columns p_i - p_0)."""
+    p = mesh.vertices[mesh.elements]
+    Einv = np.linalg.inv(np.swapaxes(p[:, 1:, :] - p[:, :1, :], 1, 2))
+    g = np.empty((mesh.num_elements, mesh.dim + 1, mesh.dim))
+    g[:, 1:, :] = Einv  # row i of E^-1 is grad of barycentric coord i
+    g[:, 0, :] = -np.sum(Einv, axis=1)
+    return g
+
+
+def edges_by_unique(mesh):
+    """Sorted unique edges by ``np.unique(axis=0)`` over every element's
+    vertex pairs."""
+    t = mesh.elements
+    k = mesh.dim + 1
+    pairs = [t[:, [i, j]] for i in range(k) for j in range(i + 1, k)]
+    return np.unique(np.sort(np.concatenate(pairs), axis=1), axis=0)
+
+
+def operator_by_bsr(mesh, field, epsilon, bc_kind):
+    """K' P K with P a BSR matrix, K' the transpose view of the cached K,
+    and the result symmetrized as 0.5 (op + op') in canonical CSR."""
+    system = build_mixed_system(mesh, field, epsilon, bc_kind)
+    P_blocks = projected_middle_blocks(system)
+    nv = mesh.num_vertices
+    m = P_blocks.shape[-1]
+    P = sparse.bsr_matrix(
+        (P_blocks, np.arange(nv), np.arange(nv + 1)), shape=(nv * m, nv * m)
+    )
+    K = weak_hessian(mesh)
+    op = (K.T @ (P @ K)).tocsr()
+    op = 0.5 * (op + op.T)
+    op.sum_duplicates()
+    op.eliminate_zeros()
+    return op.tocsr()
+
+
+def fingerprint_sequential(field):
+    """SHA-256 over the mesh dimension, vertices, elements and the field's
+    components and weights, in one pass."""
+    h = hashlib.sha256()
+    for array in (
+        np.int64(field.mesh.dim),
+        field.mesh.vertices,
+        field.mesh.elements,
+        field.components,
+        field.weights,
+    ):
+        h.update(array.tobytes())
+    return h.hexdigest()
+
+
+def locate_by_fresh_tree(points, mesh, k_candidates=32):
+    """Containing element and barycentric coordinates per point, with the
+    centroid KD-tree built for this call (the shape gradients are the
+    mesh's, so results compare bitwise with ``_locate_barycentric``)."""
+    tree = cKDTree(mesh.vertices[mesh.elements].mean(axis=1))
+    k = min(k_candidates, mesh.num_elements)
+    cand = tree.query(points, k=k)[1].reshape(len(points), k)
+    Einv = mesh.shape_gradients()[cand, 1:, :]
+    p0 = mesh.vertices[mesh.elements[cand, 0]]
+    lam = np.einsum("nkij,nkj->nki", Einv, points[:, None, :] - p0)
+    bary = np.concatenate([1.0 - lam.sum(axis=2, keepdims=True), lam], axis=2)
+    best = np.argmax(bary.min(axis=2), axis=1)
+    rows = np.arange(len(points))
+    return cand[rows, best], bary[rows, best]

@@ -162,6 +162,35 @@ def test_exit_codes(workspace, monkeypatch, tmp_path):
     ) == EXIT_NUMERICAL
 
 
+def test_input_errors_and_program_faults(workspace, monkeypatch, tmp_path):
+    assert issubclass(ff.ParameterError, ValueError)
+    assert issubclass(ff.ParameterError, ff.FrameFieldOpsError)
+    mesh = str(workspace / "disk.off")
+    field = str(workspace / "gen" / "field.csv")
+    out = ["-o", str(tmp_path)]
+    assert main(out + ["assemble", "--mesh", mesh, "--field", field,
+                       "--eps", "2"]) == EXIT_INPUT
+    garbled = tmp_path / "garbled.csv"
+    garbled.write_text("0.1,1,1\n0.2,x,1\n")
+    assert main(out + ["assemble", "--mesh", mesh, "--field", str(garbled)]) == EXIT_INPUT
+    assert main(out + ["diffuse", "--mesh", mesh, "--field", field,
+                       "--u0", str(garbled)]) == EXIT_INPUT
+    assert main(out + ["dirichlet", "--mesh", mesh, "--field", field,
+                       "--boundary", str(garbled)]) == EXIT_INPUT
+    assert main(out + ["diffuse", "--mesh", mesh, "--field", field,
+                       "--impulse", "1,a"]) == EXIT_USAGE
+
+    # a ValueError from inside a command is a program fault, not bad input
+    import framefieldops.cli as cli
+
+    def fault(*a, **k):
+        raise ValueError("synthetic fault")
+
+    monkeypatch.setattr(cli, "assemble_operator", fault)
+    with pytest.raises(ValueError, match="synthetic fault"):
+        main(out + ["assemble", "--mesh", mesh, "--field", field])
+
+
 def test_validate_exit_codes(monkeypatch, tmp_path):
     import framefieldops.cli as cli
     from framefieldops.validation import ValidationReport

@@ -21,6 +21,7 @@ from oracles import (
     divergence_by_coo,
     mixed_factor,
     natural_shortcut,
+    operator_by_bsr,
     operator_from_blocks,
     random_octahedral_frame,
 )
@@ -295,13 +296,64 @@ def test_weak_hessian_is_built_once_per_mesh():
     ff.bilaplacian_mixed_natural(mesh)
     assert ff.weak_hessian(mesh) is K
     assert abs(K - mixed_factor(mesh)).max() == 0.0
+    Kt = mesh._weak_hessian_t
+    assert Kt.format == "csr" and abs(Kt - K.T).max() == 0.0
+    for M in (K, Kt):
+        assert M.has_canonical_format
+        for array in (M.data, M.indices, M.indptr):
+            with pytest.raises(ValueError):
+                array[0] = array[0]
     # a refined mesh builds its own factor and leaves the coarse one alone
     fine = ff.refine_uniform(mesh)
     K_fine = ff.weak_hessian(fine)
-    assert K_fine is not K
+    assert K_fine is not K and fine._weak_hessian_t is not Kt
     assert K_fine.shape == (fine.num_vertices * 3, fine.num_vertices)
     assert abs(K_fine - mixed_factor(fine)).max() == 0.0
-    assert ff.weak_hessian(mesh) is K
+    assert abs(fine._weak_hessian_t - K_fine.T).max() == 0.0
+    assert ff.weak_hessian(mesh) is K and mesh._weak_hessian_t is Kt
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("bc", ["natural", "neumann"])
+def test_operator_matches_bsr_product_bitwise(dim, bc):
+    # same K, P placed as BSR and K' taken as the transpose view
+    rng = np.random.default_rng(dim + 60)
+    mesh = meshgen.jittered_delaunay(dim, 7 if dim == 2 else 3, seed=dim + 9)
+    fields = [ff.constant_field(mesh, random_octahedral_frame(rng, dim))]
+    if dim == 2:
+        fields.append(ff.harmonic_cross_field_2d(mesh))
+    for field in fields:
+        for eps in (1.0, 0.05):
+            op = ff.assemble_operator(mesh, field, eps, bc).matrix
+            ref = operator_by_bsr(mesh, field, eps, bc)
+            assert op.format == "csr" and op.has_canonical_format
+            assert np.array_equal(op.indptr, ref.indptr)
+            assert np.array_equal(op.indices, ref.indices)
+            assert np.array_equal(op.data, ref.data)
+
+
+def test_validate_rejects_each_broken_invariant(disk_mesh, disk_harmonic_field):
+    op = ff.assemble_operator(disk_mesh, disk_harmonic_field, 0.3, "natural")
+    assert op.validate()
+    A = op.matrix
+    n = A.shape[0]
+    scale = np.abs(A.data).max()
+    G = ff.gradient_matrix(disk_mesh)
+    laplacian = G.T @ sparse.diags(np.repeat(disk_mesh.element_volumes, 2)) @ G
+    skew = sparse.csr_matrix(([scale], ([0], [1])), shape=(n, n))
+    cases = [
+        (A + skew, "natural", "not symmetric"),
+        (A - scale * sparse.eye(n), "natural", "not PSD"),
+        (A + scale * sparse.eye(n), "natural", "constants"),
+        (A + scale * laplacian, "natural", "affine"),
+    ]
+    for matrix, bc, message in cases:
+        broken = dataclasses.replace(op, matrix=matrix.tocsr(), bc_kind=bc)
+        with pytest.raises(ff.NumericalError, match=message):
+            broken.validate()
+    # the affine nullspace is checked only under natural conditions
+    assert dataclasses.replace(op, matrix=(A + scale * laplacian).tocsr(),
+                               bc_kind="neumann").validate()
 
 
 def test_epsilon_validation(disk_mesh, disk_harmonic_field):

@@ -4,6 +4,7 @@ import pytest
 import framefieldops as ff
 from framefieldops import meshgen
 from framefieldops.framefield import (
+    _locate_barycentric,
     components_to_angles,
     components_to_quaternions,
     match_quaternion,
@@ -12,7 +13,7 @@ from framefieldops.framefield import (
 )
 
 from conftest import rotation_frame_2d
-from oracles import random_rotation
+from oracles import fingerprint_sequential, locate_by_fresh_tree, random_rotation
 
 
 def cross_rep(field):
@@ -132,6 +133,8 @@ def test_helical_field():
     assert np.abs(flat.forms() - const.forms()).max() < 1e-15
     with pytest.raises(ff.FieldError):
         ff.helical_field_3d(mesh, [0, 0, 0], 1.0)
+    with pytest.raises(ff.FieldError, match="3 components"):
+        ff.helical_field_3d(mesh, [0, 1], 1.0)
     with pytest.raises(ff.FieldError):
         ff.helical_field_3d(meshgen.disk(2), [0, 0, 1], 0.0)
 
@@ -287,3 +290,32 @@ def test_fingerprint_changes_with_mesh():
     ]
     assert abs(ops[0].matrix - ops[1].matrix).max() > 1.0
     assert ops[0].fingerprint != ops[1].fingerprint
+
+
+def test_fingerprint_matches_sequential_hash(disk_mesh, disk_harmonic_field, small_ball_mesh):
+    # two fields per mesh, each hashed twice: the cached mesh state must be
+    # extended by copy, never in place
+    fields = [
+        disk_harmonic_field,
+        ff.constant_field(disk_mesh, rotation_frame_2d(0.7, (1.0, 0.2))),
+        ff.helical_field_3d(small_ball_mesh, [0.3, -0.2, 0.9], 0.6),
+        ff.constant_field(small_ball_mesh, ff.axis_frame(3)),
+    ]
+    for field in fields + fields:
+        assert field.fingerprint() == fingerprint_sequential(field)
+
+
+def test_locate_with_cached_tree_matches_fresh_tree(disk_mesh, small_ball_mesh):
+    rng = np.random.default_rng(7)
+    for coarse in (disk_mesh, small_ball_mesh):
+        fine = ff.refine_uniform(coarse)
+        finer = ff.refine_uniform(fine)
+        lo, hi = coarse.vertices.min(axis=0), coarse.vertices.max(axis=0)
+        points = np.vstack(
+            [coarse.vertices, rng.uniform(lo - 0.1, hi + 0.1, (100, coarse.dim))]
+        )
+        for mesh in (fine, finer, fine):
+            elems, barys = _locate_barycentric(points, mesh)
+            ref_elems, ref_barys = locate_by_fresh_tree(points, mesh)
+            assert np.array_equal(elems, ref_elems)
+            assert np.array_equal(barys, ref_barys)

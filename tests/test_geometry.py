@@ -1,3 +1,4 @@
+import dataclasses
 import re
 
 import numpy as np
@@ -9,7 +10,7 @@ import framefieldops as ff
 from framefieldops import meshgen
 from framefieldops.geometry import prolong_linear
 
-from oracles import boundary_facets_by_unique
+from oracles import boundary_facets_by_unique, edges_by_unique, shape_gradients_by_inv
 
 
 OFF_SQUARE = """OFF
@@ -343,3 +344,60 @@ def test_mesh_arrays_are_private_and_read_only():
         mesh.vertices[0, 0] = 0.5
     with pytest.raises(ValueError):
         mesh.elements[0, 0] = 1
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_shape_gradients_match_inverse_oracle(dim):
+    for seed in range(3):
+        mesh = meshgen.jittered_delaunay(dim, 6 if dim == 2 else 4, seed=seed)
+        ref = shape_gradients_by_inv(mesh)
+        scale = np.abs(ref).max(axis=(1, 2))[:, None, None]
+        assert (np.abs(mesh.shape_gradients() - ref) / scale).max() <= 1e-13
+
+
+def test_edges_match_unique_oracle():
+    R = ff.refine_uniform
+    for mesh in (
+        R(R(meshgen.disk(16))),
+        R(R(meshgen.ball())),
+        meshgen.jittered_delaunay(3, 3),
+        meshgen.jittered_delaunay(2, 6),
+    ):
+        assert np.array_equal(mesh.edges(), edges_by_unique(mesh))
+
+
+def test_mesh_hands_out_read_only_arrays():
+    mesh = ff.refine_uniform(meshgen.disk(3))
+    measures = ff.compute_measures(mesh)
+    arrays = [
+        mesh.element_volumes,
+        mesh.boundary_facets,
+        mesh.parent_edges,
+        mesh.shape_gradients(),
+        mesh.edges(),
+        *mesh.vertex_neighbors(),
+        *(getattr(measures, f.name) for f in dataclasses.fields(measures)),
+    ]
+    for array in arrays:
+        with pytest.raises(ValueError):
+            array.flat[0] = array.flat[0]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        measures.dual_volumes = np.ones(mesh.num_vertices)
+
+
+def test_measures_and_centroid_tree_are_built_once_per_mesh():
+    mesh = meshgen.disk(5)
+    measures = ff.compute_measures(mesh)
+    tree = mesh.centroid_tree()
+    assert ff.compute_measures(mesh) is measures
+    assert mesh.centroid_tree() is tree
+    assert np.array_equal(tree.data, mesh.vertices[mesh.elements].mean(axis=1))
+    # a refined mesh builds its own and leaves the coarse ones alone
+    fine = ff.refine_uniform(mesh)
+    fine_measures = ff.compute_measures(fine)
+    assert fine_measures is not measures
+    assert fine_measures.dual_volumes.shape == (fine.num_vertices,)
+    assert fine.centroid_tree() is not tree
+    assert fine.centroid_tree().n == fine.num_elements
+    assert ff.compute_measures(mesh) is measures
+    assert mesh.centroid_tree() is tree
