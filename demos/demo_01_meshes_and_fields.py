@@ -37,7 +37,7 @@ ff.save_mesh(ball, out / "ball.mesh")
 # -- a boundary-aligned cross field on the disk --------------------------------
 
 measures = ff.compute_measures(disk)
-field = ff.harmonic_cross_field_2d(disk, measures)
+field = ff.harmonic_cross_field_2d(disk)
 residuals, aligned = ff.check_boundary_alignment(field, measures, 1e-6)
 print(f"boundary alignment: max residual {residuals.max():.2e}, all aligned: {aligned.all()}")
 

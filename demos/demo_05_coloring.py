@@ -27,11 +27,11 @@ boundary_rgb = 0.5 + 0.5 * np.column_stack(
 
 fields = {
     "axis": ff.constant_field(disk, ff.axis_frame(2)),
-    "aligned": ff.harmonic_cross_field_2d(disk, measures),
+    "aligned": ff.harmonic_cross_field_2d(disk),
 }
 results = {}
 for name, field in fields.items():
-    op = ff.assemble_operator(disk, field, 0.01, "natural", measures=measures)
+    op = ff.assemble_operator(disk, field, 0.01, "natural")
     rgb = ff.color_by_boundary(op, boundary_rgb)
     results[name] = rgb
     write_vtk(out / f"coloring_{name}.vtk", disk, {"rgb": rgb})

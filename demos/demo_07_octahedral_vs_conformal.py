@@ -18,8 +18,7 @@ out = Path(__file__).parent / "output"
 out.mkdir(exist_ok=True)
 
 disk = meshgen.disk(12)
-measures = ff.compute_measures(disk)
-octa = ff.harmonic_cross_field_2d(disk, measures)
+octa = ff.harmonic_cross_field_2d(disk)
 
 # scale the weights to vanish at the field singularity (the disk center):
 # same frame directions, conformal octahedral kind, zero norm at vertex 0
@@ -29,7 +28,7 @@ print("kinds:", octa.kind, "vs", conf.kind, "| zero-norm vertices:", (conf.norms
 
 eigs = {}
 for name, field in (("octahedral", octa), ("conformal", conf)):
-    op = ff.assemble_operator(disk, field, 0.05, "neumann", measures=measures)
+    op = ff.assemble_operator(disk, field, 0.05, "neumann")
     eig = ff.eigs_generalized(op, op.vertex_mass, 16)
     eigs[name] = eig
     print(f"{name:>11}: first eigenvalues {np.round(eig.values[:6], 4)}")

@@ -72,7 +72,9 @@ from .apps import (
     build_embedding,
     color_by_boundary,
     distance_field,
+    nonzero_eigenpairs,
     trace_descent_path,
+    zero_modes,
 )
 
 __version__ = "0.1.0"

@@ -28,11 +28,13 @@ import scipy
 from . import __version__
 from .analytic import conformal_warp, square_spectrum
 from .apps import (
+    ZERO_MODE_RELTOL,
     build_embedding,
     color_by_boundary,
     distance_field,
     square_wave_boundary,
     trace_descent_path,
+    zero_modes,
 )
 from .errors import FrameFieldOpsError, NumericalError, ParameterError
 from .fem import apply_dirichlet_partition, assemble_operator
@@ -199,14 +201,13 @@ def cmd_dirichlet(args):
     run = Run(args)
     mesh = _load_mesh(run, args.mesh)
     field = _load_field(run, mesh, args.field)
-    measures = compute_measures(mesh)
-    op = assemble_operator(mesh, field, args.epsilon, "neumann", measures=measures)
+    op = assemble_operator(mesh, field, args.epsilon, "neumann")
     if args.boundary:
         u0 = _load_csv(run, args.boundary)
         if u0.shape != op.boundary_vertices.shape:
             raise FrameFieldOpsError("boundary value count mismatch")
     else:
-        u0 = square_wave_boundary(mesh, measures, periods=args.periods)
+        u0 = square_wave_boundary(mesh, compute_measures(mesh), periods=args.periods)
     u = apply_dirichlet_partition(op, u0)
     _save_scalar_csv(run.out("solution.csv"), u)
     write_vtk(run.out("solution.vtk"), mesh, {"u": u})
@@ -233,8 +234,7 @@ def cmd_eigs(args):
     run = Run(args)
     mesh, _, op = _assemble_from_args(run, args)
     eig = eigs_generalized(op, op.vertex_mass, args.num)
-    lam_max = float(np.max(eig.values))
-    zero = eig.values <= 1e-8 * lam_max
+    zero = zero_modes(eig.values)
     rows = np.column_stack([eig.values, eig.vectors.T])
     np.savetxt(run.out("eigs.csv"), rows, delimiter=",", fmt=FMT)
     with open(run.out("eigenvalues.csv"), "w") as fh:
@@ -362,7 +362,10 @@ def build_parser():
     p_diff.set_defaults(func=cmd_diffuse)
 
     p_eig = sub.add_parser(
-        "eigs", help="smallest generalized eigenpairs (sparse LU shift-invert Lanczos)"
+        "eigs", help="smallest generalized eigenpairs (sparse LU shift-invert Lanczos)",
+        description="Smallest generalized eigenpairs.  In eigenvalues.csv the "
+                    "zero_mode column is 1 for an eigenvalue at or below "
+                    f"{ZERO_MODE_RELTOL:g} times the largest computed one.",
     )
     common(p_eig)
     p_eig.add_argument("--num", type=int, default=64, help="number of eigenpairs")

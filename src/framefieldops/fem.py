@@ -53,11 +53,12 @@ class MixedSystem:
     M is the dual-vertex volume diagonal (replicated per component); M_T is
     the block-diagonal energy matrix.  ``constraint_rows`` is the
     ``(nb, r, m)`` array of boundary constraint rows, one ``r x m`` block
-    per vertex of ``measures.boundary_vertices`` in that order; B is their
-    block-diagonal placement and is not stored.  The gradient G, the
+    per vertex of ``compute_measures(mesh).boundary_vertices`` in that
+    order; B is their block-diagonal placement and is not stored.  The gradient G, the
     divergence D and the element volumes A enter only through the
     mesh-only product K = D' A G, which ``weak_hessian`` builds once per
-    mesh, so they are not stored here either.
+    mesh, so they are not stored here either; nor are the measures, which
+    are cached on the mesh.
     """
 
     M: np.ndarray
@@ -66,7 +67,6 @@ class MixedSystem:
     bc_kind: str
     epsilon: float
     mesh: object
-    measures: object
 
 
 @dataclass
@@ -214,14 +214,13 @@ def constraint_blocks(measures, bc_kind, dim):
     return sym_to_mandel(0.5 * (tn + np.swapaxes(tn, -1, -2)))
 
 
-def build_mixed_system(mesh, field, epsilon, bc_kind, measures=None):
+def build_mixed_system(mesh, field, epsilon, bc_kind):
     """Assemble every matrix of the saddle problem for one configuration."""
     if not 0.0 < epsilon <= 1.0:
         raise ParameterError(f"epsilon must lie in (0, 1], got {epsilon}")
     if field.mesh is not mesh:
         raise FieldError("field was built on a different mesh")
-    if measures is None:
-        measures = compute_measures(mesh)
+    measures = compute_measures(mesh)
     m = mandel_size(mesh.dim)
     return MixedSystem(
         M=np.repeat(measures.dual_volumes, m),
@@ -230,7 +229,6 @@ def build_mixed_system(mesh, field, epsilon, bc_kind, measures=None):
         bc_kind=bc_kind,
         epsilon=epsilon,
         mesh=mesh,
-        measures=measures,
     )
 
 
@@ -246,8 +244,9 @@ def projected_middle_blocks(system):
     largest are dropped.  Blocks that lose an eigenvalue (zero-weight
     conformal vertices) are counted in a warning.
     """
-    dual = system.measures.dual_volumes
-    bv = system.measures.boundary_vertices
+    measures = compute_measures(system.mesh)
+    dual = measures.dual_volumes
+    bv = measures.boundary_vertices
     mt_blocks = np.asarray(system.M_T.data)  # dual_v * Q_eps(v), vertex order
     P = mt_blocks / (dual**2)[:, None, None]
     if system.bc_kind == "natural":
@@ -278,7 +277,7 @@ def _operator_fingerprint(field, epsilon, bc_kind):
     return h.hexdigest()
 
 
-def assemble_operator(mesh, field, epsilon, bc_kind, measures=None):
+def assemble_operator(mesh, field, epsilon, bc_kind):
     """Assemble the sparse discrete frame field operator.
 
     Parameters
@@ -294,8 +293,9 @@ def assemble_operator(mesh, field, epsilon, bc_kind, measures=None):
     -------
     AssembledOperator
     """
-    system = build_mixed_system(mesh, field, epsilon, bc_kind, measures=measures)
+    system = build_mixed_system(mesh, field, epsilon, bc_kind)
     P_blocks = projected_middle_blocks(system)
+    measures = compute_measures(mesh)
     nv = mesh.num_vertices
     m = mandel_size(mesh.dim)
     # Block-diagonal P straight in CSR: row (v, a) holds block v's row a in
@@ -314,24 +314,23 @@ def assemble_operator(mesh, field, epsilon, bc_kind, measures=None):
     op.sort_indices()
     return AssembledOperator(
         matrix=op,
-        vertex_mass=system.measures.dual_volumes.copy(),
+        vertex_mass=measures.dual_volumes.copy(),
         bc_kind=bc_kind,
         epsilon=epsilon,
         fingerprint=_operator_fingerprint(field, epsilon, bc_kind),
         mesh=mesh,
-        boundary_vertices=system.measures.boundary_vertices.copy(),
+        boundary_vertices=measures.boundary_vertices.copy(),
     )
 
 
-def bilaplacian_mixed_natural(mesh, measures=None):
+def bilaplacian_mixed_natural(mesh):
     """Stein-style mixed Bilaplacian with natural boundary conditions.
 
     Reference operator: G' A D* (M*)^{-1} (D*)' A G with boundary Mandel
     blocks deleted and M the dual-volume diagonal.  The frame field operator
     must reproduce this exactly at epsilon = 1.
     """
-    if measures is None:
-        measures = compute_measures(mesh)
+    measures = compute_measures(mesh)
     m = mandel_size(mesh.dim)
     nv = mesh.num_vertices
     keep_vertices = np.setdiff1d(np.arange(nv), np.unique(mesh.boundary_facets))

@@ -193,7 +193,7 @@ def constant_field(mesh, frame):
     return FrameField(mesh, comps, weights)
 
 
-def harmonic_cross_field_2d(mesh, measures=None):
+def harmonic_cross_field_2d(mesh):
     """Boundary-aligned planar cross field by harmonic 4-angle interpolation.
 
     Boundary vertices take the angle of the (averaged) boundary tangent;
@@ -205,8 +205,7 @@ def harmonic_cross_field_2d(mesh, measures=None):
     """
     if mesh.dim != 2:
         raise FieldError("harmonic cross fields are planar (dim=2)")
-    if measures is None:
-        measures = compute_measures(mesh)
+    measures = compute_measures(mesh)
     bverts = measures.boundary_vertices
     if len(bverts) == 0:
         raise GeometryError("mesh has no boundary")

@@ -96,7 +96,7 @@ def constraint_matrix(system):
     placed at their boundary vertices' Mandel columns."""
     rows = system.constraint_rows
     nb, r, m = rows.shape
-    bv = system.measures.boundary_vertices
+    bv = compute_measures(system.mesh).boundary_vertices
     ri = np.broadcast_to(np.arange(nb * r).reshape(nb, r, 1), rows.shape)
     ci = np.broadcast_to(bv[:, None, None] * m + np.arange(m), rows.shape)
     return sparse.csr_matrix(
@@ -146,16 +146,15 @@ def dense_kkt_apply(system, factor, u):
     return K.T @ lam
 
 
-def natural_shortcut(mesh, field, epsilon, measures=None):
+def natural_shortcut(mesh, field, epsilon):
     """Natural-condition operator by deleting boundary multiplier blocks.
 
     Setting the multiplier to zero on the boundary removes its columns
     outright: A = G' A D* Mbar* (D*)' A G with starred boundary blocks
     deleted.
     """
-    if measures is None:
-        measures = compute_measures(mesh)
-    system = build_mixed_system(mesh, field, epsilon, "natural", measures=measures)
+    measures = compute_measures(mesh)
+    system = build_mixed_system(mesh, field, epsilon, "natural")
     m = mandel_size(mesh.dim)
     nv = mesh.num_vertices
     keep_vertices = np.setdiff1d(np.arange(nv), measures.boundary_vertices)

@@ -29,6 +29,80 @@ def test_embedding_drops_zero_modes(disk_emb):
     assert np.all(np.diff(disk_emb.eigenvalues) >= -1e-12)
 
 
+def _natural_constant_op(mesh):
+    field = ff.constant_field(mesh, ff.axis_frame(mesh.dim))
+    return ff.assemble_operator(mesh, field, 0.1, "natural")
+
+
+@pytest.mark.parametrize(
+    "mesh, zeros, solves",
+    [
+        (meshgen.structured_square(12), 5, 1),  # affine + 2 corner modes
+        (meshgen.box(5, 5, 5), 34, 2),  # more zero modes than dim + 3
+    ],
+    ids=["square12", "box5"],
+)
+def test_nonzero_eigenpairs_match_one_large_solve(mesh, zeros, solves, eigs_requests):
+    op = _natural_constant_op(mesh)
+    count = 40
+    eig = ff.nonzero_eigenpairs(op, count)
+    assert len(eigs_requests) == solves
+    assert len(eig.values) == count and eig.vectors.shape == (mesh.num_vertices, count)
+    assert len(eig.residuals) == count
+    ref = ff.eigs_generalized(op, op.vertex_mass, count + zeros + 10)
+    zero = ff.zero_modes(ref.values)
+    assert zero.sum() == zeros
+    expected = ref.values[~zero][:count]
+    assert np.abs(eig.values - expected).max() <= 1e-8 * expected.max()
+    # each returned pair solves A phi = lambda M phi
+    A, M = op.matrix, op.vertex_mass
+    resid = A @ eig.vectors - M[:, None] * eig.vectors * eig.values
+    assert np.abs(resid).max() <= 1e-7 * np.abs(A).sum(axis=1).max()
+
+
+@pytest.fixture(scope="module")
+def natural_box_op():
+    return _natural_constant_op(meshgen.box(5, 5, 5))
+
+
+@pytest.mark.parametrize("count", [1, 2, 12])
+def test_nonzero_eigenpairs_grow_past_a_request_of_only_zero_modes(
+    natural_box_op, count
+):
+    # The first request (count + 6 pairs) holds only the box's round-off zero
+    # modes, so a scale taken from those values alone calls some of them
+    # nonzero.  The first nonzero mode is about 24.6.
+    eig = ff.nonzero_eigenpairs(natural_box_op, count)
+    assert len(eig.values) == count
+    assert eig.values.min() > 1.0
+    ref = ff.eigs_generalized(natural_box_op, natural_box_op.vertex_mass, 60)
+    expected = ref.values[~ff.zero_modes(ref.values)][:count]
+    assert np.abs(eig.values - expected).max() <= 1e-8 * expected.max()
+
+
+def test_nonzero_eigenpairs_raise_when_the_mesh_runs_out(small_square_mesh):
+    op = _natural_constant_op(small_square_mesh)
+    n = op.matrix.shape[0]
+    with pytest.raises(ff.NumericalError):
+        ff.nonzero_eigenpairs(op, n - 3)
+    with pytest.raises(ValueError):
+        ff.nonzero_eigenpairs(op, 0)
+
+
+def test_embedding_on_natural_box(natural_box_op):
+    op = natural_box_op
+    emb = ff.build_embedding(op, 64)
+    assert emb.coordinates.shape == (op.matrix.shape[0], 64)
+    # the 34 zero modes sit near 1e-15; the first nonzero mode is about 24.6
+    assert emb.eigenvalues.min() > 1.0
+
+
+def test_embedding_makes_one_request(disk_op, eigs_requests):
+    emb = ff.build_embedding(disk_op, 30)
+    assert eigs_requests == [30 + disk_op.mesh.dim + 3]
+    assert emb.n_modes == 30
+
+
 def test_distance_identity_and_symmetry(disk_mesh, disk_emb):
     d0 = ff.distance_field(disk_emb, 0)
     assert d0[0] == 0.0

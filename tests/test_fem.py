@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 
 import numpy as np
 import pytest
@@ -251,9 +252,7 @@ def test_dirichlet_square_wave_snapshot(disk_mesh, disk_harmonic_field, disk_mea
     # configuration (disk(8), harmonic field, eps=0.05, 4 periods)
     from framefieldops.apps import square_wave_boundary
 
-    op = ff.assemble_operator(
-        disk_mesh, disk_harmonic_field, 0.05, "neumann", measures=disk_measures
-    )
+    op = ff.assemble_operator(disk_mesh, disk_harmonic_field, 0.05, "neumann")
     u0 = square_wave_boundary(disk_mesh, disk_measures, periods=4)
     u = ff.apply_dirichlet_partition(op, u0)
     probes = [0, 10, 40, 90, 150, 180]
@@ -262,6 +261,18 @@ def test_dirichlet_square_wave_snapshot(disk_mesh, disk_harmonic_field, disk_mea
         -0.3908522552, 0.9410924116, -1.0,
     ]
     assert np.abs(u[probes] - expected).max() < 1e-6
+
+
+def test_assembly_takes_no_foreign_measures():
+    # measures are cached on the mesh; an argument could only be another
+    # mesh's, which would silently build a wrong operator
+    for fn in (
+        ff.assemble_operator,
+        build_mixed_system,
+        ff.bilaplacian_mixed_natural,
+        ff.harmonic_cross_field_2d,
+    ):
+        assert "measures" not in inspect.signature(fn).parameters, fn.__name__
 
 
 def test_assembly_is_deterministic(disk_mesh, disk_harmonic_field):

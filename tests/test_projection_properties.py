@@ -63,7 +63,7 @@ def test_projector_property(case):
     P = projected_middle_blocks(system)
     scale = np.abs(P).max()
     assert abs(constraint_matrix(system) @ block_matrix(P)).max() <= 1e-10 * scale
-    bv = system.measures.boundary_vertices
+    bv = ff.compute_measures(mesh).boundary_vertices
     if bc == "natural":
         assert np.all(P[bv] == 0.0)
         return
