@@ -64,6 +64,7 @@ from .solve import (
     diffuse,
     eigs_generalized,
     solve_box_qp,
+    solve_pinned,
     solve_spd,
 )
 from .analytic import SquareSpectrum, conformal_warp, square_spectrum, warp_experiment

@@ -6,11 +6,11 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import cKDTree
 
+from .apps import nonzero_eigenpairs
 from .errors import GeometryError, ParameterError
 from .fem import assemble_operator
 from .framefield import axis_frame, constant_field, map_coframe_field
 from .geometry import SimplicialMesh
-from .solve import eigs_generalized
 
 
 @dataclass
@@ -153,14 +153,15 @@ class WarpResult:
     warped_mesh: SimplicialMesh
 
 
-def warp_experiment(base_mesh, warp, epsilon, k, bc="neumann"):
+def warp_experiment(base_mesh, warp, epsilon, modes, bc="neumann"):
     """Spectra of the constant-field operator and its coframe pullback.
 
     Builds the constant axis-aligned operator on ``base_mesh`` and the map
     coframe operator on the warped copy (same connectivity, mapped
-    vertices), computes ``k`` eigenpairs of each with matching boundary
-    conditions, and returns both, with the base eigenfunctions sharing
-    vertex indexing with the warped mesh for side-by-side export.
+    vertices), takes the ``modes`` smallest nonzero eigenpairs of each from
+    ``nonzero_eigenpairs`` with matching boundary conditions, and returns
+    both, with the base eigenfunctions sharing vertex indexing with the
+    warped mesh for side-by-side export.
     """
     warp.validate_on(base_mesh.vertices)
     warped = SimplicialMesh(warp.apply(base_mesh.vertices), base_mesh.elements)
@@ -169,8 +170,8 @@ def warp_experiment(base_mesh, warp, epsilon, k, bc="neumann"):
 
     op_base = assemble_operator(base_mesh, field_base, epsilon, bc)
     op_warp = assemble_operator(warped, field_warp, epsilon, bc)
-    eig_base = eigs_generalized(op_base, op_base.vertex_mass, k)
-    eig_warp = eigs_generalized(op_warp, op_warp.vertex_mass, k)
+    eig_base = nonzero_eigenpairs(op_base, modes)
+    eig_warp = nonzero_eigenpairs(op_warp, modes)
     return WarpResult(
         values_base=eig_base.values,
         values_warped=eig_warp.values,

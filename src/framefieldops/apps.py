@@ -45,17 +45,19 @@ class SpectralEmbedding:
         )
 
 
-def zero_modes(values):
-    """Mask of the zero modes among computed eigenvalues.
+def zero_modes(op, values):
+    """Mask of the zero modes among computed eigenvalues of ``op``.
 
-    An eigenvalue is a zero mode when it is at most ``ZERO_MODE_RELTOL``
-    times the largest value in ``values``.  Zero modes sit more than 8
-    orders of magnitude below the first nonzero mode (on the 92 square;
-    more on coarser meshes), so the mask does not depend
-    on how many values were computed, as long as they reach past the
-    nullspace.  ``nonzero_eigenpairs`` also checks that they do.
+    A value is a zero mode when it is at most ``ZERO_MODE_RELTOL`` times the
+    largest value in ``values``, or at most ``ROUNDOFF_RELTOL`` times the
+    largest diagonal entry of the operator over the vertex mass.  That floor
+    comes from the operator, so a set of values that holds only zero modes
+    is seen as such.  On the meshes in use (squares up to 92, disk 36,
+    ``box(5, 5, 5)``) zero modes sit below 1e-15 of that scale and the first
+    nonzero mode above 6e-9.
     """
-    return values <= ZERO_MODE_RELTOL * np.max(values)
+    floor = ROUNDOFF_RELTOL * np.max(op.matrix.diagonal() / op.vertex_mass)
+    return (values <= ZERO_MODE_RELTOL * np.max(values)) | (values <= floor)
 
 
 def nonzero_eigenpairs(op, count):
@@ -65,13 +67,7 @@ def nonzero_eigenpairs(op, count):
     the constant or affine nullspace plus a margin.  Only when more zero
     modes than that push nonzero pairs out (natural conditions on domains
     with corners) does it ask again, adding the zero count it found to the
-    request.  Besides ``zero_modes``, a value is a zero mode when it is at
-    most ``ROUNDOFF_RELTOL`` times the largest diagonal entry of the
-    operator over the vertex mass.  That scale comes from the operator, not
-    from the computed values, so a request that holds only zero modes is
-    seen as such and grown.  On the meshes in use (squares up to 92, disk
-    36, ``box(5, 5, 5)``) zero modes sit below 1e-15 of that scale and the
-    first nonzero mode above 6e-9.
+    request, which ``zero_modes`` sees even when it holds only zero modes.
 
     Raises
     ------
@@ -81,11 +77,10 @@ def nonzero_eigenpairs(op, count):
     if count < 1:
         raise ParameterError(f"count must be positive, got {count}")
     limit = op.matrix.shape[0] - 1
-    floor = ROUNDOFF_RELTOL * np.max(op.matrix.diagonal() / op.vertex_mass)
     k = min(count + op.mesh.dim + 3, limit)
     while True:
         eig = eigs_generalized(op, op.vertex_mass, k)
-        zero = zero_modes(eig.values) | (eig.values <= floor)
+        zero = zero_modes(op, eig.values)
         keep = np.flatnonzero(~zero)[:count]
         if len(keep) == count:
             return EigenResult(

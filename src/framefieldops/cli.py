@@ -28,6 +28,7 @@ import scipy
 from . import __version__
 from .analytic import conformal_warp, square_spectrum
 from .apps import (
+    ROUNDOFF_RELTOL,
     ZERO_MODE_RELTOL,
     build_embedding,
     color_by_boundary,
@@ -234,7 +235,7 @@ def cmd_eigs(args):
     run = Run(args)
     mesh, _, op = _assemble_from_args(run, args)
     eig = eigs_generalized(op, op.vertex_mass, args.num)
-    zero = zero_modes(eig.values)
+    zero = zero_modes(op, eig.values)
     rows = np.column_stack([eig.values, eig.vectors.T])
     np.savetxt(run.out("eigs.csv"), rows, delimiter=",", fmt=FMT)
     with open(run.out("eigenvalues.csv"), "w") as fh:
@@ -365,7 +366,8 @@ def build_parser():
         "eigs", help="smallest generalized eigenpairs (sparse LU shift-invert Lanczos)",
         description="Smallest generalized eigenpairs.  In eigenvalues.csv the "
                     "zero_mode column is 1 for an eigenvalue at or below "
-                    f"{ZERO_MODE_RELTOL:g} times the largest computed one.",
+                    f"{ZERO_MODE_RELTOL:g} times the largest computed one or "
+                    f"{ROUNDOFF_RELTOL:g} times max(diag(A) / mass).",
     )
     common(p_eig)
     p_eig.add_argument("--num", type=int, default=64, help="number of eigenpairs")

@@ -18,8 +18,8 @@ the boundary blocks are projected with one batched eigenvalue pseudoinverse,
 which also covers the singular blocks of zero-weight frame tensors.
 
 Everything that depends on the mesh alone is built once per mesh and cached
-on it: the measures (``compute_measures``), the shape gradients, and the
-outer factor K = D' A G with its CSR transpose (``weak_hessian``).  The
+on it: the measures (``compute_measures``), the shape gradients, G, and
+the outer factor K = D' A G with its CSR transpose (``weak_hessian``).  The
 caches cannot go stale because every mesh array, and every array of these
 results, is read-only.  Each assembly forms only the middle blocks, places
 them as a block-diagonal CSR matrix P, and takes the product K' P K.
@@ -39,6 +39,7 @@ from scipy.sparse import linalg as spla
 
 from .errors import FieldError, NumericalError, ParameterError
 from .geometry import compute_measures, gradient_matrix
+from .solve import solve_pinned
 from .symtensor import _SQRT2, mandel_pairs, mandel_size, sym_to_mandel
 
 logger = logging.getLogger(__name__)
@@ -347,8 +348,8 @@ def apply_dirichlet_partition(op, boundary_values):
     The weak Neumann multiplier constraint already encodes a vanishing
     normal derivative, so prescribing boundary values of u on the
     Neumann-constrained operator realizes the boundary-value problem with
-    both u and its normal derivative controlled.  Solves the interior block
-    A_II u_I = -A_IB u0 and reassembles the full vertex vector.
+    both u and its normal derivative controlled.  ``solve_pinned`` solves
+    the interior block A_II u_I = -A_IB u0.
 
     Parameters
     ----------
@@ -363,18 +364,7 @@ def apply_dirichlet_partition(op, boundary_values):
     bv = op.boundary_vertices
     if boundary_values.shape != bv.shape:
         raise ParameterError("boundary value count does not match boundary vertices")
-    from .solve import solve_spd
-
-    nv = op.matrix.shape[0]
-    interior = np.setdiff1d(np.arange(nv), bv)
-    u = np.zeros(nv)
-    u[bv] = boundary_values
-    if len(interior) == 0:
-        return u
-    A_ii = op.matrix[interior][:, interior]
-    A_ib = op.matrix[interior][:, bv]
     try:
-        u[interior] = solve_spd(A_ii, -(A_ib @ boundary_values))
+        return solve_pinned(op.matrix, bv, boundary_values)
     except NumericalError as exc:
         raise NumericalError(f"interior Dirichlet block solve failed: {exc}") from exc
-    return u

@@ -20,6 +20,7 @@ from scipy.spatial.transform import Rotation
 
 from .errors import FieldError, GeometryError
 from .geometry import compute_measures, gradient_matrix
+from .solve import solve_pinned
 from .symtensor import (
     OdecoFrame,
     epsilon_forms_batch,
@@ -231,15 +232,7 @@ def harmonic_cross_field_2d(mesh):
     L = (G.T @ A @ G).tocsr()
 
     nv = mesh.num_vertices
-    interior = np.setdiff1d(np.arange(nv), bverts)
-    rep = np.zeros((nv, 2))
-    rep[bverts] = data
-    if len(interior):
-        from .solve import solve_spd
-
-        L_ii = L[interior][:, interior]
-        L_ib = L[interior][:, bverts]
-        rep[interior] = solve_spd(L_ii, -L_ib @ data)
+    rep = solve_pinned(L, bverts, data)
 
     mag = np.linalg.norm(rep, axis=1)
     singular = np.flatnonzero(mag < 1e-8)

@@ -8,12 +8,12 @@ and oriented outward.
 Everything derived from the mesh alone is built once, with vectorized numpy,
 and cached on the mesh: element volumes and boundary facets at construction;
 shape gradients, edges, 1-ring neighbors, ``compute_measures``' result, the
-content-hash state, the element-centroid KD-tree and the mixed FEM factor
-``fem.weak_hessian`` with its transpose on first use.  Every array the mesh
-holds or hands out is read-only, starting with private copies of its vertex
-and element arrays, so nothing can edit one in place behind a cache built
-from it; meshes are immutable after construction and safe to share across
-threads.
+gradient matrix G, the content-hash state, the element-centroid KD-tree and
+the mixed FEM factor ``fem.weak_hessian`` with its transpose on first use.
+Every array the mesh holds or hands out is read-only, starting with private
+copies of its vertex and element arrays, so nothing can edit one in place
+behind a cache built from it; meshes are immutable after construction and
+safe to share across threads.
 """
 
 import hashlib
@@ -69,9 +69,9 @@ class SimplicialMesh:
     array derived from them: ``element_volumes``, ``boundary_facets``,
     ``parent_edges``, ``shape_gradients()``, ``edges()``, the arrays of
     ``vertex_neighbors()`` and of ``compute_measures(mesh)``, and the
-    index and value arrays of the mixed factor ``K`` and its transpose.
-    This is what makes each of them, and the hash state and centroid tree,
-    safe to build once per mesh and share.
+    index and value arrays of G, K and K'.  This is what makes each of them,
+    and the hash state and centroid tree, safe to build once per mesh and
+    share.
 
     Raises
     ------
@@ -128,6 +128,7 @@ class SimplicialMesh:
         self._hash_state = None
         self._centroid_tree = None
         self._measures = None  # filled by compute_measures
+        self._gradient_matrix = None  # filled by gradient_matrix
         # K and its CSR transpose, filled by fem.weak_hessian
         self._weak_hessian = None
         self._weak_hessian_t = None
@@ -364,11 +365,15 @@ def _build_measures(mesh):
 
 
 def gradient_matrix(mesh):
-    """Sparse piecewise-linear gradient operator.
+    """Sparse piecewise-linear gradient operator, cached on the mesh.
 
     Maps per-vertex scalars to per-element constant gradients; the result
     has ``ne * dim`` rows grouped per element.  Exact on affine functions.
+    Built on the first call; later calls return the same CSR matrix, whose
+    arrays are read-only, so ``weak_hessian`` and the harmonic field share it.
     """
+    if mesh._gradient_matrix is not None:
+        return mesh._gradient_matrix
     g = mesh.shape_gradients()
     ne, k, dim = g.shape
     rows = np.arange(ne)[:, None, None] * dim + np.arange(dim)[None, None, :]
@@ -376,8 +381,11 @@ def gradient_matrix(mesh):
     cols = np.broadcast_to(mesh.elements[:, :, None], (ne, k, dim)).ravel()
     G = sparse.coo_matrix(
         (g.ravel(), (rows, cols)), shape=(ne * dim, mesh.num_vertices)
-    )
-    return G.tocsr()
+    ).tocsr()  # canonical: each row's columns are distinct
+    for array in (G.data, G.indices, G.indptr):
+        _frozen(array)
+    mesh._gradient_matrix = G
+    return G
 
 
 def mean_edge_length(mesh):

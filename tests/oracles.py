@@ -77,6 +77,18 @@ def divergence_by_coo(mesh):
     return D.tocsr()
 
 
+def gradient_dense(mesh):
+    """Dense gradient matrix: row ``e * dim + i`` holds the i-th component
+    of each vertex's shape gradient on element e."""
+    g = mesh.shape_gradients()  # (ne, k, dim)
+    ne, k, dim = g.shape
+    G = np.zeros((ne * dim, mesh.num_vertices))
+    rows = np.arange(ne)[:, None] * dim + np.arange(dim)
+    for local in range(k):
+        G[rows, mesh.elements[:, local, None]] = g[:, local, :]
+    return G
+
+
 def mixed_factor(mesh):
     """K = D' A G from the gradient, the divergence and the element volumes,
     bypassing the cache of ``fem.weak_hessian``."""

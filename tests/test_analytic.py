@@ -95,9 +95,8 @@ def test_warp_deviation_shrinks_with_c():
     mesh = meshgen.structured_square(12)
     meds = []
     for c in (0.05, 0.025, 0.0125):
-        res = warp_experiment(mesh, conformal_warp("polynomial", c=c), 0.25, 18)
-        nzb = res.values_base[res.values_base > 1e-8 * res.values_base.max()][:15]
-        nzw = res.values_warped[res.values_warped > 1e-8 * res.values_warped.max()][:15]
+        res = warp_experiment(mesh, conformal_warp("polynomial", c=c), 0.25, 15)
+        nzb, nzw = res.values_base, res.values_warped
         meds.append(np.median(np.abs(nzw - nzb) / nzb))
     assert meds[0] > meds[1] > meds[2]
 
@@ -107,6 +106,7 @@ def test_warp_rank_correlation():
     from scipy.stats import spearmanr
 
     mesh = meshgen.structured_square(16)
-    res = warp_experiment(mesh, conformal_warp("polynomial", c=0.05), 0.25, 52)
-    rho = spearmanr(res.values_base[2:52], res.values_warped[2:52]).statistic
+    res = warp_experiment(mesh, conformal_warp("polynomial", c=0.05), 0.25, 51)
+    # nonzero modes 2 to 51, skipping the first
+    rho = spearmanr(res.values_base[1:], res.values_warped[1:]).statistic
     assert rho > 0.99

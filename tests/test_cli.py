@@ -97,6 +97,27 @@ def test_eigs_flags_zero_mode(workspace):
     assert rows.shape[0] == 10
 
 
+def test_eigs_flags_round_off_zero_modes_by_the_operator_scale(workspace):
+    # The natural box(5, 5, 5) has 34 zero modes, so every one of 6
+    # requested values is round-off; measured against the largest of them
+    # alone, 2 of the 6 were called nonzero.
+    ff.save_mesh(meshgen.box(5, 5, 5), workspace / "box.mesh")
+    assert main(
+        ["-o", str(workspace / "box_field"), "field", "gen",
+         "--mesh", str(workspace / "box.mesh"), "--kind", "constant"]
+    ) == EXIT_OK
+    out = workspace / "box_eigs"
+    assert main(
+        ["-o", str(out), "eigs", "--mesh", str(workspace / "box.mesh"),
+         "--field", str(workspace / "box_field" / "field.csv"),
+         "--bc", "natural", "--num", "6"]
+    ) == EXIT_OK
+    with open(out / "eigenvalues.csv") as fh:
+        flags = [row["zero_mode"] for row in csv.DictReader(fh)]
+    assert flags == ["1"] * 6
+    assert json.loads((out / "manifest.json").read_text())["zero_modes"] == 6
+
+
 def test_diffuse_deterministic_rerun(workspace):
     args = ["diffuse", "--mesh", str(workspace / "disk.off"),
             "--field", str(workspace / "gen" / "field.csv"),

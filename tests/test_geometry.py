@@ -10,7 +10,12 @@ import framefieldops as ff
 from framefieldops import meshgen
 from framefieldops.geometry import prolong_linear
 
-from oracles import boundary_facets_by_unique, edges_by_unique, shape_gradients_by_inv
+from oracles import (
+    boundary_facets_by_unique,
+    edges_by_unique,
+    gradient_dense,
+    shape_gradients_by_inv,
+)
 
 
 OFF_SQUARE = """OFF
@@ -369,7 +374,11 @@ def test_edges_match_unique_oracle():
 def test_mesh_hands_out_read_only_arrays():
     mesh = ff.refine_uniform(meshgen.disk(3))
     measures = ff.compute_measures(mesh)
+    G = ff.gradient_matrix(mesh)
     arrays = [
+        G.data,
+        G.indices,
+        G.indptr,
         mesh.element_volumes,
         mesh.boundary_facets,
         mesh.parent_edges,
@@ -389,9 +398,15 @@ def test_measures_and_centroid_tree_are_built_once_per_mesh():
     mesh = meshgen.disk(5)
     measures = ff.compute_measures(mesh)
     tree = mesh.centroid_tree()
+    G = ff.gradient_matrix(mesh)
+    ff.weak_hessian(mesh)
+    ff.harmonic_cross_field_2d(mesh)
     assert ff.compute_measures(mesh) is measures
     assert mesh.centroid_tree() is tree
+    assert ff.gradient_matrix(mesh) is G
     assert np.array_equal(tree.data, mesh.vertices[mesh.elements].mean(axis=1))
+    assert G.format == "csr" and G.has_canonical_format
+    assert np.array_equal(G.toarray(), gradient_dense(mesh))
     # a refined mesh builds its own and leaves the coarse ones alone
     fine = ff.refine_uniform(mesh)
     fine_measures = ff.compute_measures(fine)
@@ -399,5 +414,8 @@ def test_measures_and_centroid_tree_are_built_once_per_mesh():
     assert fine_measures.dual_volumes.shape == (fine.num_vertices,)
     assert fine.centroid_tree() is not tree
     assert fine.centroid_tree().n == fine.num_elements
+    assert ff.gradient_matrix(fine) is not G
+    assert ff.gradient_matrix(fine).shape == (2 * fine.num_elements, fine.num_vertices)
     assert ff.compute_measures(mesh) is measures
     assert mesh.centroid_tree() is tree
+    assert ff.gradient_matrix(mesh) is G

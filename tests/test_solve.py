@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from scipy import sparse
+from scipy.sparse import linalg as spla
 from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 import framefieldops as ff
@@ -56,6 +57,27 @@ def test_solve_spd_matches_dense_oracle():
             assert np.abs(x - np.linalg.solve(A, b)).max() < 1e-8
 
 
+def test_solve_pinned_matches_dense_partition():
+    rng = np.random.default_rng(3)
+    n = 30
+    R = rng.standard_normal((n, n))
+    A = R @ R.T + np.eye(n)
+    pinned = rng.permutation(n)[:8]  # unsorted, so the order of values matters
+    free = np.setdiff1d(np.arange(n), pinned)
+    for shape in ((8,), (8, 2)):
+        values = rng.standard_normal(shape)
+        x = ff.solve_pinned(sparse.csr_matrix(A), pinned, values)
+        assert x.shape == (n,) + shape[1:]
+        assert np.array_equal(x[pinned], values)
+        expected = np.linalg.solve(A[np.ix_(free, free)], -A[np.ix_(free, pinned)] @ values)
+        assert np.abs(x[free] - expected).max() < 1e-10
+    # every entry pinned: nothing is solved, the values come back
+    order = rng.permutation(n)
+    values = rng.standard_normal(n)
+    x = ff.solve_pinned(sparse.csr_matrix(A), order, values)
+    assert np.array_equal(x[order], values)
+
+
 def test_solve_spd_projects_rhs_with_warning():
     n = 20
     D = sparse.diags([np.ones(n), -np.ones(n - 1)], [0, 1], shape=(n - 1, n))
@@ -107,8 +129,6 @@ def test_eigs_input_validation(disk_mesh, disk_harmonic_field):
         ff.eigs_generalized(op, op.vertex_mass, op.matrix.shape[0] + 5)
     with pytest.raises(NumericalError):
         ff.eigs_generalized(op, np.zeros_like(op.vertex_mass), 4)
-    with pytest.raises(ValueError):
-        ff.eigs_generalized(op, op.vertex_mass, 4, which="largest")
 
 
 def test_diffuse_basics(disk_mesh, disk_harmonic_field):
@@ -129,7 +149,7 @@ def test_diffuse_basics(disk_mesh, disk_harmonic_field):
 
 def test_box_qp_against_active_set_oracle():
     rng = np.random.default_rng(9)
-    for trial in range(8):
+    for trial in range(12):
         n = rng.integers(5, 10)
         R = rng.standard_normal((n, n))
         A = R @ R.T + 0.5 * np.eye(n)
@@ -143,11 +163,62 @@ def test_box_qp_against_active_set_oracle():
         if trial % 2:
             fixed_idx = [int(n - 1)]
             fixed_val = [float(np.clip(0.3, lower[-1], upper[-1]))]
-        x = ff.solve_box_qp(sparse.csr_matrix(A), fixed_idx, fixed_val, lower, upper)
+        flat = []
+        if trial >= 8:
+            # entries whose two bounds are equal, one of them among the
+            # active ones
+            flat = [0, int(n - 2)]
+            upper[flat] = lower[flat]
+        x, info = ff.solve_box_qp(
+            sparse.csr_matrix(A), fixed_idx, fixed_val, lower, upper, return_info=True
+        )
         obj = 0.5 * x @ A @ x
         best, _ = box_qp_active_set(A, lower, upper, fixed_idx, fixed_val)
         assert obj <= best + 1e-8 * max(abs(best), 1.0)
         assert np.all(x >= lower - 1e-15) and np.all(x <= upper + 1e-15)
+        if flat:
+            # an entry with equal bounds is pinned exactly like a fixed entry
+            x_fixed, info_fixed = ff.solve_box_qp(
+                sparse.csr_matrix(A), fixed_idx + flat,
+                fixed_val + list(lower[flat]), lower, upper, return_info=True,
+            )
+            assert np.array_equal(x, x_fixed)
+            assert info["iterations"] == info_fixed["iterations"]
+
+
+def test_box_qp_settles_at_degenerate_and_round_off_bounds():
+    # At the minimum x[0] = 0 sits on its upper bound with a zero
+    # multiplier, and round-off in x[0] and in its gradient decides the
+    # side; without a margin the active set flips between two sets.
+    A = np.array([[19.0, -3.0, -1.0], [-3.0, 6.0, 2.0], [-1.0, 2.0, 2.0]])
+    lower = np.array([-3.0, -3.0, 1.0])
+    upper = np.array([0.0, 0.0, 1.0])
+    x = ff.solve_box_qp(sparse.csr_matrix(A), [2], [1.0], lower, upper)
+    assert np.abs(x - [0.0, -1.0 / 3.0, 1.0]).max() < 1e-15
+    # An entry whose free value lies within the margin past its bound stays
+    # inactive and is clipped onto the bound.
+    B = np.array([[2.0, -2.0], [-2.0, 2.0]])
+    bound = 1.0 + 1e-13
+    x = ff.solve_box_qp(sparse.csr_matrix(B), [1], [1.0], [bound, 1.0], [2.0, 1.0])
+    assert x[0] == bound
+
+
+def test_box_qp_raises_when_the_active_set_cycles():
+    # Three bounded unknowns and a fixed entry that supplies a linear term.
+    # The matrix is SPD but not an M-matrix: after five steps the loop
+    # returns to an active set it has tried, though the minimum exists.
+    A = np.array(
+        [[5.32, 4.83, -3.69, -2.2],
+         [4.83, 4.96, -3.89, 0.1],
+         [-3.69, -3.89, 3.32, -0.4],
+         [-2.2, 0.1, -0.4, 10.0]]
+    )
+    lower = np.array([-1.9, -0.4, -1.4, 1.0])
+    upper = np.array([-0.8, 1.6, 0.0, 1.0])
+    best, _ = box_qp_active_set(A, lower, upper, [3], [1.0])
+    assert abs(best - 7.034204838709678) < 1e-12
+    with pytest.raises(NumericalError, match="cycled"):
+        ff.solve_box_qp(sparse.csr_matrix(A), [3], [1.0], lower, upper)
 
 
 def test_box_qp_inactive_bounds_match_partition(disk_mesh, disk_harmonic_field):
@@ -174,3 +245,37 @@ def test_box_qp_validation():
         ff.solve_box_qp(A, [0], [5.0], np.zeros(4), np.ones(4))
     with pytest.raises(ValueError):
         ff.solve_box_qp(A, [], [], np.ones(4), np.zeros(4))
+
+
+@pytest.mark.parametrize(
+    "rings, seed, channel",
+    [
+        (24, 0, 2),  # projected gradient with BB steps needs over 5,000 steps
+        (40, 3, 2),  # 25 active-set steps; cycles with a constant of 1
+    ],
+)
+def test_box_qp_kkt_certificate_on_a_coloring_channel(rings, seed, channel):
+    # A natural-condition coloring solve must end at a certified KKT point.
+    mesh = meshgen.disk(rings)
+    op = ff.assemble_operator(mesh, ff.harmonic_cross_field_2d(mesh), 0.01, "natural")
+    bv = op.boundary_vertices
+    vals = np.random.default_rng(seed).uniform(0.0, 1.0, (len(bv), 3))[:, channel]
+    nv = mesh.num_vertices
+    lower, upper = np.full(nv, vals.min()), np.full(nv, vals.max())
+    x = ff.solve_box_qp(op, bv, vals, lower, upper)
+    assert np.array_equal(x[bv], vals)
+    assert np.all(x >= lower) and np.all(x <= upper)
+    A = op.matrix
+    free = np.setdiff1d(np.arange(nv), bv)
+    xf, g = x[free], (A @ x)[free]
+    at_lo, at_hi = xf == vals.min(), xf == vals.max()
+    inactive = ~(at_lo | at_hi)
+    tol = 1e-12 * spla.norm(A, np.inf) * np.abs(x).max()
+    assert at_lo.any() and at_hi.any()  # both bounds bind
+    assert np.abs(g[inactive]).max() <= tol
+    assert g[at_lo].min() >= -tol and g[at_hi].max() <= tol
+    # a round-off perturbation of the operator barely moves the solution
+    E = A.copy()
+    E.data = E.data * np.random.default_rng(1).uniform(-1.0, 1.0, A.nnz)
+    x_perturbed = ff.solve_box_qp(A + 0.5e-15 * (E + E.T), bv, vals, lower, upper)
+    assert np.abs(x_perturbed - x).max() < 1e-9
