@@ -26,13 +26,12 @@ from .geometry import (
 )
 from .symtensor import (
     OdecoFrame,
-    Sym4Form,
     alignment_quadratic,
     contract,
-    identity_form,
+    full_symmetry_violation,
     mandel_to_sym,
     modify_epsilon,
-    odeco_to_form,
+    odeco_form,
     principal_symbol,
     spectral_norm,
     sym_to_mandel,
@@ -56,7 +55,6 @@ from .fem import (
     assemble_operator,
     bilaplacian_mixed_natural,
     divergence_matrix,
-    energy_block_matrix,
     weak_hessian,
 )
 from .solve import (

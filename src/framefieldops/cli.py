@@ -40,6 +40,7 @@ from .apps import (
 from .errors import FrameFieldOpsError, NumericalError, ParameterError
 from .fem import apply_dirichlet_partition, assemble_operator
 from .framefield import (
+    angles_to_components,
     axis_frame,
     constant_field,
     harmonic_cross_field_2d,
@@ -50,6 +51,7 @@ from .framefield import (
 )
 from .geometry import SimplicialMesh, compute_measures, load_mesh, save_mesh
 from .solve import diffuse, eigs_generalized
+from .symtensor import OdecoFrame
 from .validation import VALIDATORS
 from .vtkio import write_polyline_obj, write_vtk
 
@@ -152,11 +154,10 @@ def cmd_field_gen(args):
     mesh = _load_mesh(run, args.mesh)
     if args.kind == "constant":
         frame = axis_frame(mesh.dim)
-        if args.angle and mesh.dim == 2:
-            c, s = np.cos(args.angle), np.sin(args.angle)
-            from .symtensor import OdecoFrame
-
-            frame = OdecoFrame(np.array([[c, s], [-s, c]]), np.ones(2))
+        if args.angle is not None:
+            if mesh.dim != 2:
+                raise UsageError("--angle applies only to 2D meshes")
+            frame = OdecoFrame(angles_to_components(args.angle), np.ones(2))
         field = constant_field(mesh, frame)
     elif args.kind == "harmonic2d":
         field = harmonic_cross_field_2d(mesh)
@@ -181,15 +182,14 @@ def cmd_field_gen(args):
 def _assemble_from_args(run, args, bc=None):
     mesh = _load_mesh(run, args.mesh)
     field = _load_field(run, mesh, args.field)
-    op = assemble_operator(mesh, field, args.epsilon, bc or args.bc)
-    return mesh, field, op
+    return mesh, assemble_operator(mesh, field, args.epsilon, bc or args.bc)
 
 
 def cmd_assemble(args):
     from scipy.io import mmwrite
 
     run = Run(args)
-    mesh, _, op = _assemble_from_args(run, args)
+    _, op = _assemble_from_args(run, args)
     mmwrite(run.out("operator.mtx"), op.matrix)
     from scipy import sparse
 
@@ -200,9 +200,7 @@ def cmd_assemble(args):
 
 def cmd_dirichlet(args):
     run = Run(args)
-    mesh = _load_mesh(run, args.mesh)
-    field = _load_field(run, mesh, args.field)
-    op = assemble_operator(mesh, field, args.epsilon, "neumann")
+    mesh, op = _assemble_from_args(run, args, bc="neumann")
     if args.boundary:
         u0 = _load_csv(run, args.boundary)
         if u0.shape != op.boundary_vertices.shape:
@@ -218,7 +216,7 @@ def cmd_dirichlet(args):
 
 def cmd_diffuse(args):
     run = Run(args)
-    mesh, _, op = _assemble_from_args(run, args)
+    mesh, op = _assemble_from_args(run, args)
     if args.u0:
         u0 = _load_csv(run, args.u0)
     else:
@@ -233,7 +231,7 @@ def cmd_diffuse(args):
 
 def cmd_eigs(args):
     run = Run(args)
-    mesh, _, op = _assemble_from_args(run, args)
+    mesh, op = _assemble_from_args(run, args)
     eig = eigs_generalized(op, op.vertex_mass, args.num)
     zero = zero_modes(op, eig.values)
     rows = np.column_stack([eig.values, eig.vectors.T])
@@ -253,9 +251,7 @@ def cmd_eigs(args):
 
 def cmd_distance(args):
     run = Run(args)
-    mesh = _load_mesh(run, args.mesh)
-    field = _load_field(run, mesh, args.field)
-    op = assemble_operator(mesh, field, args.epsilon, "neumann")
+    mesh, op = _assemble_from_args(run, args, bc="neumann")
     emb = build_embedding(op, args.modes)
     d = distance_field(emb, args.source)
     _save_scalar_csv(run.out("distance.csv"), d)
@@ -269,9 +265,7 @@ def cmd_distance(args):
 
 def cmd_color(args):
     run = Run(args)
-    mesh = _load_mesh(run, args.mesh)
-    field = _load_field(run, mesh, args.field)
-    op = assemble_operator(mesh, field, args.epsilon, "natural")
+    mesh, op = _assemble_from_args(run, args, bc="natural")
     colors = _load_csv(run, args.boundary_colors)
     col = color_by_boundary(op, colors)
     np.savetxt(run.out("colors.csv"), col, delimiter=",", fmt=FMT)
@@ -323,8 +317,8 @@ def build_parser():
     p_gen.add_argument("--mesh", required=True)
     p_gen.add_argument("--kind", required=True,
                        choices=["constant", "harmonic2d", "helical", "coframe"])
-    p_gen.add_argument("--angle", type=float, default=0.0,
-                       help="2D rotation of the constant frame")
+    p_gen.add_argument("--angle", type=float,
+                       help="2D rotation of the constant frame (radians)")
     p_gen.add_argument("--axis", default="0,0,1", help="helical axis")
     p_gen.add_argument("--pitch", type=float, default=0.0,
                        help="helical twist rate (radians per unit length)")

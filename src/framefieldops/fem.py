@@ -7,7 +7,11 @@ saddle system in (V, Lambda, mu, u); eliminating everything but u yields
 
     A = G' A D (Mbar - Mbar B' (B Mbar B')^+ B Mbar) D' A G,
 
-with Mbar = M^{-1} M_T M^{-1} block-diagonal over vertices.  The boundary
+with Mbar = M^{-1} M_T M^{-1} block-diagonal over vertices: M is the
+dual-vertex volume diagonal and M_T the energy matrix with blocks
+dual(v) Q_eps(v), so the block of Mbar at vertex v is Q_eps(v) / dual(v).
+Assembly keeps only these ``(nv, m, m)`` blocks; M and M_T are never
+formed.  The boundary
 constraint matrix B realizes either weak Neumann conditions (tangential
 components of Lambda n vanish) or natural conditions (Lambda zero on the
 boundary).  Every B row touches a single vertex block, so the projected
@@ -49,24 +53,22 @@ BC_KINDS = ("natural", "neumann")
 
 @dataclass
 class MixedSystem:
-    """The configuration-dependent matrices of the discrete saddle problem.
+    """The configuration-dependent blocks of the discrete saddle problem.
 
-    M is the dual-vertex volume diagonal (replicated per component); M_T is
-    the block-diagonal energy matrix.  ``constraint_rows`` is the
+    ``mbar`` is the ``(nv, m, m)`` stack of the blocks Q_eps(v) / dual(v)
+    of Mbar = M^{-1} M_T M^{-1}.  ``constraint_rows`` is the
     ``(nb, r, m)`` array of boundary constraint rows, one ``r x m`` block
     per vertex of ``compute_measures(mesh).boundary_vertices`` in that
-    order; B is their block-diagonal placement and is not stored.  The gradient G, the
-    divergence D and the element volumes A enter only through the
-    mesh-only product K = D' A G, which ``weak_hessian`` builds once per
-    mesh, so they are not stored here either; nor are the measures, which
-    are cached on the mesh.
+    order; B is their block-diagonal placement and is not stored.  The
+    gradient G, the divergence D and the element volumes A enter only
+    through the mesh-only product K = D' A G, which ``weak_hessian`` builds
+    once per mesh, so they are not stored here either; nor are the
+    measures, which are cached on the mesh.
     """
 
-    M: np.ndarray
-    M_T: sparse.bsr_matrix
+    mbar: np.ndarray
     constraint_rows: np.ndarray
     bc_kind: str
-    epsilon: float
     mesh: object
 
 
@@ -181,18 +183,6 @@ def weak_hessian(mesh):
     return mesh._weak_hessian
 
 
-def energy_block_matrix(field, measures, epsilon):
-    """Block-diagonal energy matrix: dual volume times the per-vertex
-    epsilon-modified tensor form."""
-    blocks = field.epsilon_forms(epsilon) * measures.dual_volumes[:, None, None]
-    nv = len(measures.dual_volumes)
-    m = blocks.shape[-1]
-    indptr = np.arange(nv + 1)
-    return sparse.bsr_matrix(
-        (blocks, np.arange(nv), indptr), shape=(nv * m, nv * m)
-    )
-
-
 def constraint_blocks(measures, bc_kind, dim):
     """Boundary constraint rows as one ``(nb, r, m)`` array.
 
@@ -216,19 +206,14 @@ def constraint_blocks(measures, bc_kind, dim):
 
 
 def build_mixed_system(mesh, field, epsilon, bc_kind):
-    """Assemble every matrix of the saddle problem for one configuration."""
-    if not 0.0 < epsilon <= 1.0:
-        raise ParameterError(f"epsilon must lie in (0, 1], got {epsilon}")
+    """The middle blocks and constraint rows of one configuration."""
     if field.mesh is not mesh:
         raise FieldError("field was built on a different mesh")
     measures = compute_measures(mesh)
-    m = mandel_size(mesh.dim)
     return MixedSystem(
-        M=np.repeat(measures.dual_volumes, m),
-        M_T=energy_block_matrix(field, measures, epsilon),
+        mbar=field.epsilon_forms(epsilon) / measures.dual_volumes[:, None, None],
         constraint_rows=constraint_blocks(measures, bc_kind, mesh.dim),
         bc_kind=bc_kind,
-        epsilon=epsilon,
         mesh=mesh,
     )
 
@@ -236,20 +221,18 @@ def build_mixed_system(mesh, field, epsilon, bc_kind):
 def projected_middle_blocks(system):
     """Per-vertex blocks of P = Mbar - Mbar B' (B Mbar B')^+ B Mbar.
 
-    Mbar has block Q_eps(v) / dual_volume(v).  Interior vertices keep their
-    Mbar block.  Under natural conditions B_v is the identity, so boundary
-    blocks are exactly zero.  Under weak Neumann conditions the boundary
+    The result starts as a copy of ``system.mbar``, whose block at v is
+    Q_eps(v) / dual_volume(v).  Interior vertices keep their Mbar block.
+    Under natural conditions B_v is the identity, so boundary blocks are
+    exactly zero.  Under weak Neumann conditions the boundary
     blocks are projected onto the kernel of their constraint rows with one
     batched eigenvalue pseudoinverse of the ``(nb, r, r)`` Gram blocks
     B_v Mbar_v B_v'; eigenvalues at or below 1e-12 times the block's
     largest are dropped.  Blocks that lose an eigenvalue (zero-weight
     conformal vertices) are counted in a warning.
     """
-    measures = compute_measures(system.mesh)
-    dual = measures.dual_volumes
-    bv = measures.boundary_vertices
-    mt_blocks = np.asarray(system.M_T.data)  # dual_v * Q_eps(v), vertex order
-    P = mt_blocks / (dual**2)[:, None, None]
+    bv = compute_measures(system.mesh).boundary_vertices
+    P = system.mbar.copy()
     if system.bc_kind == "natural":
         P[bv] = 0.0
         return P

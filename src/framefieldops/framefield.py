@@ -1,9 +1,9 @@
 """Frame fields over meshes: generators, storage, alignment, resampling.
 
 A :class:`FrameField` assigns an odeco frame (orthonormal component vectors
-with nonnegative weights) to every mesh vertex.  Fields are tagged by kind:
-``octahedral`` (all weights one), ``conformal_octahedral`` (per-vertex equal
-weights), or general ``odeco``.
+with nonnegative weights) to every mesh vertex.  Each field's kind is
+classified from its weights: ``octahedral`` (all weights one),
+``conformal_octahedral`` (per-vertex equal weights), or general ``odeco``.
 
 Planar crosses are represented by one angle via the 4-fold symmetric
 (cos 4t, sin 4t) vector; volumetric frames by unit quaternions.  Moving a
@@ -21,17 +21,9 @@ from scipy.spatial.transform import Rotation
 from .errors import FieldError, GeometryError
 from .geometry import compute_measures, gradient_matrix
 from .solve import solve_pinned
-from .symtensor import (
-    OdecoFrame,
-    epsilon_forms_batch,
-    mandel_to_sym,
-    odeco_forms_batch,
-    sym_to_mandel,
-)
+from .symtensor import OdecoFrame, contract, modify_epsilon, odeco_form
 
 logger = logging.getLogger(__name__)
-
-KINDS = ("octahedral", "conformal_octahedral", "odeco")
 
 
 class FrameField:
@@ -45,13 +37,12 @@ class FrameField:
         component vector at vertex v.  Rows must be orthonormal per vertex.
     weights : np.ndarray
         Shape ``(nv, dim)`` nonnegative weights.
-    kind : str, optional
-        One of ``octahedral``, ``conformal_octahedral``, ``odeco``.  When
-        omitted the kind is classified from the weights; when given it is
-        validated against them.
+
+    ``kind`` is ``octahedral``, ``conformal_octahedral`` or ``odeco``,
+    classified from the weights.
     """
 
-    def __init__(self, mesh, components, weights, kind=None):
+    def __init__(self, mesh, components, weights):
         self.mesh = mesh
         self.components = np.ascontiguousarray(components, dtype=float)
         self.weights = np.ascontiguousarray(weights, dtype=float)
@@ -69,14 +60,7 @@ class FrameField:
         if np.max(np.abs(gram - np.eye(dim))) > 1e-8:
             raise FieldError("frame components are not orthonormal per vertex")
 
-        inferred = self._classify()
-        if kind is None:
-            kind = inferred
-        elif kind not in KINDS:
-            raise FieldError(f"unknown field kind {kind!r}")
-        elif not self._kind_compatible(kind, inferred):
-            raise FieldError(f"weights are not consistent with kind {kind!r}")
-        self.kind = kind
+        self.kind = self._classify()
         self.norms = self.weights.max(axis=1)
         self._forms = None
         # Generator metadata (harmonic fields): magnitude of the interpolated
@@ -94,27 +78,15 @@ class FrameField:
             return "conformal_octahedral"
         return "odeco"
 
-    @staticmethod
-    def _kind_compatible(requested, inferred):
-        if requested == "odeco":
-            return True
-        if requested == "conformal_octahedral":
-            return inferred in ("octahedral", "conformal_octahedral")
-        return inferred == requested
-
-    def frame_at(self, v):
-        """The odeco frame at vertex ``v``."""
-        return OdecoFrame(self.components[v], self.weights[v])
-
     def forms(self):
         """Stacked Mandel quadratic forms, shape ``(nv, m, m)``."""
         if self._forms is None:
-            self._forms = odeco_forms_batch(self.components, self.weights)
+            self._forms = odeco_form(self.components, self.weights)
         return self._forms
 
     def epsilon_forms(self, epsilon):
         """Per-vertex forms of the modified tensor norm*Id - (1-eps)*T."""
-        return epsilon_forms_batch(self.forms(), self.norms, epsilon)
+        return modify_epsilon(self.forms(), self.norms, epsilon)
 
     def fingerprint(self):
         """Stable content hash of the field and its mesh (dimension, vertices,
@@ -244,9 +216,7 @@ def harmonic_cross_field_2d(mesh):
             "harmonic cross field: %d singular vertices (zero symmetry vector)",
             len(singular),
         )
-    field = FrameField(
-        mesh, angles_to_components(theta), np.ones((nv, 2)), kind="octahedral"
-    )
+    field = FrameField(mesh, angles_to_components(theta), np.ones((nv, 2)))
     field.rep_magnitude = mag
     field.singular_vertices = singular
     return field
@@ -290,31 +260,24 @@ def helical_field_3d(mesh, axis, pitch):
     # Rotation.apply needs writable input, so tile rather than broadcast
     comps[:, 1, :] = rot.apply(np.tile(t1, (nv, 1)))
     comps[:, 2, :] = rot.apply(np.tile(t2, (nv, 1)))
-    return FrameField(mesh, comps, np.ones((nv, 3)), kind="octahedral")
+    return FrameField(mesh, comps, np.ones((nv, 3)))
 
 
-def map_coframe_field(mesh_warped, inverse_jacobian, kind=None):
+def map_coframe_field(mesh_warped, inverse_jacobian):
     """Pullback of the constant axis frame through a map, per vertex.
 
     Parameters
     ----------
     mesh_warped : SimplicialMesh
         The image mesh (vertices are the mapped positions).
-    inverse_jacobian : np.ndarray or callable
-        Either an ``(nv, dim, dim)`` stack of inverse Jacobians df^-1, one
-        per vertex (evaluated at the preimage of that vertex), or a callable
-        applied to ``mesh_warped.vertices`` producing such a stack.
-    kind : str, optional
-        Require a field kind; a non-conformal map is rejected when
-        ``conformal_octahedral`` is requested.
+    inverse_jacobian : np.ndarray
+        ``(nv, dim, dim)`` stack of inverse Jacobians df^-1, one per vertex
+        (evaluated at the preimage of that vertex).
 
     Components are the normalized columns of df^-1 with weights
     ``|column|^4``.  Columns must be orthogonal within 1e-6.
     """
-    if callable(inverse_jacobian):
-        Jinv = np.asarray(inverse_jacobian(mesh_warped.vertices), dtype=float)
-    else:
-        Jinv = np.asarray(inverse_jacobian, dtype=float)
+    Jinv = np.asarray(inverse_jacobian, dtype=float)
     nv, dim = mesh_warped.num_vertices, mesh_warped.dim
     if Jinv.shape != (nv, dim, dim):
         raise FieldError(f"inverse Jacobians must have shape {(nv, dim, dim)}")
@@ -335,14 +298,7 @@ def map_coframe_field(mesh_warped, inverse_jacobian, kind=None):
     # Snap to the nearest exactly-orthonormal frame (polar decomposition).
     U, _, Vt = np.linalg.svd(np.swapaxes(unit, 1, 2))
     ortho = np.swapaxes(U @ Vt, 1, 2)
-    weights = norms**4
-
-    if kind == "conformal_octahedral":
-        spread = np.max(weights, axis=1) - np.min(weights, axis=1)
-        if np.max(spread / np.maximum(np.max(weights, axis=1), 1e-300)) > 1e-6:
-            raise FieldError("map is not conformal: per-vertex weights differ")
-        weights = np.repeat(np.mean(weights, axis=1)[:, None], dim, axis=1)
-    return FrameField(mesh_warped, ortho, weights, kind=kind)
+    return FrameField(mesh_warped, ortho, norms**4)
 
 
 # -- alignment ----------------------------------------------------------------
@@ -368,8 +324,7 @@ def check_boundary_alignment(field, measures, tol=1e-6):
     n = measures.boundary_normals
     Q = field.forms()[bv]
     nnT = n[:, :, None] * n[:, None, :]
-    v = sym_to_mandel(nnT)
-    C = mandel_to_sym(np.einsum("bpq,bq->bp", Q, v))
+    C = contract(nnT, Q)
     w = np.einsum("bi,bij,bj->b", n, C, n)
     R = C - w[:, None, None] * nnT
     residual = np.linalg.norm(R, axis=(1, 2)) / np.maximum(field.norms[bv], 1e-12)
@@ -454,9 +409,7 @@ def resample_field(field, coarse):
         vals = np.einsum("vk,vkc->vc", barys, rep[fine_mesh.elements[elems]])
         mag = np.linalg.norm(vals, axis=1)
         theta = np.where(mag < 1e-12, 0.0, np.arctan2(vals[:, 1], vals[:, 0]) / 4.0)
-        out = FrameField(
-            coarse, angles_to_components(theta), np.ones((nv, 2)), kind="octahedral"
-        )
+        out = FrameField(coarse, angles_to_components(theta), np.ones((nv, 2)))
         out.rep_magnitude = mag
         out.singular_vertices = np.flatnonzero(mag < 1e-8)
         return out
@@ -472,7 +425,7 @@ def resample_field(field, coarse):
             acc += match_quaternion(q0[v], q0[u])
         averaged[v] = acc / np.linalg.norm(acc)
     comps = quaternions_to_components(averaged[:, [3, 0, 1, 2]])
-    return FrameField(coarse, comps, np.ones((nv, 3)), kind="octahedral")
+    return FrameField(coarse, comps, np.ones((nv, 3)))
 
 
 # -- serialization -------------------------------------------------------------

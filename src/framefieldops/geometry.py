@@ -110,7 +110,7 @@ class SimplicialMesh:
         if len(starts) != len(self.elements):
             raise GeometryError("duplicate elements")
 
-        vols = self._signed_volumes()
+        vols = _edge_determinants(self.vertices, self.elements) / _FACTORIAL[self.dim]
         if np.any(vols <= 0.0):
             bad = int(np.argmin(vols))
             raise GeometryError(
@@ -142,17 +142,6 @@ class SimplicialMesh:
     @property
     def num_elements(self):
         return len(self.elements)
-
-    def _signed_volumes(self):
-        p = self.vertices[self.elements]
-        edges = p[:, 1:, :] - p[:, :1, :]
-        if self.dim == 2:
-            det = edges[:, 0, 0] * edges[:, 1, 1] - edges[:, 0, 1] * edges[:, 1, 0]
-        else:
-            det = np.einsum(
-                "ei,ei->e", edges[:, 0], np.cross(edges[:, 1], edges[:, 2])
-            )
-        return det / _FACTORIAL[self.dim]
 
     def _oriented_facets(self):
         # Facets of each element, oriented so that on the boundary the facet
@@ -278,8 +267,6 @@ class MeshMeasures:
     boundary_tangents : np.ndarray
         Shape ``(nb, dim - 1, dim)`` orthonormal basis of the normal's
         complement at each boundary vertex.
-    boundary_areas : np.ndarray
-        Lumped facet measure per boundary vertex.
     """
 
     element_volumes: np.ndarray
@@ -287,7 +274,6 @@ class MeshMeasures:
     boundary_vertices: np.ndarray
     boundary_normals: np.ndarray
     boundary_tangents: np.ndarray
-    boundary_areas: np.ndarray
 
 
 def _facet_normals_and_measures(mesh):
@@ -326,13 +312,10 @@ def _build_measures(mesh):
 
     bverts = np.unique(mesh.boundary_facets)
     normals = np.zeros((mesh.num_vertices, mesh.dim))
-    areas = np.zeros(mesh.num_vertices)
     fnormals, fmeasure = _facet_normals_and_measures(mesh)
     for k in range(mesh.dim):
         np.add.at(normals, mesh.boundary_facets[:, k], fnormals * fmeasure[:, None])
-        np.add.at(areas, mesh.boundary_facets[:, k], fmeasure / mesh.dim)
     normals = normals[bverts]
-    areas = areas[bverts]
     norm = np.linalg.norm(normals, axis=1)
     if np.any(norm < 1e-12):
         raise GeometryError("degenerate boundary normal (opposing facets cancel)")
@@ -360,7 +343,6 @@ def _build_measures(mesh):
         boundary_vertices=_frozen(bverts),
         boundary_normals=_frozen(normals),
         boundary_tangents=_frozen(tangents),
-        boundary_areas=_frozen(areas),
     )
 
 
@@ -395,15 +377,20 @@ def mean_edge_length(mesh):
     return float(np.mean(np.linalg.norm(d, axis=1)))
 
 
-def _orient_elements(vertices, elements, dim):
-    # Swap the last two vertices of negatively oriented simplices.
+def _edge_determinants(vertices, elements):
+    """Determinant of each simplex's edge matrix (columns p_i - p_0): dim!
+    times its signed volume, positive for counterclockwise triangles and
+    right-handed tetrahedra."""
     p = vertices[elements]
     edges = p[:, 1:, :] - p[:, :1, :]
-    if dim == 2:
-        det = edges[:, 0, 0] * edges[:, 1, 1] - edges[:, 0, 1] * edges[:, 1, 0]
-    else:
-        det = np.einsum("ei,ei->e", edges[:, 0], np.cross(edges[:, 1], edges[:, 2]))
-    flip = det < 0
+    if vertices.shape[1] == 2:
+        return edges[:, 0, 0] * edges[:, 1, 1] - edges[:, 0, 1] * edges[:, 1, 0]
+    return np.einsum("ei,ei->e", edges[:, 0], np.cross(edges[:, 1], edges[:, 2]))
+
+
+def _orient_elements(vertices, elements):
+    # Swap the last two vertices of negatively oriented simplices.
+    flip = _edge_determinants(vertices, elements) < 0
     out = elements.copy()
     out[flip, -2], out[flip, -1] = elements[flip, -1], elements[flip, -2]
     return out
@@ -470,7 +457,7 @@ def refine_uniform(mesh):
         children = np.hstack([nodes[:, _TET_CORNERS.ravel()], octa])
 
     new_elements = children.reshape(-1, mesh.dim + 1)
-    new_elements = _orient_elements(vertices, new_elements, mesh.dim)
+    new_elements = _orient_elements(vertices, new_elements)
     fine = SimplicialMesh(vertices, new_elements)
     fine.parent_edges = edges  # read-only, so it can be shared
     return fine

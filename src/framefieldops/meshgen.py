@@ -9,7 +9,7 @@ import numpy as np
 from scipy.spatial import Delaunay
 
 from .errors import ParameterError
-from .geometry import SimplicialMesh, _orient_elements
+from .geometry import SimplicialMesh, _edge_determinants, _orient_elements
 
 
 def structured_square(n, lo=-1.0, hi=1.0):
@@ -53,7 +53,7 @@ def disk(rings, radius=1.0):
     tris = [(0, 1 + i, 1 + (i + 1) % 6) for i in range(6)]
     for k in range(1, rings):
         tris += _ring_band(k, ring_start[k], ring_start[k + 1])
-    elements = _orient_elements(vertices, np.array(tris, dtype=np.int64), 2)
+    elements = _orient_elements(vertices, np.array(tris, dtype=np.int64))
     return SimplicialMesh(vertices, elements)
 
 
@@ -77,7 +77,7 @@ def annulus(inner_rings, outer_rings, radius=1.0):
     tris = []
     for k in range(inner_rings, outer_rings):
         tris += _ring_band(k, ring_start[k], ring_start[k + 1])
-    elements = _orient_elements(vertices, np.array(tris, dtype=np.int64), 2)
+    elements = _orient_elements(vertices, np.array(tris, dtype=np.int64))
     return SimplicialMesh(vertices, elements)
 
 
@@ -136,7 +136,7 @@ def box(nx, ny, nz, lo=(0.0, 0.0, 0.0), hi=(1.0, 1.0, 1.0)):
                         c[axis] += 1
                         corners.append(c)
                     tets.append([vid(*c) for c in corners])
-    elements = _orient_elements(vertices, np.array(tets, dtype=np.int64), 3)
+    elements = _orient_elements(vertices, np.array(tets, dtype=np.int64))
     return SimplicialMesh(vertices, elements)
 
 
@@ -160,7 +160,7 @@ def ball(radius=1.0):
     hull = Delaunay(pts).convex_hull
     vertices = np.vstack([np.zeros(3), pts])
     tets = np.column_stack([np.zeros(len(hull), dtype=np.int64), hull + 1])
-    elements = _orient_elements(vertices, tets, 3)
+    elements = _orient_elements(vertices, tets)
     return SimplicialMesh(vertices, elements)
 
 
@@ -182,8 +182,6 @@ def jittered_delaunay(dim, n_side, jitter=0.25, seed=0):
         free = (pts[:, a] > 1e-12) & (pts[:, a] < 1.0 - 1e-12)
         pts[free, a] += rng.uniform(-jitter * h, jitter * h, free.sum())
     tri = Delaunay(pts)
-    elements = _orient_elements(pts, tri.simplices.astype(np.int64), dim)
-    p = pts[elements]
-    edges = np.swapaxes(p[:, 1:, :] - p[:, :1, :], 1, 2)
-    vols = np.abs(np.linalg.det(edges))
-    return SimplicialMesh(pts, elements[vols > 1e-9 * h**dim])
+    elements = _orient_elements(pts, tri.simplices.astype(np.int64))
+    dets = _edge_determinants(pts, elements)  # nonnegative once oriented
+    return SimplicialMesh(pts, elements[dets > 1e-9 * h**dim])

@@ -19,6 +19,7 @@ symmetric mode with diagonal pivots, which are stable for SPD input.  See
 ``_factorize`` for why both steps are needed.
 """
 
+import itertools
 import logging
 from dataclasses import dataclass
 
@@ -284,8 +285,10 @@ def solve_box_qp(A, fixed_indices, fixed_values, lower, upper, return_info=False
       random integer problems of 2 or 3 unknowns, 254 cycled without it and
       7 with it.
     - Convergence is only guaranteed for M-matrices, which the fourth-order
-      operators are not.  A revisited active set, or more than ``n + 1``
-      steps, raises ``NumericalError``; there is no fallback method.
+      operators are not.  A revisited active set raises ``NumericalError``;
+      there is no fallback method.  No step cap is needed: every step
+      either settles or moves to an active set not tried before, and there
+      are finitely many.
 
     Parameters
     ----------
@@ -326,7 +329,7 @@ def solve_box_qp(A, fixed_indices, fixed_values, lower, upper, return_info=False
 
     side = np.zeros(len(bounded), dtype=int)  # -1 at lower, +1 at upper
     seen = set()
-    for it in range(1, n + 2):
+    for it in itertools.count(1):
         seen.add(side.tobytes())
         active = np.flatnonzero(side)
         x = solve_pinned(
@@ -342,8 +345,6 @@ def solve_box_qp(A, fixed_indices, fixed_values, lower, upper, return_info=False
         if new.tobytes() in seen:
             raise NumericalError(f"box QP active set cycled after {it} steps")
         side = new
-    else:
-        raise NumericalError(f"box QP active set did not settle in {n + 1} steps")
 
     x[bounded] = np.clip(x[bounded], lo, hi)
     xb, g = x[bounded], (A @ x)[bounded]

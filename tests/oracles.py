@@ -122,10 +122,13 @@ def dense_kkt_matrix(system):
 
     The u-row and u-column (G' A D and its transpose) are kept out; this
     is the subsystem one solves to evaluate the reduced operator on a
-    given u.
+    given u.  M is the dual-volume diagonal and M_T the block-diagonal
+    energy matrix with blocks dual(v) Q_eps(v) = mbar(v) dual(v)^2.
     """
-    Mt = system.M_T.toarray()
-    M = np.diag(system.M)
+    dual = compute_measures(system.mesh).dual_volumes
+    m = system.mbar.shape[-1]
+    Mt = block_diag(*(system.mbar * (dual**2)[:, None, None]))
+    M = np.diag(np.repeat(dual, m))
     B = constraint_matrix(system).toarray()
     nvm, nb = Mt.shape[0], B.shape[0]
     Z = np.zeros
@@ -150,7 +153,7 @@ def dense_kkt_apply(system, factor, u):
     -D'AGu as the Lambda-row right-hand side, then evaluates G'AD Lambda.
     """
     K = mixed_factor(system.mesh).toarray()
-    nvm = system.M_T.shape[0]
+    nvm = system.mbar.shape[0] * system.mbar.shape[-1]
     nb = constraint_matrix(system).shape[0]
     rhs = np.concatenate([np.zeros(nvm), -(K @ u), np.zeros(nb)])
     sol = lu_solve(factor, rhs)
@@ -172,9 +175,8 @@ def natural_shortcut(mesh, field, epsilon):
     keep_vertices = np.setdiff1d(np.arange(nv), measures.boundary_vertices)
     keep = (keep_vertices[:, None] * m + np.arange(m)[None, :]).ravel()
     K = mixed_factor(mesh)[keep]
-    mbar = np.asarray(system.M_T.data) / (measures.dual_volumes**2)[:, None, None]
     Mbar = sparse.bsr_matrix(
-        (mbar[keep_vertices], np.arange(len(keep_vertices)),
+        (system.mbar[keep_vertices], np.arange(len(keep_vertices)),
          np.arange(len(keep_vertices) + 1)),
         shape=(len(keep), len(keep)),
     )

@@ -147,7 +147,7 @@ def test_criterion_06_tensor_property_suite():
     for i in range(1000):
         dim = 2 if i % 2 else 3
         frame = random_octahedral_frame(rng, dim)
-        T = ff.odeco_to_form(frame)
+        T = ff.odeco_form(frame.components, frame.weights)
         S = random_symmetric(rng, dim)
         align_ok &= ff.alignment_quadratic(S, T) <= np.sum(S * S) * (1 + 1e-10)
         lam = rng.standard_normal(dim)
@@ -158,9 +158,9 @@ def test_criterion_06_tensor_property_suite():
         deg_ok &= abs(ff.alignment_quadratic(S_deg, T)) < 1e-12
         w = rng.uniform(0.05, 3.0)
         eps = rng.uniform(1e-4, 1.0)
-        Te = ff.modify_epsilon(
-            ff.odeco_to_form(random_octahedral_frame(rng, dim, weight=w)), w, eps
-        )
+        frame_w = random_octahedral_frame(rng, dim, weight=w)
+        T_w = ff.odeco_form(frame_w.components, frame_w.weights)
+        Te = ff.modify_epsilon(T_w, w, eps)
         zeta = rng.standard_normal(dim)
         zeta /= np.linalg.norm(zeta)
         ellip_ok &= ff.principal_symbol(Te, zeta) >= eps * w * (1 - 1e-10)

@@ -63,6 +63,26 @@ def test_field_gen_variants(workspace):
     assert np.abs(flat.forms() - const.forms()).max() < 1e-12
 
 
+def test_field_gen_angle_is_two_dimensional(workspace):
+    # --angle turns the constant 2D cross; a 3D mesh has no such angle
+    assert main(
+        ["-o", str(workspace / "turned"), "field", "gen",
+         "--mesh", str(workspace / "disk.off"), "--kind", "constant",
+         "--angle", "0.3"]
+    ) == EXIT_OK
+    disk = ff.load_mesh(workspace / "disk.off")
+    turned = ff.load_field(disk, workspace / "turned" / "field.csv")
+    c, s = np.cos(0.3), np.sin(0.3)
+    frame = ff.OdecoFrame(np.array([[c, s], [-s, c]]), np.ones(2))
+    expected = ff.constant_field(disk, frame)
+    assert np.abs(turned.forms() - expected.forms()).max() < 1e-15
+    assert main(
+        ["-o", str(workspace / "turned3d"), "field", "gen",
+         "--mesh", str(workspace / "ball.mesh"), "--kind", "constant",
+         "--angle", "0.3"]
+    ) == EXIT_USAGE
+
+
 def test_assemble_writes_matrixmarket(workspace):
     out = workspace / "asm"
     assert main(

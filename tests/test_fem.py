@@ -96,11 +96,11 @@ def test_divergence_theorem_identity(dim):
 
 
 def test_energy_blocks(disk_mesh, disk_measures):
+    dual = disk_measures.dual_volumes[:, None, None]
     field = ff.constant_field(disk_mesh, ff.axis_frame(2))
-    M_T = ff.energy_block_matrix(field, disk_measures, 1.0)
-    # epsilon = 1: blocks are dual volumes times the identity
-    M = sparse.diags(np.repeat(disk_measures.dual_volumes, 3))
-    assert abs(M_T - M).max() < 1e-15
+    mbar = build_mixed_system(disk_mesh, field, 1.0, "natural").mbar
+    # epsilon = 1: blocks are the identity over the dual volumes
+    assert np.array_equal(mbar, np.broadcast_to(np.eye(3), mbar.shape) / dual)
     # zero-weight vertices give zero blocks; all blocks stay PSD
     nv = disk_mesh.num_vertices
     w = np.linalg.norm(disk_mesh.vertices, axis=1) ** 2
@@ -111,7 +111,7 @@ def test_energy_blocks(disk_mesh, disk_measures):
     )
     assert conf.kind == "conformal_octahedral"
     for eps in (1.0, 0.3, 0.01):
-        blocks = np.asarray(ff.energy_block_matrix(conf, disk_measures, eps).data)
+        blocks = build_mixed_system(disk_mesh, conf, eps, "neumann").mbar * dual
         assert np.abs(blocks[0]).max() == 0.0  # center vertex has zero weight
         eigs = np.linalg.eigvalsh(blocks)
         assert eigs.min() > -1e-12

@@ -44,8 +44,6 @@ def test_kind_classification(disk_mesh):
     assert ff.FrameField(disk_mesh, comps, w).kind == "odeco"
     assert np.allclose(ff.FrameField(disk_mesh, comps, w).norms, 1.0)
     with pytest.raises(ff.FieldError):
-        ff.FrameField(disk_mesh, comps, w, kind="octahedral")
-    with pytest.raises(ff.FieldError):
         ff.FrameField(disk_mesh, comps, -np.ones((nv, 2)))
 
 
@@ -168,8 +166,6 @@ def test_map_coframe_errors(small_square_mesh):
     with pytest.raises(ff.FieldError):
         ff.map_coframe_field(small_square_mesh, shear)
     aniso = np.broadcast_to(np.diag([1.0, 2.0]), (nv, 2, 2)).copy()
-    with pytest.raises(ff.FieldError):
-        ff.map_coframe_field(small_square_mesh, aniso, kind="conformal_octahedral")
     # orthogonal but anisotropic scaling is a valid odeco field
     assert ff.map_coframe_field(small_square_mesh, aniso).kind == "odeco"
 
@@ -255,11 +251,7 @@ def test_quaternion_component_roundtrip():
     gram = np.einsum("vad,vbd->vab", back, comps)
     # same frame: gram rows/cols are signed permutations; forms must agree
     w = np.ones((10, 3))
-    from framefieldops.symtensor import odeco_forms_batch
-
-    assert np.abs(
-        odeco_forms_batch(back, w) - odeco_forms_batch(comps, w)
-    ).max() < 1e-12
+    assert np.abs(ff.odeco_form(back, w) - ff.odeco_form(comps, w)).max() < 1e-12
 
 
 def test_field_io_roundtrip(tmp_path, disk_harmonic_field, small_ball_mesh):

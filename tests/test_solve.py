@@ -221,6 +221,26 @@ def test_box_qp_raises_when_the_active_set_cycles():
         ff.solve_box_qp(sparse.csr_matrix(A), [3], [1.0], lower, upper)
 
 
+def test_box_qp_takes_more_steps_than_unknowns():
+    # Four unknowns, one fixed: the loop visits six distinct active sets
+    # before it settles, more than any cap of n + 1 steps allows.
+    A = np.array(
+        [[32.1, -27.7, 3.4, 5.7],
+         [-27.7, 80.6, 21.4, 12.6],
+         [3.4, 21.4, 28.5, 26.4],
+         [5.7, 12.6, 26.4, 28.3]]
+    )
+    lower = np.array([-0.4, 1.4, -1.6, -0.5])
+    upper = np.array([-0.2, 1.7, 0.1, 0.1])
+    x, info = ff.solve_box_qp(
+        sparse.csr_matrix(A), [0], [-0.4], lower, upper, return_info=True
+    )
+    best, _ = box_qp_active_set(A, lower, upper, [0], [-0.4])
+    assert abs(best - 81.62378771929825) < 1e-12
+    assert info["iterations"] == 6 and info["converged"]
+    assert abs(0.5 * x @ A @ x - best) < 1e-12 * best
+
+
 def test_box_qp_inactive_bounds_match_partition(disk_mesh, disk_harmonic_field):
     op = ff.assemble_operator(disk_mesh, disk_harmonic_field, 0.05, "neumann")
     bv = op.boundary_vertices

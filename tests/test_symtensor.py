@@ -2,15 +2,7 @@ import numpy as np
 import pytest
 
 import framefieldops as ff
-from framefieldops.symtensor import (
-    _SQRT2,
-    epsilon_forms_batch,
-    identity_form,
-    mandel_size,
-    mandel_to_sym,
-    odeco_forms_batch,
-    sym_to_mandel,
-)
+from framefieldops.symtensor import _SQRT2, mandel_size, mandel_to_sym, sym_to_mandel
 
 from oracles import random_octahedral_frame, random_rotation, random_symmetric
 
@@ -24,15 +16,18 @@ def test_mandel_roundtrip_and_frobenius(dim):
     assert abs(sym_to_mandel(A) @ sym_to_mandel(B) - np.sum(A * B)) < 1e-12
 
 
+def form_of(frame):
+    return ff.odeco_form(frame.components, frame.weights)
+
+
 def test_axis_aligned_odeco_form():
-    T = ff.odeco_to_form(ff.OdecoFrame(np.eye(2), np.ones(2)))
-    assert np.abs(T.Q - np.diag([1.0, 1.0, 0.0])).max() == 0.0
-    assert T.fully_symmetric
+    Q = ff.odeco_form(np.eye(2), np.ones(2))
+    assert np.abs(Q - np.diag([1.0, 1.0, 0.0])).max() == 0.0
+    assert ff.full_symmetry_violation(Q) == 0.0
 
 
 def test_zero_weights_give_zero_form():
-    T = ff.odeco_to_form(ff.OdecoFrame(np.eye(3), np.zeros(3)))
-    assert np.abs(T.Q).max() == 0.0
+    assert np.abs(ff.odeco_form(np.eye(3), np.zeros(3))).max() == 0.0
 
 
 @pytest.mark.parametrize("dim", [2, 3])
@@ -41,7 +36,7 @@ def test_generalized_eigenpair_property(dim):
     for _ in range(50):
         w = rng.uniform(0.0, 2.0, dim)
         frame = ff.OdecoFrame(random_rotation(rng, dim).T, w)
-        T = ff.odeco_to_form(frame)
+        T = form_of(frame)
         for a in range(dim):
             xi = frame.components[a]
             C = ff.contract(np.outer(xi, xi), T)
@@ -51,16 +46,20 @@ def test_generalized_eigenpair_property(dim):
 @pytest.mark.parametrize("dim", [2, 3])
 def test_contract_identity_matrix(dim):
     rng = np.random.default_rng(2)
-    T = ff.odeco_to_form(random_octahedral_frame(rng, dim))
+    T = form_of(random_octahedral_frame(rng, dim))
     assert np.abs(ff.contract(np.eye(dim), T) - np.eye(dim)).max() < 1e-12
-    zero = ff.Sym4Form(dim, np.zeros((mandel_size(dim),) * 2))
+    zero = np.zeros((mandel_size(dim),) * 2)
     assert np.abs(ff.contract(random_symmetric(rng, dim), zero)).max() == 0.0
 
 
 def test_contract_dim_mismatch():
-    T = ff.odeco_to_form(ff.OdecoFrame(np.eye(2), np.ones(2)))
+    T = ff.odeco_form(np.eye(2), np.ones(2))
     with pytest.raises(ValueError):
         ff.contract(np.eye(3), T)
+    with pytest.raises(ValueError):
+        ff.alignment_quadratic(np.eye(3), T)
+    with pytest.raises(ValueError):
+        ff.principal_symbol(T, np.ones(3))
 
 
 def test_spectral_norm_closed_form():
@@ -71,28 +70,27 @@ def test_spectral_norm_closed_form():
     zero = ff.OdecoFrame(np.eye(2), np.zeros(2))
     assert ff.spectral_norm(zero) == 0.0
     with pytest.raises(ff.FieldError):
-        ff.spectral_norm(ff.odeco_to_form(frame))
+        ff.spectral_norm(form_of(frame))
 
 
 def test_modify_epsilon_values():
-    T = ff.odeco_to_form(ff.OdecoFrame(np.eye(2), np.ones(2)))
-    assert np.abs(ff.modify_epsilon(T, 1.0, 1.0).Q - np.eye(3)).max() == 0.0
+    T = ff.odeco_form(np.eye(2), np.ones(2))
+    assert np.abs(ff.modify_epsilon(T, 1.0, 1.0) - np.eye(3)).max() == 0.0
     eps = 0.37
     Te = ff.modify_epsilon(T, 1.0, eps)
-    assert np.abs(Te.Q - np.diag([eps, eps, 1.0])).max() < 1e-15
-    assert not Te.fully_symmetric
-    zero = ff.Sym4Form(2, np.zeros((3, 3)))
-    assert np.abs(ff.modify_epsilon(zero, 0.0, 0.5).Q).max() == 0.0
+    assert np.abs(Te - np.diag([eps, eps, 1.0])).max() < 1e-15
+    assert ff.full_symmetry_violation(Te) > 0.1
+    assert np.abs(ff.modify_epsilon(np.zeros((3, 3)), 0.0, 0.5)).max() == 0.0
+    for bad in (0.0, 1.5, np.nan):
+        with pytest.raises(ValueError):
+            ff.modify_epsilon(T, 1.0, bad)
     with pytest.raises(ValueError):
-        ff.modify_epsilon(T, 1.0, 0.0)
-    with pytest.raises(ValueError):
-        ff.modify_epsilon(T, 1.0, 1.5)
+        ff.modify_epsilon(T, -1.0, 0.5)
 
 
 def test_principal_symbol_axis_aligned():
     eps = 0.2
-    T = ff.odeco_to_form(ff.OdecoFrame(np.eye(2), np.ones(2)))
-    Te = ff.modify_epsilon(T, 1.0, eps)
+    Te = ff.modify_epsilon(ff.odeco_form(np.eye(2), np.ones(2)), 1.0, eps)
     assert abs(ff.principal_symbol(Te, [1.0, 0.0]) - eps) < 1e-14
     diag = np.array([1.0, 1.0]) / np.sqrt(2.0)
     assert abs(ff.principal_symbol(Te, diag) - (1.0 + eps) / 2.0) < 1e-14
@@ -106,7 +104,7 @@ def test_ellipticity_lower_bound(dim):
         w = rng.uniform(0.05, 3.0)
         frame = random_octahedral_frame(rng, dim, weight=w)
         eps = rng.uniform(1e-4, 1.0)
-        Te = ff.modify_epsilon(ff.odeco_to_form(frame), w, eps)
+        Te = ff.modify_epsilon(form_of(frame), w, eps)
         zeta = rng.standard_normal(dim)
         zeta /= np.linalg.norm(zeta)
         assert ff.principal_symbol(Te, zeta) >= eps * w * (1.0 - 1e-10)
@@ -117,13 +115,13 @@ def test_alignment_lemma(dim):
     rng = np.random.default_rng(6)
     for _ in range(1000):
         frame = random_octahedral_frame(rng, dim)
-        T = ff.odeco_to_form(frame)
+        T = form_of(frame)
         S = random_symmetric(rng, dim)
         assert ff.alignment_quadratic(S, T) <= np.sum(S * S) * (1.0 + 1e-10)
     # equality when S shares the frame's eigenvectors
     for _ in range(100):
         frame = random_octahedral_frame(rng, dim)
-        T = ff.odeco_to_form(frame)
+        T = form_of(frame)
         lam = rng.standard_normal(dim)
         S = frame.components.T @ np.diag(lam) @ frame.components
         assert abs(ff.alignment_quadratic(S, T) - np.sum(lam**2)) < 1e-10
@@ -133,7 +131,7 @@ def test_alignment_degenerate_direction_is_zero():
     rng = np.random.default_rng(7)
     for dim in (2, 3):
         frame = random_octahedral_frame(rng, dim)
-        T = ff.odeco_to_form(frame)
+        T = form_of(frame)
         x1, x2 = frame.components[0], frame.components[1]
         S = np.outer(x1, x2) + np.outer(x2, x1)
         assert abs(ff.alignment_quadratic(S, T)) < 1e-12
@@ -144,9 +142,9 @@ def test_full_symmetry_constraints(dim):
     rng = np.random.default_rng(8)
     for _ in range(50):
         w = rng.uniform(0.0, 2.0, dim)
-        T = ff.odeco_to_form(ff.OdecoFrame(random_rotation(rng, dim).T, w))
-        assert T.full_symmetry_violation() < 1e-12
-    assert identity_form(dim).full_symmetry_violation() > 0.1
+        T = ff.odeco_form(random_rotation(rng, dim).T, w)
+        assert ff.full_symmetry_violation(T) < 1e-12
+    assert ff.full_symmetry_violation(np.eye(mandel_size(dim))) > 0.1
 
 
 @pytest.mark.parametrize("dim", [2, 3])
@@ -157,27 +155,42 @@ def test_epsilon_form_block_eigenvalues(dim):
     for eps in (1.0, 0.5, 0.01):
         w = rng.uniform(0.2, 2.0)
         frame = random_octahedral_frame(rng, dim, weight=w)
-        Te = ff.modify_epsilon(ff.odeco_to_form(frame), w, eps)
-        vals = np.sort(np.linalg.eigvalsh(Te.Q))
+        Te = ff.modify_epsilon(form_of(frame), w, eps)
+        vals = np.sort(np.linalg.eigvalsh(Te))
         expected = np.sort(np.r_[np.full(dim, w * eps), np.full(m - dim, w)])
         assert np.abs(vals - expected).max() < 1e-10
         assert vals.min() > -1e-12
 
 
 def test_batch_helpers_match_single():
+    # every form function broadcasts: a (2, 7) stack matches 14 single calls
     rng = np.random.default_rng(10)
-    comps = np.stack([random_rotation(rng, 3).T for _ in range(7)])
-    weights = rng.uniform(0.0, 2.0, (7, 3))
-    batch = odeco_forms_batch(comps, weights)
-    for v in range(7):
-        single = ff.odeco_to_form(ff.OdecoFrame(comps[v], weights[v]))
-        assert np.abs(batch[v] - single.Q).max() < 1e-12
-    eps_batch = epsilon_forms_batch(batch, weights.max(axis=1), 0.3)
-    for v in range(7):
-        single = ff.modify_epsilon(
-            ff.Sym4Form(3, batch[v], fully_symmetric=True), weights[v].max(), 0.3
-        )
-        assert np.abs(eps_batch[v] - single.Q).max() < 1e-12
+    comps = np.stack([random_rotation(rng, 3).T for _ in range(14)]).reshape(2, 7, 3, 3)
+    weights = rng.uniform(0.0, 2.0, (2, 7, 3))
+    norms = weights.max(axis=-1)
+    S = np.stack([random_symmetric(rng, 3) for _ in range(14)]).reshape(2, 7, 3, 3)
+    zeta = rng.standard_normal((2, 7, 3))
+    batch = ff.odeco_form(comps, weights)
+    eps_batch = ff.modify_epsilon(batch, norms, 0.3)
+    assert batch.shape == eps_batch.shape == (2, 7, 6, 6)
+    stacked = {
+        "contract": ff.contract(S, eps_batch),
+        "alignment": ff.alignment_quadratic(S, eps_batch),
+        "symbol": ff.principal_symbol(eps_batch, zeta),
+        "violation": ff.full_symmetry_violation(batch),
+    }
+    for i, v in np.ndindex(2, 7):
+        single = ff.odeco_form(comps[i, v], weights[i, v])
+        assert np.abs(batch[i, v] - single).max() < 1e-12
+        single_eps = ff.modify_epsilon(single, norms[i, v], 0.3)
+        assert np.abs(eps_batch[i, v] - single_eps).max() < 1e-12
+        for name, value in (
+            ("contract", ff.contract(S[i, v], single_eps)),
+            ("alignment", ff.alignment_quadratic(S[i, v], single_eps)),
+            ("symbol", ff.principal_symbol(single_eps, zeta[i, v])),
+            ("violation", ff.full_symmetry_violation(single)),
+        ):
+            assert np.abs(stacked[name][i, v] - value).max() < 1e-12
 
 
 def test_frame_validation_errors():
@@ -185,8 +198,6 @@ def test_frame_validation_errors():
         ff.OdecoFrame(np.array([[1.0, 0.0], [1.0, 0.0]]), np.ones(2))
     with pytest.raises(ff.FieldError):
         ff.OdecoFrame(np.eye(2), np.array([1.0, -0.1]))
-    with pytest.raises(ff.FieldError):
-        ff.Sym4Form(2, np.array([[1.0, 2.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]))
 
 
 def test_mandel_offdiagonal_scaling():
