@@ -28,12 +28,10 @@ from .symtensor import (
     OdecoFrame,
     alignment_quadratic,
     contract,
-    full_symmetry_violation,
     mandel_to_sym,
     modify_epsilon,
     odeco_form,
     principal_symbol,
-    spectral_norm,
     sym_to_mandel,
 )
 from .framefield import (
@@ -72,6 +70,7 @@ from .apps import (
     color_by_boundary,
     distance_field,
     nonzero_eigenpairs,
+    nullity,
     trace_descent_path,
     zero_modes,
 )

@@ -104,25 +104,22 @@ class ConformalMap:
         J[:, 1, 1] = d.real / sq
         return J
 
-    def validate_on(self, points, grid=None):
+    def validate_on(self, points):
         """Nonsingularity and injectivity checks by sampling.
 
         Raises GeometryError if the Jacobian determinant is not strictly
         positive at the sample points, or if two well-separated samples map
-        to nearly the same image (grid self-intersection test).
+        to nearly the same image (self-intersection test).
         """
         points = np.asarray(points, dtype=float)
         _, d = self._fz(points[:, 0] + 1j * points[:, 1])
         if np.any(np.abs(d) ** 2 < 1e-12):
             raise GeometryError(f"{self.name} map is singular on the domain")
-        sample = grid if grid is not None else points
-        imgs = self.apply(sample)
-        spacing = np.min(
-            cKDTree(sample).query(sample, k=2)[0][:, 1]
-        )
+        imgs = self.apply(points)
+        spacing = np.min(cKDTree(points).query(points, k=2)[0][:, 1])
         pairs = cKDTree(imgs).query_pairs(r=1e-9, output_type="ndarray")
         for i, j in pairs:
-            if np.linalg.norm(sample[i] - sample[j]) > 0.5 * spacing:
+            if np.linalg.norm(points[i] - points[j]) > 0.5 * spacing:
                 raise GeometryError(f"{self.name} map self-intersects on the domain")
         return True
 

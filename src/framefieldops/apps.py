@@ -1,9 +1,10 @@
 """Downstream computations: nonzero spectra, spectral distances, descent
 paths, coloring.
 
-``zero_modes`` is the one rule for the operator's nullspace (1 mode under
-Neumann conditions, 5 on the natural square, 34 on the natural
-``box(5, 5, 5)``), and ``nonzero_eigenpairs`` the one way to skip it.
+``nullity`` counts the operator's zero modes from the mesh (1 under Neumann
+conditions, 5 on the natural square, 34 on the natural ``box(5, 5, 5)``),
+``zero_modes`` decides which computed eigenvalues are zero, and
+``nonzero_eigenpairs`` skips them with one eigensolve sized by the nullity.
 
 The distance construction embeds vertices by eigenfunction values scaled by
 inverse eigenvalues; distances are Euclidean in that embedding, so metric
@@ -11,15 +12,13 @@ properties hold exactly.  With epsilon = 1 the operator is the Bilaplacian
 and the distances are the classical biharmonic ones.
 """
 
-import logging
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NumericalError, ParameterError
 from .solve import EigenResult, eigs_generalized, solve_box_qp
-
-logger = logging.getLogger(__name__)
+from .symtensor import mandel_size
 
 ZERO_MODE_RELTOL = 1e-8
 ROUNDOFF_RELTOL = 1e-12
@@ -33,16 +32,6 @@ class SpectralEmbedding:
     eigenvalues: np.ndarray
     n_modes: int
     fingerprint: str
-
-    def truncated(self, n):
-        if not 0 < n <= self.n_modes:
-            raise ParameterError(f"mode count must lie in (0, {self.n_modes}]")
-        return SpectralEmbedding(
-            coordinates=self.coordinates[:, :n],
-            eigenvalues=self.eigenvalues[:n],
-            n_modes=n,
-            fingerprint=self.fingerprint,
-        )
 
 
 def zero_modes(op, values):
@@ -60,50 +49,82 @@ def zero_modes(op, values):
     return (values <= ZERO_MODE_RELTOL * np.max(values)) | (values <= floor)
 
 
+def nullity(op):
+    """Dimension of the nullspace of ``op``: the number of zero modes.
+
+    Under Neumann conditions it is the constants alone.  Under natural
+    conditions every boundary block of the projected middle matrix P is
+    zero, so ``A = K' P K`` has ``A u = 0`` exactly when the interior rows
+    ``K_I u`` vanish.  Those are ``m * n_interior`` rows (m the Mandel
+    size), which bounds the nullity from below by ``n - m * n_interior``.
+    The affine functions lie in the nullspace, and so does the hat function
+    of every boundary vertex with no interior neighbour ("lone"), whose
+    ``K u`` sits on zeroed blocks only.  The nullity is the larger of the
+    two counts, and at most ``n`` (``A = 0`` on a mesh with no interior
+    vertex).  It equals the dense nullity on every mesh in use: 5 on the
+    structured square, 34 on ``box(5, 5, 5)``, 7 on the unrefined ball.
+    """
+    if op.bc_kind == "neumann":
+        return 1
+    mesh = op.mesh
+    n = mesh.num_vertices
+    interior = np.ones(n, dtype=bool)
+    interior[op.boundary_vertices] = False
+    e = mesh.edges()
+    # mark each edge end whose other end is interior
+    touched = np.zeros(n, dtype=bool)
+    touched[e[interior[e[:, ::-1]]]] = True
+    lone = int(np.count_nonzero(~interior & ~touched))
+    rank_bound = n - mandel_size(mesh.dim) * int(np.count_nonzero(interior))
+    return min(n, max(mesh.dim + 1 + lone, rank_bound))
+
+
 def nonzero_eigenpairs(op, count):
     """The ``count`` smallest nonzero eigenpairs of ``op`` against its vertex mass.
 
-    Asks ``eigs_generalized`` once for ``count + dim + 3`` pairs, enough for
-    the constant or affine nullspace plus a margin.  Only when more zero
-    modes than that push nonzero pairs out (natural conditions on domains
-    with corners) does it ask again, adding the zero count it found to the
-    request, which ``zero_modes`` sees even when it holds only zero modes.
+    Asks ``eigs_generalized`` once for ``count + nullity(op)`` pairs and
+    keeps the first ``count`` that ``zero_modes`` calls nonzero.  The
+    nullity only sizes the request; ``zero_modes`` decides, because ARPACK
+    may return fewer zero modes than the nullspace holds and nonzero ones
+    in their place.
 
     Raises
     ------
     NumericalError
-        If ``n - 1`` pairs hold fewer than ``count`` nonzero ones.
+        If ``count + nullity(op)`` exceeds ``n - 1``, or the request holds
+        fewer than ``count`` nonzero pairs (more zero modes than predicted).
     """
     if count < 1:
         raise ParameterError(f"count must be positive, got {count}")
-    limit = op.matrix.shape[0] - 1
-    k = min(count + op.mesh.dim + 3, limit)
-    while True:
-        eig = eigs_generalized(op, op.vertex_mass, k)
-        zero = zero_modes(op, eig.values)
-        keep = np.flatnonzero(~zero)[:count]
-        if len(keep) == count:
-            return EigenResult(
-                values=eig.values[keep],
-                vectors=eig.vectors[:, keep],
-                residuals=eig.residuals[keep],
-            )
-        if k == limit:
-            raise NumericalError(
-                f"only {len(keep)} nonzero modes available, requested {count}"
-            )
-        n_zero = int(zero.sum())
-        k = min(k + n_zero, limit)
-        logger.info("%d zero modes; asking again for %d eigenpairs", n_zero, k)
+    n_zero = nullity(op)
+    k = count + n_zero
+    n = op.matrix.shape[0]
+    if k > n - 1:
+        raise NumericalError(
+            f"{count} nonzero modes and {n_zero} zero modes need {k} eigenpairs; "
+            f"the operator has {n} unknowns"
+        )
+    eig = eigs_generalized(op, op.vertex_mass, k)
+    zero = zero_modes(op, eig.values)
+    keep = np.flatnonzero(~zero)[:count]
+    if len(keep) < count:
+        raise NumericalError(
+            f"predicted {n_zero} zero modes, found {int(zero.sum())} among {k} "
+            f"eigenpairs; only {len(keep)} of {count} nonzero modes returned"
+        )
+    return EigenResult(
+        values=eig.values[keep],
+        vectors=eig.vectors[:, keep],
+        residuals=eig.residuals[keep],
+    )
 
 
 def build_embedding(op, n_modes=64):
     """Spectral embedding of the operator's ``n_modes`` smallest nonzero modes.
 
     The modes come from ``nonzero_eigenpairs``: one request for
-    ``n_modes + dim + 3`` pairs, grown only when zero modes push nonzero
-    ones out.  The default of 64 modes matches the scale of the
-    eigenfunction experiments.
+    ``n_modes + nullity(op)`` pairs.  The default of 64 modes matches the
+    scale of the eigenfunction experiments.
     """
     eig = nonzero_eigenpairs(op, n_modes)
     return SpectralEmbedding(

@@ -26,7 +26,7 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .analytic import conformal_warp, square_spectrum
+from .analytic import conformal_warp
 from .apps import (
     ROUNDOFF_RELTOL,
     ZERO_MODE_RELTOL,

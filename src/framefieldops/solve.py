@@ -42,14 +42,15 @@ def check_symmetric(A, tol=1e-12):
     Raises
     ------
     NumericalError
-        If ``max |a_ij - a_ji| > tol * max |a|``.
+        Unless ``max |a_ij - a_ji| <= tol * max |a|``, so a NaN entry fails.
     """
     A = sparse.csr_matrix(A)
     scale = max(abs(A).max() if A.nnz else 0.0, 1e-300)
     gap = abs(A - A.T).max() if A.nnz else 0.0
-    if gap > tol * scale:
+    if not gap <= tol * scale:
         raise NumericalError(
-            f"matrix asymmetry {gap:.3e} exceeds {tol:.0e} * max|a| = {tol * scale:.3e}"
+            f"matrix is not symmetric: asymmetry {gap:.3e} exceeds "
+            f"{tol:.0e} * max|a| = {tol * scale:.3e}"
         )
     return A
 
@@ -138,7 +139,7 @@ def solve_spd(A, b):
     # against silent failure without punishing ill-conditioned systems.
     resid = np.linalg.norm(A @ x - b, axis=0)
     scale = spla.norm(A, np.inf) * np.linalg.norm(x, axis=0) + np.linalg.norm(b, axis=0)
-    if np.any(resid > 1e-7 * scale):
+    if not np.all(resid <= 1e-7 * scale):
         raise NumericalError(f"SPD solve residual {np.max(resid):.3e} above tolerance")
     return x
 
@@ -181,10 +182,10 @@ class EigenResult:
         norm_a = spla.norm(A, np.inf) if sparse.issparse(A) else np.linalg.norm(A, np.inf)
         norm_m = float(np.max(np.abs(M_diag)))
         bound = rtol * (norm_a + np.abs(self.values) * norm_m)
-        if np.any(self.residuals > bound):
+        if not np.all(self.residuals <= bound):
             raise NumericalError("eigenpair residual exceeds tolerance")
         gram = self.vectors.T @ (M_diag[:, None] * self.vectors)
-        if np.max(np.abs(gram - np.eye(len(self.values)))) > otol:
+        if not np.max(np.abs(gram - np.eye(len(self.values)))) <= otol:
             raise NumericalError("eigenvectors are not M-orthonormal")
         return True
 

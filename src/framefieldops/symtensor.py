@@ -131,23 +131,6 @@ class OdecoFrame:
         return self.components.shape[1]
 
 
-def spectral_norm(frame):
-    """Spectral norm max_{|v|=1} T(v, v, v, v) of an odeco tensor.
-
-    For an :class:`OdecoFrame` this is the closed form ``max_a |w_a|``.
-    Exact maximization of a general quartic is NP-hard, and every field in
-    scope is odeco, so anything else, a form array included, raises
-    :class:`FieldError`.
-    """
-    if not isinstance(frame, OdecoFrame):
-        raise FieldError(
-            f"spectral norm needs an OdecoFrame, got {type(frame).__name__}"
-        )
-    if frame.weights.size == 0:
-        return 0.0
-    return float(np.max(np.abs(frame.weights)))
-
-
 def odeco_form(components, weights):
     """Mandel forms of odeco tensors, broadcasting over leading axes.
 
@@ -227,32 +210,3 @@ def principal_symbol(Q, zeta):
     """
     zeta = np.asarray(zeta, dtype=float)
     return alignment_quadratic(zeta[..., :, None] * zeta[..., None, :], Q)
-
-
-# Entries of a Mandel form tied together by full index symmetry, as
-# (entry, partner, scale) with Q[entry] == scale * Q[partner].
-_FULL_SYMMETRY = {
-    2: (((2, 2), (0, 1), 2.0),),
-    3: (
-        ((3, 3), (1, 2), 2.0),
-        ((4, 4), (0, 2), 2.0),
-        ((5, 5), (0, 1), 2.0),
-        ((4, 5), (0, 3), _SQRT2),
-        ((3, 5), (1, 4), _SQRT2),
-        ((3, 4), (2, 5), _SQRT2),
-    ),
-}
-
-
-def full_symmetry_violation(Q):
-    """Max violation of the full-symmetry constraints linking Q entries.
-
-    Zero (up to round-off) for tensors invariant under all index
-    permutations, such as odeco forms; the identity part of an
-    epsilon-modified form breaks it.  Reduces over the last two axes of
-    a ``(..., m, m)`` stack.
-    """
-    Q = np.asarray(Q, dtype=float)
-    ties = _FULL_SYMMETRY[_mandel_dim(Q.shape[-1])]
-    gaps = [Q[(..., *a)] - s * Q[(..., *b)] for a, b, s in ties]
-    return np.max(np.abs(gaps), axis=0)

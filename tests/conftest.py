@@ -4,7 +4,6 @@ import pytest
 import framefieldops as ff
 import framefieldops.apps
 import framefieldops.solve
-import framefieldops.validation
 from framefieldops import meshgen
 
 
@@ -55,7 +54,7 @@ def rotation_frame_2d(theta, weights=(1.0, 1.0)):
 
 @pytest.fixture
 def eigs_requests(monkeypatch):
-    """Records the k of every eigensolve that ``apps`` or ``validation`` asks for."""
+    """Records the k of every eigensolve that ``apps`` asks for."""
     requests = []
     solve = framefieldops.solve.eigs_generalized
 
@@ -63,6 +62,5 @@ def eigs_requests(monkeypatch):
         requests.append(k)
         return solve(A, M_diag, k, **kwargs)
 
-    for module in (framefieldops.apps, framefieldops.validation):
-        monkeypatch.setattr(module, "eigs_generalized", counting)
+    monkeypatch.setattr(framefieldops.apps, "eigs_generalized", counting)
     return requests

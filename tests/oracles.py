@@ -12,7 +12,9 @@ per (vertex, component, row) and lets ``sum_duplicates`` order them.  The
 mesh-cache references take the slow general route the closed forms
 replaced: a LAPACK inverse per element, ``np.unique`` over edge rows, a
 BSR middle matrix times the transpose view of K, one sequential hash over
-every array, and a centroid KD-tree built per call.
+every array, and a centroid KD-tree built per call.  The tensor checks
+at the end (the spectral norm of an odeco frame and the full-symmetry
+violation of a form) have no caller in the package.
 """
 
 import hashlib
@@ -24,9 +26,10 @@ from scipy.linalg import block_diag, eigh, lu_factor, lu_solve
 from scipy.spatial import cKDTree
 
 from framefieldops import OdecoFrame, compute_measures, divergence_matrix, weak_hessian
+from framefieldops.errors import FieldError
 from framefieldops.fem import build_mixed_system, projected_middle_blocks
 from framefieldops.geometry import gradient_matrix
-from framefieldops.symtensor import _SQRT2, mandel_pairs, mandel_size
+from framefieldops.symtensor import _SQRT2, _mandel_dim, mandel_pairs, mandel_size
 
 
 def random_rotation(rng, dim):
@@ -311,3 +314,49 @@ def locate_by_fresh_tree(points, mesh, k_candidates=32):
     best = np.argmax(bary.min(axis=2), axis=1)
     rows = np.arange(len(points))
     return cand[rows, best], bary[rows, best]
+
+
+def spectral_norm(frame):
+    """Spectral norm max_{|v|=1} T(v, v, v, v) of an odeco tensor.
+
+    For an :class:`OdecoFrame` this is the closed form ``max_a |w_a|``.
+    Exact maximization of a general quartic is NP-hard, and every field in
+    scope is odeco, so anything else, a form array included, raises
+    :class:`FieldError`.
+    """
+    if not isinstance(frame, OdecoFrame):
+        raise FieldError(
+            f"spectral norm needs an OdecoFrame, got {type(frame).__name__}"
+        )
+    if frame.weights.size == 0:
+        return 0.0
+    return float(np.max(np.abs(frame.weights)))
+
+
+# Entries of a Mandel form tied together by full index symmetry, as
+# (entry, partner, scale) with Q[entry] == scale * Q[partner].
+_FULL_SYMMETRY = {
+    2: (((2, 2), (0, 1), 2.0),),
+    3: (
+        ((3, 3), (1, 2), 2.0),
+        ((4, 4), (0, 2), 2.0),
+        ((5, 5), (0, 1), 2.0),
+        ((4, 5), (0, 3), _SQRT2),
+        ((3, 5), (1, 4), _SQRT2),
+        ((3, 4), (2, 5), _SQRT2),
+    ),
+}
+
+
+def full_symmetry_violation(Q):
+    """Max violation of the full-symmetry constraints linking Q entries.
+
+    Zero (up to round-off) for tensors invariant under all index
+    permutations, such as odeco forms; the identity part of an
+    epsilon-modified form breaks it.  Reduces over the last two axes of
+    a ``(..., m, m)`` stack.
+    """
+    Q = np.asarray(Q, dtype=float)
+    ties = _FULL_SYMMETRY[_mandel_dim(Q.shape[-1])]
+    gaps = [Q[(..., *a)] - s * Q[(..., *b)] for a, b, s in ties]
+    return np.max(np.abs(gaps), axis=0)

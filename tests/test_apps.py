@@ -10,6 +10,7 @@ from framefieldops.apps import (
 )
 
 from conftest import rotation_frame_2d
+from oracles import dense_eigs
 
 
 @pytest.fixture(scope="module")
@@ -38,7 +39,7 @@ def _natural_constant_op(mesh):
     "mesh, zeros, solves",
     [
         (meshgen.structured_square(12), 5, 1),  # affine + 2 corner modes
-        (meshgen.box(5, 5, 5), 34, 2),  # more zero modes than dim + 3
+        (meshgen.box(5, 5, 5), 34, 1),  # affine + 30 lone boundary vertices
     ],
     ids=["square12", "box5"],
 )
@@ -65,19 +66,56 @@ def natural_box_op():
     return _natural_constant_op(meshgen.box(5, 5, 5))
 
 
-@pytest.mark.parametrize("count", [1, 2, 12])
-def test_nonzero_eigenpairs_grow_past_a_request_of_only_zero_modes(
-    natural_box_op, count
+def test_nonzero_eigenpairs_make_one_request_on_the_natural_box(
+    natural_box_op, eigs_requests
 ):
-    # The first request (count + 6 pairs) holds only the box's round-off zero
-    # modes, so a scale taken from those values alone calls some of them
-    # nonzero.  The first nonzero mode is about 24.6.
-    eig = ff.nonzero_eigenpairs(natural_box_op, count)
-    assert len(eig.values) == count
-    assert eig.values.min() > 1.0
-    ref = ff.eigs_generalized(natural_box_op, natural_box_op.vertex_mass, 60)
-    expected = ref.values[~ff.zero_modes(natural_box_op, ref.values)][:count]
-    assert np.abs(eig.values - expected).max() <= 1e-8 * expected.max()
+    # 34 zero modes, of which ARPACK may return fewer than all (32 at
+    # k = 35) with nonzero ones in their place; the first nonzero mode is
+    # about 24.6.
+    ref = ff.eigs_generalized(natural_box_op, natural_box_op.vertex_mass, 80)
+    expected = ref.values[~ff.zero_modes(natural_box_op, ref.values)]
+    counts = range(1, 31)
+    for count in counts:
+        eig = ff.nonzero_eigenpairs(natural_box_op, count)
+        assert len(eig.values) == count and eig.values.min() > 1.0
+        want = expected[:count]
+        assert np.abs(eig.values - want).max() <= 1e-8 * want.max()
+    assert eigs_requests == [count + 34 for count in counts]
+
+
+def _dense_nullity(op):
+    vals, _ = dense_eigs(op.matrix, op.vertex_mass, op.matrix.shape[0])
+    return int(np.count_nonzero(vals <= 1e-10 * vals.max()))
+
+
+_NULLITY_MESHES = {
+    "square6": lambda: meshgen.structured_square(6),
+    "square12": lambda: meshgen.structured_square(12),
+    "disk6": lambda: meshgen.disk(6),
+    "annulus": lambda: meshgen.annulus(2, 6),
+    "box4": lambda: meshgen.box(4, 4, 4),
+    "box5": lambda: meshgen.box(5, 5, 5),
+    "ball0": meshgen.ball,
+    "ball1": lambda: ff.refine_uniform(meshgen.ball()),
+    "delaunay2d_seed0": lambda: meshgen.jittered_delaunay(2, 10, seed=0),
+    "delaunay2d_seed1": lambda: meshgen.jittered_delaunay(2, 10, seed=1),
+    "delaunay3d_seed0": lambda: meshgen.jittered_delaunay(3, 6, seed=0),
+    "delaunay3d_seed2": lambda: meshgen.jittered_delaunay(3, 6, seed=2),
+    "unit_square": "unit_square_mesh",
+    "unit_tet": "unit_tet_mesh",
+}
+
+
+@pytest.mark.parametrize("bc", ["neumann", "natural"])
+@pytest.mark.parametrize("name", list(_NULLITY_MESHES))
+def test_nullity_equals_the_dense_nullity(name, bc, request):
+    make = _NULLITY_MESHES[name]
+    # the two all-boundary fixtures have no interior vertex: A = 0 (natural)
+    mesh = request.getfixturevalue(make) if isinstance(make, str) else make()
+    field = ff.constant_field(mesh, ff.axis_frame(mesh.dim))
+    for eps in (1.0, 0.01):
+        op = ff.assemble_operator(mesh, field, eps, bc)
+        assert ff.nullity(op) == _dense_nullity(op), eps
 
 
 def test_nonzero_eigenpairs_raise_when_the_mesh_runs_out(small_square_mesh):
@@ -99,7 +137,7 @@ def test_embedding_on_natural_box(natural_box_op):
 
 def test_embedding_makes_one_request(disk_op, eigs_requests):
     emb = ff.build_embedding(disk_op, 30)
-    assert eigs_requests == [30 + disk_op.mesh.dim + 3]
+    assert eigs_requests == [31]  # 30 nonzero modes and the constant
     assert emb.n_modes == 30
 
 
@@ -123,7 +161,8 @@ def test_distance_triangle_inequality(disk_mesh, disk_emb):
 
 
 def test_distance_monotone_in_mode_count(disk_emb):
-    d_small = ff.distance_field(disk_emb.truncated(20), 5)
+    coords = disk_emb.coordinates[:, :20]
+    d_small = np.linalg.norm(coords - coords[5], axis=1)
     d_full = ff.distance_field(disk_emb, 5)
     assert np.all(d_small <= d_full + 1e-15)
 

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy import sparse
@@ -17,6 +19,39 @@ def test_check_symmetric():
     with pytest.raises(NumericalError):
         check_symmetric(A + 2 * A.T)
     check_symmetric(A + A.T)
+
+
+def _with_nan(A):
+    A = sparse.csr_matrix(A, dtype=float, copy=True)
+    A.data[0] = np.nan
+    return A
+
+
+def _nan_eigenpairs(op, field):
+    eig = ff.eigs_generalized(op, op.vertex_mass, 4)
+    getattr(eig, field)[0] = np.nan
+    return eig
+
+
+@pytest.mark.parametrize(
+    "check",
+    [
+        lambda op: check_symmetric(_with_nan(op.matrix)),
+        lambda op: dataclasses.replace(op, matrix=_with_nan(op.matrix)).validate(),
+        lambda op: ff.solve_spd(
+            sparse.eye(5, format="csr"), np.array([1.0, np.nan, 0.0, 0.0, 0.0])
+        ),
+        lambda op: _nan_eigenpairs(op, "residuals").validate(op, op.vertex_mass),
+        lambda op: _nan_eigenpairs(op, "vectors").validate(op, op.vertex_mass),
+    ],
+    ids=["check_symmetric", "operator_validate", "solve_spd_residual",
+         "eigen_residual", "eigen_orthonormality"],
+)
+def test_acceptance_checks_reject_nan(check, disk_mesh, disk_harmonic_field):
+    # every bound is written so that a NaN measurement fails it
+    op = ff.assemble_operator(disk_mesh, disk_harmonic_field, 0.1, "natural")
+    with pytest.raises(NumericalError):
+        check(op)
 
 
 def test_solve_spd_identity_and_nullspace():
