@@ -66,6 +66,22 @@ def natural_box_op():
     return _natural_constant_op(meshgen.box(5, 5, 5))
 
 
+@pytest.mark.parametrize("count", [1, 2, 12])
+def test_nonzero_eigenpairs_grow_past_a_request_of_only_zero_modes(
+    natural_box_op, count, eigs_requests
+):
+    # A request of count + dim + 3 pairs would hold only the box's 34
+    # round-off zero modes; the one request is sized past all of them.  The
+    # first nonzero mode is about 24.6.
+    eig = ff.nonzero_eigenpairs(natural_box_op, count)
+    assert eigs_requests == [count + 34]
+    assert len(eig.values) == count
+    assert eig.values.min() > 1.0
+    ref = ff.eigs_generalized(natural_box_op, natural_box_op.vertex_mass, 60)
+    expected = ref.values[~ff.zero_modes(natural_box_op, ref.values)][:count]
+    assert np.abs(eig.values - expected).max() <= 1e-8 * expected.max()
+
+
 def test_nonzero_eigenpairs_make_one_request_on_the_natural_box(
     natural_box_op, eigs_requests
 ):
