@@ -1,8 +1,8 @@
 """Spectra: analytic ground truth on the square and field-aligned modes.
 
 On the square with the constant axis-aligned field, the operator's
-eigenvalues have the closed form 2 wa^2 wb^2 + eps (wa^4 + wb^4) on the
-half-integer-pi frequency lattice.  The discrete spectrum converges to it
+eigenvalues are its principal symbol, 2 wa^2 wb^2 + eps (wa^4 + wb^4), at
+the frequencies of the half-integer-pi lattice.  The discrete spectrum converges to it
 under refinement.  Eigenfunctions of an anisotropic operator oscillate
 along the frame directions.
 """

@@ -51,7 +51,6 @@ from .fem import (
     MixedSystem,
     apply_dirichlet_partition,
     assemble_operator,
-    bilaplacian_mixed_natural,
     divergence_matrix,
     weak_hessian,
 )

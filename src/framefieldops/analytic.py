@@ -1,5 +1,7 @@
 """Closed-form oracles: the Fourier spectrum of the constant-field operator
-on the square, and conformal warps for the pullback experiment."""
+on the square, whose values are the operator's principal symbol on the
+half-integer-pi frequency lattice, and conformal warps for the pullback
+experiment."""
 
 from dataclasses import dataclass
 
@@ -11,6 +13,7 @@ from .errors import GeometryError, ParameterError
 from .fem import assemble_operator
 from .framefield import axis_frame, constant_field, map_coframe_field
 from .geometry import SimplicialMesh
+from .symtensor import modify_epsilon, odeco_form, principal_symbol
 
 
 @dataclass
@@ -30,36 +33,31 @@ class SquareSpectrum:
 def square_spectrum(epsilon, count):
     """First ``count`` analytic eigenvalues on the square, ascending.
 
-    The constant axis-aligned field yields the operator
-    ``2 u_xxyy + eps (u_xxxx + u_yyyy)`` (the cross term carries coefficient
-    2 from expanding the tensor contraction), so a Fourier mode with
-    frequency (wa, wb) is an eigenfunction with eigenvalue
-    ``2 wa^2 wb^2 + eps (wa^4 + wb^4)``.  The lattice spacing pi/2 matches
-    products of cosines on [-1, 1] whose odd derivatives vanish at the
-    endpoints.  The lattice is enlarged until the returned values are
-    provably the globally smallest ones.
+    A Fourier mode with frequency zeta is an eigenfunction of the constant
+    axis-aligned operator, and its eigenvalue is the operator's principal
+    symbol ``principal_symbol(Q, zeta)``, with Q the epsilon-modified form
+    of the unit axis frame; expanded, ``2 wa^2 wb^2 + eps (wa^4 + wb^4)``.
+    The lattice spacing pi/2 matches products of cosines on [-1, 1] whose
+    odd derivatives vanish at the endpoints.  The lattice is enlarged
+    until the returned values are provably the globally smallest ones.
     """
-    if not 0.0 < epsilon <= 1.0:
-        raise ParameterError(f"epsilon must lie in (0, 1], got {epsilon}")
+    Q = modify_epsilon(odeco_form(np.eye(2), np.ones(2)), 1.0, epsilon)
     if count < 1:
         raise ParameterError("count must be at least 1")
-
-    def lam(a, b):
-        wa, wb = a * np.pi / 2.0, b * np.pi / 2.0
-        return 2.0 * wa**2 * wb**2 + epsilon * (wa**4 + wb**4)
-
     K = 8
     while True:
         a, b = np.meshgrid(np.arange(K + 1), np.arange(K + 1), indexing="ij")
-        vals = lam(a.ravel(), b.ravel())
+        ab = np.column_stack([a.ravel(), b.ravel()])
+        vals = principal_symbol(Q, (np.pi / 2.0) * ab)
         order = np.argsort(vals, kind="stable")
-        boundary_min = min(lam(K, 0), lam(0, K))
-        if len(order) >= count and vals[order[count - 1]] < boundary_min:
+        # a lattice point outside [0, K]^2 has a coordinate above K, and the
+        # symbol there is at least its value at (K, 0)
+        bound = principal_symbol(Q, (np.pi / 2.0) * np.array([K, 0]))
+        if len(order) >= count and vals[order[count - 1]] < bound:
             break
         K *= 2
     take = order[:count]
-    freqs = np.column_stack([a.ravel()[take], b.ravel()[take]])
-    return SquareSpectrum(epsilon=epsilon, frequencies=freqs, values=vals[take])
+    return SquareSpectrum(epsilon=epsilon, frequencies=ab[take], values=vals[take])
 
 
 @dataclass

@@ -6,14 +6,6 @@ given identical inputs and seeds.  Exit codes: 0 ok, 1 usage, 2 input
 error, 3 numerical failure, 4 validation failed.
 """
 
-import os
-
-# Thread count must be pinned before numpy loads its BLAS.
-_threads = os.environ.get("FRAMEFIELDOPS_THREADS")
-if _threads:
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ.setdefault(var, _threads)
-
 import argparse
 import hashlib
 import json
@@ -145,6 +137,18 @@ def _parse_list(text, kind=int):
         ) from exc
 
 
+def _vertex_indices(indices, mesh, flag):
+    """``indices`` as an integer array, each checked to be a vertex of
+    ``mesh``; negative indices are rejected, not counted from the end."""
+    indices = np.asarray(indices, dtype=np.int64)
+    bad = indices[(indices < 0) | (indices >= mesh.num_vertices)]
+    if bad.size:
+        raise ParameterError(
+            f"{flag}: vertex {bad[0]} is not in 0..{mesh.num_vertices - 1}"
+        )
+    return indices
+
+
 def _save_scalar_csv(path, values):
     np.savetxt(path, np.asarray(values, dtype=float), delimiter=",", fmt=FMT)
 
@@ -203,8 +207,6 @@ def cmd_dirichlet(args):
     mesh, op = _assemble_from_args(run, args, bc="neumann")
     if args.boundary:
         u0 = _load_csv(run, args.boundary)
-        if u0.shape != op.boundary_vertices.shape:
-            raise FrameFieldOpsError("boundary value count mismatch")
     else:
         u0 = square_wave_boundary(mesh, compute_measures(mesh), periods=args.periods)
     u = apply_dirichlet_partition(op, u0)
@@ -221,7 +223,7 @@ def cmd_diffuse(args):
         u0 = _load_csv(run, args.u0)
     else:
         u0 = np.zeros(mesh.num_vertices)
-        u0[_parse_list(args.impulse)] = 1.0
+        u0[_vertex_indices(_parse_list(args.impulse), mesh, "--impulse")] = 1.0
     u = diffuse(op, u0, args.tau)
     _save_scalar_csv(run.out("diffused.csv"), u)
     write_vtk(run.out("diffused.vtk"), mesh, {"u": u, "u0": u0})
@@ -252,12 +254,14 @@ def cmd_eigs(args):
 def cmd_distance(args):
     run = Run(args)
     mesh, op = _assemble_from_args(run, args, bc="neumann")
+    source = int(_vertex_indices(args.source, mesh, "--source"))
+    starts = _vertex_indices(_parse_list(args.trace or ""), mesh, "--trace")
     emb = build_embedding(op, args.modes)
-    d = distance_field(emb, args.source)
+    d = distance_field(emb, source)
     _save_scalar_csv(run.out("distance.csv"), d)
     write_vtk(run.out("distance.vtk"), mesh, {"distance": d})
     if args.trace:
-        paths = [trace_descent_path(mesh, d, s) for s in _parse_list(args.trace)]
+        paths = [trace_descent_path(mesh, d, s) for s in starts]
         write_polyline_obj(run.out("paths.obj"), paths)
     run.finish({"source": args.source, "modes": args.modes, "epsilon": args.epsilon})
     return EXIT_OK

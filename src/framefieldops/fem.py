@@ -305,24 +305,6 @@ def assemble_operator(mesh, field, epsilon, bc_kind):
     )
 
 
-def bilaplacian_mixed_natural(mesh):
-    """Stein-style mixed Bilaplacian with natural boundary conditions.
-
-    Reference operator: G' A D* (M*)^{-1} (D*)' A G with boundary Mandel
-    blocks deleted and M the dual-volume diagonal.  The frame field operator
-    must reproduce this exactly at epsilon = 1.
-    """
-    measures = compute_measures(mesh)
-    m = mandel_size(mesh.dim)
-    nv = mesh.num_vertices
-    keep_vertices = np.setdiff1d(np.arange(nv), np.unique(mesh.boundary_facets))
-    keep = (keep_vertices[:, None] * m + np.arange(m)[None, :]).ravel()
-    K = weak_hessian(mesh)[keep]
-    Minv = sparse.diags(1.0 / np.repeat(measures.dual_volumes[keep_vertices], m))
-    op = (K.T @ (Minv @ K)).tocsr()
-    return 0.5 * (op + op.T)
-
-
 def apply_dirichlet_partition(op, boundary_values):
     """Solve the clamped Dirichlet problem by boundary partition elimination.
 

@@ -5,11 +5,18 @@ polygon/polyhedron preserved exactly by uniform midpoint refinement, which
 is what the convergence studies rely on.
 """
 
+import itertools
+
 import numpy as np
 from scipy.spatial import Delaunay
 
 from .errors import ParameterError
 from .geometry import SimplicialMesh, _edge_determinants, _orient_elements
+
+# The 6 path-simplices of the unit cube as (6, 4, 3) corner offsets: from
+# the origin, one unit step along each axis in the order of a permutation.
+_KUHN_STEPS = np.eye(3, dtype=np.int64)[list(itertools.permutations(range(3)))]
+_KUHN_OFFSETS = np.cumsum(np.pad(_KUHN_STEPS, ((0, 0), (1, 0), (0, 0))), axis=1)
 
 
 def structured_square(n, lo=-1.0, hi=1.0):
@@ -18,17 +25,15 @@ def structured_square(n, lo=-1.0, hi=1.0):
     X, Y = np.meshgrid(xs, xs, indexing="ij")
     vertices = np.column_stack([X.ravel(), Y.ravel()])
 
-    def vid(i, j):
-        return i * (n + 1) + j
-
-    tris = []
-    for i in range(n):
-        for j in range(n):
-            v00, v10 = vid(i, j), vid(i + 1, j)
-            v01, v11 = vid(i, j + 1), vid(i + 1, j + 1)
-            tris.append((v00, v10, v11))
-            tris.append((v00, v11, v01))
-    return SimplicialMesh(vertices, np.array(tris, dtype=np.int64))
+    # cell (i, j) has lower-left corner i * (n + 1) + j and two triangles
+    i, j = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
+    v00 = (i * (n + 1) + j).ravel().astype(np.int64)
+    v10, v01 = v00 + (n + 1), v00 + 1
+    v11 = v10 + 1
+    tris = np.stack(
+        [np.column_stack([v00, v10, v11]), np.column_stack([v00, v11, v01])], axis=1
+    )
+    return SimplicialMesh(vertices, tris.reshape(-1, 3))
 
 
 def disk(rings, radius=1.0):
@@ -115,28 +120,12 @@ def box(nx, ny, nz, lo=(0.0, 0.0, 0.0), hi=(1.0, 1.0, 1.0)):
     X, Y, Z = np.meshgrid(*axes, indexing="ij")
     vertices = np.column_stack([X.ravel(), Y.ravel(), Z.ravel()])
 
-    def vid(i, j, k):
-        return (i * (ny + 1) + j) * (nz + 1) + k
-
-    # The 6 path-simplices of the unit cube: cumulative steps along each
-    # permutation of the axes.
-    import itertools
-
-    perms = list(itertools.permutations(range(3)))
-    tets = []
-    for i in range(nx):
-        for j in range(ny):
-            for k in range(nz):
-                base = np.array([i, j, k])
-                for perm in perms:
-                    corners = [base.copy()]
-                    c = base.copy()
-                    for axis in perm:
-                        c = c.copy()
-                        c[axis] += 1
-                        corners.append(c)
-                    tets.append([vid(*c) for c in corners])
-    elements = _orient_elements(vertices, np.array(tets, dtype=np.int64))
+    # each cell's 6 tetrahedra: its base grid index plus the Kuhn offsets
+    cells = np.meshgrid(np.arange(nx), np.arange(ny), np.arange(nz), indexing="ij")
+    base = np.stack([c.ravel() for c in cells], axis=-1).astype(np.int64)
+    corners = base[:, None, None, :] + _KUHN_OFFSETS
+    tets = (corners[..., 0] * (ny + 1) + corners[..., 1]) * (nz + 1) + corners[..., 2]
+    elements = _orient_elements(vertices, tets.reshape(-1, 4))
     return SimplicialMesh(vertices, elements)
 
 

@@ -7,14 +7,16 @@ deletes the boundary multiplier blocks outright, the eigen oracle
 diagonalizes the full dense pencil, the QP oracle enumerates every active
 set, and the random frame helpers build tensors from their definition.
 The mixed factor K = D' A G is rebuilt here from its parts, never read
-from the mesh cache, and the divergence reference places one COO triplet
-per (vertex, component, row) and lets ``sum_duplicates`` order them.  The
-mesh-cache references take the slow general route the closed forms
-replaced: a LAPACK inverse per element, ``np.unique`` over edge rows, a
-BSR middle matrix times the transpose view of K, one sequential hash over
-every array, and a centroid KD-tree built per call.  The tensor checks
-at the end (the spectral norm of an odeco frame and the full-symmetry
-violation of a form) have no caller in the package.
+from the mesh cache, and the epsilon = 1 reference, the mixed-FEM
+Bilaplacian with natural conditions, is built on it.  The divergence
+reference places one COO triplet per (vertex, component, row) and lets
+``sum_duplicates`` order them.  The mesh-cache references take the slow
+general route the closed forms replaced: a LAPACK inverse per element,
+``np.unique`` over edge rows, a BSR middle matrix times the transpose view
+of K, one sequential hash over every array, and a centroid KD-tree built
+per call.  The tensor checks (the spectral norm of an odeco frame and the
+full-symmetry violation of a form) have no caller in the package, and the
+structured mesh generators at the end loop over cells one at a time.
 """
 
 import hashlib
@@ -28,7 +30,7 @@ from scipy.spatial import cKDTree
 from framefieldops import OdecoFrame, compute_measures, divergence_matrix, weak_hessian
 from framefieldops.errors import FieldError
 from framefieldops.fem import build_mixed_system, projected_middle_blocks
-from framefieldops.geometry import gradient_matrix
+from framefieldops.geometry import SimplicialMesh, _orient_elements, gradient_matrix
 from framefieldops.symtensor import _SQRT2, _mandel_dim, mandel_pairs, mandel_size
 
 
@@ -97,6 +99,24 @@ def mixed_factor(mesh):
     bypassing the cache of ``fem.weak_hessian``."""
     A = sparse.diags(np.repeat(mesh.element_volumes, mesh.dim))
     return (divergence_matrix(mesh).T @ A @ gradient_matrix(mesh)).tocsr()
+
+
+def bilaplacian_mixed_natural(mesh):
+    """Stein-style mixed Bilaplacian with natural boundary conditions.
+
+    G' A D* (M*)^{-1} (D*)' A G with K = D' A G from ``mixed_factor``, the
+    boundary Mandel blocks deleted and M the dual-volume diagonal.  The
+    frame field operator must reproduce it at epsilon = 1.
+    """
+    m = mandel_size(mesh.dim)
+    keep_vertices = np.setdiff1d(
+        np.arange(mesh.num_vertices), np.unique(mesh.boundary_facets)
+    )
+    keep = (keep_vertices[:, None] * m + np.arange(m)[None, :]).ravel()
+    K = mixed_factor(mesh)[keep]
+    dual = compute_measures(mesh).dual_volumes[keep_vertices]
+    op = (K.T @ (sparse.diags(1.0 / np.repeat(dual, m)) @ K)).tocsr()
+    return 0.5 * (op + op.T)
 
 
 def operator_from_blocks(mesh, P_blocks):
@@ -197,42 +217,42 @@ def dense_eigs(A, M_diag, k):
 def box_qp_active_set(A, lower, upper, fixed_indices=(), fixed_values=()):
     """Global minimum of 0.5 x'Ax over the box by active-set enumeration.
 
-    Every assignment of each variable to {lower, upper, free} is tried; the
-    free block is solved exactly and feasibility checked.  Exponential in
-    the variable count, so keep instances small.
+    Every assignment of each variable to {lower, upper, free} is tried,
+    grouped by free set: the free block is factored once and solved for
+    every lower/upper pattern of the other variables as one column, and
+    feasibility is checked per column.  Exponential in the variable count,
+    so keep instances small.
     """
     n = A.shape[0]
     fixed_indices = list(fixed_indices)
     x_base = np.zeros(n)
-    for i, v in zip(fixed_indices, fixed_values):
-        x_base[i] = v
+    x_base[fixed_indices] = fixed_values
     variables = [i for i in range(n) if i not in fixed_indices]
     best = np.inf
     best_x = None
-    for assign in itertools.product((0, 1, 2), repeat=len(variables)):
-        x = x_base.copy()
-        free = []
-        for i, a in zip(variables, assign):
-            if a == 0:
-                x[i] = lower[i]
-            elif a == 1:
-                x[i] = upper[i]
-            else:
-                free.append(i)
+    for is_free in itertools.product((False, True), repeat=len(variables)):
+        free = [i for i, f in zip(variables, is_free) if f]
+        bounded = [i for i, f in zip(variables, is_free) if not f]
         pinned = [i for i in range(n) if i not in free]
+        # one row per lower/upper pattern of the bounded variables
+        at_upper = np.array(list(itertools.product((False, True), repeat=len(bounded))))
+        X = np.tile(x_base, (len(at_upper), 1))
+        X[:, bounded] = np.where(at_upper, upper[bounded], lower[bounded])
         if free:
-            rhs = -A[np.ix_(free, pinned)] @ x[pinned] if pinned else np.zeros(len(free))
+            rhs = -A[np.ix_(free, pinned)] @ X[:, pinned].T
             try:
-                x[np.asarray(free)] = np.linalg.solve(A[np.ix_(free, free)], rhs)
+                X[:, free] = np.linalg.solve(A[np.ix_(free, free)], rhs).T
             except np.linalg.LinAlgError:
                 continue
-            if np.any(x[free] < lower[free] - 1e-12) or np.any(
-                x[free] > upper[free] + 1e-12
-            ):
-                continue
-        obj = 0.5 * x @ A @ x
-        if obj < best:
-            best, best_x = obj, x
+            feasible = np.all(X[:, free] >= lower[free] - 1e-12, axis=1) & np.all(
+                X[:, free] <= upper[free] + 1e-12, axis=1
+            )
+            X = X[feasible]
+        if len(X):
+            obj = 0.5 * np.einsum("ij,ij->i", X @ A, X)
+            k = int(np.argmin(obj))
+            if obj[k] < best:
+                best, best_x = obj[k], X[k]
     return best, best_x
 
 
@@ -360,3 +380,52 @@ def full_symmetry_violation(Q):
     ties = _FULL_SYMMETRY[_mandel_dim(Q.shape[-1])]
     gaps = [Q[(..., *a)] - s * Q[(..., *b)] for a, b, s in ties]
     return np.max(np.abs(gaps), axis=0)
+
+
+def structured_square_by_loops(n, lo=-1.0, hi=1.0):
+    """``meshgen.structured_square`` with one Python iteration per cell."""
+    xs = np.linspace(lo, hi, n + 1)
+    X, Y = np.meshgrid(xs, xs, indexing="ij")
+    vertices = np.column_stack([X.ravel(), Y.ravel()])
+
+    def vid(i, j):
+        return i * (n + 1) + j
+
+    tris = []
+    for i in range(n):
+        for j in range(n):
+            v00, v10 = vid(i, j), vid(i + 1, j)
+            v01, v11 = vid(i, j + 1), vid(i + 1, j + 1)
+            tris.append((v00, v10, v11))
+            tris.append((v00, v11, v01))
+    return SimplicialMesh(vertices, np.array(tris, dtype=np.int64))
+
+
+def box_by_loops(nx, ny, nz, lo=(0.0, 0.0, 0.0), hi=(1.0, 1.0, 1.0)):
+    """``meshgen.box`` with one Python iteration per cell and tetrahedron,
+    walking each permutation of the axes from the cell's base corner."""
+    lo, hi = np.asarray(lo, float), np.asarray(hi, float)
+    counts = (nx, ny, nz)
+    axes = [np.linspace(lo[a], hi[a], counts[a] + 1) for a in range(3)]
+    X, Y, Z = np.meshgrid(*axes, indexing="ij")
+    vertices = np.column_stack([X.ravel(), Y.ravel(), Z.ravel()])
+
+    def vid(i, j, k):
+        return (i * (ny + 1) + j) * (nz + 1) + k
+
+    perms = list(itertools.permutations(range(3)))
+    tets = []
+    for i in range(nx):
+        for j in range(ny):
+            for k in range(nz):
+                base = np.array([i, j, k])
+                for perm in perms:
+                    corners = [base.copy()]
+                    c = base.copy()
+                    for axis in perm:
+                        c = c.copy()
+                        c[axis] += 1
+                        corners.append(c)
+                    tets.append([vid(*c) for c in corners])
+    elements = _orient_elements(vertices, np.array(tets, dtype=np.int64))
+    return SimplicialMesh(vertices, elements)

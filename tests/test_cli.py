@@ -232,21 +232,44 @@ def test_input_errors_and_program_faults(workspace, monkeypatch, tmp_path):
         main(out + ["assemble", "--mesh", mesh, "--field", field])
 
 
+@pytest.mark.parametrize("index", ["61", "-1"])
+@pytest.mark.parametrize(
+    "command, flag",
+    [("diffuse", "--impulse"), ("distance", "--source"), ("distance", "--trace")],
+)
+def test_vertex_indices_are_checked_at_entry(tmp_path, capsys, command, flag, index):
+    # disk(4) has 61 vertices: 61 is one past the last, and -1 must not
+    # count back from the end; either fails before any solve or output
+    mesh = meshgen.disk(4)
+    assert mesh.num_vertices == 61
+    ff.save_mesh(mesh, tmp_path / "disk.off")
+    ff.save_field(ff.constant_field(mesh, ff.axis_frame(2)), tmp_path / "field.csv")
+    out = tmp_path / "out"
+    assert main(
+        ["-o", str(out), command, "--mesh", str(tmp_path / "disk.off"),
+         "--field", str(tmp_path / "field.csv"), f"{flag}={index}",
+         *(["--modes", "8"] if command == "distance" else [])]
+    ) == EXIT_INPUT
+    assert f"input error: {flag}: vertex {index} " in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
 def test_validate_exit_codes(monkeypatch, tmp_path):
     import framefieldops.cli as cli
     from framefieldops.validation import ValidationReport
 
     def fake_pass(**kw):
-        return ValidationReport("warp", True, "ok", ["c"], [{"c": 0.0}])
+        return ValidationReport("warp", True, "ok", [{"c": 0.0}])
 
     def fake_fail(**kw):
-        return ValidationReport("warp", False, "bad", ["c"], [{"c": 0.0}])
+        return ValidationReport("warp", False, "bad", [{"c": 0.0}])
 
     monkeypatch.setitem(cli.VALIDATORS, "warp", fake_pass)
     assert main(["-o", str(tmp_path), "validate", "warp"]) == EXIT_OK
     monkeypatch.setitem(cli.VALIDATORS, "warp", fake_fail)
     assert main(["-o", str(tmp_path), "validate", "warp"]) == EXIT_VALIDATION
-    assert (tmp_path / "warp.csv").exists()
+    # the CSV columns are the keys of the report's first row
+    assert (tmp_path / "warp.csv").read_text() == "c\n0.00000000000000000e+00\n"
 
 
 def test_log_level_shows_validation_progress(tmp_path, capsys):

@@ -12,9 +12,11 @@ from framefieldops.geometry import prolong_linear
 
 from oracles import (
     boundary_facets_by_unique,
+    box_by_loops,
     edges_by_unique,
     gradient_dense,
     shape_gradients_by_inv,
+    structured_square_by_loops,
 )
 
 
@@ -324,6 +326,23 @@ def test_generators_are_valid():
         assert np.all(mesh.element_volumes > 0)
         # re-validating in the constructor exercises all invariants
         ff.SimplicialMesh(mesh.vertices, mesh.elements)
+
+
+def test_structured_generators_match_cell_loops():
+    pairs = [
+        (meshgen.structured_square(n), structured_square_by_loops(n))
+        for n in (1, 2, 6, 30)
+    ] + [
+        (meshgen.box(*counts), box_by_loops(*counts))
+        for counts in ((1, 1, 1), (3, 2, 2), (4, 4, 4))
+    ]
+    pairs.append(
+        (meshgen.box(2, 3, 1, lo=(-1, 0, 2), hi=(1, 2, 3)),
+         box_by_loops(2, 3, 1, lo=(-1, 0, 2), hi=(1, 2, 3)))
+    )
+    for mesh, ref in pairs:
+        for a, b in ((mesh.vertices, ref.vertices), (mesh.elements, ref.elements)):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
 
 
 def test_nan_coordinate_rejected():
