@@ -361,7 +361,8 @@ def build_parser():
     p_diff.set_defaults(func=cmd_diffuse)
 
     p_eig = sub.add_parser(
-        "eigs", help="smallest generalized eigenpairs (sparse LU shift-invert Lanczos)",
+        "eigs",
+        help="smallest generalized eigenpairs (banded Cholesky shift-invert Lanczos)",
         description="Smallest generalized eigenpairs.  In eigenvalues.csv the "
                     "zero_mode column is 1 for an eigenvalue at or below "
                     f"{ZERO_MODE_RELTOL:g} times the largest computed one or "

@@ -328,6 +328,6 @@ def apply_dirichlet_partition(op, boundary_values):
     if boundary_values.shape != bv.shape:
         raise ParameterError("boundary value count does not match boundary vertices")
     try:
-        return solve_pinned(op.matrix, bv, boundary_values)
+        return solve_pinned(op, bv, boundary_values)
     except NumericalError as exc:
         raise NumericalError(f"interior Dirichlet block solve failed: {exc}") from exc

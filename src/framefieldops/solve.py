@@ -2,7 +2,7 @@
 generalized eigenpairs, implicit-Euler diffusion, and box-constrained
 quadratic programs.
 
-Every solve goes through one sparse LU factorization, ``_factorize``.
+Every solve goes through one banded Cholesky factorization, ``_factorize``.
 ``solve_spd`` factors the system and solves all right-hand sides with that
 factor; ``solve_pinned`` solves the free block of a problem with prescribed
 entries by ``solve_spd``, and each step of the box QP is one
@@ -13,18 +13,23 @@ iterative alternative.
 Every matrix factored here is symmetric positive definite: the shifted
 eigen operator, the implicit-Euler ``M + tau A``, and the free block of a
 pinned solve (Dirichlet and harmonic-field interiors, a QP's inactive
-set).  ``_factorize`` therefore orders for symmetry: a reverse
-Cuthill-McKee permutation, then SuperLU's minimum degree on ``A + A^T`` in
-symmetric mode with diagonal pivots, which are stable for SPD input.  See
-``_factorize`` for why both steps are needed.
+set).  A system on a mesh's vertices is factored in the mesh's
+``vertex_order``, reverse Cuthill-McKee on the vertex graph, restricted to
+the free entries of a pinned solve; a matrix without a mesh in reverse
+Cuthill-McKee of its own graph.  In these orders the band is narrow (2n + 2
+for the fourth-order operators on ``structured_square(n)``), and LAPACK's
+blocked banded Cholesky factors it several times faster than a general
+sparse LU.
 """
 
 import itertools
 import logging
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy import sparse
+from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded
 from scipy.linalg import eigh  # noqa: F401  unused here; perfbench/tracing.py wraps it
 from scipy.sparse import linalg as spla
 from scipy.sparse.csgraph import reverse_cuthill_mckee
@@ -55,65 +60,86 @@ def check_symmetric(A, tol=1e-12):
     return A
 
 
-def _operator_matrix(op):
-    # AssembledOperator or raw sparse/dense matrix.
-    return op.matrix if hasattr(op, "matrix") else op
+class _Ordered(NamedTuple):
+    """A matrix with the order its factor uses, or ``None`` for RCM of its graph."""
+
+    matrix: object
+    order: object
 
 
-class _PermutedFactor:
-    """LU factor of ``A[p][:, p]`` that solves ``A x = b`` in the original order."""
+def _ordered(op):
+    """``op`` as an ``_Ordered``: an AssembledOperator brings its matrix and
+    its mesh's vertex order, a raw sparse or dense matrix no order."""
+    if isinstance(op, _Ordered):
+        return op
+    if hasattr(op, "matrix"):
+        return _Ordered(op.matrix, op.mesh.vertex_order())
+    return _Ordered(op, None)
 
-    def __init__(self, lu, perm):
-        self._lu = lu
-        self._perm = perm
+
+class _BandFactor:
+    """Banded Cholesky factor of ``A[order][:, order]`` that solves ``A x = b``
+    in the original order."""
+
+    def __init__(self, band, order):
+        self._band = band
+        self._order = order
 
     def solve(self, b):
         """Solve for a right-hand side of shape ``(n,)`` or ``(n, r)``."""
         b = np.asarray(b, dtype=float)
         x = np.empty_like(b)
-        x[self._perm] = self._lu.solve(b[self._perm])
+        x[self._order] = cho_solve_banded(
+            (self._band, True), b[self._order], overwrite_b=True, check_finite=False
+        )
         return x
 
 
-def _factorize(A):
-    """Sparse LU factor of the symmetric positive definite matrix ``A``.
+def _factorize(A, order=None):
+    """Banded Cholesky factor of the symmetric positive definite matrix ``A``.
 
-    The rows and columns are first permuted symmetrically by reverse
-    Cuthill-McKee; SuperLU then orders the permuted matrix by multiple
-    minimum degree on ``A + A^T`` in symmetric mode with diagonal pivots
-    (``diag_pivot_thresh=0``), which keeps the symmetric ordering intact and
-    is stable because ``A`` is SPD.  SuperLU's default COLAMD ordering is
-    meant for unsymmetric matrices: on the fourth-order operators it gave
-    about 1.3x the fill and 2.5x the factor time (disk 40 ``M + tau A``,
-    4,921 unknowns: 1.12 M fill and 106 ms, against 0.82 M and 42 ms).
-    Minimum degree alone depends on the input numbering, though.  On the
-    coarse-first numbering of ``refine_uniform`` it took 412 ms on the
-    12,097-unknown interior Laplacian of a twice-refined disk, against 63 ms
-    for COLAMD; after the RCM pre-permutation it takes 46 ms.  (Best of
-    three, one BLAS thread, scipy 1.17.1 on a 2-vCPU x86-64 host.)
+    The rows and columns are permuted symmetrically by ``order``, by default
+    reverse Cuthill-McKee on the graph of ``A``.  The lower band of the
+    permuted matrix, bandwidth ``bw`` = its widest row, is summed straight
+    into a Fortran-ordered ``(bw + 1, n)`` array, which LAPACK's blocked
+    ``pbtrf`` factors in place: no copy of ``A`` is made in its new order,
+    and the factor stores ``(bw + 1) n`` values.  Only the lower triangle of
+    ``A`` is read.
 
     Returns an object whose ``solve(b)`` accepts a 1-D or ``(n, r)``
-    right-hand side.  A matrix that is singular to working precision raises
-    ``NumericalError``.
+    right-hand side.  A matrix that is not positive definite to working
+    precision raises ``NumericalError``.
     """
-    A = sparse.csc_matrix(A)
-    perm = reverse_cuthill_mckee(A, symmetric_mode=True)
+    A = sparse.csr_matrix(A)
+    n = A.shape[0]
+    if order is None:
+        order = reverse_cuthill_mckee(A, symmetric_mode=True)
+    A = A.tocoo()
+    rank = np.empty(n, dtype=np.int64)
+    rank[order] = np.arange(n)
+    i, j = rank[A.row], rank[A.col]
+    lower = i >= j
+    i, j, data = i[lower], j[lower], A.data[lower]
+    bw = int((i - j).max(initial=0))
+    # column j of the band holds rows j..j+bw; (n, bw + 1) in C order is
+    # the (bw + 1, n) band in Fortran order
+    band = np.bincount(
+        j * (bw + 1) + (i - j), weights=data, minlength=n * (bw + 1)
+    ).reshape(n, bw + 1).T
     try:
-        lu = spla.splu(
-            A[perm][:, perm],
-            permc_spec="MMD_AT_PLUS_A",
-            diag_pivot_thresh=0.0,
-            options={"SymmetricMode": True},
-        )
-    except RuntimeError as exc:
-        raise NumericalError(f"sparse LU factorization failed: {exc}") from exc
-    return _PermutedFactor(lu, perm)
+        band = cholesky_banded(band, overwrite_ab=True, lower=True, check_finite=False)
+    except LinAlgError as exc:
+        raise NumericalError(f"banded Cholesky factorization failed: {exc}") from exc
+    return _BandFactor(band, order)
 
 
 def solve_spd(A, b):
     """Solve the symmetric positive definite system ``A x = b``.
 
-    One sparse LU factor of ``A`` solves every column of ``b``.
+    One banded Cholesky factor of ``A`` solves every column of ``b``.  It
+    stores ``(bandwidth + 1) n`` values.  An ``AssembledOperator`` is
+    ordered by its mesh's ``vertex_order``, a bare matrix by reverse
+    Cuthill-McKee on its own graph.
 
     Parameters
     ----------
@@ -129,12 +155,13 @@ def solve_spd(A, b):
     Raises
     ------
     NumericalError
-        If ``A`` is singular to working precision, or a column's residual
-        exceeds ``1e-7 * (|A|_inf |x| + |b|)``.
+        If ``A`` is not positive definite to working precision, or a
+        column's residual exceeds ``1e-7 * (|A|_inf |x| + |b|)``.
     """
-    A = sparse.csc_matrix(_operator_matrix(A))
+    A, order = _ordered(A)
+    A = sparse.csr_matrix(A)
     b = np.asarray(b, dtype=float)
-    x = _factorize(A).solve(b)
+    x = _factorize(A, order).solve(b)
     # Backward-stable acceptance: residual relative to |A||x| + |b| guards
     # against silent failure without punishing ill-conditioned systems.
     resid = np.linalg.norm(A @ x - b, axis=0)
@@ -149,18 +176,27 @@ def solve_pinned(A, pinned, values):
 
     ``pinned`` holds distinct indices and ``values`` has shape ``(np,)`` or
     ``(np, r)``.  The free entries solve ``A_ff x_f = -A_fp values`` with one
-    ``solve_spd``, so the free block must be positive definite.  Returns the
-    full solution, shape ``(n,)`` or ``(n, r)``, with ``x[pinned] = values``.
+    ``solve_spd``, so the free block must be positive definite.  An
+    ``AssembledOperator``'s free block is factored in its mesh's vertex
+    order restricted to the free entries.  Returns the full solution, shape
+    ``(n,)`` or ``(n, r)``, with ``x[pinned] = values``.
     """
-    A = sparse.csr_matrix(_operator_matrix(A))
+    A, order = _ordered(A)
+    A = sparse.csr_matrix(A)
+    n = A.shape[0]
     pinned = np.asarray(pinned, dtype=np.int64)
     values = np.asarray(values, dtype=float)
-    free = np.setdiff1d(np.arange(A.shape[0]), pinned)
-    x = np.zeros((A.shape[0],) + values.shape[1:])
+    free = np.setdiff1d(np.arange(n), pinned)
+    x = np.zeros((n,) + values.shape[1:])
     x[pinned] = values
     if len(free):
+        if order is not None:
+            local = np.full(n, -1, dtype=np.int64)
+            local[free] = np.arange(len(free))
+            order = local[order]
+            order = order[order >= 0]
         A_f = A[free]
-        x[free] = solve_spd(A_f[:, free], -(A_f[:, pinned] @ values))
+        x[free] = solve_spd(_Ordered(A_f[:, free], order), -(A_f[:, pinned] @ values))
     return x
 
 
@@ -178,7 +214,7 @@ class EigenResult:
 
     def validate(self, A, M_diag, rtol=1e-7, otol=1e-8):
         """Assert the residual and M-orthonormality contracts."""
-        A = _operator_matrix(A)
+        A = getattr(A, "matrix", A)
         norm_a = spla.norm(A, np.inf) if sparse.issparse(A) else np.linalg.norm(A, np.inf)
         norm_m = float(np.max(np.abs(M_diag)))
         bound = rtol * (norm_a + np.abs(self.values) * norm_m)
@@ -193,7 +229,7 @@ class EigenResult:
 def eigs_generalized(A, M_diag, k, seed=0):
     """k smallest eigenpairs of ``A phi = lambda M phi`` with diagonal M.
 
-    ARPACK's shift-invert Lanczos (``eigsh``) runs on one LU factor of
+    ARPACK's shift-invert Lanczos (``eigsh``) runs on one Cholesky factor of
     ``A - sigma M`` with ``sigma = -1e-5 * trace(A) / n``.  The shift is
     negative because A is PSD with a nontrivial nullspace, so ``A - sigma M``
     is positive definite, and it scales with the operator, whose magnitude
@@ -222,10 +258,12 @@ def eigs_generalized(A, M_diag, k, seed=0):
     Raises
     ------
     NumericalError
-        If the mass is not positive, the shifted matrix is singular, ARPACK
-        does not converge, or a pair fails ``EigenResult.validate``.
+        If the mass is not positive, the shifted matrix is not positive
+        definite, ARPACK does not converge, or a pair fails
+        ``EigenResult.validate``.
     """
-    A = check_symmetric(_operator_matrix(A))
+    A, order = _ordered(A)
+    A = check_symmetric(A)
     M_diag = np.asarray(M_diag, dtype=float)
     n = A.shape[0]
     if not 0 < k < n:
@@ -235,8 +273,8 @@ def eigs_generalized(A, M_diag, k, seed=0):
 
     sigma = -1e-5 * A.diagonal().sum() / n
     M = sparse.diags(M_diag)
-    lu = _factorize(A - sigma * M)
-    OPinv = spla.LinearOperator((n, n), matvec=lu.solve, dtype=float)
+    factor = _factorize(A - sigma * M, order)
+    OPinv = spla.LinearOperator((n, n), matvec=factor.solve, dtype=float)
     v0 = np.random.default_rng(seed).standard_normal(n)
     try:
         vals, vecs = spla.eigsh(A, k, M=M, sigma=sigma, OPinv=OPinv, v0=v0)
@@ -252,15 +290,24 @@ def eigs_generalized(A, M_diag, k, seed=0):
 
 
 def diffuse(op, u0, tau):
-    """One implicit-Euler step of ``du/dt = -A u``: solve (M + tau A) u = M u0."""
-    if tau <= 0:
-        raise ParameterError("diffusion time must be positive")
-    A = _operator_matrix(op)
-    M_diag = op.vertex_mass if hasattr(op, "vertex_mass") else None
+    """One implicit-Euler step of ``du/dt = -A u``: solve (M + tau A) u = M u0.
+
+    ``u0`` holds one value per vertex and ``tau`` must be positive; either
+    failing raises ``ParameterError``.
+    """
+    if not tau > 0:
+        raise ParameterError(f"diffusion time must be positive, got {tau}")
+    M_diag = getattr(op, "vertex_mass", None)
     if M_diag is None:
         raise ParameterError("diffuse requires an operator with a vertex mass")
+    u0 = np.asarray(u0, dtype=float)
+    if u0.shape != M_diag.shape:
+        raise ParameterError(
+            f"u0 must hold one value per vertex, shape {M_diag.shape}, got {u0.shape}"
+        )
+    A, order = _ordered(op)
     system = (sparse.diags(M_diag) + tau * A).tocsr()
-    return solve_spd(system, M_diag * np.asarray(u0, dtype=float))
+    return solve_spd(_Ordered(system, order), M_diag * u0)
 
 
 def solve_box_qp(A, fixed_indices, fixed_values, lower, upper, return_info=False):
@@ -305,7 +352,8 @@ def solve_box_qp(A, fixed_indices, fixed_values, lower, upper, return_info=False
         (true whenever a result is returned) and ``kkt_residual``, the norm
         of the projected gradient.
     """
-    A = sparse.csr_matrix(_operator_matrix(A))
+    A, order = _ordered(A)
+    A = sparse.csr_matrix(A)
     n = A.shape[0]
     lower = np.asarray(lower, dtype=float)
     upper = np.asarray(upper, dtype=float)
@@ -334,7 +382,7 @@ def solve_box_qp(A, fixed_indices, fixed_values, lower, upper, return_info=False
         seen.add(side.tobytes())
         active = np.flatnonzero(side)
         x = solve_pinned(
-            A,
+            _Ordered(A, order),
             np.concatenate([pinned, bounded[active]]),
             np.concatenate([pinned_values, np.where(side < 0, lo, hi)[active]]),
         )

@@ -220,6 +220,13 @@ def test_input_errors_and_program_faults(workspace, monkeypatch, tmp_path):
                        "--boundary", str(garbled)]) == EXIT_INPUT
     assert main(out + ["diffuse", "--mesh", mesh, "--field", field,
                        "--impulse", "1,a"]) == EXIT_USAGE
+    # one u0 value per vertex, and a positive time: NaN is not one
+    short = tmp_path / "short.csv"
+    short.write_text("1.0\n2.0\n")
+    assert main(out + ["diffuse", "--mesh", mesh, "--field", field,
+                       "--u0", str(short)]) == EXIT_INPUT
+    assert main(out + ["diffuse", "--mesh", mesh, "--field", field,
+                       "--tau", "nan"]) == EXIT_INPUT
 
     # a ValueError from inside a command is a program fault, not bad input
     import framefieldops.cli as cli

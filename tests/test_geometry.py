@@ -438,3 +438,37 @@ def test_measures_and_centroid_tree_are_built_once_per_mesh():
     assert ff.compute_measures(mesh) is measures
     assert mesh.centroid_tree() is tree
     assert ff.gradient_matrix(mesh) is G
+
+
+def test_vertex_order_is_built_once_per_mesh_and_read_only(monkeypatch):
+    import framefieldops.geometry as geometry
+    import framefieldops.solve as solve
+
+    calls = {"mesh": 0, "matrix": 0}
+    rcm = geometry.reverse_cuthill_mckee
+
+    def counting(kind):
+        def wrapper(*args, **kwargs):
+            calls[kind] += 1
+            return rcm(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(geometry, "reverse_cuthill_mckee", counting("mesh"))
+    monkeypatch.setattr(solve, "reverse_cuthill_mckee", counting("matrix"))
+    mesh = meshgen.disk(5)
+    op = ff.assemble_operator(mesh, ff.constant_field(mesh, ff.axis_frame(2)), 0.1, "neumann")
+    order = mesh.vertex_order()
+    assert np.array_equal(np.sort(order), np.arange(mesh.num_vertices))
+    with pytest.raises(ValueError):
+        order[0] = order[1]
+    # every solve on the operator uses the mesh's order, never its own RCM
+    ff.eigs_generalized(op, op.vertex_mass, 4)
+    ff.apply_dirichlet_partition(op, np.zeros(len(op.boundary_vertices)))
+    ff.diffuse(op, np.ones(mesh.num_vertices), 1e-5)
+    ff.color_by_boundary(op, np.full((len(op.boundary_vertices), 3), 0.5))
+    assert mesh.vertex_order() is order
+    assert calls == {"mesh": 1, "matrix": 0}
+    fine = ff.refine_uniform(mesh)
+    assert len(fine.vertex_order()) == fine.num_vertices
+    assert calls == {"mesh": 2, "matrix": 0}

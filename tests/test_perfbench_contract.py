@@ -70,7 +70,7 @@ def test_tracer_wraps_every_attribute_and_restores_it(tracing):
         "fem.projected_middle_blocks_s",
         "framefield.harmonic_cross_field_2d_s",
         "solve.eigs_generalized_s",
-        "solve.splu_s",
+        "solve.solve_spd_s",
         "apps.color_by_boundary_s",
         "solve.solve_box_qp_s",
     ):

@@ -8,7 +8,7 @@ from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 import framefieldops as ff
 from framefieldops import meshgen
-from framefieldops.errors import NumericalError
+from framefieldops.errors import NumericalError, ParameterError
 from framefieldops.solve import check_symmetric
 
 from oracles import box_qp_active_set, dense_eigs
@@ -113,6 +113,70 @@ def test_solve_pinned_matches_dense_partition():
     assert np.array_equal(x[order], values)
 
 
+def _bandwidth(A, order):
+    rank = np.empty(len(order), dtype=np.int64)
+    rank[order] = np.arange(len(order))
+    A = sparse.coo_matrix(A)
+    return int(np.abs(rank[A.row] - rank[A.col]).max())
+
+
+@pytest.mark.parametrize("n", [8, 24, 64])
+def test_square_operators_are_banded_in_the_mesh_order(n):
+    # 2n + 2 is the band of the 2-ring stencil in the vertex graph's RCM
+    # order; RCM of the natural operator's own graph reaches about 4n
+    mesh = meshgen.structured_square(n)
+    field = ff.constant_field(mesh, ff.axis_frame(2))
+    for bc in ("neumann", "natural"):
+        op = ff.assemble_operator(mesh, field, 0.1, bc)
+        assert _bandwidth(op.matrix, mesh.vertex_order()) <= 2 * n + 2, bc
+
+
+def test_natural_box_is_no_wider_than_neumann_in_the_mesh_order():
+    mesh = meshgen.box(5, 5, 5)
+    field = ff.constant_field(mesh, ff.axis_frame(3))
+    natural, neumann = (
+        _bandwidth(ff.assemble_operator(mesh, field, 0.1, bc).matrix, mesh.vertex_order())
+        for bc in ("natural", "neumann")
+    )
+    assert natural <= neumann
+
+
+def test_solve_pinned_on_an_operator_matches_dense_partition(disk_mesh, disk_harmonic_field):
+    # the free block is factored in the mesh order restricted to the free
+    # entries; unsorted pinned indices, interior ones among them, make the
+    # restriction and its scatter back visible
+    op = ff.assemble_operator(disk_mesh, disk_harmonic_field, 0.1, "neumann")
+    A = op.matrix.toarray()
+    n = len(A)
+    rng = np.random.default_rng(5)
+    interior = np.setdiff1d(np.arange(n), op.boundary_vertices)
+    pinned = rng.permutation(
+        np.concatenate([op.boundary_vertices, rng.choice(interior, 7, replace=False)])
+    )
+    free = np.setdiff1d(np.arange(n), pinned)
+    for shape in ((len(pinned),), (len(pinned), 2)):
+        values = rng.standard_normal(shape)
+        x = ff.solve_pinned(op, pinned, values)
+        assert np.array_equal(x[pinned], values)
+        expected = np.linalg.solve(A[np.ix_(free, free)], -A[np.ix_(free, pinned)] @ values)
+        assert np.abs(x[free] - expected).max() <= 1e-9 * np.abs(expected).max()
+
+
+def test_not_positive_definite_raises_numerical_error(disk_mesh, disk_harmonic_field):
+    indefinite = sparse.diags([2.0, 1.0, -1.0, 3.0]).tocsr()
+    with pytest.raises(NumericalError, match="not positive definite"):
+        ff.solve_spd(indefinite, np.ones(4))
+    with pytest.raises(NumericalError, match="not positive definite"):
+        ff.solve_pinned(indefinite, [0], [1.0])
+    # shifted below its constant zero mode, an operator is indefinite, and
+    # the factor in its mesh's order fails the same way
+    op = ff.assemble_operator(disk_mesh, disk_harmonic_field, 0.1, "neumann")
+    n = disk_mesh.num_vertices
+    shifted = op.matrix - 1e-6 * op.matrix.diagonal().max() * sparse.eye(n)
+    with pytest.raises(NumericalError, match="not positive definite"):
+        ff.solve_spd(dataclasses.replace(op, matrix=shifted.tocsr()), np.ones(n))
+
+
 def test_solve_spd_projects_rhs_with_warning():
     n = 20
     D = sparse.diags([np.ones(n), -np.ones(n - 1)], [0, 1], shape=(n - 1, n))
@@ -180,6 +244,19 @@ def test_diffuse_basics(disk_mesh, disk_harmonic_field):
     assert abs(m @ u - m @ u0) <= 1e-9 * abs(m @ u0)
     with pytest.raises(ValueError):
         ff.diffuse(op, u0, 0.0)
+
+
+@pytest.mark.parametrize(
+    "u0, tau",
+    [(None, np.nan), (None, -1e-5), ("short", 1e-5), ("long", 1e-5), ("columns", 1e-5)],
+)
+def test_diffuse_checks_its_inputs_where_they_enter(disk_mesh, disk_harmonic_field, u0, tau):
+    op = ff.assemble_operator(disk_mesh, disk_harmonic_field, 0.2, "natural")
+    n = disk_mesh.num_vertices
+    u0 = {None: np.ones(n), "short": np.ones(n - 1), "long": np.ones(n + 1),
+          "columns": np.ones((n, 2))}[u0]
+    with pytest.raises(ParameterError):
+        ff.diffuse(op, u0, tau)
 
 
 def test_box_qp_against_active_set_oracle():
