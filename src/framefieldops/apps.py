@@ -12,6 +12,7 @@ properties hold exactly.  With epsilon = 1 the operator is the Bilaplacian
 and the distances are the classical biharmonic ones.
 """
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -135,9 +136,23 @@ def build_embedding(op, n_modes=64):
     )
 
 
+def _vertex_index(index, n, name):
+    """``index`` as a vertex number in [0, n); anything else (a negative or
+    too large number, a float, a bool) raises ``ParameterError``."""
+    if isinstance(index, bool) or not isinstance(index, numbers.Integral):
+        raise ParameterError(f"{name} must be an integer vertex index, got {index!r}")
+    if not 0 <= index < n:
+        raise ParameterError(f"{name} must lie in [0, {n}), got {index}")
+    return int(index)
+
+
 def distance_field(embedding, source):
-    """Distance from ``source`` to every vertex in the spectral embedding."""
-    delta = embedding.coordinates - embedding.coordinates[source]
+    """Distance from ``source`` to every vertex in the spectral embedding.
+
+    ``source`` must be a vertex index in [0, nv); else ``ParameterError``.
+    """
+    coords = embedding.coordinates
+    delta = coords - coords[_vertex_index(source, len(coords), "source")]
     return np.linalg.norm(delta, axis=1)
 
 
@@ -147,11 +162,19 @@ def trace_descent_path(mesh, dist, start):
     From the current vertex, move to the 1-ring neighbor with the steepest
     decrease per unit edge length; stop at a local minimum.  Returns the
     polyline of visited vertex positions.  The distance strictly decreases
-    along the path by construction.
+    along the path by construction.  ``dist`` must hold one finite value per
+    vertex and ``start`` must be a vertex index; else ``ParameterError``.
     """
+    nv = mesh.num_vertices
+    start = _vertex_index(start, nv, "start")
+    dist = np.asarray(dist, dtype=float)
+    if dist.shape != (nv,):
+        raise ParameterError(
+            f"dist must hold one value per vertex, shape {(nv,)}, got {dist.shape}"
+        )
+    if not np.all(np.isfinite(dist)):
+        raise ParameterError("dist must be finite")
     neighbors = mesh.vertex_neighbors()
-    if len(neighbors[start]) == 0:
-        raise ParameterError(f"start vertex {start} is isolated")
     path = [start]
     current = start
     while True:
@@ -162,7 +185,7 @@ def trace_descent_path(mesh, dist, start):
         )
         rates = drops / lengths
         best = int(np.argmax(rates))
-        if rates[best] <= 0.0:
+        if not rates[best] > 0.0:
             break
         current = int(nbrs[best])
         path.append(current)

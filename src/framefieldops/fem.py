@@ -22,14 +22,25 @@ the boundary blocks are projected with one batched eigenvalue pseudoinverse,
 which also covers the singular blocks of zero-weight frame tensors.
 
 Everything that depends on the mesh alone is built once per mesh and cached
-on it: the measures (``compute_measures``), the shape gradients, G, and
-the outer factor K = D' A G with its CSR transpose (``weak_hessian``).  The
-caches cannot go stale because every mesh array, and every array of these
-results, is read-only.  Each assembly forms only the middle blocks, places
-them as a block-diagonal CSR matrix P, and takes the product K' P K.
+on it: the measures (``compute_measures``), the shape gradients, G, the
+outer factor K = D' A G (``weak_hessian``) and its star blocks
+(``star_blocks``).  Because P is block-diagonal, the operator is a sum over
+vertices, A = sum_v K_v' P_v K_v, where the star block K_v holds the m rows
+of K at v over the closed 1-ring, or star, of v.  The star cache holds every
+K_v, the CSR pattern of A (the 2-ring) and one scatter index from each entry
+of each star's product to its slot in that pattern.  Each assembly forms only
+the middle blocks, takes the products as batched dense ``@``, symmetrizes
+each one, sums their upper triangles into the pattern with one
+``np.bincount`` and copies the upper triangle of A to the lower one.
+
+The caches cannot go stale because every mesh array, and every array of
+these results, is read-only.  Nothing shares them with an operator: every
+``AssembledOperator`` owns fresh copies of the pattern arrays, so editing or
+compacting one (``eliminate_zeros`` under natural conditions) leaves the
+cache and every other operator alone.
 
 Assembly is vectorized and deterministic: identical inputs produce
-bitwise-identical matrices.
+bitwise-identical matrices, and every matrix is bitwise symmetric.
 """
 
 import hashlib
@@ -42,13 +53,15 @@ from scipy import sparse
 from scipy.sparse import linalg as spla
 
 from .errors import FieldError, NumericalError, ParameterError
-from .geometry import compute_measures, gradient_matrix
+from .geometry import _frozen, compute_measures, gradient_matrix
 from .solve import check_symmetric, solve_pinned
 from .symtensor import _SQRT2, mandel_pairs, mandel_size, sym_to_mandel
 
 logger = logging.getLogger(__name__)
 
 BC_KINDS = ("natural", "neumann")
+# Product entries per batch of stars: about 1 MB per float64 temporary.
+STAR_BATCH = 1 << 17
 
 
 @dataclass
@@ -162,23 +175,118 @@ def weak_hessian(mesh):
     blocks of K' P K.  It is therefore built on first use and reused by
     every assembly on the mesh, which is safe because a mesh's arrays are
     read-only.  A uses ``mesh.element_volumes``, the array
-    ``compute_measures`` reports.  K' is built and cached in CSR next to K,
-    for the left factor of every product K' P K.  Both are in canonical
-    format (sorted indices, no duplicates), and their ``data``,
-    ``indices`` and ``indptr`` are read-only.
+    ``compute_measures`` reports.  K is in canonical CSR format (sorted
+    indices, no duplicates), and its ``data``, ``indices`` and ``indptr``
+    are read-only.
+
+    The rows of K at vertex v reach only the star of v (v and its 1-ring
+    neighbors).  ``star_blocks`` takes these rows out of K once per mesh as
+    dense ``m x s_v`` blocks, which is all that assembly reads of K, and
+    caches them with A's pattern and the scatter into it.  Sharing that
+    cache between assemblies is safe for the same reasons: its arrays are
+    read-only, and every operator gets its own copy of the pattern.
     """
     if mesh._weak_hessian is None:
         G = gradient_matrix(mesh)
         D = divergence_matrix(mesh)
         A = sparse.diags(np.repeat(mesh.element_volumes, mesh.dim))
         K = (D.T @ A @ G).tocsr()
-        Kt = K.T.tocsr()
-        for M in (K, Kt):
-            M.sum_duplicates()
-            for array in (M.data, M.indices, M.indptr):
-                array.flags.writeable = False
-        mesh._weak_hessian, mesh._weak_hessian_t = K, Kt
+        K.sum_duplicates()
+        for array in (K.data, K.indices, K.indptr):
+            _frozen(array)
+        mesh._weak_hessian = K
     return mesh._weak_hessian
+
+
+@dataclass(frozen=True)
+class StarBlocks:
+    """Everything about A = K' P K that depends on the mesh alone.
+
+    ``groups`` holds one ``(vertices, blocks, (p, q), part)`` entry per
+    batch of n stars of one size s: the star centers, their ``(n, m, s)``
+    star blocks K_v of K (columns in ascending vertex order), the indices
+    ``np.triu_indices(s)`` and the slice of the flat products that the
+    batch fills, the n * s (s + 1) / 2 entries (p, q), p <= q, of the upper
+    triangles of the ``s x s`` products K_v' P_v K_v.  A batch holds at
+    most ``STAR_BATCH`` product entries, which bounds the temporaries of
+    an assembly.
+
+    ``indptr`` and ``indices`` are the canonical CSR pattern of A, which
+    couples the vertices of each star, so every vertex to its 2-ring.
+    ``scatter`` maps each entry of the flat products to its slot (i, j),
+    i <= j, in that pattern, and ``twin`` maps every slot (i, j) to the
+    slot of (min(i, j), max(i, j)).  Every array is read-only.
+    """
+
+    groups: tuple
+    scatter: np.ndarray
+    twin: np.ndarray
+    indptr: np.ndarray
+    indices: np.ndarray
+
+
+def _entries(M, rows, cols):
+    """``M[rows, cols]`` over the broadcast shape of the index arrays, as an
+    ndarray.  Each lookup searches only its own row of the CSR matrix M."""
+    rows, cols = np.broadcast_arrays(rows, cols)
+    return np.asarray(M[rows.ravel(), cols.ravel()]).reshape(rows.shape)
+
+
+def star_blocks(mesh):
+    """The star blocks of K and the scatter into A's pattern, cached on the mesh.
+
+    Built on first use from ``weak_hessian(mesh)`` and the mesh edges, and
+    reused by every assembly on the mesh; see ``StarBlocks``.  Stars are
+    grouped by size, so no block is padded, and the index arrays keep
+    scipy's 32-bit index type where it fits.  A's pattern is the product
+    of the star adjacency with itself; each scatter index is found by a
+    search within one row of it.  Only upper triangles are scattered: A is
+    symmetric, and its lower triangle is a copy of the upper one.
+    """
+    if mesh._star_blocks is None:
+        K = weak_hessian(mesh)
+        nv = mesh.num_vertices
+        m = K.shape[0] // nv
+        e = mesh.edges()
+        loops = np.arange(nv)
+        star = sparse.csr_matrix(
+            (
+                np.ones(2 * len(e) + nv, dtype=np.int32),
+                (np.concatenate([e[:, 0], e[:, 1], loops]),
+                 np.concatenate([e[:, 1], e[:, 0], loops])),
+            ),
+            shape=(nv, nv),
+        )
+        star.sum_duplicates()  # canonical: each star in ascending order
+        pattern = star @ star
+        pattern.sort_indices()
+        slots = np.arange(pattern.nnz, dtype=pattern.indices.dtype)
+        pattern.data = slots + 1  # a lookup off the pattern would read 0
+        # The slot of (j, i) lies in an earlier row than that of (i, j)
+        # exactly when i > j.
+        twin = np.minimum(slots, pattern.T.tocsr().data - 1)
+        size = np.diff(star.indptr)
+        by_size = np.argsort(size, kind="stable").astype(star.indices.dtype)
+        groups, scatter, start = [], [], 0
+        for same in np.split(by_size, np.flatnonzero(np.diff(size[by_size])) + 1):
+            s = size[same[0]]
+            p, q = map(_frozen, np.triu_indices(s))
+            step = max(1, STAR_BATCH // (s * s))
+            for verts in (same[i : i + step] for i in range(0, len(same), step)):
+                cols = star.indices[star.indptr[verts][:, None] + np.arange(s)]
+                rows = verts[:, None, None] * m + np.arange(m)[:, None]
+                blocks = _entries(K, rows, cols[:, None, :])
+                scatter.append(_entries(pattern, cols[:, p], cols[:, q]).ravel())
+                stop = start + len(verts) * len(p)
+                groups.append((verts, blocks, (p, q), slice(start, stop)))
+                start = stop
+        scatter = np.concatenate(scatter)
+        scatter -= 1
+        arrays = (scatter, twin, pattern.indptr, pattern.indices)
+        for array in arrays + tuple(a for group in groups for a in group[:2]):
+            _frozen(array)
+        mesh._star_blocks = StarBlocks(tuple(groups), *arrays)
+    return mesh._star_blocks
 
 
 def constraint_blocks(measures, bc_kind, dim):
@@ -276,24 +384,25 @@ def assemble_operator(mesh, field, epsilon, bc_kind):
     AssembledOperator
     """
     system = build_mixed_system(mesh, field, epsilon, bc_kind)
-    P_blocks = projected_middle_blocks(system)
+    P = projected_middle_blocks(system)
     measures = compute_measures(mesh)
+    stars = star_blocks(mesh)
+    # The upper triangle of 0.5 (C_v + C_v') for every star, summed into
+    # the upper slots of A and copied to the lower ones, so A is bitwise
+    # symmetric.
+    C = np.empty(len(stars.scatter))
+    for verts, K_v, (p, q), part in stars.groups:
+        C_v = np.swapaxes(K_v, 1, 2) @ (P[verts] @ K_v)
+        np.add(C_v[:, p, q], C_v[:, q, p], out=C[part].reshape(len(verts), -1))
+    upper = np.bincount(stars.scatter, weights=C, minlength=len(stars.indices))
+    data = upper[stars.twin]
+    data *= 0.5
+    # The operator owns its pattern: eliminate_zeros compacts it in place.
     nv = mesh.num_vertices
-    m = mandel_size(mesh.dim)
-    # Block-diagonal P straight in CSR: row (v, a) holds block v's row a in
-    # columns v*m .. v*m + m - 1.
-    columns = np.arange(nv * m).reshape(nv, 1, m)
-    P = sparse.csr_matrix(
-        (P_blocks.ravel(), np.broadcast_to(columns, (nv, m, m)).ravel(),
-         np.arange(nv * m + 1) * m),
-        shape=(nv * m, nv * m),
+    op = sparse.csr_matrix(
+        (data, stars.indices.copy(), stars.indptr.copy()), shape=(nv, nv)
     )
-    K = weak_hessian(mesh)
-    X = mesh._weak_hessian_t @ (P @ K)
-    op = X + X.T
-    op.data *= 0.5
     op.eliminate_zeros()
-    op.sort_indices()
     return AssembledOperator(
         matrix=op,
         vertex_mass=measures.dual_volumes.copy(),

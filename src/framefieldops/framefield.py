@@ -36,7 +36,9 @@ class FrameField:
         Shape ``(nv, dim, dim)``; ``components[v, a]`` is the a-th unit
         component vector at vertex v.  Rows must be orthonormal per vertex.
     weights : np.ndarray
-        Shape ``(nv, dim)`` nonnegative weights.
+        Shape ``(nv, dim)`` finite nonnegative weights.
+
+    Non-finite components or weights raise ``FieldError``.
 
     ``kind`` is ``octahedral``, ``conformal_octahedral`` or ``odeco``,
     classified from the weights.
@@ -54,10 +56,13 @@ class FrameField:
             )
         if self.weights.shape != (nv, dim):
             raise FieldError(f"weights must have shape {(nv, dim)}")
-        if np.any(self.weights < 0):
-            raise FieldError("frame weights must be nonnegative")
+        # Each check passes only when its bound holds, so NaN fails it.
+        if not np.all(np.isfinite(self.components)):
+            raise FieldError("frame components must be finite")
+        if not np.all((self.weights >= 0) & np.isfinite(self.weights)):
+            raise FieldError("frame weights must be finite and nonnegative")
         gram = np.einsum("vad,vbd->vab", self.components, self.components)
-        if np.max(np.abs(gram - np.eye(dim))) > 1e-8:
+        if not np.max(np.abs(gram - np.eye(dim))) <= 1e-8:
             raise FieldError("frame components are not orthonormal per vertex")
 
         self.kind = self._classify()

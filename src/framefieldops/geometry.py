@@ -9,12 +9,12 @@ Everything derived from the mesh alone is built once, with vectorized numpy,
 and cached on the mesh: element volumes and boundary facets at construction;
 shape gradients, edges, 1-ring neighbors, the vertex order that ``solve``
 factors in, ``compute_measures``' result, the gradient matrix G, the
-content-hash state, the element-centroid KD-tree and the mixed FEM factor
-``fem.weak_hessian`` with its transpose on first use.  Every array the mesh
-holds or hands out is read-only, starting with private copies of its vertex
-and element arrays, so nothing can edit one in place behind a cache built
-from it; meshes are immutable after construction and safe to share across
-threads.
+content-hash state, the element-centroid KD-tree, the mixed FEM factor
+``fem.weak_hessian`` and its star blocks ``fem.star_blocks`` on first use.
+Every array the mesh holds or hands out is read-only, starting with private
+copies of its vertex and element arrays, so nothing can edit one in place
+behind a cache built from it; meshes are immutable after construction and
+safe to share across threads.
 """
 
 import hashlib
@@ -132,9 +132,8 @@ class SimplicialMesh:
         self._centroid_tree = None
         self._measures = None  # filled by compute_measures
         self._gradient_matrix = None  # filled by gradient_matrix
-        # K and its CSR transpose, filled by fem.weak_hessian
-        self._weak_hessian = None
-        self._weak_hessian_t = None
+        self._weak_hessian = None  # filled by fem.weak_hessian
+        self._star_blocks = None  # filled by fem.star_blocks
 
     # -- basic queries ----------------------------------------------------
 

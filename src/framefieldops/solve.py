@@ -24,6 +24,7 @@ sparse LU.
 
 import itertools
 import logging
+import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -247,7 +248,8 @@ def eigs_generalized(A, M_diag, k, seed=0):
     M_diag : np.ndarray
         Positive diagonal of the mass matrix.
     k : int
-        Number of eigenpairs, ``k < n``.
+        Number of eigenpairs, an integer with ``0 < k < n``; anything else
+        raises ``ParameterError``.
     seed : int
         Seeds ARPACK's starting vector, so a call is reproducible.
 
@@ -266,8 +268,8 @@ def eigs_generalized(A, M_diag, k, seed=0):
     A = check_symmetric(A)
     M_diag = np.asarray(M_diag, dtype=float)
     n = A.shape[0]
-    if not 0 < k < n:
-        raise ParameterError(f"k must lie in (0, {n}), got {k}")
+    if isinstance(k, bool) or not isinstance(k, numbers.Integral) or not 0 < k < n:
+        raise ParameterError(f"k must be an integer in (0, {n}), got {k!r}")
     if np.any(M_diag <= 0):
         raise NumericalError("mass diagonal must be positive")
 

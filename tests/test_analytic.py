@@ -41,7 +41,7 @@ def test_square_spectrum_bilaplacian_identity():
     spec = square_spectrum(1.0, 30)
     w = spec.frequencies * np.pi / 2.0
     expect = (w[:, 0] ** 2 + w[:, 1] ** 2) ** 2
-    assert np.abs(spec.values - expect).max() < 1e-12
+    assert np.all(np.abs(spec.values - expect) <= 1e-14 * expect)
 
 
 def test_square_spectrum_validation():

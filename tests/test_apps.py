@@ -224,6 +224,41 @@ def test_descent_paths(disk_mesh, disk_emb):
     assert reached >= 0.95 * len(starts)
 
 
+def test_descent_paths_accept_numpy_indices(disk_mesh, disk_emb):
+    d = ff.distance_field(disk_emb, np.int64(0))
+    assert d[0] == 0.0
+    assert ff.trace_descent_path(disk_mesh, d, np.int32(0)).shape == (1, 2)
+
+
+BAD_ENTRY_INPUTS = {
+    "source -1": lambda mesh, emb, op, d: ff.distance_field(emb, -1),
+    "source nv": lambda mesh, emb, op, d: ff.distance_field(emb, len(d)),
+    "source nv + 5": lambda mesh, emb, op, d: ff.distance_field(emb, len(d) + 5),
+    "source 2.0": lambda mesh, emb, op, d: ff.distance_field(emb, 2.0),
+    "source True": lambda mesh, emb, op, d: ff.distance_field(emb, True),
+    "start -1": lambda mesh, emb, op, d: ff.trace_descent_path(mesh, d, -1),
+    "start nv + 5": lambda mesh, emb, op, d: ff.trace_descent_path(mesh, d, len(d) + 5),
+    "start 0.5": lambda mesh, emb, op, d: ff.trace_descent_path(mesh, d, 0.5),
+    "dist short": lambda mesh, emb, op, d: ff.trace_descent_path(mesh, d[:-1], 0),
+    "dist column": lambda mesh, emb, op, d: ff.trace_descent_path(mesh, d[:, None], 0),
+    "dist nan": lambda mesh, emb, op, d: ff.trace_descent_path(
+        mesh, np.where(np.arange(len(d)) == 3, np.nan, d), 0
+    ),
+    "dist inf": lambda mesh, emb, op, d: ff.trace_descent_path(mesh, d + np.inf, 0),
+    "k 3.5": lambda mesh, emb, op, d: ff.eigs_generalized(op, op.vertex_mass, 3.5),
+    "k 3.0": lambda mesh, emb, op, d: ff.eigs_generalized(op, op.vertex_mass, 3.0),
+    "k 0": lambda mesh, emb, op, d: ff.eigs_generalized(op, op.vertex_mass, 0),
+    "k n": lambda mesh, emb, op, d: ff.eigs_generalized(op, op.vertex_mass, len(d)),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_ENTRY_INPUTS))
+def test_bad_entry_input_raises_parameter_error(case, disk_mesh, disk_emb, disk_op):
+    d = ff.distance_field(disk_emb, 0)
+    with pytest.raises(ff.ParameterError):
+        BAD_ENTRY_INPUTS[case](disk_mesh, disk_emb, disk_op, d)
+
+
 def test_color_by_boundary(disk_mesh, disk_measures, disk_harmonic_field):
     bv = disk_measures.boundary_vertices
     angle = np.arctan2(*disk_mesh.vertices[bv, ::-1].T)

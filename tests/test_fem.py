@@ -278,8 +278,40 @@ def test_assembly_takes_no_foreign_measures():
 def test_assembly_is_deterministic(disk_mesh, disk_harmonic_field):
     a = ff.assemble_operator(disk_mesh, disk_harmonic_field, 0.2, "neumann")
     b = ff.assemble_operator(disk_mesh, disk_harmonic_field, 0.2, "neumann")
-    assert (a.matrix != b.matrix).nnz == 0
+    for name in ("data", "indices", "indptr"):
+        assert np.array_equal(getattr(a.matrix, name), getattr(b.matrix, name))
     assert a.fingerprint == b.fingerprint
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("bc", ["natural", "neumann"])
+def test_operator_is_bitwise_symmetric(dim, bc):
+    rng = np.random.default_rng(dim + 70)
+    mesh = meshgen.jittered_delaunay(dim, 7 if dim == 2 else 3, seed=dim + 11)
+    field = ff.constant_field(mesh, random_octahedral_frame(rng, dim))
+    A = ff.assemble_operator(mesh, field, 0.05, bc).matrix
+    At = A.T.tocsr()
+    assert np.array_equal(A.indptr, At.indptr)
+    assert np.array_equal(A.indices, At.indices)
+    assert np.array_equal(A.data, At.data)
+
+
+def test_second_assembly_leaves_the_first_operator_alone(disk_mesh, disk_harmonic_field):
+    # under natural conditions eliminate_zeros compacts the pattern of each
+    # new operator; it must not reach the cache or an earlier operator
+    def assemble(eps, bc):
+        return ff.assemble_operator(disk_mesh, disk_harmonic_field, eps, bc).matrix
+
+    first = assemble(0.3, "natural")
+    saved = [a.copy() for a in (first.data, first.indices, first.indptr)]
+    second = assemble(0.05, "natural")
+    assemble(0.3, "neumann")
+    assert second.nnz == first.nnz < len(ff.fem.star_blocks(disk_mesh).indices)
+    for array, copy in zip((first.data, first.indices, first.indptr), saved):
+        assert np.array_equal(array, copy)
+    again = assemble(0.3, "natural")
+    for name in ("data", "indices", "indptr"):
+        assert np.array_equal(getattr(again, name), getattr(first, name))
 
 
 @pytest.mark.parametrize("dim", [2, 3])
@@ -297,6 +329,49 @@ def test_operator_matches_oracle_product(dim, bc):
         assert np.abs(op.matrix.toarray() - ref).max() <= 1e-14 * np.abs(ref).max()
 
 
+def star_of(mesh, v):
+    return np.union1d(mesh.vertex_neighbors()[v], [v])
+
+
+def check_star_blocks(mesh, stars):
+    K = mixed_factor(mesh).toarray()
+    nv = mesh.num_vertices
+    m = K.shape[0] // nv
+    seen, filled = [], []
+    for verts, blocks, (p, q), part in stars.groups:
+        s = blocks.shape[2]
+        assert blocks.shape == (len(verts), m, s)
+        assert np.array_equal(p, np.triu_indices(s)[0])
+        assert np.array_equal(q, np.triu_indices(s)[1])
+        assert part.stop - part.start == len(verts) * len(p)
+        assert len(verts) * s * s <= max(ff.fem.STAR_BATCH, s * s)
+        slots = stars.scatter[part].reshape(len(verts), len(p))
+        for v, block, slot in zip(verts, blocks, slots):
+            star = star_of(mesh, v)
+            assert np.array_equal(block, K[v * m : (v + 1) * m, star])
+            # each upper-triangle entry lands in the slot of its vertex pair
+            rows = np.searchsorted(stars.indptr, slot, side="right") - 1
+            assert np.array_equal(rows, star[p])
+            assert np.array_equal(stars.indices[slot], star[q])
+        seen.extend(verts)
+        filled.append(part)
+    assert sorted(seen) == list(range(nv))
+    assert [part.start for part in filled] == [0] + [part.stop for part in filled[:-1]]
+    assert filled[-1].stop == len(stars.scatter)
+    # the pattern couples the vertices of every star, and nothing else
+    adjacency = np.zeros((nv, nv), dtype=int)
+    for v in range(nv):
+        adjacency[v, star_of(mesh, v)] = 1
+    pattern = sparse.csr_matrix(adjacency @ adjacency)
+    assert np.array_equal(stars.indptr, pattern.indptr)
+    assert np.array_equal(stars.indices, pattern.indices)
+    # every slot's twin is the slot of the same pair in the upper triangle
+    pattern.data = np.arange(pattern.nnz)
+    rows = np.repeat(np.arange(nv), np.diff(pattern.indptr))
+    lo, hi = np.minimum(rows, pattern.indices), np.maximum(rows, pattern.indices)
+    assert np.array_equal(stars.twin, np.asarray(pattern[lo, hi]).ravel())
+
+
 def test_weak_hessian_is_built_once_per_mesh():
     # repeated assemblies on one mesh are compared bitwise by
     # test_assembly_is_deterministic
@@ -304,29 +379,54 @@ def test_weak_hessian_is_built_once_per_mesh():
     field = ff.constant_field(mesh, rotation_frame_2d(0.4))
     K = ff.weak_hessian(mesh)
     ff.assemble_operator(mesh, field, 0.3, "neumann")
-    assert ff.weak_hessian(mesh) is K
+    stars = ff.fem.star_blocks(mesh)
+    ff.assemble_operator(mesh, field, 0.3, "natural")
+    assert ff.weak_hessian(mesh) is K and ff.fem.star_blocks(mesh) is stars
     assert abs(K - mixed_factor(mesh)).max() == 0.0
-    Kt = mesh._weak_hessian_t
-    assert Kt.format == "csr" and abs(Kt - K.T).max() == 0.0
-    for M in (K, Kt):
-        assert M.has_canonical_format
-        for array in (M.data, M.indices, M.indptr):
-            with pytest.raises(ValueError):
-                array[0] = array[0]
-    # a refined mesh builds its own factor and leaves the coarse one alone
+    assert K.has_canonical_format
+    check_star_blocks(mesh, stars)
+    arrays = [K.data, K.indices, K.indptr, stars.scatter, stars.twin, stars.indptr,
+              stars.indices]
+    for verts, blocks, pairs, _ in stars.groups:
+        arrays += [verts, blocks, *pairs]
+    for array in arrays:
+        with pytest.raises(ValueError):
+            array.flat[0] = array.flat[0]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        stars.scatter = stars.scatter.copy()
+    # a refined mesh builds its own factor and stars and leaves the coarse
+    # ones alone
     fine = ff.refine_uniform(mesh)
     K_fine = ff.weak_hessian(fine)
-    assert K_fine is not K and fine._weak_hessian_t is not Kt
+    stars_fine = ff.fem.star_blocks(fine)
+    assert K_fine is not K and stars_fine is not stars
     assert K_fine.shape == (fine.num_vertices * 3, fine.num_vertices)
     assert abs(K_fine - mixed_factor(fine)).max() == 0.0
-    assert abs(fine._weak_hessian_t - K_fine.T).max() == 0.0
-    assert ff.weak_hessian(mesh) is K and mesh._weak_hessian_t is Kt
+    check_star_blocks(fine, stars_fine)
+    assert ff.weak_hessian(mesh) is K and ff.fem.star_blocks(mesh) is stars
+
+
+def test_star_batches_leave_the_operator_unchanged(monkeypatch):
+    # batches only bound the temporaries: the flat products keep their order
+    meshes = [meshgen.jittered_delaunay(3, 3, seed=4) for _ in range(2)]
+    ops = []
+    for batch, mesh in zip((ff.fem.STAR_BATCH, 200), meshes):
+        monkeypatch.setattr(ff.fem, "STAR_BATCH", batch)
+        field = ff.constant_field(mesh, ff.axis_frame(3))
+        ops.append(ff.assemble_operator(mesh, field, 0.1, "neumann").matrix)
+    big, small = (ff.fem.star_blocks(mesh) for mesh in meshes)
+    assert len(small.groups) > len(big.groups)
+    check_star_blocks(meshes[1], small)
+    for name in ("data", "indices", "indptr"):
+        assert np.array_equal(getattr(ops[0], name), getattr(ops[1], name))
 
 
 @pytest.mark.parametrize("dim", [2, 3])
 @pytest.mark.parametrize("bc", ["natural", "neumann"])
 def test_operator_matches_bsr_product_bitwise(dim, bc):
-    # same K, P placed as BSR and K' taken as the transpose view
+    # same K, P placed as BSR and K' taken as the transpose view: the same
+    # pattern bitwise, and values to the bound of the oracle product test,
+    # since the star sums add the same terms in another order
     rng = np.random.default_rng(dim + 60)
     mesh = meshgen.jittered_delaunay(dim, 7 if dim == 2 else 3, seed=dim + 9)
     fields = [ff.constant_field(mesh, random_octahedral_frame(rng, dim))]
@@ -339,7 +439,7 @@ def test_operator_matches_bsr_product_bitwise(dim, bc):
             assert op.format == "csr" and op.has_canonical_format
             assert np.array_equal(op.indptr, ref.indptr)
             assert np.array_equal(op.indices, ref.indices)
-            assert np.array_equal(op.data, ref.data)
+            assert np.abs(op.data - ref.data).max() <= 1e-14 * np.abs(ref.data).max()
 
 
 def test_validate_rejects_each_broken_invariant(disk_mesh, disk_harmonic_field):

@@ -47,6 +47,19 @@ def test_kind_classification(disk_mesh):
         ff.FrameField(disk_mesh, comps, -np.ones((nv, 2)))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("where", ["components", "weights"])
+def test_frame_field_rejects_non_finite_input(disk_mesh, where, bad):
+    nv = disk_mesh.num_vertices
+    arrays = {
+        "components": np.broadcast_to(np.eye(2), (nv, 2, 2)).copy(),
+        "weights": np.ones((nv, 2)),
+    }
+    arrays[where][(nv // 2, 1, 0)[: arrays[where].ndim]] = bad
+    with pytest.raises(ff.FieldError, match=f"{where} must be finite"):
+        ff.FrameField(disk_mesh, arrays["components"], arrays["weights"])
+
+
 def test_harmonic_disk_singularity(disk_mesh, disk_harmonic_field, disk_measures):
     field = disk_harmonic_field
     # one +1-index singular region: the 4-fold vector winds 4 times around the
