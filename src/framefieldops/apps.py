@@ -71,11 +71,8 @@ def nullity(op):
     n = mesh.num_vertices
     interior = np.ones(n, dtype=bool)
     interior[op.boundary_vertices] = False
-    e = mesh.edges()
-    # mark each edge end whose other end is interior
-    touched = np.zeros(n, dtype=bool)
-    touched[e[interior[e[:, ::-1]]]] = True
-    lone = int(np.count_nonzero(~interior & ~touched))
+    interior_neighbors = mesh.vertex_graph() @ interior
+    lone = int(np.count_nonzero(~interior & (interior_neighbors == 0)))
     rank_bound = n - mandel_size(mesh.dim) * int(np.count_nonzero(interior))
     return min(n, max(mesh.dim + 1 + lone, rank_bound))
 
@@ -215,7 +212,7 @@ def color_by_boundary(op, boundary_colors):
     bv = op.boundary_vertices
     if boundary_colors.shape != (len(bv), 3):
         raise ParameterError(f"boundary colors must have shape {(len(bv), 3)}")
-    if boundary_colors.min() < -1e-12 or boundary_colors.max() > 1.0 + 1e-12:
+    if not np.all((boundary_colors >= -1e-12) & (boundary_colors <= 1.0 + 1e-12)):
         raise ParameterError("colors must lie in [0, 1]")
     nv = op.matrix.shape[0]
     out = np.empty((nv, 3))

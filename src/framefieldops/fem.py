@@ -21,11 +21,10 @@ exactly zero; under weak Neumann conditions every B_v has dim - 1 rows and
 the boundary blocks are projected with one batched eigenvalue pseudoinverse,
 which also covers the singular blocks of zero-weight frame tensors.
 
-Everything that depends on the mesh alone is built once per mesh and cached
-on it: the measures (``compute_measures``), the shape gradients, G, the
-outer factor K = D' A G (``weak_hessian``) and its star blocks
-(``star_blocks``).  Because P is block-diagonal, the operator is a sum over
-vertices, A = sum_v K_v' P_v K_v, where the star block K_v holds the m rows
+The measures, G, the outer factor K = D' A G (``weak_hessian``) and its
+star blocks (``star_blocks``) depend on the mesh alone and are cached by
+``geometry.mesh_cached``.  Because P is block-diagonal, the operator is a sum
+over vertices, A = sum_v K_v' P_v K_v, where the star block K_v holds the m rows
 of K at v over the closed 1-ring, or star, of v.  The star cache holds every
 K_v, the CSR pattern of A (the 2-ring) and one scatter index from each entry
 of each star's product to its slot in that pattern.  Each assembly forms only
@@ -33,11 +32,10 @@ the middle blocks, takes the products as batched dense ``@``, symmetrizes
 each one, sums their upper triangles into the pattern with one
 ``np.bincount`` and copies the upper triangle of A to the lower one.
 
-The caches cannot go stale because every mesh array, and every array of
-these results, is read-only.  Nothing shares them with an operator: every
-``AssembledOperator`` owns fresh copies of the pattern arrays, so editing or
-compacting one (``eliminate_zeros`` under natural conditions) leaves the
-cache and every other operator alone.
+No operator shares a cached array: every ``AssembledOperator`` owns fresh
+copies of the pattern arrays, so editing or compacting one
+(``eliminate_zeros`` under natural conditions) leaves the cache and every
+other operator alone.
 
 Assembly is vectorized and deterministic: identical inputs produce
 bitwise-identical matrices, and every matrix is bitwise symmetric.
@@ -53,7 +51,7 @@ from scipy import sparse
 from scipy.sparse import linalg as spla
 
 from .errors import FieldError, NumericalError, ParameterError
-from .geometry import _frozen, compute_measures, gradient_matrix
+from .geometry import compute_measures, gradient_matrix, mesh_cached
 from .solve import check_symmetric, solve_pinned
 from .symtensor import _SQRT2, mandel_pairs, mandel_size, sym_to_mandel
 
@@ -164,38 +162,28 @@ def divergence_matrix(mesh):
     )
 
 
+@mesh_cached
 def weak_hessian(mesh):
-    """The mesh-only factor K = D' A G of the operator, cached on the mesh.
+    """The mesh-only factor K = D' A G of the operator.
 
     G maps vertex scalars to element gradients, A weights the rows of each
     element by its volume, and D' tests them against the divergence of
     every vertex's tensor hat functions, so K u is, up to sign, the weak
-    Hessian of u tested against the multiplier basis.  K depends on the mesh alone: the
-    frame field, epsilon and the boundary condition only enter the middle
-    blocks of K' P K.  It is therefore built on first use and reused by
-    every assembly on the mesh, which is safe because a mesh's arrays are
-    read-only.  A uses ``mesh.element_volumes``, the array
-    ``compute_measures`` reports.  K is in canonical CSR format (sorted
-    indices, no duplicates), and its ``data``, ``indices`` and ``indptr``
-    are read-only.
+    Hessian of u tested against the multiplier basis.  The frame field,
+    epsilon and the boundary condition only enter the middle blocks of
+    K' P K.  A uses ``mesh.element_volumes``, the array ``compute_measures``
+    reports.  K is in canonical CSR format (sorted indices, no duplicates).
 
     The rows of K at vertex v reach only the star of v (v and its 1-ring
-    neighbors).  ``star_blocks`` takes these rows out of K once per mesh as
-    dense ``m x s_v`` blocks, which is all that assembly reads of K, and
-    caches them with A's pattern and the scatter into it.  Sharing that
-    cache between assemblies is safe for the same reasons: its arrays are
-    read-only, and every operator gets its own copy of the pattern.
+    neighbors); ``star_blocks`` takes them out as dense ``m x s_v`` blocks,
+    which is all that assembly reads of K.
     """
-    if mesh._weak_hessian is None:
-        G = gradient_matrix(mesh)
-        D = divergence_matrix(mesh)
-        A = sparse.diags(np.repeat(mesh.element_volumes, mesh.dim))
-        K = (D.T @ A @ G).tocsr()
-        K.sum_duplicates()
-        for array in (K.data, K.indices, K.indptr):
-            _frozen(array)
-        mesh._weak_hessian = K
-    return mesh._weak_hessian
+    G = gradient_matrix(mesh)
+    D = divergence_matrix(mesh)
+    A = sparse.diags(np.repeat(mesh.element_volumes, mesh.dim))
+    K = (D.T @ A @ G).tocsr()
+    K.sum_duplicates()
+    return K
 
 
 @dataclass(frozen=True)
@@ -215,7 +203,7 @@ class StarBlocks:
     couples the vertices of each star, so every vertex to its 2-ring.
     ``scatter`` maps each entry of the flat products to its slot (i, j),
     i <= j, in that pattern, and ``twin`` maps every slot (i, j) to the
-    slot of (min(i, j), max(i, j)).  Every array is read-only.
+    slot of (min(i, j), max(i, j)).
     """
 
     groups: tuple
@@ -232,61 +220,47 @@ def _entries(M, rows, cols):
     return np.asarray(M[rows.ravel(), cols.ravel()]).reshape(rows.shape)
 
 
+@mesh_cached
 def star_blocks(mesh):
-    """The star blocks of K and the scatter into A's pattern, cached on the mesh.
+    """The star blocks of K and the scatter into A's pattern; see ``StarBlocks``.
 
-    Built on first use from ``weak_hessian(mesh)`` and the mesh edges, and
-    reused by every assembly on the mesh; see ``StarBlocks``.  Stars are
-    grouped by size, so no block is padded, and the index arrays keep
-    scipy's 32-bit index type where it fits.  A's pattern is the product
-    of the star adjacency with itself; each scatter index is found by a
-    search within one row of it.  Only upper triangles are scattered: A is
-    symmetric, and its lower triangle is a copy of the upper one.
+    Stars are grouped by size, so no block is padded, and the index arrays
+    keep scipy's 32-bit index type where it fits.  The star adjacency is
+    the vertex graph plus the identity, and A's pattern is its square;
+    each scatter index is found by a search within one row of it.  Only
+    upper triangles are scattered: A is symmetric, and its lower triangle
+    is a copy of the upper one.
     """
-    if mesh._star_blocks is None:
-        K = weak_hessian(mesh)
-        nv = mesh.num_vertices
-        m = K.shape[0] // nv
-        e = mesh.edges()
-        loops = np.arange(nv)
-        star = sparse.csr_matrix(
-            (
-                np.ones(2 * len(e) + nv, dtype=np.int32),
-                (np.concatenate([e[:, 0], e[:, 1], loops]),
-                 np.concatenate([e[:, 1], e[:, 0], loops])),
-            ),
-            shape=(nv, nv),
-        )
-        star.sum_duplicates()  # canonical: each star in ascending order
-        pattern = star @ star
-        pattern.sort_indices()
-        slots = np.arange(pattern.nnz, dtype=pattern.indices.dtype)
-        pattern.data = slots + 1  # a lookup off the pattern would read 0
-        # The slot of (j, i) lies in an earlier row than that of (i, j)
-        # exactly when i > j.
-        twin = np.minimum(slots, pattern.T.tocsr().data - 1)
-        size = np.diff(star.indptr)
-        by_size = np.argsort(size, kind="stable").astype(star.indices.dtype)
-        groups, scatter, start = [], [], 0
-        for same in np.split(by_size, np.flatnonzero(np.diff(size[by_size])) + 1):
-            s = size[same[0]]
-            p, q = map(_frozen, np.triu_indices(s))
-            step = max(1, STAR_BATCH // (s * s))
-            for verts in (same[i : i + step] for i in range(0, len(same), step)):
-                cols = star.indices[star.indptr[verts][:, None] + np.arange(s)]
-                rows = verts[:, None, None] * m + np.arange(m)[:, None]
-                blocks = _entries(K, rows, cols[:, None, :])
-                scatter.append(_entries(pattern, cols[:, p], cols[:, q]).ravel())
-                stop = start + len(verts) * len(p)
-                groups.append((verts, blocks, (p, q), slice(start, stop)))
-                start = stop
-        scatter = np.concatenate(scatter)
-        scatter -= 1
-        arrays = (scatter, twin, pattern.indptr, pattern.indices)
-        for array in arrays + tuple(a for group in groups for a in group[:2]):
-            _frozen(array)
-        mesh._star_blocks = StarBlocks(tuple(groups), *arrays)
-    return mesh._star_blocks
+    K = weak_hessian(mesh)
+    nv = mesh.num_vertices
+    m = K.shape[0] // nv
+    # canonical: each star in ascending order
+    star = mesh.vertex_graph() + sparse.identity(nv, dtype=np.int32, format="csr")
+    pattern = star @ star
+    pattern.sort_indices()
+    slots = np.arange(pattern.nnz, dtype=pattern.indices.dtype)
+    pattern.data = slots + 1  # a lookup off the pattern would read 0
+    # The slot of (j, i) lies in an earlier row than that of (i, j)
+    # exactly when i > j.
+    twin = np.minimum(slots, pattern.T.tocsr().data - 1)
+    size = np.diff(star.indptr)
+    by_size = np.argsort(size, kind="stable").astype(star.indices.dtype)
+    groups, scatter, start = [], [], 0
+    for same in np.split(by_size, np.flatnonzero(np.diff(size[by_size])) + 1):
+        s = size[same[0]]
+        p, q = np.triu_indices(s)
+        step = max(1, STAR_BATCH // (s * s))
+        for verts in (same[i : i + step] for i in range(0, len(same), step)):
+            cols = star.indices[star.indptr[verts][:, None] + np.arange(s)]
+            rows = verts[:, None, None] * m + np.arange(m)[:, None]
+            blocks = _entries(K, rows, cols[:, None, :])
+            scatter.append(_entries(pattern, cols[:, p], cols[:, q]).ravel())
+            stop = start + len(verts) * len(p)
+            groups.append((verts, blocks, (p, q), slice(start, stop)))
+            start = stop
+    scatter = np.concatenate(scatter)
+    scatter -= 1
+    return StarBlocks(tuple(groups), scatter, twin, pattern.indptr, pattern.indices)
 
 
 def constraint_blocks(measures, bc_kind, dim):
@@ -428,7 +402,8 @@ def apply_dirichlet_partition(op, boundary_values):
     op : AssembledOperator
         Must carry ``bc_kind == "neumann"``.
     boundary_values : np.ndarray
-        One value per boundary vertex, in ``op.boundary_vertices`` order.
+        One finite value per boundary vertex, in ``op.boundary_vertices``
+        order; anything else raises ``ParameterError``.
     """
     if op.bc_kind != "neumann":
         raise ParameterError("Dirichlet partition requires the weak-Neumann operator")
@@ -436,6 +411,8 @@ def apply_dirichlet_partition(op, boundary_values):
     bv = op.boundary_vertices
     if boundary_values.shape != bv.shape:
         raise ParameterError("boundary value count does not match boundary vertices")
+    if not np.all(np.isfinite(boundary_values)):
+        raise ParameterError("boundary values must be finite")
     try:
         return solve_pinned(op, bv, boundary_values)
     except NumericalError as exc:

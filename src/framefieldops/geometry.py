@@ -6,17 +6,18 @@ signed volume.  Boundary facets are recovered by facet-incidence counting
 and oriented outward.
 
 Everything derived from the mesh alone is built once, with vectorized numpy,
-and cached on the mesh: element volumes and boundary facets at construction;
-shape gradients, edges, 1-ring neighbors, the vertex order that ``solve``
-factors in, ``compute_measures``' result, the gradient matrix G, the
-content-hash state, the element-centroid KD-tree, the mixed FEM factor
-``fem.weak_hessian`` and its star blocks ``fem.star_blocks`` on first use.
-Every array the mesh holds or hands out is read-only, starting with private
-copies of its vertex and element arrays, so nothing can edit one in place
-behind a cache built from it; meshes are immutable after construction and
-safe to share across threads.
+and is read-only.  Element volumes and boundary facets are built at
+construction, every other mesh-only result on first use through
+:func:`mesh_cached`: edges, the vertex graph, 1-ring neighbors and order,
+shape gradients, the hash state, the centroid KD-tree, ``compute_measures``,
+``gradient_matrix``, and ``fem.weak_hessian`` and ``fem.star_blocks``.  The
+mesh keeps read-only copies of its vertex and element arrays, so no cached
+result can go stale; meshes are immutable after construction and safe to
+share across threads.  Only this module touches the cache.
 """
 
+import dataclasses
+import functools
 import hashlib
 import logging
 from dataclasses import dataclass
@@ -33,10 +34,41 @@ logger = logging.getLogger(__name__)
 _FACTORIAL = {2: 2.0, 3: 6.0}
 
 
-def _frozen(array):
-    """``array`` marked read-only, for the arrays a mesh caches."""
-    array.flags.writeable = False
-    return array
+def _freeze(value):
+    """Mark read-only every array reachable from ``value``: ndarrays, the
+    ``data``, ``indices`` and ``indptr`` of sparse matrices, and the members
+    of tuples, lists and dataclasses.  Anything else is left as it is."""
+    if isinstance(value, np.ndarray):
+        value.setflags(write=False)
+    elif sparse.issparse(value):
+        _freeze((value.data, value.indices, value.indptr))
+    elif isinstance(value, (tuple, list)):
+        for item in value:
+            _freeze(item)
+    elif dataclasses.is_dataclass(value):
+        _freeze([getattr(value, field.name) for field in dataclasses.fields(value)])
+    return value
+
+
+def mesh_cached(build):
+    """Run ``build(mesh)`` once per mesh and return that object on every call.
+
+    The result is kept in ``mesh._cache`` under ``build``, with every array
+    reachable from it marked read-only (see ``_freeze``).  ``build`` must
+    depend on the mesh alone; as the mesh is read-only too, the result
+    cannot go stale and all callers share it.  A new mesh, refined or not,
+    builds its own.  Decorates ``SimplicialMesh`` methods and functions of
+    a mesh alike.
+    """
+
+    @functools.wraps(build)
+    def cached(mesh):
+        if build not in mesh._cache:
+            # threads racing on a first call all return the first result stored
+            mesh._cache.setdefault(build, _freeze(build(mesh)))
+        return mesh._cache[build]
+
+    return cached
 
 
 def _row_groups(rows):
@@ -67,13 +99,8 @@ class SimplicialMesh:
 
     Both arrays are copied and stored read-only, so later edits to the
     arrays passed in cannot reach the mesh, and writing to ``mesh.vertices``
-    or ``mesh.elements`` raises ``ValueError``.  The same holds for every
-    array derived from them: ``element_volumes``, ``boundary_facets``,
-    ``parent_edges``, ``shape_gradients()``, ``edges()``, ``vertex_order()``,
-    the arrays of ``vertex_neighbors()`` and of ``compute_measures(mesh)``,
-    and the index and value arrays of G, K and K'.  This is what makes each
-    of them, and the hash state and centroid tree, safe to build once per
-    mesh and share.
+    or ``mesh.elements`` raises ``ValueError``; see the module docstring for
+    what is derived from them and how it is cached.
 
     Raises
     ------
@@ -84,8 +111,8 @@ class SimplicialMesh:
     """
 
     def __init__(self, vertices, elements):
-        self.vertices = _frozen(np.array(vertices, dtype=float, order="C"))
-        self.elements = _frozen(np.array(elements, dtype=np.int64, order="C"))
+        self.vertices = _freeze(np.array(vertices, dtype=float, order="C"))
+        self.elements = _freeze(np.array(elements, dtype=np.int64, order="C"))
         if self.vertices.ndim != 2 or self.vertices.shape[1] not in (2, 3):
             raise GeometryError("vertices must be an (nv, 2) or (nv, 3) array")
         if not np.all(np.isfinite(self.vertices)):
@@ -119,21 +146,12 @@ class SimplicialMesh:
                 f"element {bad} has nonpositive volume {vols[bad]:.3e}; "
                 "elements must be consistently oriented and nondegenerate"
             )
-        self.element_volumes = _frozen(vols)
-        self.boundary_facets = _frozen(self._extract_boundary())
+        self.element_volumes = _freeze(vols)
+        self.boundary_facets = _freeze(self._extract_boundary())
         # Optional refinement provenance: (n_new, 2) coarse edge endpoints for
         # vertices appended by refine_uniform; None for meshes built directly.
         self.parent_edges = None
-        self._shape_gradients = None
-        self._edges = None
-        self._vertex_neighbors = None
-        self._vertex_order = None
-        self._hash_state = None
-        self._centroid_tree = None
-        self._measures = None  # filled by compute_measures
-        self._gradient_matrix = None  # filled by gradient_matrix
-        self._weak_hessian = None  # filled by fem.weak_hessian
-        self._star_blocks = None  # filled by fem.star_blocks
+        self._cache = {}  # filled by mesh_cached
 
     # -- basic queries ----------------------------------------------------
 
@@ -165,32 +183,44 @@ class SimplicialMesh:
         # makes the boundary order deterministic.
         return facets[order[starts[counts == 1]]]
 
+    @mesh_cached
     def edges(self):
         """Unique undirected edges as a sorted ``(E, 2)`` index array."""
-        if self._edges is None:
-            t = self.elements
-            k = self.dim + 1
-            pairs = [t[:, [i, j]] for i in range(k) for j in range(i + 1, k)]
-            e = np.sort(np.concatenate(pairs), axis=1)
-            order, starts = _row_groups(e)
-            self._edges = _frozen(e[order[starts]])
-        return self._edges
+        t = self.elements
+        k = self.dim + 1
+        pairs = [t[:, [i, j]] for i in range(k) for j in range(i + 1, k)]
+        e = np.sort(np.concatenate(pairs), axis=1)
+        order, starts = _row_groups(e)
+        return e[order[starts]]
 
+    @mesh_cached
+    def vertex_graph(self):
+        """The vertex adjacency as a canonical ``(nv, nv)`` CSR matrix.
+
+        Entry (i, j) is 1 exactly when i and j share an edge, in both
+        directions; the diagonal is empty and each row's columns ascend.
+        """
+        e = self.edges()
+        rows, cols = np.concatenate([e, e[:, ::-1]]).T
+        n = self.num_vertices
+        graph = sparse.csr_matrix(
+            (np.ones(len(rows), dtype=np.int32), (rows, cols)), shape=(n, n)
+        )
+        graph.sum_duplicates()  # sorts each row; edges() has no duplicates
+        return graph
+
+    @mesh_cached
     def vertex_neighbors(self):
-        """List of sorted 1-ring neighbor index arrays, one per vertex."""
-        if self._vertex_neighbors is None:
-            e = self.edges()
-            both = np.concatenate([e, e[:, ::-1]])
-            order = np.lexsort((both[:, 1], both[:, 0]))
-            both = _frozen(both[order])
-            splits = np.searchsorted(both[:, 0], np.arange(self.num_vertices + 1))
-            self._vertex_neighbors = [
-                both[splits[v] : splits[v + 1], 1] for v in range(self.num_vertices)
-            ]
-        return self._vertex_neighbors
+        """List of sorted 1-ring neighbor index arrays, one per vertex: the
+        rows of ``vertex_graph()``."""
+        graph = self.vertex_graph()
+        cols = graph.indices.astype(np.int64)
+        bounds = graph.indptr.tolist()
+        return [cols[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
 
+    @mesh_cached
     def vertex_order(self):
-        """Reverse Cuthill-McKee order of the vertex graph.
+        """Reverse Cuthill-McKee order of ``vertex_graph()``.
 
         ``solve`` factors every system on the vertices in this order.  The
         fourth-order operators couple 2-ring neighbors, and their band in
@@ -199,16 +229,10 @@ class SimplicialMesh:
         ``structured_square(n)``: 2n + 2 here, about 4n there).  Entry i
         is the vertex placed i-th.
         """
-        if self._vertex_order is None:
-            e = self.edges()
-            n = self.num_vertices
-            graph = sparse.csr_matrix(
-                (np.ones(len(e), dtype=np.int8), (e[:, 0], e[:, 1])), shape=(n, n)
-            )
-            order = reverse_cuthill_mckee(graph + graph.T, symmetric_mode=True)
-            self._vertex_order = _frozen(order.astype(np.int64))
-        return self._vertex_order
+        order = reverse_cuthill_mckee(self.vertex_graph(), symmetric_mode=True)
+        return order.astype(np.int64)
 
+    @mesh_cached
     def shape_gradients(self):
         """Constant gradients of the linear shape functions.
 
@@ -224,43 +248,40 @@ class SimplicialMesh:
         determinant in 2D, and the cross products of the other two edges
         over the determinant in 3D.
         """
-        if self._shape_gradients is None:
-            p = self.vertices[self.elements]
-            e = p[:, 1:, :] - p[:, :1, :]  # rows p_i - p_0
-            g = np.empty((self.num_elements, self.dim + 1, self.dim))
-            if self.dim == 2:
-                g[:, 1, 0], g[:, 1, 1] = e[:, 1, 1], -e[:, 1, 0]
-                g[:, 2, 0], g[:, 2, 1] = -e[:, 0, 1], e[:, 0, 0]
-            else:
-                g[:, 1] = np.cross(e[:, 1], e[:, 2])
-                g[:, 2] = np.cross(e[:, 2], e[:, 0])
-                g[:, 3] = np.cross(e[:, 0], e[:, 1])
-            det = np.einsum("ei,ei->e", e[:, 0], g[:, 1])
-            g[:, 1:] /= det[:, None, None]
-            g[:, 0] = -np.sum(g[:, 1:], axis=1)
-            self._shape_gradients = _frozen(g)
-        return self._shape_gradients
+        p = self.vertices[self.elements]
+        e = p[:, 1:, :] - p[:, :1, :]  # rows p_i - p_0
+        g = np.empty((self.num_elements, self.dim + 1, self.dim))
+        if self.dim == 2:
+            g[:, 1, 0], g[:, 1, 1] = e[:, 1, 1], -e[:, 1, 0]
+            g[:, 2, 0], g[:, 2, 1] = -e[:, 0, 1], e[:, 0, 0]
+        else:
+            g[:, 1] = np.cross(e[:, 1], e[:, 2])
+            g[:, 2] = np.cross(e[:, 2], e[:, 0])
+            g[:, 3] = np.cross(e[:, 0], e[:, 1])
+        det = np.einsum("ei,ei->e", e[:, 0], g[:, 1])
+        g[:, 1:] /= det[:, None, None]
+        g[:, 0] = -np.sum(g[:, 1:], axis=1)
+        return g
+
+    @mesh_cached
+    def _hashed(self):
+        h = hashlib.sha256(np.int64(self.dim).tobytes())
+        h.update(self.vertices.tobytes())
+        h.update(self.elements.tobytes())
+        return h
 
     def hash_state(self):
         """SHA-256 state after hashing the dimension, vertices and elements.
 
-        The state is computed once; each call returns a fresh copy that the
-        caller may extend (``FrameField.fingerprint`` adds the field).
+        Each call returns a fresh copy of the cached state that the caller
+        may extend (``FrameField.fingerprint`` adds the field).
         """
-        if self._hash_state is None:
-            h = hashlib.sha256()
-            h.update(np.int64(self.dim).tobytes())
-            h.update(self.vertices.tobytes())
-            h.update(self.elements.tobytes())
-            self._hash_state = h
-        return self._hash_state.copy()
+        return self._hashed().copy()
 
+    @mesh_cached
     def centroid_tree(self):
         """KD-tree over the element centroids, indexed like the elements."""
-        if self._centroid_tree is None:
-            centroids = self.vertices[self.elements].mean(axis=1)
-            self._centroid_tree = cKDTree(centroids)
-        return self._centroid_tree
+        return cKDTree(self.vertices[self.elements].mean(axis=1))
 
     def __repr__(self):
         return (
@@ -311,22 +332,14 @@ def _facet_normals_and_measures(mesh):
     return n / norm[:, None], 0.5 * norm
 
 
+@mesh_cached
 def compute_measures(mesh):
     """Element volumes, dual vertex volumes, and boundary normal frames.
 
     Boundary normals at a vertex average the outward normals of incident
     boundary facets weighted by facet measure, then normalize; the tangent
     basis is a deterministic orthonormal completion.
-
-    The measures depend on the mesh alone, so they are computed on the first
-    call and every later call returns the same read-only ``MeshMeasures``.
     """
-    if mesh._measures is None:
-        mesh._measures = _build_measures(mesh)
-    return mesh._measures
-
-
-def _build_measures(mesh):
     vols = mesh.element_volumes  # positive: SimplicialMesh checks it
     dual = np.zeros(mesh.num_vertices)
     for k in range(mesh.dim + 1):
@@ -361,35 +374,28 @@ def _build_measures(mesh):
 
     return MeshMeasures(
         element_volumes=vols,
-        dual_volumes=_frozen(dual),
-        boundary_vertices=_frozen(bverts),
-        boundary_normals=_frozen(normals),
-        boundary_tangents=_frozen(tangents),
+        dual_volumes=dual,
+        boundary_vertices=bverts,
+        boundary_normals=normals,
+        boundary_tangents=tangents,
     )
 
 
+@mesh_cached
 def gradient_matrix(mesh):
-    """Sparse piecewise-linear gradient operator, cached on the mesh.
+    """Sparse piecewise-linear gradient operator.
 
     Maps per-vertex scalars to per-element constant gradients; the result
     has ``ne * dim`` rows grouped per element.  Exact on affine functions.
-    Built on the first call; later calls return the same CSR matrix, whose
-    arrays are read-only, so ``weak_hessian`` and the harmonic field share it.
     """
-    if mesh._gradient_matrix is not None:
-        return mesh._gradient_matrix
     g = mesh.shape_gradients()
     ne, k, dim = g.shape
     rows = np.arange(ne)[:, None, None] * dim + np.arange(dim)[None, None, :]
     rows = np.broadcast_to(rows, (ne, k, dim)).ravel()
     cols = np.broadcast_to(mesh.elements[:, :, None], (ne, k, dim)).ravel()
-    G = sparse.coo_matrix(
+    return sparse.coo_matrix(
         (g.ravel(), (rows, cols)), shape=(ne * dim, mesh.num_vertices)
     ).tocsr()  # canonical: each row's columns are distinct
-    for array in (G.data, G.indices, G.indptr):
-        _frozen(array)
-    mesh._gradient_matrix = G
-    return G
 
 
 def mean_edge_length(mesh):

@@ -61,6 +61,14 @@ def check_symmetric(A, tol=1e-12):
     return A
 
 
+def _positions(indices, n, name):
+    """``indices`` as int64 positions in [0, n), else ``ParameterError``."""
+    indices = np.asarray(indices, dtype=np.int64)
+    if np.any((indices < 0) | (indices >= n)):
+        raise ParameterError(f"{name} must lie in [0, {n})")
+    return indices
+
+
 class _Ordered(NamedTuple):
     """A matrix with the order its factor uses, or ``None`` for RCM of its graph."""
 
@@ -146,7 +154,8 @@ def solve_spd(A, b):
     ----------
     A : sparse or dense symmetric positive definite matrix, or AssembledOperator
     b : np.ndarray
-        Right-hand side, shape ``(n,)`` or ``(n, r)``.
+        Right-hand side, shape ``(n,)`` or ``(n, r)``; any other shape
+        raises ``ParameterError``.
 
     Returns
     -------
@@ -162,6 +171,8 @@ def solve_spd(A, b):
     A, order = _ordered(A)
     A = sparse.csr_matrix(A)
     b = np.asarray(b, dtype=float)
+    if b.ndim not in (1, 2) or len(b) != A.shape[0]:
+        raise ParameterError(f"b must have shape (n,) or (n, r), n = {A.shape[0]}")
     x = _factorize(A, order).solve(b)
     # Backward-stable acceptance: residual relative to |A||x| + |b| guards
     # against silent failure without punishing ill-conditioned systems.
@@ -175,9 +186,9 @@ def solve_spd(A, b):
 def solve_pinned(A, pinned, values):
     """Minimize ``0.5 x' A x`` subject to ``x[pinned] = values``.
 
-    ``pinned`` holds distinct indices and ``values`` has shape ``(np,)`` or
-    ``(np, r)``.  The free entries solve ``A_ff x_f = -A_fp values`` with one
-    ``solve_spd``, so the free block must be positive definite.  An
+    ``pinned`` holds distinct indices in [0, n) (else ``ParameterError``)
+    and ``values`` has shape ``(np,)`` or ``(np, r)``.  The free entries
+    solve ``A_ff x_f = -A_fp values`` with one ``solve_spd``, so the free block must be positive definite.  An
     ``AssembledOperator``'s free block is factored in its mesh's vertex
     order restricted to the free entries.  Returns the full solution, shape
     ``(n,)`` or ``(n, r)``, with ``x[pinned] = values``.
@@ -185,7 +196,7 @@ def solve_pinned(A, pinned, values):
     A, order = _ordered(A)
     A = sparse.csr_matrix(A)
     n = A.shape[0]
-    pinned = np.asarray(pinned, dtype=np.int64)
+    pinned = _positions(pinned, n, "pinned indices")
     values = np.asarray(values, dtype=float)
     free = np.setdiff1d(np.arange(n), pinned)
     x = np.zeros((n,) + values.shape[1:])
@@ -215,8 +226,7 @@ class EigenResult:
 
     def validate(self, A, M_diag, rtol=1e-7, otol=1e-8):
         """Assert the residual and M-orthonormality contracts."""
-        A = getattr(A, "matrix", A)
-        norm_a = spla.norm(A, np.inf) if sparse.issparse(A) else np.linalg.norm(A, np.inf)
+        norm_a = spla.norm(getattr(A, "matrix", A), np.inf)
         norm_m = float(np.max(np.abs(M_diag)))
         bound = rtol * (norm_a + np.abs(self.values) * norm_m)
         if not np.all(self.residuals <= bound):
@@ -246,7 +256,8 @@ def eigs_generalized(A, M_diag, k, seed=0):
     ----------
     A : sparse symmetric PSD matrix or AssembledOperator
     M_diag : np.ndarray
-        Positive diagonal of the mass matrix.
+        Positive diagonal of the mass matrix, one finite entry per row of
+        A; else ``ParameterError``.
     k : int
         Number of eigenpairs, an integer with ``0 < k < n``; anything else
         raises ``ParameterError``.
@@ -270,7 +281,9 @@ def eigs_generalized(A, M_diag, k, seed=0):
     n = A.shape[0]
     if isinstance(k, bool) or not isinstance(k, numbers.Integral) or not 0 < k < n:
         raise ParameterError(f"k must be an integer in (0, {n}), got {k!r}")
-    if np.any(M_diag <= 0):
+    if M_diag.shape != (n,) or not np.all(np.isfinite(M_diag)):
+        raise ParameterError(f"mass diagonal must hold {n} finite values")
+    if not np.all(M_diag > 0):
         raise NumericalError("mass diagonal must be positive")
 
     sigma = -1e-5 * A.diagonal().sum() / n
@@ -294,11 +307,11 @@ def eigs_generalized(A, M_diag, k, seed=0):
 def diffuse(op, u0, tau):
     """One implicit-Euler step of ``du/dt = -A u``: solve (M + tau A) u = M u0.
 
-    ``u0`` holds one value per vertex and ``tau`` must be positive; either
-    failing raises ``ParameterError``.
+    ``u0`` holds one value per vertex and ``tau`` must be positive and
+    finite; either failing raises ``ParameterError``.
     """
-    if not tau > 0:
-        raise ParameterError(f"diffusion time must be positive, got {tau}")
+    if not 0 < tau < np.inf:
+        raise ParameterError(f"diffusion time must be positive and finite, got {tau}")
     M_diag = getattr(op, "vertex_mass", None)
     if M_diag is None:
         raise ParameterError("diffuse requires an operator with a vertex mass")
@@ -346,9 +359,10 @@ def solve_box_qp(A, fixed_indices, fixed_values, lower, upper, return_info=False
         Its block on the entries that are neither fixed nor at a bound must
         be positive definite.
     fixed_indices, fixed_values : array_like
-        Equality-pinned entries (must satisfy the bounds).
+        Equality-pinned entries: indices in [0, n), values within the bounds.
     lower, upper : np.ndarray
-        Elementwise bounds, ``lower <= upper``.
+        Bounds of shape ``(n,)`` with ``lower <= upper``, so without NaN.
+        Bad indices, bounds or fixed values raise ``ParameterError``.
     return_info : bool
         Also return a dict with the step count ``iterations``, ``converged``
         (true whenever a result is returned) and ``kkt_residual``, the norm
@@ -359,13 +373,13 @@ def solve_box_qp(A, fixed_indices, fixed_values, lower, upper, return_info=False
     n = A.shape[0]
     lower = np.asarray(lower, dtype=float)
     upper = np.asarray(upper, dtype=float)
-    if np.any(lower > upper):
-        raise ParameterError("lower bound exceeds upper bound")
-    fixed_indices = np.asarray(fixed_indices, dtype=np.int64)
+    if lower.shape != (n,) or upper.shape != (n,) or not np.all(lower <= upper):
+        raise ParameterError(f"bounds must have shape ({n},) and lower <= upper")
+    fixed_indices = _positions(fixed_indices, n, "fixed indices")
     fixed_values = np.asarray(fixed_values, dtype=float)
-    if len(fixed_indices) and (
-        np.any(fixed_values < lower[fixed_indices] - 1e-12)
-        or np.any(fixed_values > upper[fixed_indices] + 1e-12)
+    if not np.all(
+        (fixed_values >= lower[fixed_indices] - 1e-12)
+        & (fixed_values <= upper[fixed_indices] + 1e-12)
     ):
         raise ParameterError("fixed values violate the bounds")
 

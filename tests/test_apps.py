@@ -249,6 +249,28 @@ BAD_ENTRY_INPUTS = {
     "k 3.0": lambda mesh, emb, op, d: ff.eigs_generalized(op, op.vertex_mass, 3.0),
     "k 0": lambda mesh, emb, op, d: ff.eigs_generalized(op, op.vertex_mass, 0),
     "k n": lambda mesh, emb, op, d: ff.eigs_generalized(op, op.vertex_mass, len(d)),
+    "mass nan": lambda mesh, emb, op, d: ff.eigs_generalized(
+        op, np.where(np.arange(len(d)) == 3, np.nan, op.vertex_mass), 4
+    ),
+    "b short": lambda mesh, emb, op, d: ff.solve_spd(op, d[:-1]),
+    "pinned nv": lambda mesh, emb, op, d: ff.solve_pinned(op, [0, len(d)], [0.0, 1.0]),
+    "pinned -1": lambda mesh, emb, op, d: ff.solve_pinned(op, [0, -1], [0.0, 1.0]),
+    "fixed nv": lambda mesh, emb, op, d: ff.solve_box_qp(
+        op, [len(d)], [0.5], np.zeros(len(d)), np.ones(len(d))
+    ),
+    "bound nan": lambda mesh, emb, op, d: ff.solve_box_qp(
+        op, [0], [0.5], np.where(np.arange(len(d)) == 3, np.nan, 0.0), np.ones(len(d))
+    ),
+    "bounds short": lambda mesh, emb, op, d: ff.solve_box_qp(
+        op, [0], [0.5], np.zeros(len(d) - 1), np.ones(len(d) - 1)
+    ),
+    "tau inf": lambda mesh, emb, op, d: ff.diffuse(op, d, np.inf),
+    "color nan": lambda mesh, emb, op, d: ff.color_by_boundary(
+        op, np.full((len(op.boundary_vertices), 3), np.nan)
+    ),
+    "dirichlet inf": lambda mesh, emb, op, d: ff.apply_dirichlet_partition(
+        op, np.full(len(op.boundary_vertices), np.inf)
+    ),
 }
 
 

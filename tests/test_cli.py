@@ -239,6 +239,19 @@ def test_input_errors_and_program_faults(workspace, monkeypatch, tmp_path):
         main(out + ["assemble", "--mesh", mesh, "--field", field])
 
 
+def test_color_with_a_nan_in_the_csv_is_bad_input(workspace, tmp_path, capsys):
+    disk = ff.load_mesh(workspace / "disk.off")
+    colors = np.full((len(ff.compute_measures(disk).boundary_vertices), 3), 0.5)
+    colors[2, 1] = np.nan
+    np.savetxt(tmp_path / "colors.csv", colors, delimiter=",")
+    assert main(
+        ["-o", str(tmp_path / "out"), "color", "--mesh", str(workspace / "disk.off"),
+         "--field", str(workspace / "gen" / "field.csv"),
+         "--boundary-colors", str(tmp_path / "colors.csv")]
+    ) == EXIT_INPUT
+    assert "input error: colors must lie in [0, 1]" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("index", ["61", "-1"])
 @pytest.mark.parametrize(
     "command, flag",

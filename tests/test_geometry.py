@@ -472,3 +472,34 @@ def test_vertex_order_is_built_once_per_mesh_and_read_only(monkeypatch):
     fine = ff.refine_uniform(mesh)
     assert len(fine.vertex_order()) == fine.num_vertices
     assert calls == {"mesh": 2, "matrix": 0}
+
+
+@pytest.mark.parametrize(
+    "mesh",
+    [
+        meshgen.structured_square(6),
+        meshgen.disk(5),
+        ff.refine_uniform(meshgen.ball()),
+        meshgen.jittered_delaunay(3, 3, seed=2),
+    ],
+    ids=["square6", "disk5", "ball1", "jittered3"],
+)
+def test_vertex_graph_is_the_canonical_symmetric_edge_graph(mesh):
+    graph = mesh.vertex_graph()
+    n = mesh.num_vertices
+    assert graph.format == "csr" and graph.shape == (n, n)
+    assert graph.has_canonical_format and np.all(graph.data == 1)
+    assert abs(graph - graph.T).nnz == 0
+    assert not graph.diagonal().any()
+    # its upper triangle, in CSR order, is edges(); its lower one the reverse
+    rows = np.repeat(np.arange(n), np.diff(graph.indptr))
+    upper = rows < graph.indices
+    e = mesh.edges()
+    assert np.array_equal(np.column_stack([rows[upper], graph.indices[upper]]), e)
+    expected = np.zeros((n, n), dtype=int)
+    expected[e[:, 0], e[:, 1]] = expected[e[:, 1], e[:, 0]] = 1
+    assert np.array_equal(graph.toarray(), expected)
+    # the 1-ring neighbors are its rows, as int64
+    for v, nbrs in enumerate(mesh.vertex_neighbors()):
+        assert nbrs.dtype == np.int64
+        assert np.array_equal(nbrs, graph.indices[graph.indptr[v] : graph.indptr[v + 1]])
