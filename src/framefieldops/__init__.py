@@ -51,8 +51,6 @@ from .fem import (
     MixedSystem,
     apply_dirichlet_partition,
     assemble_operator,
-    divergence_matrix,
-    weak_hessian,
 )
 from .solve import (
     EigenResult,

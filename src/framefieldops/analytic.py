@@ -81,16 +81,6 @@ class ConformalMap:
         w, _ = self._fz(points[:, 0] + 1j * points[:, 1])
         return np.column_stack([w.real, w.imag])
 
-    def jacobian(self, points):
-        points = np.asarray(points, dtype=float)
-        _, d = self._fz(points[:, 0] + 1j * points[:, 1])
-        J = np.empty((len(points), 2, 2))
-        J[:, 0, 0] = d.real
-        J[:, 0, 1] = -d.imag
-        J[:, 1, 0] = d.imag
-        J[:, 1, 1] = d.real
-        return J
-
     def inverse_jacobian(self, points):
         points = np.asarray(points, dtype=float)
         _, d = self._fz(points[:, 0] + 1j * points[:, 1])

@@ -21,16 +21,21 @@ exactly zero; under weak Neumann conditions every B_v has dim - 1 rows and
 the boundary blocks are projected with one batched eigenvalue pseudoinverse,
 which also covers the singular blocks of zero-weight frame tensors.
 
-The measures, G, the outer factor K = D' A G (``weak_hessian``) and its
-star blocks (``star_blocks``) depend on the mesh alone and are cached by
-``geometry.mesh_cached``.  Because P is block-diagonal, the operator is a sum
-over vertices, A = sum_v K_v' P_v K_v, where the star block K_v holds the m rows
-of K at v over the closed 1-ring, or star, of v.  The star cache holds every
-K_v, the CSR pattern of A (the 2-ring) and one scatter index from each entry
-of each star's product to its slot in that pattern.  Each assembly forms only
-the middle blocks, takes the products as batched dense ``@``, symmetrizes
-each one, sums their upper triangles into the pattern with one
-``np.bincount`` and copies the upper triangle of A to the lower one.
+The outer factor K = D' A G depends on the mesh alone.  G maps vertex
+scalars to element gradients, A weights each element by its volume, and D'
+tests them against the divergence of every vertex's tensor hat functions,
+so on element e the block of K for the vertices (a, b) is
+vol_e mandel(sym(g_a g_b')), with g the shape gradients.  K is summed from
+this closed form; neither G nor D is formed.  Because P is block-diagonal,
+the operator is a sum over vertices, A = sum_v K_v' P_v K_v, where the star
+block K_v holds the m rows of K at v over the closed 1-ring, or star, of v.
+``star_blocks``, cached once per mesh by ``geometry.mesh_cached`` like the
+measures, holds every K_v, the CSR pattern of A (the 2-ring) and one
+scatter index from each entry of each star's product to its slot in that
+pattern.  Each assembly forms only the middle blocks, takes the products as
+batched dense ``@``, symmetrizes each one, sums their upper triangles into
+the pattern with one ``np.bincount`` and copies the upper triangle of A to
+the lower one.
 
 No operator shares a cached array: every ``AssembledOperator`` owns fresh
 copies of the pattern arrays, so editing or compacting one
@@ -51,7 +56,8 @@ from scipy import sparse
 from scipy.sparse import linalg as spla
 
 from .errors import FieldError, NumericalError, ParameterError
-from .geometry import compute_measures, gradient_matrix, mesh_cached
+from .geometry import _LOCAL_EDGES, compute_measures, mesh_cached
+from .geometry import gradient_matrix  # noqa: F401  unused here; perfbench/tracing.py wraps it
 from .solve import check_symmetric, solve_pinned
 from .symtensor import _SQRT2, mandel_pairs, mandel_size, sym_to_mandel
 
@@ -72,9 +78,9 @@ class MixedSystem:
     per vertex of ``compute_measures(mesh).boundary_vertices`` in that
     order; B is their block-diagonal placement and is not stored.  The
     gradient G, the divergence D and the element volumes A enter only
-    through the mesh-only product K = D' A G, which ``weak_hessian`` builds
-    once per mesh, so they are not stored here either; nor are the
-    measures, which are cached on the mesh.
+    through the star blocks of the mesh-only product K = D' A G, which
+    ``star_blocks`` sums once per mesh, so they are not stored here
+    either; nor are the measures, which are cached on the mesh.
     """
 
     mbar: np.ndarray
@@ -126,73 +132,15 @@ class AssembledOperator:
         return True
 
 
-def divergence_matrix(mesh):
-    """Piecewise-linear symmetric tensor divergence operator.
-
-    Maps per-vertex Mandel tensors (vertex-major layout, m components per
-    vertex) to the constant divergence vector per element (element-major,
-    dim rows each).  Off-diagonal Mandel components carry 1/sqrt(2) so the
-    result is the divergence of the physical tensor.
-
-    Built straight into CSR: row (e, i) holds, for each vertex of element e
-    in ascending index order, the dim Mandel components that involve
-    direction i, so every row has (dim + 1) * dim distinct sorted columns.
-    """
-    g = mesh.shape_gradients()  # (ne, k, dim)
-    ne, k, dim = g.shape
-    m = mandel_size(dim)
-    pairs = mandel_pairs(dim)
-    # comp[i]: the components (a, b) with i in {a, b}, ascending; component
-    # (a, b) puts d_b of the hat function into row a and d_a into row b.
-    comp = np.array(
-        [[c for c, pair in enumerate(pairs) if i in pair] for i in range(dim)]
-    )
-    other = np.array([[sum(pairs[c]) - i for c in row] for i, row in enumerate(comp)])
-    divisor = np.where(comp < dim, 1.0, _SQRT2)  # diagonal components come first
-    order = np.argsort(mesh.elements, axis=1)
-    verts = np.take_along_axis(mesh.elements, order, axis=1)
-    grads = np.take_along_axis(g, order[:, :, None], axis=1)
-    # Both arrays are indexed (element, row direction i, vertex, component).
-    indices = verts[:, None, :, None] * m + comp[None, :, None, :]
-    data = np.swapaxes(grads[:, :, other], 1, 2) / divisor[None, :, None, :]
-    indptr = np.arange(ne * dim + 1) * (k * dim)
-    return sparse.csr_matrix(
-        (data.ravel(), indices.ravel(), indptr),
-        shape=(ne * dim, mesh.num_vertices * m),
-    )
-
-
-@mesh_cached
-def weak_hessian(mesh):
-    """The mesh-only factor K = D' A G of the operator.
-
-    G maps vertex scalars to element gradients, A weights the rows of each
-    element by its volume, and D' tests them against the divergence of
-    every vertex's tensor hat functions, so K u is, up to sign, the weak
-    Hessian of u tested against the multiplier basis.  The frame field,
-    epsilon and the boundary condition only enter the middle blocks of
-    K' P K.  A uses ``mesh.element_volumes``, the array ``compute_measures``
-    reports.  K is in canonical CSR format (sorted indices, no duplicates).
-
-    The rows of K at vertex v reach only the star of v (v and its 1-ring
-    neighbors); ``star_blocks`` takes them out as dense ``m x s_v`` blocks,
-    which is all that assembly reads of K.
-    """
-    G = gradient_matrix(mesh)
-    D = divergence_matrix(mesh)
-    A = sparse.diags(np.repeat(mesh.element_volumes, mesh.dim))
-    K = (D.T @ A @ G).tocsr()
-    K.sum_duplicates()
-    return K
-
-
 @dataclass(frozen=True)
 class StarBlocks:
     """Everything about A = K' P K that depends on the mesh alone.
 
     ``groups`` holds one ``(vertices, blocks, (p, q), part)`` entry per
     batch of n stars of one size s: the star centers, their ``(n, m, s)``
-    star blocks K_v of K (columns in ascending vertex order), the indices
+    star blocks K_v, the m rows of K = D' A G at v over the columns of its
+    star in ascending vertex order (summed from the element closed form;
+    see ``star_blocks``), the indices
     ``np.triu_indices(s)`` and the slice of the flat products that the
     batch fills, the n * s (s + 1) / 2 entries (p, q), p <= q, of the upper
     triangles of the ``s x s`` products K_v' P_v K_v.  A batch holds at
@@ -220,10 +168,37 @@ def _entries(M, rows, cols):
     return np.asarray(M[rows.ravel(), cols.ravel()]).reshape(rows.shape)
 
 
+def _pair_sums(mesh):
+    """K's blocks ``sum_e vol_e mandel(sym(g_a g_b'))`` as an ``(m, nv + E)``
+    array: column v holds the pair (v, v), column nv + i edge i.  A function
+    of its own, so its temporaries are freed before A's pattern is built."""
+    nv, dim = mesh.num_vertices, mesh.dim
+    g = mesh.shape_gradients()
+    vol = mesh.element_volumes[:, None]
+    ends = np.array(_LOCAL_EDGES[dim]).T
+    pairs = mandel_pairs(dim)
+    sums = np.zeros((len(pairs), nv + len(mesh.edges())))
+    # every vertex with itself, then the local edges
+    for target, ga, gb in (
+        (mesh.elements, g, g),
+        (mesh.element_edges() + np.int64(nv), g[:, ends[0]], g[:, ends[1]]),
+    ):
+        for c, (i, j) in enumerate(pairs):
+            form = ga[..., i] * gb[..., j]
+            form += ga[..., j] * gb[..., i]
+            form *= vol * (0.5 if i == j else 1.0 / _SQRT2)
+            sums[c] += np.bincount(target.ravel(), form.ravel(), sums.shape[1])
+    return sums
+
+
 @mesh_cached
 def star_blocks(mesh):
     """The star blocks of K and the scatter into A's pattern; see ``StarBlocks``.
 
+    K's block at (a, b) is ``sum_e vol_e mandel(sym(g_a g_b'))`` over the
+    elements e that hold both vertices, with g the shape gradients.  It is
+    summed once per vertex (a = b) and once per edge, which serves both
+    directions, and each star block gathers its columns from these sums.
     Stars are grouped by size, so no block is padded, and the index arrays
     keep scipy's 32-bit index type where it fits.  The star adjacency is
     the vertex graph plus the identity, and A's pattern is its square;
@@ -231,11 +206,18 @@ def star_blocks(mesh):
     upper triangles are scattered: A is symmetric, and its lower triangle
     is a copy of the upper one.
     """
-    K = weak_hessian(mesh)
     nv = mesh.num_vertices
-    m = K.shape[0] // nv
+    edges = mesh.edges()
+    sums = _pair_sums(mesh)
     # canonical: each star in ascending order
     star = mesh.vertex_graph() + sparse.identity(nv, dtype=np.int32, format="csr")
+    # The upper entries of the stars, in CSR order, run through the edges in
+    # their sorted order, and the lower ones through the edges ordered by
+    # their second vertex.
+    rows = np.repeat(np.arange(nv), np.diff(star.indptr))
+    source = rows.copy()
+    source[star.indices > rows] = nv + np.arange(len(edges))
+    source[star.indices < rows] = nv + np.argsort(edges[:, 1], kind="stable")
     pattern = star @ star
     pattern.sort_indices()
     slots = np.arange(pattern.nnz, dtype=pattern.indices.dtype)
@@ -251,9 +233,9 @@ def star_blocks(mesh):
         p, q = np.triu_indices(s)
         step = max(1, STAR_BATCH // (s * s))
         for verts in (same[i : i + step] for i in range(0, len(same), step)):
-            cols = star.indices[star.indptr[verts][:, None] + np.arange(s)]
-            rows = verts[:, None, None] * m + np.arange(m)[:, None]
-            blocks = _entries(K, rows, cols[:, None, :])
+            at = star.indptr[verts][:, None] + np.arange(s)
+            cols = star.indices[at]
+            blocks = np.swapaxes(sums[:, source[at]], 0, 1).copy()
             scatter.append(_entries(pattern, cols[:, p], cols[:, q]).ravel())
             stop = start + len(verts) * len(p)
             groups.append((verts, blocks, (p, q), slice(start, stop)))

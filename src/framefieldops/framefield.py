@@ -277,15 +277,18 @@ def map_coframe_field(mesh_warped, inverse_jacobian):
         The image mesh (vertices are the mapped positions).
     inverse_jacobian : np.ndarray
         ``(nv, dim, dim)`` stack of inverse Jacobians df^-1, one per vertex
-        (evaluated at the preimage of that vertex).
+        (evaluated at the preimage of that vertex).  Non-finite entries
+        raise ``FieldError``.
 
     Components are the normalized columns of df^-1 with weights
     ``|column|^4``.  Columns must be orthogonal within 1e-6.
     """
     Jinv = np.asarray(inverse_jacobian, dtype=float)
     nv, dim = mesh_warped.num_vertices, mesh_warped.dim
-    if Jinv.shape != (nv, dim, dim):
-        raise FieldError(f"inverse Jacobians must have shape {(nv, dim, dim)}")
+    if Jinv.shape != (nv, dim, dim) or not np.all(np.isfinite(Jinv)):
+        raise FieldError(
+            f"inverse Jacobians must be finite with shape {(nv, dim, dim)}"
+        )
     dets = np.linalg.det(Jinv)
     if np.any(np.abs(dets) < 1e-12):
         raise FieldError("singular Jacobian at some vertex")

@@ -8,12 +8,14 @@ and oriented outward.
 Everything derived from the mesh alone is built once, with vectorized numpy,
 and is read-only.  Element volumes and boundary facets are built at
 construction, every other mesh-only result on first use through
-:func:`mesh_cached`: edges, the vertex graph, 1-ring neighbors and order,
-shape gradients, the hash state, the centroid KD-tree, ``compute_measures``,
-``gradient_matrix``, and ``fem.weak_hessian`` and ``fem.star_blocks``.  The
-mesh keeps read-only copies of its vertex and element arrays, so no cached
-result can go stale; meshes are immutable after construction and safe to
-share across threads.  Only this module touches the cache.
+:func:`mesh_cached`: the edges with the element-edge incidence, the vertex
+graph, 1-ring neighbors and order, shape gradients, the hash state, the
+centroid KD-tree, ``compute_measures``, ``gradient_matrix``, and
+``fem.star_blocks``, which holds the star blocks of the operator's
+mesh-only factor and the pattern they are assembled into.  The mesh keeps
+read-only copies of its vertex and element arrays, so no cached result can
+go stale; meshes are immutable after construction and safe to share across
+threads.  Only this module touches the cache.
 """
 
 import dataclasses
@@ -36,12 +38,15 @@ _FACTORIAL = {2: 2.0, 3: 6.0}
 
 def _freeze(value):
     """Mark read-only every array reachable from ``value``: ndarrays, the
-    ``data``, ``indices`` and ``indptr`` of sparse matrices, and the members
-    of tuples, lists and dataclasses.  Anything else is left as it is."""
+    ``data``, ``indices`` and ``indptr`` of sparse matrices, the points of a
+    KD-tree, and the members of tuples, lists and dataclasses.  Anything
+    else is left as it is."""
     if isinstance(value, np.ndarray):
         value.setflags(write=False)
     elif sparse.issparse(value):
         _freeze((value.data, value.indices, value.indptr))
+    elif isinstance(value, cKDTree):
+        value.data.setflags(write=False)
     elif isinstance(value, (tuple, list)):
         for item in value:
             _freeze(item)
@@ -184,14 +189,32 @@ class SimplicialMesh:
         return facets[order[starts[counts == 1]]]
 
     @mesh_cached
+    def _edge_table(self):
+        # One grouping pass over the local edges yields both the unique
+        # edges and the element-edge incidence.
+        local = np.asarray(_LOCAL_EDGES[self.dim])
+        a, b = self.elements[:, local[:, 0]], self.elements[:, local[:, 1]]
+        pairs = np.stack([np.minimum(a, b), np.maximum(a, b)], axis=-1).reshape(-1, 2)
+        order, starts = _row_groups(pairs)
+        dtype = np.int32 if len(starts) < 2**31 else np.int64
+        ids = np.empty(len(pairs), dtype=dtype)
+        ids[order] = np.repeat(np.arange(len(starts)), np.diff(starts, append=len(pairs)))
+        return pairs[order[starts]], ids.reshape(self.num_elements, -1)
+
+    @mesh_cached
     def edges(self):
         """Unique undirected edges as a sorted ``(E, 2)`` index array."""
-        t = self.elements
-        k = self.dim + 1
-        pairs = [t[:, [i, j]] for i in range(k) for j in range(i + 1, k)]
-        e = np.sort(np.concatenate(pairs), axis=1)
-        order, starts = _row_groups(e)
-        return e[order[starts]]
+        return self._edge_table()[0]
+
+    @mesh_cached
+    def element_edges(self):
+        """The element-edge incidence as an ``(ne, dim (dim + 1) / 2)`` array.
+
+        Entry (e, l) is the row of ``edges()`` that joins the local vertices
+        ``_LOCAL_EDGES[dim][l]`` of element e.  It is int32 unless the edges
+        outnumber that type.
+        """
+        return self._edge_table()[1]
 
     @mesh_cached
     def vertex_graph(self):
@@ -464,13 +487,8 @@ def refine_uniform(mesh):
     midpoints = 0.5 * (mesh.vertices[edges[:, 0]] + mesh.vertices[edges[:, 1]])
     vertices = np.vstack([mesh.vertices, midpoints])
 
-    # Midpoint index of every local edge, by lookup in the sorted edge keys.
     t = mesh.elements
-    local = np.asarray(_LOCAL_EDGES[mesh.dim])
-    a, b = t[:, local[:, 0]], t[:, local[:, 1]]
-    keys = np.minimum(a, b) * nv + np.maximum(a, b)
-    mids = nv + np.searchsorted(edges[:, 0] * nv + edges[:, 1], keys)
-    nodes = np.hstack([t, mids])
+    nodes = np.hstack([t, mesh.element_edges() + np.int64(nv)])  # midpoints last
 
     if mesh.dim == 2:
         children = nodes[:, _TRI_CHILDREN]

@@ -154,8 +154,8 @@ def solve_spd(A, b):
     ----------
     A : sparse or dense symmetric positive definite matrix, or AssembledOperator
     b : np.ndarray
-        Right-hand side, shape ``(n,)`` or ``(n, r)``; any other shape
-        raises ``ParameterError``.
+        Finite right-hand side, shape ``(n,)`` or ``(n, r)``; anything else
+        raises ``ParameterError`` before ``A`` is factored.
 
     Returns
     -------
@@ -171,8 +171,10 @@ def solve_spd(A, b):
     A, order = _ordered(A)
     A = sparse.csr_matrix(A)
     b = np.asarray(b, dtype=float)
-    if b.ndim not in (1, 2) or len(b) != A.shape[0]:
-        raise ParameterError(f"b must have shape (n,) or (n, r), n = {A.shape[0]}")
+    if b.ndim not in (1, 2) or len(b) != A.shape[0] or not np.all(np.isfinite(b)):
+        raise ParameterError(
+            f"b must be finite with shape (n,) or (n, r), n = {A.shape[0]}"
+        )
     x = _factorize(A, order).solve(b)
     # Backward-stable acceptance: residual relative to |A||x| + |b| guards
     # against silent failure without punishing ill-conditioned systems.
@@ -256,8 +258,8 @@ def eigs_generalized(A, M_diag, k, seed=0):
     ----------
     A : sparse symmetric PSD matrix or AssembledOperator
     M_diag : np.ndarray
-        Positive diagonal of the mass matrix, one finite entry per row of
-        A; else ``ParameterError``.
+        Diagonal of the mass matrix, one positive finite entry per row of
+        A; anything else raises ``ParameterError``.
     k : int
         Number of eigenpairs, an integer with ``0 < k < n``; anything else
         raises ``ParameterError``.
@@ -270,10 +272,11 @@ def eigs_generalized(A, M_diag, k, seed=0):
 
     Raises
     ------
+    ParameterError
+        If ``k`` or ``M_diag`` is out of range, as above.
     NumericalError
-        If the mass is not positive, the shifted matrix is not positive
-        definite, ARPACK does not converge, or a pair fails
-        ``EigenResult.validate``.
+        If the shifted matrix is not positive definite, ARPACK does not
+        converge, or a pair fails ``EigenResult.validate``.
     """
     A, order = _ordered(A)
     A = check_symmetric(A)
@@ -281,10 +284,8 @@ def eigs_generalized(A, M_diag, k, seed=0):
     n = A.shape[0]
     if isinstance(k, bool) or not isinstance(k, numbers.Integral) or not 0 < k < n:
         raise ParameterError(f"k must be an integer in (0, {n}), got {k!r}")
-    if M_diag.shape != (n,) or not np.all(np.isfinite(M_diag)):
-        raise ParameterError(f"mass diagonal must hold {n} finite values")
-    if not np.all(M_diag > 0):
-        raise NumericalError("mass diagonal must be positive")
+    if M_diag.shape != (n,) or not np.all((M_diag > 0) & (M_diag < np.inf)):
+        raise ParameterError(f"mass diagonal must hold {n} positive finite values")
 
     sigma = -1e-5 * A.diagonal().sum() / n
     M = sparse.diags(M_diag)
@@ -307,8 +308,9 @@ def eigs_generalized(A, M_diag, k, seed=0):
 def diffuse(op, u0, tau):
     """One implicit-Euler step of ``du/dt = -A u``: solve (M + tau A) u = M u0.
 
-    ``u0`` holds one value per vertex and ``tau`` must be positive and
-    finite; either failing raises ``ParameterError``.
+    ``u0`` holds one finite value per vertex and ``tau`` must be positive
+    and finite; either failing raises ``ParameterError`` before anything
+    is factored.
     """
     if not 0 < tau < np.inf:
         raise ParameterError(f"diffusion time must be positive and finite, got {tau}")
@@ -320,6 +322,8 @@ def diffuse(op, u0, tau):
         raise ParameterError(
             f"u0 must hold one value per vertex, shape {M_diag.shape}, got {u0.shape}"
         )
+    if not np.all(np.isfinite(u0)):
+        raise ParameterError("u0 must be finite")
     A, order = _ordered(op)
     system = (sparse.diags(M_diag) + tau * A).tocsr()
     return solve_spd(_Ordered(system, order), M_diag * u0)

@@ -7,15 +7,17 @@ deletes the boundary multiplier blocks outright, the eigen oracle
 diagonalizes the full dense pencil, the QP oracle enumerates every active
 set, and the random frame helpers build tensors from their definition.
 The mixed factor K = D' A G is rebuilt here from its parts, never read
-from the mesh cache, and the epsilon = 1 reference, the mixed-FEM
-Bilaplacian with natural conditions, is built on it.  The divergence
-reference places one COO triplet per (vertex, component, row) and lets
-``sum_duplicates`` order them.  The mesh-cache references take the slow
+from the mesh cache, with the divergence D placed as one COO triplet per
+(vertex, component, row) and ordered by ``sum_duplicates``; the package
+never forms D and sums K's blocks from their element closed form instead.
+The epsilon = 1 reference, the mixed-FEM Bilaplacian with natural
+conditions, is built on it.  The mesh-cache references take the slow
 general route the closed forms replaced: a LAPACK inverse per element,
 ``np.unique`` over edge rows, a BSR middle matrix times the transpose view
 of K, one sequential hash over every array, and a centroid KD-tree built
 per call.  The tensor checks (the spectral norm of an odeco frame and the
-full-symmetry violation of a form) have no caller in the package, and the
+full-symmetry violation of a form) and the forward Jacobian of a conformal
+map have no caller in the package, and the
 structured mesh generators at the end loop over cells one at a time.
 """
 
@@ -27,7 +29,7 @@ from scipy import sparse
 from scipy.linalg import block_diag, eigh, lu_factor, lu_solve
 from scipy.spatial import cKDTree
 
-from framefieldops import OdecoFrame, compute_measures, divergence_matrix, weak_hessian
+from framefieldops import OdecoFrame, compute_measures
 from framefieldops.errors import FieldError
 from framefieldops.fem import build_mixed_system, projected_middle_blocks
 from framefieldops.geometry import SimplicialMesh, _orient_elements, gradient_matrix
@@ -95,10 +97,12 @@ def gradient_dense(mesh):
 
 
 def mixed_factor(mesh):
-    """K = D' A G from the gradient, the divergence and the element volumes,
-    bypassing the cache of ``fem.weak_hessian``."""
+    """K = D' A G from the gradient, the divergence of ``divergence_by_coo``
+    and the element volumes, as one sparse product in canonical CSR."""
     A = sparse.diags(np.repeat(mesh.element_volumes, mesh.dim))
-    return (divergence_matrix(mesh).T @ A @ gradient_matrix(mesh)).tocsr()
+    K = (divergence_by_coo(mesh).T @ A @ gradient_matrix(mesh)).tocsr()
+    K.sum_duplicates()
+    return K
 
 
 def bilaplacian_mixed_natural(mesh):
@@ -288,8 +292,8 @@ def edges_by_unique(mesh):
 
 
 def operator_by_bsr(mesh, field, epsilon, bc_kind):
-    """K' P K with P a BSR matrix, K' the transpose view of the cached K,
-    and the result symmetrized as 0.5 (op + op') in canonical CSR."""
+    """K' P K with K from ``mixed_factor``, P a BSR matrix and K' the
+    transpose view of K, symmetrized as 0.5 (op + op') in canonical CSR."""
     system = build_mixed_system(mesh, field, epsilon, bc_kind)
     P_blocks = projected_middle_blocks(system)
     nv = mesh.num_vertices
@@ -297,12 +301,24 @@ def operator_by_bsr(mesh, field, epsilon, bc_kind):
     P = sparse.bsr_matrix(
         (P_blocks, np.arange(nv), np.arange(nv + 1)), shape=(nv * m, nv * m)
     )
-    K = weak_hessian(mesh)
+    K = mixed_factor(mesh)
     op = (K.T @ (P @ K)).tocsr()
     op = 0.5 * (op + op.T)
     op.sum_duplicates()
     op.eliminate_zeros()
     return op.tocsr()
+
+
+def conformal_jacobian(warp, points):
+    """Forward Jacobian df of a ``ConformalMap`` at each point: the 2 x 2
+    matrix of multiplication by the derivative of its closed form, 1 + 2cz
+    for the polynomial map and e^z for the exponential one."""
+    z = points[:, 0] + 1j * points[:, 1]
+    d = 1.0 + 2.0 * warp.params["c"] * z if warp.name == "polynomial" else np.exp(z)
+    J = np.empty((len(points), 2, 2))
+    J[:, 0, 0] = J[:, 1, 1] = d.real
+    J[:, 0, 1], J[:, 1, 0] = -d.imag, d.imag
+    return J
 
 
 def fingerprint_sequential(field):

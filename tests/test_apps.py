@@ -252,7 +252,13 @@ BAD_ENTRY_INPUTS = {
     "mass nan": lambda mesh, emb, op, d: ff.eigs_generalized(
         op, np.where(np.arange(len(d)) == 3, np.nan, op.vertex_mass), 4
     ),
+    "mass zero": lambda mesh, emb, op, d: ff.eigs_generalized(
+        op, np.where(np.arange(len(d)) == 3, 0.0, op.vertex_mass), 4
+    ),
     "b short": lambda mesh, emb, op, d: ff.solve_spd(op, d[:-1]),
+    "b nan": lambda mesh, emb, op, d: ff.solve_spd(
+        op, np.where(np.arange(len(d)) == 3, np.nan, d)
+    ),
     "pinned nv": lambda mesh, emb, op, d: ff.solve_pinned(op, [0, len(d)], [0.0, 1.0]),
     "pinned -1": lambda mesh, emb, op, d: ff.solve_pinned(op, [0, -1], [0.0, 1.0]),
     "fixed nv": lambda mesh, emb, op, d: ff.solve_box_qp(
@@ -265,6 +271,9 @@ BAD_ENTRY_INPUTS = {
         op, [0], [0.5], np.zeros(len(d) - 1), np.ones(len(d) - 1)
     ),
     "tau inf": lambda mesh, emb, op, d: ff.diffuse(op, d, np.inf),
+    "u0 nan": lambda mesh, emb, op, d: ff.diffuse(
+        op, np.where(np.arange(len(d)) == 3, np.nan, d), 0.1
+    ),
     "color nan": lambda mesh, emb, op, d: ff.color_by_boundary(
         op, np.full((len(op.boundary_vertices), 3), np.nan)
     ),

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import framefieldops as ff
 from framefieldops import meshgen
-from framefieldops.geometry import prolong_linear
+from framefieldops.geometry import _LOCAL_EDGES, prolong_linear
 
 from oracles import (
     boundary_facets_by_unique,
@@ -388,6 +388,12 @@ def test_edges_match_unique_oracle():
         meshgen.jittered_delaunay(2, 6),
     ):
         assert np.array_equal(mesh.edges(), edges_by_unique(mesh))
+        # the incidence names the edge of every local edge, in _LOCAL_EDGES order
+        local = np.array(_LOCAL_EDGES[mesh.dim])
+        ids = mesh.element_edges()
+        assert ids.dtype == np.int32 and ids.shape == (mesh.num_elements, len(local))
+        pairs = np.sort(mesh.elements[:, local], axis=-1)
+        assert np.array_equal(mesh.edges()[ids], pairs)
 
 
 def test_mesh_hands_out_read_only_arrays():
@@ -403,6 +409,7 @@ def test_mesh_hands_out_read_only_arrays():
         mesh.parent_edges,
         mesh.shape_gradients(),
         mesh.edges(),
+        mesh.element_edges(),
         *mesh.vertex_neighbors(),
         *(getattr(measures, f.name) for f in dataclasses.fields(measures)),
     ]
@@ -418,7 +425,7 @@ def test_measures_and_centroid_tree_are_built_once_per_mesh():
     measures = ff.compute_measures(mesh)
     tree = mesh.centroid_tree()
     G = ff.gradient_matrix(mesh)
-    ff.weak_hessian(mesh)
+    ff.fem.star_blocks(mesh)
     ff.harmonic_cross_field_2d(mesh)
     assert ff.compute_measures(mesh) is measures
     assert mesh.centroid_tree() is tree

@@ -1,4 +1,5 @@
-"""Property tests of the boundary projection rule and the operator invariants.
+"""Property tests of the star blocks, the boundary projection rule and the
+operator invariants.
 
 Cases are drawn over jittered Delaunay meshes in 2D and 3D, constant
 odeco frames with random orientation and weights, epsilon in (0, 1], and
@@ -16,16 +17,22 @@ import framefieldops as ff
 from framefieldops import meshgen
 from framefieldops.fem import build_mixed_system, projected_middle_blocks
 
-from oracles import constraint_matrix, random_rotation
+from oracles import constraint_matrix, mixed_factor, random_rotation
 
 PROPERTY_SETTINGS = settings(max_examples=25, deadline=None, derandomize=True)
 
 
 @st.composite
-def cases(draw):
+def meshes(draw):
     dim = draw(st.sampled_from([2, 3]))
     n_side = draw(st.integers(3, 6) if dim == 2 else st.integers(2, 3))
-    mesh = meshgen.jittered_delaunay(dim, n_side, seed=draw(st.integers(0, 2**16)))
+    return meshgen.jittered_delaunay(dim, n_side, seed=draw(st.integers(0, 2**16)))
+
+
+@st.composite
+def cases(draw):
+    mesh = draw(meshes())
+    dim = mesh.dim
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     frame = ff.OdecoFrame(random_rotation(rng, dim).T, rng.uniform(0.1, 1.0, dim))
     field = ff.constant_field(mesh, frame)
@@ -37,6 +44,20 @@ def cases(draw):
 def block_matrix(P):
     nv, m, _ = P.shape
     return sparse.bsr_matrix((P, np.arange(nv), np.arange(nv + 1)), shape=(nv * m,) * 2)
+
+
+@PROPERTY_SETTINGS
+@given(meshes())
+def test_star_blocks_match_mixed_factor_property(mesh):
+    # the closed-form sums against the sparse product D' A G, to rounding
+    K = mixed_factor(mesh).toarray()
+    nv = mesh.num_vertices
+    rows = K.reshape(nv, -1, nv)
+    neighbors = mesh.vertex_neighbors()
+    for verts, blocks, _, _ in ff.fem.star_blocks(mesh).groups:
+        stars = np.array([np.union1d(neighbors[v], [v]) for v in verts])
+        ref = np.take_along_axis(rows[verts], stars[:, None, :], axis=2)
+        assert np.abs(blocks - ref).max() <= 1e-15 * np.abs(K).max()
 
 
 @PROPERTY_SETTINGS
