@@ -9,7 +9,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .apps import nonzero_eigenpairs
-from .errors import GeometryError, ParameterError
+from .errors import GeometryError, ParameterError, check_integer
 from .fem import assemble_operator
 from .framefield import axis_frame, constant_field, map_coframe_field
 from .geometry import SimplicialMesh
@@ -40,10 +40,10 @@ def square_spectrum(epsilon, count):
     The lattice spacing pi/2 matches products of cosines on [-1, 1] whose
     odd derivatives vanish at the endpoints.  The lattice is enlarged
     until the returned values are provably the globally smallest ones.
+    ``count`` must be an integer >= 1, else ``ParameterError``.
     """
     Q = modify_epsilon(odeco_form(np.eye(2), np.ones(2)), 1.0, epsilon)
-    if count < 1:
-        raise ParameterError("count must be at least 1")
+    check_integer("count", count)
     K = 8
     while True:
         a, b = np.meshgrid(np.arange(K + 1), np.arange(K + 1), indexing="ij")
@@ -115,11 +115,14 @@ class ConformalMap:
 def conformal_warp(name, **params):
     """Construct a named conformal map.
 
-    ``polynomial``: z -> z + c z^2 (injective where |2 c z| < 1);
+    ``polynomial``: z -> z + c z^2 for a finite c (injective where
+    |2 c z| < 1);
     ``exponential``: z -> exp(z) on a rectangle of height below 2 pi.
     """
     if name == "polynomial":
-        params.setdefault("c", 0.05)
+        c = params.setdefault("c", 0.05)
+        if not np.isfinite(c):
+            raise ParameterError(f"the polynomial map needs a finite c, got {c!r}")
     elif name == "exponential":
         if params:
             raise ParameterError("the exponential map takes no parameters")

@@ -12,12 +12,11 @@ properties hold exactly.  With epsilon = 1 the operator is the Bilaplacian
 and the distances are the classical biharmonic ones.
 """
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalError, ParameterError
+from .errors import NumericalError, ParameterError, check_integer
 from .solve import EigenResult, eigs_generalized, solve_box_qp
 from .symtensor import mandel_size
 
@@ -88,12 +87,13 @@ def nonzero_eigenpairs(op, count):
 
     Raises
     ------
+    ParameterError
+        If ``count`` is not an integer >= 1 (a bool is not one).
     NumericalError
         If ``count + nullity(op)`` exceeds ``n - 1``, or the request holds
         fewer than ``count`` nonzero pairs (more zero modes than predicted).
     """
-    if count < 1:
-        raise ParameterError(f"count must be positive, got {count}")
+    check_integer("count", count)
     n_zero = nullity(op)
     k = count + n_zero
     n = op.matrix.shape[0]
@@ -133,23 +133,13 @@ def build_embedding(op, n_modes=64):
     )
 
 
-def _vertex_index(index, n, name):
-    """``index`` as a vertex number in [0, n); anything else (a negative or
-    too large number, a float, a bool) raises ``ParameterError``."""
-    if isinstance(index, bool) or not isinstance(index, numbers.Integral):
-        raise ParameterError(f"{name} must be an integer vertex index, got {index!r}")
-    if not 0 <= index < n:
-        raise ParameterError(f"{name} must lie in [0, {n}), got {index}")
-    return int(index)
-
-
 def distance_field(embedding, source):
     """Distance from ``source`` to every vertex in the spectral embedding.
 
     ``source`` must be a vertex index in [0, nv); else ``ParameterError``.
     """
     coords = embedding.coordinates
-    delta = coords - coords[_vertex_index(source, len(coords), "source")]
+    delta = coords - coords[check_integer("source", source, 0, len(coords))]
     return np.linalg.norm(delta, axis=1)
 
 
@@ -163,7 +153,7 @@ def trace_descent_path(mesh, dist, start):
     vertex and ``start`` must be a vertex index; else ``ParameterError``.
     """
     nv = mesh.num_vertices
-    start = _vertex_index(start, nv, "start")
+    start = check_integer("start", start, 0, nv)
     dist = np.asarray(dist, dtype=float)
     if dist.shape != (nv,):
         raise ParameterError(

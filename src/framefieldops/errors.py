@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the rule for integer
+arguments."""
+
+import numbers
 
 
 class FrameFieldOpsError(Exception):
@@ -27,3 +30,13 @@ class ParameterError(FrameFieldOpsError, ValueError):
 
 class NumericalError(FrameFieldOpsError):
     """A solver failed to converge or a matrix violated its contract."""
+
+
+def check_integer(name, value, low=1, below=float("inf")):
+    """``value`` as an int in [low, below), else ``ParameterError``; the
+    defaults make it a count.  A bool or a float is not an integer here."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ParameterError(f"{name} must be an integer, got {value!r}")
+    if not low <= value < below:
+        raise ParameterError(f"{name} must lie in [{low}, {below}), got {value}")
+    return int(value)

@@ -19,7 +19,7 @@ from scipy.spatial import cKDTree
 from scipy.spatial.transform import Rotation
 
 from .errors import FieldError, GeometryError
-from .geometry import compute_measures, gradient_matrix
+from .geometry import _tangent_bases, compute_measures, gradient_matrix
 from .solve import solve_pinned
 from .symtensor import OdecoFrame, contract, modify_epsilon, odeco_form
 
@@ -177,9 +177,9 @@ def harmonic_cross_field_2d(mesh):
     Boundary vertices take the angle of the (averaged) boundary tangent;
     the 4-fold representation vector (cos 4t, sin 4t) is interpolated
     harmonically into the interior with the piecewise-linear Laplacian and
-    renormalized.  Vertices where the interpolated vector vanishes (field
-    singularities) are flagged in ``singular_vertices`` and assigned an
-    arbitrary direction with unit weight.
+    turned into crosses by ``_cross_field``.  Vertices where the
+    interpolated vector vanishes (field singularities) are flagged in
+    ``singular_vertices``, get angle 0 and are counted in a warning.
     """
     if mesh.dim != 2:
         raise FieldError("harmonic cross fields are planar (dim=2)")
@@ -208,33 +208,26 @@ def harmonic_cross_field_2d(mesh):
     A = sparse.diags(np.repeat(measures.element_volumes, 2))
     L = (G.T @ A @ G).tocsr()
 
-    nv = mesh.num_vertices
-    rep = solve_pinned(L, bverts, data)
-
-    mag = np.linalg.norm(rep, axis=1)
-    singular = np.flatnonzero(mag < 1e-8)
-    theta = np.zeros(nv)
-    ok = mag >= 1e-8
-    theta[ok] = np.arctan2(rep[ok, 1], rep[ok, 0]) / 4.0
-    if len(singular):
+    field = _cross_field(mesh, solve_pinned(L, bverts, data))
+    if len(field.singular_vertices):
         logger.warning(
             "harmonic cross field: %d singular vertices (zero symmetry vector)",
-            len(singular),
+            len(field.singular_vertices),
         )
-    field = FrameField(mesh, angles_to_components(theta), np.ones((nv, 2)))
-    field.rep_magnitude = mag
-    field.singular_vertices = singular
     return field
 
 
-def _orthonormal_complement(axis):
-    pick = int(np.argmin(np.abs(axis)))
-    a = np.zeros(3)
-    a[pick] = 1.0
-    t1 = np.cross(axis, a)
-    t1 /= np.linalg.norm(t1)
-    t2 = np.cross(axis, t1)
-    return t1, t2
+def _cross_field(mesh, rep):
+    """Cross field of angle ``arg(rep) / 4`` from the ``(nv, 2)`` 4-fold
+    vectors ``rep``, keeping ``|rep|`` in ``rep_magnitude``.  Vertices with
+    ``|rep| < 1e-8`` get angle 0 and are listed in ``singular_vertices``."""
+    mag = np.linalg.norm(rep, axis=1)
+    singular = mag < 1e-8
+    theta = np.where(singular, 0.0, np.arctan2(rep[:, 1], rep[:, 0]) / 4.0)
+    field = FrameField(mesh, angles_to_components(theta), np.ones((len(rep), 2)))
+    field.rep_magnitude = mag
+    field.singular_vertices = np.flatnonzero(singular)
+    return field
 
 
 def helical_field_3d(mesh, axis, pitch):
@@ -244,10 +237,13 @@ def helical_field_3d(mesh, axis, pitch):
     turned right-handed about ``axis`` (counterclockwise seen from its tip)
     by the angle ``pitch * (x . axis)``, so a positive pitch twists the
     frames counterclockwise as the axial coordinate grows.  ``pitch=0``
-    reproduces the constant axis-aligned field.
+    reproduces the constant axis-aligned field.  A non-finite pitch raises
+    ``FieldError``.
     """
     if mesh.dim != 3:
         raise FieldError("helical fields are volumetric (dim=3)")
+    if not np.isfinite(pitch):
+        raise FieldError(f"pitch must be finite, got {pitch}")
     axis = np.asarray(axis, dtype=float)
     if axis.shape != (3,):
         raise FieldError(f"axis must have 3 components, got shape {axis.shape}")
@@ -255,7 +251,7 @@ def helical_field_3d(mesh, axis, pitch):
     if norm < 1e-12:
         raise FieldError("axis must be nonzero")
     axis = axis / norm
-    t1, t2 = _orthonormal_complement(axis)
+    t1, t2 = _tangent_bases(axis[None])[0]
     height = mesh.vertices @ axis
     angle = pitch * height
     rot = Rotation.from_rotvec(angle[:, None] * axis)
@@ -363,77 +359,53 @@ def _locate_barycentric(points, mesh, k_candidates=32):
     return cand[rows, best], bary[rows, best]
 
 
-_OCTAHEDRAL_ROTATIONS = None
+def _right_multiplication(q):
+    """Matrices ``M`` with ``M @ p`` the product ``p q``, in (x, y, z, w) order."""
+    x, y, z, w = q.T
+    rows = [[w, z, -y, x], [-z, w, x, y], [y, -x, w, z], [-x, -y, -z, w]]
+    return np.stack(rows).transpose(2, 0, 1)
 
 
-def octahedral_rotations():
-    """The 24 rotational symmetries of a frame, as scipy Rotations."""
-    global _OCTAHEDRAL_ROTATIONS
-    if _OCTAHEDRAL_ROTATIONS is None:
-        import itertools
-
-        mats = []
-        for perm in itertools.permutations(range(3)):
-            for signs in itertools.product((1.0, -1.0), repeat=3):
-                M = np.zeros((3, 3))
-                for r, (c, s) in enumerate(zip(perm, signs)):
-                    M[r, c] = s
-                if np.linalg.det(M) > 0:
-                    mats.append(M)
-        _OCTAHEDRAL_ROTATIONS = Rotation.from_matrix(np.array(mats))
-    return _OCTAHEDRAL_ROTATIONS
-
-
-def match_quaternion(q_ref, q):
-    """Representative of the frame of ``q`` closest to ``q_ref``.
-
-    Both quaternions are in scipy (x, y, z, w) order.  Searches the 24
-    octahedral symmetries and both double-cover signs.
-    """
-    variants = (Rotation.from_quat(q) * octahedral_rotations()).as_quat()
-    dots = variants @ q_ref
-    best = int(np.argmax(np.abs(dots)))
-    return np.sign(dots[best]) * variants[best]
+# The frame's 24 rotational symmetries: ``_SYMMETRIES @ q`` all give its frame.
+_SYMMETRIES = _right_multiplication(Rotation.create_group("O").as_quat())
 
 
 def resample_field(field, coarse):
     """Transfer a frame field from a fine mesh onto a coarse mesh.
 
     2D: the 4-fold symmetry vector is interpolated barycentrically at the
-    coarse vertex positions, renormalized, and converted back to a cross.
-    3D: each coarse vertex takes the frame of the nearest fine vertex,
-    followed by one pass of frame-symmetry-aware quaternion averaging over
-    the coarse 1-ring.  The output is octahedral in both cases.
+    coarse vertex positions and turned into crosses by ``_cross_field``.
+    3D: each coarse vertex takes the quaternion of the nearest fine vertex,
+    then the normalized sum of it and, per coarse 1-ring neighbour, the
+    closest of the neighbour's 24 symmetry images and their negatives, over
+    all edges in one batch.  The output is octahedral in both cases.
     """
     fine_mesh = field.mesh
     if coarse.dim != fine_mesh.dim:
         raise FieldError("mesh dimensions do not match")
-    nv = coarse.num_vertices
 
     if fine_mesh.dim == 2:
         theta_f = components_to_angles(field.components)
         rep = np.column_stack([np.cos(4 * theta_f), np.sin(4 * theta_f)])
         elems, barys = _locate_barycentric(coarse.vertices, fine_mesh)
         vals = np.einsum("vk,vkc->vc", barys, rep[fine_mesh.elements[elems]])
-        mag = np.linalg.norm(vals, axis=1)
-        theta = np.where(mag < 1e-12, 0.0, np.arctan2(vals[:, 1], vals[:, 0]) / 4.0)
-        out = FrameField(coarse, angles_to_components(theta), np.ones((nv, 2)))
-        out.rep_magnitude = mag
-        out.singular_vertices = np.flatnonzero(mag < 1e-8)
-        return out
+        return _cross_field(coarse, vals)
 
     tree = cKDTree(fine_mesh.vertices)
     _, nearest = tree.query(coarse.vertices)
     q0 = components_to_quaternions(field.components[nearest])[:, [1, 2, 3, 0]]
-    neighbors = coarse.vertex_neighbors()
-    averaged = np.empty_like(q0)
-    for v in range(nv):
-        acc = q0[v].copy()
-        for u in neighbors[v]:
-            acc += match_quaternion(q0[v], q0[u])
-        averaged[v] = acc / np.linalg.norm(acc)
+    graph = coarse.vertex_graph()
+    rows = np.repeat(np.arange(coarse.num_vertices), np.diff(graph.indptr))
+    images = np.einsum("sij,ej->esi", _SYMMETRIES, q0[graph.indices])
+    dots = np.einsum("esi,ei->es", images, q0[rows])
+    edge = np.arange(len(rows))
+    best = np.argmax(np.abs(dots), axis=1)
+    acc = q0.copy()
+    # unbuffered and in CSR order: each vertex adds its neighbours in turn
+    np.add.at(acc, rows, np.sign(dots[edge, best])[:, None] * images[edge, best])
+    averaged = acc / np.linalg.norm(acc, axis=1)[:, None]
     comps = quaternions_to_components(averaged[:, [3, 0, 1, 2]])
-    return FrameField(coarse, comps, np.ones((nv, 3)))
+    return FrameField(coarse, comps, np.ones((coarse.num_vertices, 3)))
 
 
 # -- serialization -------------------------------------------------------------
@@ -453,7 +425,8 @@ def save_field(field, path):
 def load_field(mesh, path):
     """Load a field saved by :func:`save_field` onto ``mesh``.
 
-    Raises ``FieldError`` when the file does not parse as numeric CSV rows.
+    Raises ``FieldError`` when the file does not parse as numeric CSV rows,
+    or a 3D row's quaternion is zero or not finite.
     """
     try:
         rows = np.atleast_2d(np.loadtxt(path, delimiter=",", comments="#"))
@@ -471,7 +444,9 @@ def load_field(mesh, path):
     else:
         if rows.shape[1] != 7:
             raise FieldError("3D field rows must be qw,qx,qy,qz,w1,w2,w3")
-        q = rows[:, :4] / np.linalg.norm(rows[:, :4], axis=1)[:, None]
-        comps = quaternions_to_components(q)
+        norm = np.linalg.norm(rows[:, :4], axis=1)
+        if not np.all((norm > 0) & np.isfinite(norm)):
+            raise FieldError(f"{path}: quaternion rows must be finite and nonzero")
+        comps = quaternions_to_components(rows[:, :4] / norm[:, None])
         weights = rows[:, 4:7]
     return FrameField(mesh, comps, weights)

@@ -99,8 +99,9 @@ class SimplicialMesh:
     vertices : array_like
         Shape ``(nv, dim)`` vertex coordinates, dim = 2 or 3.
     elements : array_like
-        Shape ``(ne, dim + 1)`` vertex indices.  Every element must have
-        positive signed volume (consistent orientation).
+        Shape ``(ne, dim + 1)`` vertex indices, integers or floats with
+        integral values.  Every element must have positive signed volume
+        (consistent orientation).
 
     Both arrays are copied and stored read-only, so later edits to the
     arrays passed in cannot reach the mesh, and writing to ``mesh.vertices``
@@ -111,13 +112,16 @@ class SimplicialMesh:
     ------
     GeometryError
         On non-finite coordinates, inverted or degenerate elements, duplicate
-        elements, indices out of range, vertices that belong to no element,
-        or a facet shared by more than two elements.
+        elements, non-integral or out-of-range indices, vertices that belong
+        to no element, or a facet shared by more than two elements.
     """
 
     def __init__(self, vertices, elements):
         self.vertices = _freeze(np.array(vertices, dtype=float, order="C"))
-        self.elements = _freeze(np.array(elements, dtype=np.int64, order="C"))
+        e = np.asarray(elements)
+        if e.dtype.kind == "f" and not np.all((abs(e) < 2**53) & (e == np.round(e))):
+            raise GeometryError("element vertex indices must be integral")
+        self.elements = _freeze(np.array(e, dtype=np.int64, order="C"))
         if self.vertices.ndim != 2 or self.vertices.shape[1] not in (2, 3):
             raise GeometryError("vertices must be an (nv, 2) or (nv, 3) array")
         if not np.all(np.isfinite(self.vertices)):
@@ -355,13 +359,27 @@ def _facet_normals_and_measures(mesh):
     return n / norm[:, None], 0.5 * norm
 
 
+def _tangent_bases(normals):
+    """Orthonormal bases ``(n, 2, 3)`` of the planes normal to unit 3D
+    ``normals``: t1 is the normal crossed with the coordinate axis least
+    aligned with it, normalized, and t2 = normal x t1."""
+    pick = np.argmin(np.abs(normals), axis=1)
+    a = np.zeros_like(normals)
+    a[np.arange(len(normals)), pick] = 1.0
+    t1 = np.cross(normals, a)
+    t1 /= np.linalg.norm(t1, axis=1)[:, None]
+    t2 = np.cross(normals, t1)
+    return np.stack([t1, t2], axis=1)
+
+
 @mesh_cached
 def compute_measures(mesh):
     """Element volumes, dual vertex volumes, and boundary normal frames.
 
     Boundary normals at a vertex average the outward normals of incident
     boundary facets weighted by facet measure, then normalize; the tangent
-    basis is a deterministic orthonormal completion.
+    basis is the normal turned a quarter counterclockwise in 2D and
+    ``_tangent_bases`` in 3D.
     """
     vols = mesh.element_volumes  # positive: SimplicialMesh checks it
     dual = np.zeros(mesh.num_vertices)
@@ -379,21 +397,10 @@ def compute_measures(mesh):
         raise GeometryError("degenerate boundary normal (opposing facets cancel)")
     normals /= norm[:, None]
 
-    nb = len(bverts)
-    tangents = np.empty((nb, mesh.dim - 1, mesh.dim))
     if mesh.dim == 2:
-        tangents[:, 0, 0] = -normals[:, 1]
-        tangents[:, 0, 1] = normals[:, 0]
+        tangents = np.column_stack([-normals[:, 1], normals[:, 0]])[:, None, :]
     else:
-        # Cross against the coordinate axis least aligned with the normal.
-        pick = np.argmin(np.abs(normals), axis=1)
-        a = np.zeros_like(normals)
-        a[np.arange(nb), pick] = 1.0
-        t1 = np.cross(normals, a)
-        t1 /= np.linalg.norm(t1, axis=1)[:, None]
-        t2 = np.cross(normals, t1)
-        tangents[:, 0, :] = t1
-        tangents[:, 1, :] = t2
+        tangents = _tangent_bases(normals)
 
     return MeshMeasures(
         element_volumes=vols,

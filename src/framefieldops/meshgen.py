@@ -2,7 +2,8 @@
 
 All generators produce consistently oriented meshes whose boundary is a
 polygon/polyhedron preserved exactly by uniform midpoint refinement, which
-is what the convergence studies rely on.
+is what the convergence studies rely on.  Each builds its arrays whole,
+with no Python loop over vertices, cells or rings.
 """
 
 import itertools
@@ -10,7 +11,7 @@ import itertools
 import numpy as np
 from scipy.spatial import Delaunay
 
-from .errors import ParameterError
+from .errors import ParameterError, check_integer
 from .geometry import SimplicialMesh, _edge_determinants, _orient_elements
 
 # The 6 path-simplices of the unit cube as (6, 4, 3) corner offsets: from
@@ -40,72 +41,69 @@ def disk(rings, radius=1.0):
     """Polygonal disk built from concentric rings of 6k points.
 
     Ring k (1 <= k <= rings) carries 6k equally spaced points at radius
-    k/rings; bands between consecutive rings are triangulated by an angular
-    merge.  The center vertex has index 0 and the boundary is a regular
-    6*rings-gon.
+    k/rings; bands between consecutive rings are triangulated by
+    ``_bands``.  The center vertex has index 0 and the boundary is a
+    regular 6*rings-gon.  ``rings`` must be an integer >= 1, else
+    ``ParameterError``.
     """
-    vertices = [np.zeros(2)]
-    ring_start = [None, 1]
-    for k in range(1, rings + 1):
-        count = 6 * k
-        t = 2.0 * np.pi * np.arange(count) / count
-        r = radius * k / rings
-        vertices.extend(np.column_stack([r * np.cos(t), r * np.sin(t)]))
-        ring_start.append(ring_start[k] + count)
-    vertices = np.asarray(vertices)
-
-    # Innermost fan around the center.
-    tris = [(0, 1 + i, 1 + (i + 1) % 6) for i in range(6)]
-    for k in range(1, rings):
-        tris += _ring_band(k, ring_start[k], ring_start[k + 1])
-    elements = _orient_elements(vertices, np.array(tris, dtype=np.int64))
-    return SimplicialMesh(vertices, elements)
+    check_integer("rings", rings)
+    vertices = np.vstack([np.zeros((1, 2)), _rings(1, rings, radius)])
+    i = np.arange(6)  # the innermost fan around the center
+    fan = np.column_stack([np.zeros_like(i), 1 + i, 1 + (i + 1) % 6])
+    tris = np.vstack([fan, 1 + _bands(1, rings)])
+    return SimplicialMesh(vertices, _orient_elements(vertices, tris))
 
 
 def annulus(inner_rings, outer_rings, radius=1.0):
     """Polygonal annulus: the band of ring indices [inner, outer] of a disk.
 
     Ring k carries 6k points at radius ``k/outer_rings * radius``; both
-    boundaries are regular polygons.
+    boundaries are regular polygons.  The ring counts must be integers with
+    1 <= inner_rings < outer_rings, else ``ParameterError``.
     """
-    if not 1 <= inner_rings < outer_rings:
-        raise ParameterError("need 1 <= inner_rings < outer_rings")
-    vertices = []
-    ring_start = {}
-    for k in range(inner_rings, outer_rings + 1):
-        ring_start[k] = len(vertices)
-        count = 6 * k
-        t = 2.0 * np.pi * np.arange(count) / count
-        r = radius * k / outer_rings
-        vertices.extend(np.column_stack([r * np.cos(t), r * np.sin(t)]))
-    vertices = np.asarray(vertices)
-    tris = []
-    for k in range(inner_rings, outer_rings):
-        tris += _ring_band(k, ring_start[k], ring_start[k + 1])
-    elements = _orient_elements(vertices, np.array(tris, dtype=np.int64))
-    return SimplicialMesh(vertices, elements)
+    check_integer("inner_rings", inner_rings)
+    check_integer("outer_rings", outer_rings, inner_rings + 1)
+    vertices = _rings(inner_rings, outer_rings, radius)
+    tris = _bands(inner_rings, outer_rings)
+    return SimplicialMesh(vertices, _orient_elements(vertices, tris))
 
 
-def _ring_band(k, s_in, s_out):
-    # Triangulate the band between ring k (6k points from index s_in) and
-    # ring k+1 (6k+6 points from s_out) by an angular merge: advance on
-    # whichever ring reaches the next angle first.
-    n_in, n_out = 6 * k, 6 * (k + 1)
-    ang_in = 2.0 * np.pi * np.arange(n_in + 1) / n_in
-    ang_out = 2.0 * np.pi * np.arange(n_out + 1) / n_out
-    tris = []
-    i = j = 0
-    while i < n_in or j < n_out:
-        vi = s_in + i % n_in
-        vj = s_out + j % n_out
-        advance_outer = j < n_out and (i == n_in or ang_out[j + 1] <= ang_in[i + 1])
-        if advance_outer:
-            tris.append((vi, vj, s_out + (j + 1) % n_out))
-            j += 1
-        else:
-            tris.append((vi, vj, s_in + (i + 1) % n_in))
-            i += 1
-    return tris
+def _segments(counts):
+    # Segment index and position within it for each of sum(counts) items.
+    seg = np.repeat(np.arange(len(counts)), counts)
+    return seg, np.arange(len(seg)) - (np.cumsum(counts) - counts)[seg]
+
+
+def _rings(first, last, radius):
+    """Points of rings first..last, ring after ring: ring k holds 6k points
+    at angles 2 pi j / 6k, from the positive x axis, and at radius
+    ``radius * k / last``."""
+    k = np.arange(first, last + 1)
+    ring, step = _segments(6 * k)
+    t = 2.0 * np.pi * step / (6 * k)[ring]
+    r = radius * k[ring] / last
+    return np.column_stack([r * np.cos(t), r * np.sin(t)])
+
+
+def _bands(first, last):
+    """Triangles joining consecutive rings of ``_rings(first, last, ...)``,
+    indexed from its first point.  Each band is an angular merge: a step
+    advances on the ring whose next point comes first, the outer ring on
+    ties, and emits the triangle of both current points and that next one.
+    A stable sort by band and angle, outer steps listed first, merges all."""
+    k = np.arange(first, last)  # inner ring of each band
+    counts = np.column_stack([6 * k + 6, 6 * k]).ravel()  # outer, inner steps
+    seg, step = _segments(counts)
+    order = np.lexsort((2.0 * np.pi * (step + 1) / counts[seg], seg // 2))
+    seg, own = seg[order], step[order]
+    other = _segments(12 * k + 6)[1] - own  # steps taken on the other ring
+    outer = seg % 2 == 0
+    i, j = np.where(outer, other, own), np.where(outer, own, other)
+    k = k[seg // 2]
+    n_in, s_in = 6 * k, 3 * (k * (k - 1) - first * (first - 1))  # ring k
+    n_out, s_out = n_in + 6, s_in + n_in  # ring k + 1
+    third = np.where(outer, s_out + (j + 1) % n_out, s_in + (i + 1) % n_in)
+    return np.column_stack([s_in + i % n_in, s_out + j % n_out, third])
 
 
 def box(nx, ny, nz, lo=(0.0, 0.0, 0.0), hi=(1.0, 1.0, 1.0)):
@@ -135,15 +133,12 @@ def ball(radius=1.0):
     Refine with :func:`framefieldops.geometry.refine_uniform` to build
     hierarchies; the polyhedral boundary is preserved exactly.
     """
-    phi = (1.0 + np.sqrt(5.0)) / 2.0
-    raw = []
-    for a, b in [(1.0, phi)]:
-        raw += [
-            (0, +a, +b), (0, +a, -b), (0, -a, +b), (0, -a, -b),
-            (+a, +b, 0), (+a, -b, 0), (-a, +b, 0), (-a, -b, 0),
-            (+b, 0, +a), (-b, 0, +a), (+b, 0, -a), (-b, 0, -a),
-        ]
-    pts = np.asarray(raw, dtype=float)
+    a, b = 1.0, (1.0 + np.sqrt(5.0)) / 2.0
+    pts = np.array([
+        (0, +a, +b), (0, +a, -b), (0, -a, +b), (0, -a, -b),
+        (+a, +b, 0), (+a, -b, 0), (-a, +b, 0), (-a, -b, 0),
+        (+b, 0, +a), (-b, 0, +a), (+b, 0, -a), (-b, 0, -a),
+    ])
     pts *= radius / np.linalg.norm(pts[0])
     # Faces by convex hull of the 12 sphere points.
     hull = Delaunay(pts).convex_hull
@@ -160,8 +155,12 @@ def jittered_delaunay(dim, n_side, jitter=0.25, seed=0):
     perturbed by ``jitter * h`` with a seeded RNG; coordinates pinned to the
     box faces stay put, so the domain is exactly the unit box while the
     regular-grid degeneracies that produce flat Delaunay simplices are
-    broken.  Useful for randomized assembly tests.
+    broken.  Useful for randomized assembly tests.  ``dim`` must be 2 or 3
+    and ``n_side`` an integer >= 1, else ``ParameterError``.
     """
+    if dim not in (2, 3):
+        raise ParameterError(f"dim must be 2 or 3, got {dim!r}")
+    check_integer("n_side", n_side)
     rng = np.random.default_rng(seed)
     axes = [np.linspace(0.0, 1.0, n_side + 1)] * dim
     grid = np.meshgrid(*axes, indexing="ij")

@@ -24,7 +24,6 @@ sparse LU.
 
 import itertools
 import logging
-import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -35,7 +34,7 @@ from scipy.linalg import eigh  # noqa: F401  unused here; perfbench/tracing.py w
 from scipy.sparse import linalg as spla
 from scipy.sparse.csgraph import reverse_cuthill_mckee
 
-from .errors import NumericalError, ParameterError
+from .errors import NumericalError, ParameterError, check_integer
 
 logger = logging.getLogger(__name__)
 
@@ -282,8 +281,7 @@ def eigs_generalized(A, M_diag, k, seed=0):
     A = check_symmetric(A)
     M_diag = np.asarray(M_diag, dtype=float)
     n = A.shape[0]
-    if isinstance(k, bool) or not isinstance(k, numbers.Integral) or not 0 < k < n:
-        raise ParameterError(f"k must be an integer in (0, {n}), got {k!r}")
+    check_integer("k", k, below=n)
     if M_diag.shape != (n,) or not np.all((M_diag > 0) & (M_diag < np.inf)):
         raise ParameterError(f"mass diagonal must hold {n} positive finite values")
 

@@ -104,7 +104,9 @@ class OdecoFrame:
     components : np.ndarray
         Shape ``(n, dim)``; rows must be orthonormal within 1e-10.
     weights : np.ndarray
-        Shape ``(n,)``; entries must be nonnegative.
+        Shape ``(n,)``; entries must be finite and nonnegative.
+
+    Anything else, NaN included, raises ``FieldError``.
     """
 
     components: np.ndarray
@@ -120,11 +122,12 @@ class OdecoFrame:
             raise FieldError(f"component dimension must be 2 or 3, got {dim}")
         if w.shape != (n,):
             raise FieldError("weights must match the number of components")
+        # Each check passes only when its bound holds, so NaN fails it.
         gram = comps @ comps.T
-        if np.max(np.abs(gram - np.eye(n))) > 1e-10:
+        if not np.max(np.abs(gram - np.eye(n))) <= 1e-10:
             raise FieldError("frame components are not orthonormal within 1e-10")
-        if np.any(w < 0):
-            raise FieldError("frame weights must be nonnegative")
+        if not np.all((w >= 0) & np.isfinite(w)):
+            raise FieldError("frame weights must be finite and nonnegative")
 
     @property
     def dim(self):

@@ -17,8 +17,10 @@ general route the closed forms replaced: a LAPACK inverse per element,
 of K, one sequential hash over every array, and a centroid KD-tree built
 per call.  The tensor checks (the spectral norm of an odeco frame and the
 full-symmetry violation of a form) and the forward Jacobian of a conformal
-map have no caller in the package, and the
-structured mesh generators at the end loop over cells one at a time.
+map have no caller in the package.  The mesh generators at the end loop
+over cells, rings and merge steps one at a time, and the 3D resampling
+reference matches one neighbour quaternion against the 24 frame
+symmetries per call.
 """
 
 import hashlib
@@ -28,9 +30,11 @@ import numpy as np
 from scipy import sparse
 from scipy.linalg import block_diag, eigh, lu_factor, lu_solve
 from scipy.spatial import cKDTree
+from scipy.spatial.transform import Rotation
 
-from framefieldops import OdecoFrame, compute_measures
+from framefieldops import FrameField, OdecoFrame, compute_measures
 from framefieldops.errors import FieldError
+from framefieldops.framefield import components_to_quaternions, quaternions_to_components
 from framefieldops.fem import build_mixed_system, projected_middle_blocks
 from framefieldops.geometry import SimplicialMesh, _orient_elements, gradient_matrix
 from framefieldops.symtensor import _SQRT2, _mandel_dim, mandel_pairs, mandel_size
@@ -445,3 +449,102 @@ def box_by_loops(nx, ny, nz, lo=(0.0, 0.0, 0.0), hi=(1.0, 1.0, 1.0)):
                     tets.append([vid(*c) for c in corners])
     elements = _orient_elements(vertices, np.array(tets, dtype=np.int64))
     return SimplicialMesh(vertices, elements)
+
+
+def _ring_band_by_loop(k, s_in, s_out):
+    # Triangulate the band between ring k (6k points from index s_in) and
+    # ring k+1 (6k+6 points from s_out) by an angular merge: advance on
+    # whichever ring reaches the next angle first.
+    n_in, n_out = 6 * k, 6 * (k + 1)
+    ang_in = 2.0 * np.pi * np.arange(n_in + 1) / n_in
+    ang_out = 2.0 * np.pi * np.arange(n_out + 1) / n_out
+    tris = []
+    i = j = 0
+    while i < n_in or j < n_out:
+        vi = s_in + i % n_in
+        vj = s_out + j % n_out
+        advance_outer = j < n_out and (i == n_in or ang_out[j + 1] <= ang_in[i + 1])
+        if advance_outer:
+            tris.append((vi, vj, s_out + (j + 1) % n_out))
+            j += 1
+        else:
+            tris.append((vi, vj, s_in + (i + 1) % n_in))
+            i += 1
+    return tris
+
+
+def _ring_vertices_by_loop(vertices, ring_start, k, outer, radius):
+    ring_start[k] = len(vertices)
+    count = 6 * k
+    t = 2.0 * np.pi * np.arange(count) / count
+    r = radius * k / outer
+    vertices.extend(np.column_stack([r * np.cos(t), r * np.sin(t)]))
+
+
+def disk_by_loops(rings, radius=1.0):
+    """``meshgen.disk`` with one Python iteration per ring and merge step."""
+    vertices = [np.zeros(2)]
+    ring_start = {}
+    for k in range(1, rings + 1):
+        _ring_vertices_by_loop(vertices, ring_start, k, rings, radius)
+    vertices = np.asarray(vertices)
+    tris = [(0, 1 + i, 1 + (i + 1) % 6) for i in range(6)]
+    for k in range(1, rings):
+        tris += _ring_band_by_loop(k, ring_start[k], ring_start[k + 1])
+    elements = _orient_elements(vertices, np.array(tris, dtype=np.int64))
+    return SimplicialMesh(vertices, elements)
+
+
+def annulus_by_loops(inner_rings, outer_rings, radius=1.0):
+    """``meshgen.annulus`` with one Python iteration per ring and merge step."""
+    vertices = []
+    ring_start = {}
+    for k in range(inner_rings, outer_rings + 1):
+        _ring_vertices_by_loop(vertices, ring_start, k, outer_rings, radius)
+    vertices = np.asarray(vertices)
+    tris = []
+    for k in range(inner_rings, outer_rings):
+        tris += _ring_band_by_loop(k, ring_start[k], ring_start[k + 1])
+    elements = _orient_elements(vertices, np.array(tris, dtype=np.int64))
+    return SimplicialMesh(vertices, elements)
+
+
+def octahedral_rotations():
+    """The 24 rotational symmetries of a frame, as scipy Rotations built
+    from the signed permutation matrices of determinant +1."""
+    mats = []
+    for perm in itertools.permutations(range(3)):
+        for signs in itertools.product((1.0, -1.0), repeat=3):
+            M = np.zeros((3, 3))
+            for r, (c, s) in enumerate(zip(perm, signs)):
+                M[r, c] = s
+            if np.linalg.det(M) > 0:
+                mats.append(M)
+    return Rotation.from_matrix(np.array(mats))
+
+
+def match_quaternion(q_ref, q):
+    """Representative of the frame of ``q`` closest to ``q_ref``.
+
+    Both quaternions are in scipy (x, y, z, w) order.  Searches the 24
+    octahedral symmetries and both double-cover signs.
+    """
+    variants = (Rotation.from_quat(q) * octahedral_rotations()).as_quat()
+    dots = variants @ q_ref
+    best = int(np.argmax(np.abs(dots)))
+    return np.sign(dots[best]) * variants[best]
+
+
+def resample_3d_by_loops(field, coarse):
+    """3D ``resample_field`` with one ``match_quaternion`` call per coarse
+    vertex and neighbour, summed in neighbour order."""
+    _, nearest = cKDTree(field.mesh.vertices).query(coarse.vertices)
+    q0 = components_to_quaternions(field.components[nearest])[:, [1, 2, 3, 0]]
+    averaged = np.empty_like(q0)
+    for v, neighbors in enumerate(coarse.vertex_neighbors()):
+        acc = q0[v].copy()
+        for u in neighbors:
+            acc += match_quaternion(q0[v], q0[u])
+        averaged[v] = acc / np.linalg.norm(acc)
+    comps = quaternions_to_components(averaged[:, [3, 0, 1, 2]])
+    return FrameField(coarse, comps, np.ones((coarse.num_vertices, 3)))

@@ -290,6 +290,41 @@ def test_bad_entry_input_raises_parameter_error(case, disk_mesh, disk_emb, disk_
         BAD_ENTRY_INPUTS[case](disk_mesh, disk_emb, disk_op, d)
 
 
+# Bad field, mesh and count arguments, each with the error it must raise
+# where it enters (and no warning first: the suite turns warnings into errors).
+BAD_BUILDER_INPUTS = {
+    "frame nan component": (
+        ff.FieldError, lambda op: ff.OdecoFrame([[np.nan, 0.0], [0.0, 1.0]], [1.0, 1.0])
+    ),
+    "frame nan weight": (
+        ff.FieldError, lambda op: ff.OdecoFrame(np.eye(2), [1.0, np.nan])
+    ),
+    "mesh index 0.5": (
+        ff.GeometryError,
+        lambda op: ff.SimplicialMesh([[0, 0], [1, 0], [0, 1]], [[0.5, 1, 2]]),
+    ),
+    "helical pitch inf": (
+        ff.FieldError,
+        lambda op: ff.helical_field_3d(meshgen.ball(), [0.0, 0.0, 1.0], np.inf),
+    ),
+    "jittered dim 4": (ff.ParameterError, lambda op: meshgen.jittered_delaunay(4, 2)),
+    "annulus rings 1.5": (ff.ParameterError, lambda op: meshgen.annulus(1.5, 3)),
+    "spectrum count 2.5": (ff.ParameterError, lambda op: ff.square_spectrum(0.1, 2.5)),
+    "spectrum count True": (ff.ParameterError, lambda op: ff.square_spectrum(0.1, True)),
+    "eigenpairs count True": (ff.ParameterError, lambda op: ff.nonzero_eigenpairs(op, True)),
+    "eigenpairs count 2.5": (ff.ParameterError, lambda op: ff.nonzero_eigenpairs(op, 2.5)),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_BUILDER_INPUTS))
+def test_bad_builder_input_raises_its_named_error(case, disk_op):
+    error, build = BAD_BUILDER_INPUTS[case]
+    with pytest.raises(error) as info:
+        build(disk_op)
+    if "count" in case:
+        assert str(info.value).startswith("count must be an integer")
+
+
 def test_color_by_boundary(disk_mesh, disk_measures, disk_harmonic_field):
     bv = disk_measures.boundary_vertices
     angle = np.arctan2(*disk_mesh.vertices[bv, ::-1].T)

@@ -227,6 +227,17 @@ def test_input_errors_and_program_faults(workspace, monkeypatch, tmp_path):
                        "--u0", str(short)]) == EXIT_INPUT
     assert main(out + ["diffuse", "--mesh", mesh, "--field", field,
                        "--tau", "nan"]) == EXIT_INPUT
+    # a non-finite map coefficient, and a 3D field row with a zero quaternion
+    for c in ("nan", "inf"):
+        assert main(out + ["field", "gen", "--mesh", mesh, "--kind", "coframe",
+                           "--c", c]) == EXIT_INPUT
+    ball = str(workspace / "ball.mesh")
+    zero = tmp_path / "zero_quaternion.csv"
+    nv = ff.load_mesh(ball).num_vertices
+    rows = np.tile([1.0, 0.0, 0.0, 0.0, 1.0, 1.0, 1.0], (nv, 1))
+    rows[3, :4] = 0.0
+    np.savetxt(zero, rows, delimiter=",")
+    assert main(out + ["assemble", "--mesh", ball, "--field", str(zero)]) == EXIT_INPUT
 
     # a ValueError from inside a command is a program fault, not bad input
     import framefieldops.cli as cli

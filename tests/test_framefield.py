@@ -7,10 +7,9 @@ from framefieldops.framefield import (
     _locate_barycentric,
     components_to_angles,
     components_to_quaternions,
-    match_quaternion,
-    octahedral_rotations,
     quaternions_to_components,
 )
+from scipy.spatial.transform import Rotation
 
 from conftest import rotation_frame_2d
 from oracles import (
@@ -18,6 +17,7 @@ from oracles import (
     fingerprint_sequential,
     locate_by_fresh_tree,
     random_rotation,
+    resample_3d_by_loops,
 )
 
 
@@ -250,20 +250,34 @@ def test_resample_3d(small_ball_mesh):
     assert np.abs(back.forms() - expect.forms()).max() < 1e-10
 
 
-def test_octahedral_matching():
-    rots = octahedral_rotations()
-    assert len(rots) == 24
+def test_resample_3d_matches_symmetry_images(small_ball_mesh):
+    # every fine vertex stores the frame as a random one of its 24 rotation
+    # matrices: summed unmatched they give another frame, matched the frame
     rng = np.random.default_rng(2)
-    for _ in range(20):
-        R = random_rotation(rng, 3)
-        q = components_to_quaternions(R.T[None])[0][[1, 2, 3, 0]]
-        # any symmetry image matches back to the original frame
-        g = rots[rng.integers(24)]
-        from scipy.spatial.transform import Rotation
+    fine = ff.refine_uniform(small_ball_mesh)
+    frame = random_rotation(rng, 3)
+    group = Rotation.create_group("O").as_matrix()
+    images = frame @ group[rng.integers(24, size=fine.num_vertices)]
+    nv = fine.num_vertices
+    f_fine = ff.FrameField(fine, np.swapaxes(images, 1, 2), np.ones((nv, 3)))
+    assert f_fine.kind == "octahedral"
+    back = ff.resample_field(f_fine, small_ball_mesh)
+    expect = ff.constant_field(small_ball_mesh, ff.OdecoFrame(frame.T, np.ones(3)))
+    assert np.abs(back.forms() - expect.forms()).max() < 1e-12
 
-        q_img = (Rotation.from_quat(q) * g).as_quat()
-        matched = match_quaternion(q, q_img)
-        assert min(np.linalg.norm(matched - q), np.linalg.norm(matched + q)) < 1e-12
+
+def test_resample_3d_matches_the_loop():
+    # the batched matching against one match per vertex and neighbour
+    balls = [meshgen.ball()]
+    for _ in range(3):
+        balls.append(ff.refine_uniform(balls[-1]))
+    for coarse, fine in zip(balls[:-1], balls[1:]):
+        for axis, pitch in (([0.0, 0.0, 1.0], 2.0), ([0.3, -0.2, 0.9], 1.3)):
+            field = ff.helical_field_3d(fine, axis, pitch)
+            got = ff.resample_field(field, coarse)
+            ref = resample_3d_by_loops(field, coarse)
+            assert np.abs(got.components - ref.components).max() <= 1e-15
+            assert np.abs(got.forms() - ref.forms()).max() <= 1e-14
 
 
 def test_quaternion_component_roundtrip():

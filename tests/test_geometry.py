@@ -11,8 +11,10 @@ from framefieldops import meshgen
 from framefieldops.geometry import _LOCAL_EDGES, prolong_linear
 
 from oracles import (
+    annulus_by_loops,
     boundary_facets_by_unique,
     box_by_loops,
+    disk_by_loops,
     edges_by_unique,
     gradient_dense,
     shape_gradients_by_inv,
@@ -343,6 +345,27 @@ def test_structured_generators_match_cell_loops():
     for mesh, ref in pairs:
         for a, b in ((mesh.vertices, ref.vertices), (mesh.elements, ref.elements)):
             assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+def test_ring_generators_match_ring_loops():
+    pairs = []
+    for radius in (1.0, 0.7):
+        pairs += [
+            (meshgen.disk(r, radius), disk_by_loops(r, radius)) for r in range(1, 41)
+        ]
+        pairs += [
+            (meshgen.annulus(i, o, radius), annulus_by_loops(i, o, radius))
+            for o in range(2, 12)
+            for i in range(1, o)
+        ]
+    for mesh, ref in pairs:
+        for a, b in ((mesh.vertices, ref.vertices), (mesh.elements, ref.elements)):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+def test_disk_needs_a_ring():
+    with pytest.raises(ff.ParameterError, match="rings"):
+        meshgen.disk(0)
 
 
 def test_nan_coordinate_rejected():
