@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.spatial.transform import Rotation
 
 import framefieldops as ff
 from framefieldops import meshgen
@@ -9,7 +10,6 @@ from framefieldops.framefield import (
     components_to_quaternions,
     quaternions_to_components,
 )
-from scipy.spatial.transform import Rotation
 
 from conftest import rotation_frame_2d
 from oracles import (
@@ -255,10 +255,10 @@ def test_resample_3d_matches_symmetry_images(small_ball_mesh):
     # matrices: summed unmatched they give another frame, matched the frame
     rng = np.random.default_rng(2)
     fine = ff.refine_uniform(small_ball_mesh)
+    nv = fine.num_vertices
     frame = random_rotation(rng, 3)
     group = Rotation.create_group("O").as_matrix()
-    images = frame @ group[rng.integers(24, size=fine.num_vertices)]
-    nv = fine.num_vertices
+    images = frame @ group[rng.integers(24, size=nv)]
     f_fine = ff.FrameField(fine, np.swapaxes(images, 1, 2), np.ones((nv, 3)))
     assert f_fine.kind == "octahedral"
     back = ff.resample_field(f_fine, small_ball_mesh)
