@@ -1,9 +1,9 @@
 """Command-line interface: file-based, reproducible experiment runs.
 
-Every run writes its outputs plus a ``manifest.json`` recording inputs,
-content hashes, package versions, and timings.  Outputs are deterministic
-given identical inputs and seeds.  Exit codes: 0 ok, 1 usage, 2 input
-error, 3 numerical failure, 4 validation failed.
+Every run writes its outputs plus a ``manifest.json`` recording the SHA-256
+of each input and output file, package versions, and timings.  Outputs are
+deterministic given identical inputs and seeds.  Exit codes: 0 ok, 1 usage,
+2 input error, 3 numerical failure, 4 validation failed.
 """
 
 import argparse
@@ -16,6 +16,8 @@ from pathlib import Path
 
 import numpy as np
 import scipy
+from scipy import sparse
+from scipy.io import mmwrite
 
 from . import __version__
 from .analytic import conformal_warp
@@ -29,7 +31,7 @@ from .apps import (
     trace_descent_path,
     zero_modes,
 )
-from .errors import FrameFieldOpsError, NumericalError, ParameterError
+from .errors import FrameFieldOpsError, NumericalError, ParameterError, check_indices
 from .fem import apply_dirichlet_partition, assemble_operator
 from .framefield import (
     angles_to_components,
@@ -41,7 +43,7 @@ from .framefield import (
     map_coframe_field,
     save_field,
 )
-from .geometry import SimplicialMesh, compute_measures, load_mesh, save_mesh
+from .geometry import SimplicialMesh, _write_rows, compute_measures, load_mesh, save_mesh
 from .solve import diffuse, eigs_generalized
 from .symtensor import OdecoFrame
 from .validation import VALIDATORS
@@ -84,8 +86,10 @@ class Run:
         self.outputs = []
         self.t0 = time.time()
 
-    def track_input(self, path):
+    def input(self, path):
+        """Record ``path``'s SHA-256 as an input and return ``path``."""
         self.inputs[str(path)] = _sha256(path)
+        return path
 
     def out(self, name):
         path = self.outdir / name
@@ -96,7 +100,7 @@ class Run:
         manifest = {
             "command": self.args.argv,
             "inputs": self.inputs,
-            "outputs": sorted(self.outputs),
+            "outputs": {path: _sha256(path) for path in self.outputs},
             "versions": {
                 "framefieldops": __version__,
                 "numpy": np.__version__,
@@ -110,18 +114,7 @@ class Run:
             json.dump(manifest, fh, indent=2, sort_keys=True)
 
 
-def _load_mesh(run, path):
-    run.track_input(path)
-    return load_mesh(path)
-
-
-def _load_field(run, mesh, path):
-    run.track_input(path)
-    return load_field(mesh, path)
-
-
-def _load_csv(run, path):
-    run.track_input(path)
+def _load_csv(path):
     try:
         return np.loadtxt(path, delimiter=",")
     except ValueError as exc:
@@ -137,25 +130,13 @@ def _parse_list(text, kind=int):
         ) from exc
 
 
-def _vertex_indices(indices, mesh, flag):
-    """``indices`` as an integer array, each checked to be a vertex of
-    ``mesh``; negative indices are rejected, not counted from the end."""
-    indices = np.asarray(indices, dtype=np.int64)
-    bad = indices[(indices < 0) | (indices >= mesh.num_vertices)]
-    if bad.size:
-        raise ParameterError(
-            f"{flag}: vertex {bad[0]} is not in 0..{mesh.num_vertices - 1}"
-        )
-    return indices
-
-
 def _save_scalar_csv(path, values):
     np.savetxt(path, np.asarray(values, dtype=float), delimiter=",", fmt=FMT)
 
 
 def cmd_field_gen(args):
     run = Run(args)
-    mesh = _load_mesh(run, args.mesh)
+    mesh = load_mesh(run.input(args.mesh))
     if args.kind == "constant":
         frame = axis_frame(mesh.dim)
         if args.angle is not None:
@@ -184,19 +165,15 @@ def cmd_field_gen(args):
 
 
 def _assemble_from_args(run, args, bc=None):
-    mesh = _load_mesh(run, args.mesh)
-    field = _load_field(run, mesh, args.field)
+    mesh = load_mesh(run.input(args.mesh))
+    field = load_field(mesh, run.input(args.field))
     return mesh, assemble_operator(mesh, field, args.epsilon, bc or args.bc)
 
 
 def cmd_assemble(args):
-    from scipy.io import mmwrite
-
     run = Run(args)
     _, op = _assemble_from_args(run, args)
     mmwrite(run.out("operator.mtx"), op.matrix)
-    from scipy import sparse
-
     mmwrite(run.out("mass.mtx"), sparse.diags(op.vertex_mass).tocoo())
     run.finish({"epsilon": args.epsilon, "bc": args.bc, "fingerprint": op.fingerprint})
     return EXIT_OK
@@ -206,7 +183,7 @@ def cmd_dirichlet(args):
     run = Run(args)
     mesh, op = _assemble_from_args(run, args, bc="neumann")
     if args.boundary:
-        u0 = _load_csv(run, args.boundary)
+        u0 = _load_csv(run.input(args.boundary))
     else:
         u0 = square_wave_boundary(mesh, compute_measures(mesh), periods=args.periods)
     u = apply_dirichlet_partition(op, u0)
@@ -220,10 +197,10 @@ def cmd_diffuse(args):
     run = Run(args)
     mesh, op = _assemble_from_args(run, args)
     if args.u0:
-        u0 = _load_csv(run, args.u0)
+        u0 = _load_csv(run.input(args.u0))
     else:
         u0 = np.zeros(mesh.num_vertices)
-        u0[_vertex_indices(_parse_list(args.impulse), mesh, "--impulse")] = 1.0
+        u0[check_indices("--impulse", _parse_list(args.impulse), mesh.num_vertices)] = 1.0
     u = diffuse(op, u0, args.tau)
     _save_scalar_csv(run.out("diffused.csv"), u)
     write_vtk(run.out("diffused.vtk"), mesh, {"u": u, "u0": u0})
@@ -238,10 +215,10 @@ def cmd_eigs(args):
     zero = zero_modes(op, eig.values)
     rows = np.column_stack([eig.values, eig.vectors.T])
     np.savetxt(run.out("eigs.csv"), rows, delimiter=",", fmt=FMT)
+    flagged = np.column_stack([np.arange(len(zero)), eig.values, zero])
     with open(run.out("eigenvalues.csv"), "w") as fh:
         fh.write("index,eigenvalue,zero_mode\n")
-        for i, (v, z) in enumerate(zip(eig.values, zero)):
-            fh.write(f"{i},{FMT % v},{int(z)}\n")
+        _write_rows(fh, f"%d,{FMT},%d", flagged)
     data = {f"phi_{k:03d}": eig.vectors[:, k] for k in range(min(6, args.num))}
     write_vtk(run.out("eigs.vtk"), mesh, data)
     run.finish(
@@ -254,8 +231,8 @@ def cmd_eigs(args):
 def cmd_distance(args):
     run = Run(args)
     mesh, op = _assemble_from_args(run, args, bc="neumann")
-    source = int(_vertex_indices(args.source, mesh, "--source"))
-    starts = _vertex_indices(_parse_list(args.trace or ""), mesh, "--trace")
+    source = int(check_indices("--source", args.source, mesh.num_vertices))
+    starts = check_indices("--trace", _parse_list(args.trace or ""), mesh.num_vertices)
     emb = build_embedding(op, args.modes)
     d = distance_field(emb, source)
     _save_scalar_csv(run.out("distance.csv"), d)
@@ -270,7 +247,7 @@ def cmd_distance(args):
 def cmd_color(args):
     run = Run(args)
     mesh, op = _assemble_from_args(run, args, bc="natural")
-    colors = _load_csv(run, args.boundary_colors)
+    colors = _load_csv(run.input(args.boundary_colors))
     col = color_by_boundary(op, colors)
     np.savetxt(run.out("colors.csv"), col, delimiter=",", fmt=FMT)
     write_vtk(run.out("colors.vtk"), mesh, {"rgb": col})

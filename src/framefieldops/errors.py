@@ -1,7 +1,9 @@
-"""Exception types shared across the package, and the rule for integer
-arguments."""
+"""Exception types shared across the package, and the rules for integer
+and index arguments."""
 
 import numbers
+
+import numpy as np
 
 
 class FrameFieldOpsError(Exception):
@@ -40,3 +42,14 @@ def check_integer(name, value, low=1, below=float("inf")):
     if not low <= value < below:
         raise ParameterError(f"{name} must lie in [{low}, {below}), got {value}")
     return int(value)
+
+
+def check_indices(name, indices, n):
+    """``indices`` as an int64 array of vertices in [0, n), else
+    ``ParameterError``; a negative index is rejected, not counted from the
+    end."""
+    indices = np.asarray(indices, dtype=np.int64)
+    bad = indices[(indices < 0) | (indices >= n)]
+    if bad.size:
+        raise ParameterError(f"{name}: vertex {bad[0]} is not in 0..{n - 1}")
+    return indices

@@ -396,13 +396,15 @@ def resample_field(field, coarse):
     q0 = components_to_quaternions(field.components[nearest])[:, [1, 2, 3, 0]]
     graph = coarse.vertex_graph()
     rows = np.repeat(np.arange(coarse.num_vertices), np.diff(graph.indptr))
-    images = np.einsum("sij,ej->esi", _SYMMETRIES, q0[graph.indices])
-    dots = np.einsum("esi,ei->es", images, q0[rows])
-    edge = np.arange(len(rows))
+    # score the images by q_v' S_s q_u without storing them; form only the picked one
+    neighbours = q0[graph.indices]
+    dots = np.einsum("ei,sij,ej->es", q0[rows], _SYMMETRIES, neighbours)
     best = np.argmax(np.abs(dots), axis=1)
+    picked = np.einsum("eij,ej->ei", _SYMMETRIES[best], neighbours)
+    sign = np.sign(dots[np.arange(len(rows)), best])
     acc = q0.copy()
     # unbuffered and in CSR order: each vertex adds its neighbours in turn
-    np.add.at(acc, rows, np.sign(dots[edge, best])[:, None] * images[edge, best])
+    np.add.at(acc, rows, sign[:, None] * picked)
     averaged = acc / np.linalg.norm(acc, axis=1)[:, None]
     comps = quaternions_to_components(averaged[:, [3, 0, 1, 2]])
     return FrameField(coarse, comps, np.ones((coarse.num_vertices, 3)))

@@ -16,6 +16,11 @@ mesh-only factor and the pattern they are assembled into.  The mesh keeps
 read-only copies of its vertex and element arrays, so no cached result can
 go stale; meshes are immutable after construction and safe to share across
 threads.  Only this module touches the cache.
+
+Files: the extension picks the format from one table, OFF or OBJ for planar
+triangle meshes and MEDIT (``.mesh``, ``.medit``) for tetrahedral ones.  Rows
+are written as whole arrays with 17 significant digits, so a saved mesh loads
+back bitwise, and a refused save leaves an existing file alone.
 """
 
 import dataclasses
@@ -534,157 +539,142 @@ def prolong_linear(fine_mesh, coarse_values):
 # -- file I/O --------------------------------------------------------------
 
 
+def _write_rows(fh, fmt, rows):
+    """Write ``fmt % row`` and a newline for each row of the array ``rows``,
+    as one string; ``%.17g`` and ``%d`` give the text of ``f"{x:.17g}"`` and
+    ``str(i)``."""
+    fh.write((fmt + "\n") * len(rows) % tuple(rows.ravel().tolist()))
+
+
 def _data_lines(path):
+    """The fields of each line of ``path`` that holds data after ``#``
+    comments are cut."""
     with open(path) as fh:
         for line in fh:
-            line = line.split("#", 1)[0].strip()
-            if line:
-                yield line
+            fields = line.split("#", 1)[0].split()
+            if fields:
+                yield fields
 
 
-def _to_planar(vertices):
-    vertices = np.asarray(vertices, dtype=float)
-    if vertices.shape[1] == 3:
-        if np.max(np.abs(vertices[:, 2])) > 1e-9:
-            raise GeometryError(
-                "triangle mesh is not planar (|z| > 1e-9); only planar 2D "
-                "domains are supported"
-            )
-        vertices = vertices[:, :2]
-    return vertices
+def _rows(lines, count, width, dtype):
+    """The first ``width`` fields of each of the next ``count`` lines as one
+    ``(count, width)`` array; a line with fewer fields is a ``ValueError``."""
+    rows = [next(lines)[:width] for _ in range(count)]
+    return np.array(rows, dtype=dtype).reshape(count, width)
 
 
-def _read_off(path):
-    lines = _data_lines(path)
-    try:
-        header = next(lines)
-        if not header.upper().startswith("OFF"):
-            raise MeshFormatError(f"{path}: missing OFF header")
-        counts = header[3:].split() or next(lines).split()
-        nv, nf = int(counts[0]), int(counts[1])
-        if nv < 1 or nf < 1:
-            raise MeshFormatError(f"{path}: OFF header needs positive counts")
-        vertices = np.array(
-            [[float(x) for x in next(lines).split()[:3]] for _ in range(nv)]
-        )
-        faces = []
-        for _ in range(nf):
-            parts = next(lines).split()
-            if int(parts[0]) != 3:
-                raise MeshFormatError(f"{path}: only triangle faces are supported")
-            faces.append([int(x) for x in parts[1:4]])
-        faces = np.array(faces, dtype=np.int64)
-    except (StopIteration, ValueError, IndexError, OverflowError) as exc:
-        raise MeshFormatError(f"{path}: malformed OFF file") from exc
-    return SimplicialMesh(_to_planar(vertices), faces)
+def _read_off(lines):
+    header = next(lines)
+    if header[0].upper() != "OFF":
+        raise ValueError("missing OFF header")
+    nv, nf = (int(count) for count in (header[1:] or next(lines))[:2])
+    if nv < 1 or nf < 1:
+        raise ValueError("the header needs positive counts")
+    vertices = _rows(lines, nv, 3, float)
+    faces = _rows(lines, nf, 4, np.int64)
+    if np.any(faces[:, 0] != 3):
+        raise ValueError("only triangle faces are supported")
+    return vertices, faces[:, 1:]
 
 
-def _read_obj(path):
+def _read_obj(lines):
     vertices, faces = [], []
-    try:
-        for line in _data_lines(path):
-            parts = line.split()
-            if parts[0] == "v":
-                vertices.append([float(x) for x in parts[1:4]])
-            elif parts[0] == "f":
-                idx = [int(p.split("/")[0]) - 1 for p in parts[1:]]
-                if len(idx) != 3:
-                    raise MeshFormatError(f"{path}: only triangle faces are supported")
-                faces.append(idx)
-        if not vertices or not faces:
-            raise MeshFormatError(f"{path}: no vertices or faces found")
-        vertices = np.array(vertices)
-        faces = np.array(faces, dtype=np.int64)
-    except (ValueError, IndexError, OverflowError) as exc:
-        raise MeshFormatError(f"{path}: malformed OBJ file") from exc
-    return SimplicialMesh(_to_planar(vertices), faces)
+    for key, *fields in lines:
+        if key == "v":
+            vertices.append(fields)
+        elif key == "f":
+            faces.append([field.split("/")[0] for field in fields])
+    if not vertices or not faces:
+        raise ValueError("no vertices or faces found")
+    if any(len(face) != 3 for face in faces):
+        raise ValueError("only triangle faces are supported")
+    return _rows(iter(vertices), len(vertices), 3, float), np.array(faces, dtype=np.int64) - 1
 
 
-def _read_medit(path):
-    vertices, tets = None, None
-    lines = _data_lines(path)
+# MEDIT sections read, with fields per row and type.  Rows of the others,
+# such as the boundary triangles recomputed from the tetrahedra, start with
+# a number, not a keyword, and are passed over line by line.
+_MEDIT_SECTIONS = {"vertices": (3, float), "tetrahedra": (4, np.int64)}
+
+
+def _read_medit(lines):
+    sections = {}
+    for key, *rest in lines:
+        key = key.lower()
+        if key == "dimension":
+            if int((rest or next(lines))[0]) != 3:
+                raise ValueError("MEDIT meshes must be 3D")
+        elif key in _MEDIT_SECTIONS:
+            (count,) = next(lines)
+            sections[key] = _rows(lines, int(count), *_MEDIT_SECTIONS[key])
+        elif key == "end":
+            break
+    if "vertices" not in sections or "tetrahedra" not in sections:
+        raise ValueError("missing Vertices or Tetrahedra section")
+    return sections["vertices"], sections["tetrahedra"] - 1
+
+
+def _write_off(fh, mesh):
+    fh.write(f"OFF\n{mesh.num_vertices} {mesh.num_elements} 0\n")
+    _write_rows(fh, "%.17g %.17g 0", mesh.vertices)
+    _write_rows(fh, "3 %d %d %d", mesh.elements)
+
+
+def _write_obj(fh, mesh):
+    _write_rows(fh, "v %.17g %.17g 0", mesh.vertices)
+    _write_rows(fh, "f %d %d %d", mesh.elements + 1)
+
+
+def _write_medit(fh, mesh):
+    fh.write(f"MeshVersionFormatted 2\nDimension 3\nVertices\n{mesh.num_vertices}\n")
+    _write_rows(fh, "%.17g %.17g %.17g 0", mesh.vertices)
+    fh.write(f"Tetrahedra\n{mesh.num_elements}\n")
+    _write_rows(fh, "%d %d %d %d 0", mesh.elements + 1)
+    fh.write(f"Triangles\n{len(mesh.boundary_facets)}\n")
+    _write_rows(fh, "%d %d %d 1", mesh.boundary_facets + 1)
+    fh.write("End\n")
+
+
+# The file extension picks the format: (name, mesh dimension, reader, writer).
+_FORMATS = {
+    "off": ("OFF", 2, _read_off, _write_off),
+    "obj": ("OBJ", 2, _read_obj, _write_obj),
+    "mesh": ("MEDIT", 3, _read_medit, _write_medit),
+    "medit": ("MEDIT", 3, _read_medit, _write_medit),
+}
+
+
+def _format(path):
+    extension = str(path).rsplit(".", 1)[-1].lower()
+    if extension not in _FORMATS:
+        raise MeshFormatError(f"{path}: unknown mesh format {extension!r}")
+    return _FORMATS[extension]
+
+
+def load_mesh(path):
+    """Load a planar triangle mesh from OFF or OBJ, or a tetrahedral mesh
+    from MEDIT; the extension (``.off``, ``.obj``, ``.mesh``, ``.medit``)
+    picks the format.  A file that does not parse raises ``MeshFormatError``
+    naming the path, a nonplanar or invalid mesh ``GeometryError``."""
+    name, dim, read, _ = _format(path)
     try:
-        for line in lines:
-            key = line.split()[0].lower()
-            if key == "dimension":
-                rest = line.split()[1:]
-                dim = int(rest[0]) if rest else int(next(lines))
-                if dim != 3:
-                    raise MeshFormatError(f"{path}: MEDIT meshes must be 3D")
-            elif key == "vertices":
-                n = int(next(lines))
-                vertices = np.array(
-                    [[float(x) for x in next(lines).split()[:3]] for _ in range(n)]
-                )
-            elif key == "tetrahedra":
-                n = int(next(lines))
-                tets = np.array(
-                    [[int(x) for x in next(lines).split()[:4]] for _ in range(n)],
-                    dtype=np.int64,
-                )
-            elif key == "triangles":
-                n = int(next(lines))
-                for _ in range(n):
-                    next(lines)  # boundary facets are recomputed from tets
-            elif key == "end":
-                break
+        vertices, elements = read(_data_lines(path))
     except (StopIteration, ValueError, IndexError, OverflowError) as exc:
-        raise MeshFormatError(f"{path}: malformed MEDIT file") from exc
-    if vertices is None or tets is None:
-        raise MeshFormatError(f"{path}: missing Vertices or Tetrahedra section")
-    return SimplicialMesh(vertices, tets - 1)
+        raise MeshFormatError(f"{path}: malformed {name} file ({exc})") from exc
+    if dim == 2 and np.max(np.abs(vertices[:, 2])) > 1e-9:
+        raise GeometryError(
+            "triangle mesh is not planar (|z| > 1e-9); only planar 2D domains are supported"
+        )
+    return SimplicialMesh(vertices[:, :dim], elements)
 
 
-_READERS = {"off": _read_off, "obj": _read_obj, "medit": _read_medit, "mesh": _read_medit}
-
-
-def load_mesh(path, fmt=None):
-    """Load a mesh from OFF or OBJ (planar triangles) or MEDIT (tetrahedra).
-
-    Parameters
-    ----------
-    path : str or pathlib.Path
-        Input file.
-    fmt : {"off", "obj", "medit"}, optional
-        Defaults to the file extension (``.mesh`` selects MEDIT).
-    """
-    fmt = (fmt or str(path).rsplit(".", 1)[-1]).lower()
-    if fmt not in _READERS:
-        raise MeshFormatError(f"unknown mesh format {fmt!r}")
-    return _READERS[fmt](str(path))
-
-
-def save_mesh(mesh, path, fmt=None):
-    """Write a mesh in OFF, OBJ, or MEDIT format (echoing the load formats)."""
-    fmt = (fmt or str(path).rsplit(".", 1)[-1]).lower()
-    if fmt in ("off", "obj") and mesh.dim != 2:
-        raise MeshFormatError("OFF/OBJ output is for planar triangle meshes")
-    if fmt in ("medit", "mesh") and mesh.dim != 3:
-        raise MeshFormatError("MEDIT output is for tetrahedral meshes")
+def save_mesh(mesh, path):
+    """Write ``mesh`` in the format its extension picks, as :func:`load_mesh`
+    reads it, with 17 significant digits.  An unknown extension or a mesh of
+    the wrong dimension raises ``MeshFormatError`` before the file is
+    opened, so a refused call leaves an existing file alone."""
+    name, dim, _, write = _format(path)
+    if mesh.dim != dim:
+        raise MeshFormatError(f"{path}: {name} holds {dim}D meshes, not {mesh.dim}D")
     with open(path, "w") as fh:
-        if fmt == "off":
-            fh.write("OFF\n")
-            fh.write(f"{mesh.num_vertices} {mesh.num_elements} 0\n")
-            for v in mesh.vertices:
-                fh.write(f"{v[0]:.17g} {v[1]:.17g} 0\n")
-            for t in mesh.elements:
-                fh.write(f"3 {t[0]} {t[1]} {t[2]}\n")
-        elif fmt == "obj":
-            for v in mesh.vertices:
-                fh.write(f"v {v[0]:.17g} {v[1]:.17g} 0\n")
-            for t in mesh.elements:
-                fh.write(f"f {t[0] + 1} {t[1] + 1} {t[2] + 1}\n")
-        elif fmt in ("medit", "mesh"):
-            fh.write("MeshVersionFormatted 2\nDimension 3\n")
-            fh.write(f"Vertices\n{mesh.num_vertices}\n")
-            for v in mesh.vertices:
-                fh.write(f"{v[0]:.17g} {v[1]:.17g} {v[2]:.17g} 0\n")
-            fh.write(f"Tetrahedra\n{mesh.num_elements}\n")
-            for t in mesh.elements:
-                fh.write(f"{t[0] + 1} {t[1] + 1} {t[2] + 1} {t[3] + 1} 0\n")
-            fh.write(f"Triangles\n{len(mesh.boundary_facets)}\n")
-            for t in mesh.boundary_facets:
-                fh.write(f"{t[0] + 1} {t[1] + 1} {t[2] + 1} 1\n")
-            fh.write("End\n")
-        else:
-            raise MeshFormatError(f"unknown mesh format {fmt!r}")
+        write(fh, mesh)

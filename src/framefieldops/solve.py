@@ -34,7 +34,7 @@ from scipy.linalg import eigh  # noqa: F401  unused here; perfbench/tracing.py w
 from scipy.sparse import linalg as spla
 from scipy.sparse.csgraph import reverse_cuthill_mckee
 
-from .errors import NumericalError, ParameterError, check_integer
+from .errors import NumericalError, ParameterError, check_indices, check_integer
 
 logger = logging.getLogger(__name__)
 
@@ -60,12 +60,16 @@ def check_symmetric(A, tol=1e-12):
     return A
 
 
-def _positions(indices, n, name):
-    """``indices`` as int64 positions in [0, n), else ``ParameterError``."""
-    indices = np.asarray(indices, dtype=np.int64)
-    if np.any((indices < 0) | (indices >= n)):
-        raise ParameterError(f"{name} must lie in [0, {n})")
-    return indices
+def _prescribed(names, indices, values, n):
+    """Distinct ``indices`` in [0, n), each with one finite row of
+    ``values``, as arrays; else ``ParameterError`` naming the argument."""
+    indices = check_indices(names[0], indices, n)
+    values = np.asarray(values, dtype=float)
+    if np.unique(indices).size != indices.size:
+        raise ParameterError(f"{names[0]}: a vertex is given twice")
+    if values.shape[:1] != indices.shape or not np.all(np.isfinite(values)):
+        raise ParameterError(f"{names[1]} must be finite, one row per index of {names[0]}")
+    return indices, values
 
 
 class _Ordered(NamedTuple):
@@ -187,9 +191,10 @@ def solve_spd(A, b):
 def solve_pinned(A, pinned, values):
     """Minimize ``0.5 x' A x`` subject to ``x[pinned] = values``.
 
-    ``pinned`` holds distinct indices in [0, n) (else ``ParameterError``)
-    and ``values`` has shape ``(np,)`` or ``(np, r)``.  The free entries
-    solve ``A_ff x_f = -A_fp values`` with one ``solve_spd``, so the free block must be positive definite.  An
+    ``pinned`` holds distinct indices in [0, n) and ``values`` is finite
+    with shape ``(np,)`` or ``(np, r)``; anything else raises
+    ``ParameterError``.  The free entries solve ``A_ff x_f = -A_fp values``
+    with one ``solve_spd``, so the free block must be positive definite.  An
     ``AssembledOperator``'s free block is factored in its mesh's vertex
     order restricted to the free entries.  Returns the full solution, shape
     ``(n,)`` or ``(n, r)``, with ``x[pinned] = values``.
@@ -197,8 +202,7 @@ def solve_pinned(A, pinned, values):
     A, order = _ordered(A)
     A = sparse.csr_matrix(A)
     n = A.shape[0]
-    pinned = _positions(pinned, n, "pinned indices")
-    values = np.asarray(values, dtype=float)
+    pinned, values = _prescribed(("pinned", "values"), pinned, values, n)
     free = np.setdiff1d(np.arange(n), pinned)
     x = np.zeros((n,) + values.shape[1:])
     x[pinned] = values
@@ -361,7 +365,8 @@ def solve_box_qp(A, fixed_indices, fixed_values, lower, upper, return_info=False
         Its block on the entries that are neither fixed nor at a bound must
         be positive definite.
     fixed_indices, fixed_values : array_like
-        Equality-pinned entries: indices in [0, n), values within the bounds.
+        Equality-pinned entries: distinct indices in [0, n), finite values
+        within the bounds.
     lower, upper : np.ndarray
         Bounds of shape ``(n,)`` with ``lower <= upper``, so without NaN.
         Bad indices, bounds or fixed values raise ``ParameterError``.
@@ -377,8 +382,9 @@ def solve_box_qp(A, fixed_indices, fixed_values, lower, upper, return_info=False
     upper = np.asarray(upper, dtype=float)
     if lower.shape != (n,) or upper.shape != (n,) or not np.all(lower <= upper):
         raise ParameterError(f"bounds must have shape ({n},) and lower <= upper")
-    fixed_indices = _positions(fixed_indices, n, "fixed indices")
-    fixed_values = np.asarray(fixed_values, dtype=float)
+    fixed_indices, fixed_values = _prescribed(
+        ("fixed_indices", "fixed_values"), fixed_indices, fixed_values, n
+    )
     if not np.all(
         (fixed_values >= lower[fixed_indices] - 1e-12)
         & (fixed_values <= upper[fixed_indices] + 1e-12)

@@ -1,59 +1,66 @@
-"""Legacy ASCII VTK output for scalar point data, and OBJ polylines."""
+"""Legacy ASCII VTK output of per-vertex scalar and vector fields, and OBJ
+polylines.  Each block of rows is formatted as one array, floats with 17
+significant digits.  Bad input raises ``ParameterError`` before the file is
+opened, so a refused call leaves no file behind."""
 
 import numpy as np
 
+from .errors import ParameterError
+from .geometry import _write_rows
+
 _CELL_TYPES = {2: 5, 3: 10}  # VTK triangle / tetrahedron
+_XYZ = "%.17g %.17g %.17g"
+
+
+def _padded(points):
+    """``points`` as float rows zero-filled to 3 columns."""
+    points = np.asarray(points, dtype=float)
+    return np.pad(points, ((0, 0), (0, 3 - points.shape[1])))
 
 
 def write_vtk(path, mesh, point_data=None):
     """Write a mesh with named per-vertex scalar or vector fields.
 
     Legacy ASCII unstructured-grid format, readable by standard scientific
-    viewers.  2D meshes are embedded at z=0.
+    viewers.  2D meshes and 2-component vectors are embedded at z=0.  Each
+    field needs a one-word name and one row per vertex, a scalar or a vector
+    of at most 3 components; anything else raises ``ParameterError``.
     """
-    point_data = point_data or {}
-    pts = mesh.vertices
-    if mesh.dim == 2:
-        pts = np.column_stack([pts, np.zeros(len(pts))])
+    n = mesh.num_vertices
+    fields = {name: np.asarray(values, dtype=float)
+              for name, values in (point_data or {}).items()}
+    for name, values in fields.items():
+        one_word = str(name).split() == [str(name)]
+        if not one_word or values.shape not in ((n,), (n, 1), (n, 2), (n, 3)):
+            raise ParameterError(f"point field {name!r} needs a one-word name and shape "
+                                 f"({n},) or ({n}, 1..3), got {values.shape}")
     k = mesh.dim + 1
     with open(path, "w") as fh:
         fh.write("# vtk DataFile Version 3.0\nframefieldops output\nASCII\n")
-        fh.write("DATASET UNSTRUCTURED_GRID\n")
-        fh.write(f"POINTS {len(pts)} double\n")
-        for p in pts:
-            fh.write(f"{p[0]:.17g} {p[1]:.17g} {p[2]:.17g}\n")
+        fh.write(f"DATASET UNSTRUCTURED_GRID\nPOINTS {n} double\n")
+        _write_rows(fh, _XYZ, _padded(mesh.vertices))
         fh.write(f"CELLS {mesh.num_elements} {mesh.num_elements * (k + 1)}\n")
-        for e in mesh.elements:
-            fh.write(f"{k} " + " ".join(str(v) for v in e) + "\n")
+        _write_rows(fh, f"{k}" + " %d" * k, mesh.elements)
         fh.write(f"CELL_TYPES {mesh.num_elements}\n")
-        fh.write("\n".join([str(_CELL_TYPES[mesh.dim])] * mesh.num_elements) + "\n")
-        if point_data:
-            fh.write(f"POINT_DATA {len(pts)}\n")
-        for name, values in point_data.items():
-            values = np.asarray(values, dtype=float)
+        fh.write(f"{_CELL_TYPES[mesh.dim]}\n" * mesh.num_elements)
+        if fields:
+            fh.write(f"POINT_DATA {n}\n")
+        for name, values in fields.items():
             if values.ndim == 1:
                 fh.write(f"SCALARS {name} double 1\nLOOKUP_TABLE default\n")
-                for v in values:
-                    fh.write(f"{v:.17g}\n")
+                _write_rows(fh, "%.17g", values)
             else:
                 fh.write(f"VECTORS {name} double\n")
-                for row in values:
-                    r = np.zeros(3)
-                    r[: len(row)] = row
-                    fh.write(f"{r[0]:.17g} {r[1]:.17g} {r[2]:.17g}\n")
+                _write_rows(fh, _XYZ, _padded(values))
 
 
 def write_polyline_obj(path, polylines):
-    """Write one or more polylines as an OBJ file with line elements."""
-    if isinstance(polylines, np.ndarray):
-        polylines = [polylines]
+    """Write a list of polylines, each an ``(n, 2)`` or ``(n, 3)`` array of
+    points, as an OBJ file with one line element per polyline."""
+    polylines = [_padded(points) for points in polylines]
     with open(path, "w") as fh:
         offset = 1
-        for pts in polylines:
-            pts = np.asarray(pts, dtype=float)
-            for p in pts:
-                z = p[2] if len(p) > 2 else 0.0
-                fh.write(f"v {p[0]:.17g} {p[1]:.17g} {z:.17g}\n")
-            idx = " ".join(str(offset + i) for i in range(len(pts)))
-            fh.write(f"l {idx}\n")
-            offset += len(pts)
+        for points in polylines:
+            _write_rows(fh, "v " + _XYZ, points)
+            fh.write(f"l {' '.join(map(str, range(offset, offset + len(points))))}\n")
+            offset += len(points)

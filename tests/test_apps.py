@@ -261,8 +261,16 @@ BAD_ENTRY_INPUTS = {
     ),
     "pinned nv": lambda mesh, emb, op, d: ff.solve_pinned(op, [0, len(d)], [0.0, 1.0]),
     "pinned -1": lambda mesh, emb, op, d: ff.solve_pinned(op, [0, -1], [0.0, 1.0]),
+    "pinned repeated": lambda mesh, emb, op, d: ff.solve_pinned(
+        op, [0, 0, 4], [1.0, 2.0, 3.0]
+    ),
+    "values short": lambda mesh, emb, op, d: ff.solve_pinned(op, [0, 4], [1.0]),
+    "values nan": lambda mesh, emb, op, d: ff.solve_pinned(op, [0, 4], [1.0, np.nan]),
     "fixed nv": lambda mesh, emb, op, d: ff.solve_box_qp(
         op, [len(d)], [0.5], np.zeros(len(d)), np.ones(len(d))
+    ),
+    "fixed repeated": lambda mesh, emb, op, d: ff.solve_box_qp(
+        op, [0, 0], [0.5, 0.25], np.zeros(len(d)), np.ones(len(d))
     ),
     "bound nan": lambda mesh, emb, op, d: ff.solve_box_qp(
         op, [0], [0.5], np.where(np.arange(len(d)) == 3, np.nan, 0.0), np.ones(len(d))

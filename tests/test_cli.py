@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import sys
 
@@ -101,6 +102,8 @@ def test_assemble_writes_matrixmarket(workspace):
     assert np.abs(M.diagonal() - op.vertex_mass).max() < 1e-15
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["inputs"] and manifest["versions"]["framefieldops"]
+    digest = hashlib.sha256((out / "operator.mtx").read_bytes()).hexdigest()
+    assert manifest["outputs"][str(out / "operator.mtx")] == digest
 
 
 def test_eigs_flags_zero_mode(workspace):

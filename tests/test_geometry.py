@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 import framefieldops as ff
 from framefieldops import meshgen
 from framefieldops.geometry import _LOCAL_EDGES, prolong_linear
+from framefieldops.vtkio import write_vtk
 
 from oracles import (
     annulus_by_loops,
@@ -99,6 +100,9 @@ def test_malformed_file(tmp_path):
         ("bad.off", "OFF\n3 2 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n3 0 1\n"),
         # an index beyond int64 used to raise OverflowError
         ("bad.off", "OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 99999999999999999999\n"),
+        # a lone short row used to reach SimplicialMesh and raise GeometryError
+        ("bad.off", "OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1\n"),
+        ("bad.mesh", MEDIT_TET.replace("1 2 3 4 0", "1 2 3")),
     ]
     for name, text in cases:
         path = tmp_path / name
@@ -151,12 +155,43 @@ def test_garbled_mesh_files_raise_package_errors(
 
 def test_mesh_echo_roundtrip(tmp_path, disk_mesh, small_ball_mesh):
     for mesh, name in ((disk_mesh, "m.off"), (disk_mesh, "m.obj"),
-                       (small_ball_mesh, "m.mesh")):
+                       (small_ball_mesh, "m.mesh"), (small_ball_mesh, "m.medit")):
         path = tmp_path / name
         ff.save_mesh(mesh, path)
         back = ff.load_mesh(path)
         assert np.abs(back.vertices - mesh.vertices).max() < 1e-15
         assert np.array_equal(back.elements, mesh.elements)
+
+
+REFUSED_WRITES = {
+    "unknown extension": (ff.MeshFormatError, lambda path, disk, ball: ff.save_mesh(
+        disk, path.with_suffix(".stl"))),
+    "2D mesh to MEDIT": (ff.MeshFormatError, lambda path, disk, ball: ff.save_mesh(
+        disk, path.with_suffix(".mesh"))),
+    "3D mesh to OFF": (ff.MeshFormatError, lambda path, disk, ball: ff.save_mesh(
+        ball, path.with_suffix(".off"))),
+    "vtk field short": (ff.ParameterError, lambda path, disk, ball: write_vtk(
+        path, disk, {"u": np.zeros(disk.num_vertices - 1)})),
+    "vtk field 4 columns": (ff.ParameterError, lambda path, disk, ball: write_vtk(
+        path, disk, {"u": np.zeros((disk.num_vertices, 4))})),
+    "vtk name with a space": (ff.ParameterError, lambda path, disk, ball: write_vtk(
+        path, disk, {"u 0": np.zeros(disk.num_vertices)})),
+}
+
+
+@pytest.mark.parametrize("case", list(REFUSED_WRITES))
+def test_refused_writes_leave_files_alone(case, tmp_path, disk_mesh, small_ball_mesh):
+    # an existing file keeps its bytes, and no file is made where none was
+    error, write = REFUSED_WRITES[case]
+    kept = ["keep.mesh", "keep.off", "keep.stl", "keep.vtk"]
+    for name in kept:
+        (tmp_path / name).write_text("precious\n")
+    for name in ("keep.vtk", "none.vtk"):
+        with pytest.raises(error):
+            write(tmp_path / name, disk_mesh, small_ball_mesh)
+    assert sorted(path.name for path in tmp_path.iterdir()) == kept
+    for name in kept:
+        assert (tmp_path / name).read_text() == "precious\n", name
 
 
 def test_validation_errors():

@@ -116,6 +116,19 @@ def test_solve_pinned_matches_dense_partition():
     assert np.array_equal(x[order], values)
 
 
+@pytest.mark.parametrize(
+    "pinned, values, named",
+    [
+        ([0, 0, 4], [1.0, 2.0, 3.0], "pinned"),  # used to keep the last value
+        ([0, 4], [1.0], "values"),  # used to raise numpy's broadcast error
+        ([0, 4], [1.0, np.nan], "values"),  # used to blame b
+    ],
+)
+def test_solve_pinned_names_the_bad_argument(pinned, values, named):
+    with pytest.raises(ff.ParameterError, match=f"^{named}"):
+        ff.solve_pinned(sparse.eye(6, format="csr"), pinned, values)
+
+
 def _bandwidth(A, order):
     rank = np.empty(len(order), dtype=np.int64)
     rank[order] = np.arange(len(order))
