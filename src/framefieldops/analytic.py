@@ -9,7 +9,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .apps import nonzero_eigenpairs
-from .errors import GeometryError, ParameterError, check_integer
+from .errors import GeometryError, ParameterError, check_integer, check_values
 from .fem import assemble_operator
 from .framefield import axis_frame, constant_field, map_coframe_field
 from .geometry import SimplicialMesh
@@ -120,9 +120,7 @@ def conformal_warp(name, **params):
     ``exponential``: z -> exp(z) on a rectangle of height below 2 pi.
     """
     if name == "polynomial":
-        c = params.setdefault("c", 0.05)
-        if not np.isfinite(c):
-            raise ParameterError(f"the polynomial map needs a finite c, got {c!r}")
+        check_values("c", params.setdefault("c", 0.05), ())
     elif name == "exponential":
         if params:
             raise ParameterError("the exponential map takes no parameters")

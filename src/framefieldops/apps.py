@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalError, ParameterError, check_integer
+from .errors import NumericalError, ParameterError, check_integer, check_values
 from .solve import EigenResult, eigs_generalized, solve_box_qp
 from .symtensor import mandel_size
 
@@ -154,13 +154,7 @@ def trace_descent_path(mesh, dist, start):
     """
     nv = mesh.num_vertices
     start = check_integer("start", start, 0, nv)
-    dist = np.asarray(dist, dtype=float)
-    if dist.shape != (nv,):
-        raise ParameterError(
-            f"dist must hold one value per vertex, shape {(nv,)}, got {dist.shape}"
-        )
-    if not np.all(np.isfinite(dist)):
-        raise ParameterError("dist must be finite")
+    dist = check_values("dist", dist, (nv,))
     neighbors = mesh.vertex_neighbors()
     path = [start]
     current = start
@@ -191,7 +185,8 @@ def color_by_boundary(op, boundary_colors):
     ----------
     op : AssembledOperator
     boundary_colors : np.ndarray
-        Shape ``(nb, 3)`` RGB in [0, 1], ordered like ``op.boundary_vertices``.
+        Shape ``(nb, 3)`` RGB in [0, 1], ordered like ``op.boundary_vertices``;
+        anything else, NaN included, raises ``ParameterError``.
 
     Returns
     -------
@@ -200,10 +195,10 @@ def color_by_boundary(op, boundary_colors):
     """
     boundary_colors = np.asarray(boundary_colors, dtype=float)
     bv = op.boundary_vertices
-    if boundary_colors.shape != (len(bv), 3):
-        raise ParameterError(f"boundary colors must have shape {(len(bv), 3)}")
+    # the range check comes first, so a NaN is reported as out of range
     if not np.all((boundary_colors >= -1e-12) & (boundary_colors <= 1.0 + 1e-12)):
         raise ParameterError("colors must lie in [0, 1]")
+    boundary_colors = check_values("boundary colors", boundary_colors, (len(bv), 3))
     nv = op.matrix.shape[0]
     out = np.empty((nv, 3))
     for c in range(3):

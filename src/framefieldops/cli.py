@@ -43,7 +43,8 @@ from .framefield import (
     map_coframe_field,
     save_field,
 )
-from .geometry import SimplicialMesh, _write_rows, compute_measures, load_mesh, save_mesh
+from .geometry import SimplicialMesh, _save_csv, _write_rows, compute_measures
+from .geometry import load_mesh, save_mesh
 from .solve import diffuse, eigs_generalized
 from .symtensor import OdecoFrame
 from .validation import VALIDATORS
@@ -54,9 +55,6 @@ EXIT_USAGE = 1
 EXIT_INPUT = 2
 EXIT_NUMERICAL = 3
 EXIT_VALIDATION = 4
-
-FMT = "%.17e"
-
 
 class UsageError(Exception):
     pass
@@ -130,10 +128,6 @@ def _parse_list(text, kind=int):
         ) from exc
 
 
-def _save_scalar_csv(path, values):
-    np.savetxt(path, np.asarray(values, dtype=float), delimiter=",", fmt=FMT)
-
-
 def cmd_field_gen(args):
     run = Run(args)
     mesh = load_mesh(run.input(args.mesh))
@@ -187,7 +181,7 @@ def cmd_dirichlet(args):
     else:
         u0 = square_wave_boundary(mesh, compute_measures(mesh), periods=args.periods)
     u = apply_dirichlet_partition(op, u0)
-    _save_scalar_csv(run.out("solution.csv"), u)
+    _save_csv(run.out("solution.csv"), u)
     write_vtk(run.out("solution.vtk"), mesh, {"u": u})
     run.finish({"epsilon": args.epsilon})
     return EXIT_OK
@@ -202,7 +196,7 @@ def cmd_diffuse(args):
         u0 = np.zeros(mesh.num_vertices)
         u0[check_indices("--impulse", _parse_list(args.impulse), mesh.num_vertices)] = 1.0
     u = diffuse(op, u0, args.tau)
-    _save_scalar_csv(run.out("diffused.csv"), u)
+    _save_csv(run.out("diffused.csv"), u)
     write_vtk(run.out("diffused.vtk"), mesh, {"u": u, "u0": u0})
     run.finish({"tau": args.tau, "epsilon": args.epsilon, "bc": args.bc})
     return EXIT_OK
@@ -214,11 +208,11 @@ def cmd_eigs(args):
     eig = eigs_generalized(op, op.vertex_mass, args.num)
     zero = zero_modes(op, eig.values)
     rows = np.column_stack([eig.values, eig.vectors.T])
-    np.savetxt(run.out("eigs.csv"), rows, delimiter=",", fmt=FMT)
+    _save_csv(run.out("eigs.csv"), rows)
     flagged = np.column_stack([np.arange(len(zero)), eig.values, zero])
     with open(run.out("eigenvalues.csv"), "w") as fh:
         fh.write("index,eigenvalue,zero_mode\n")
-        _write_rows(fh, f"%d,{FMT},%d", flagged)
+        _write_rows(fh, "%d,%.17e,%d", flagged)
     data = {f"phi_{k:03d}": eig.vectors[:, k] for k in range(min(6, args.num))}
     write_vtk(run.out("eigs.vtk"), mesh, data)
     run.finish(
@@ -235,7 +229,7 @@ def cmd_distance(args):
     starts = check_indices("--trace", _parse_list(args.trace or ""), mesh.num_vertices)
     emb = build_embedding(op, args.modes)
     d = distance_field(emb, source)
-    _save_scalar_csv(run.out("distance.csv"), d)
+    _save_csv(run.out("distance.csv"), d)
     write_vtk(run.out("distance.vtk"), mesh, {"distance": d})
     if args.trace:
         paths = [trace_descent_path(mesh, d, s) for s in starts]
@@ -249,7 +243,7 @@ def cmd_color(args):
     mesh, op = _assemble_from_args(run, args, bc="natural")
     colors = _load_csv(run.input(args.boundary_colors))
     col = color_by_boundary(op, colors)
-    np.savetxt(run.out("colors.csv"), col, delimiter=",", fmt=FMT)
+    _save_csv(run.out("colors.csv"), col)
     write_vtk(run.out("colors.vtk"), mesh, {"rgb": col})
     run.finish({"epsilon": args.epsilon})
     return EXIT_OK

@@ -1,5 +1,7 @@
-"""Exception types shared across the package, and the rules for integer
-and index arguments."""
+"""Exception types shared across the package, and the three rules for
+arguments where they enter it: ``check_integer`` for one integer in a range,
+``check_indices`` for vertex indices and ``check_values`` for finite float
+arrays of a given shape."""
 
 import numbers
 
@@ -53,3 +55,22 @@ def check_indices(name, indices, n):
     if bad.size:
         raise ParameterError(f"{name}: vertex {bad[0]} is not in 0..{n - 1}")
     return indices
+
+
+def check_values(name, values, shape, error=ParameterError):
+    """``values`` as a float array of ``shape`` (a ``None`` matches any
+    length), every entry finite, else ``error`` naming ``name``; text and
+    ragged lists fail too."""
+    try:
+        array = np.asarray(values, dtype=float)
+    except (TypeError, ValueError):
+        actual = f"a {type(values).__name__} that is not a float array"
+    else:
+        actual = f"shape {array.shape}"
+        fits = all(w in (None, g) for w, g in zip(shape, array.shape))
+        if fits and array.ndim == len(shape):
+            if np.isfinite(array).all():
+                return array
+            actual = str(array[~np.isfinite(array)][0])
+    expected = str(tuple(shape)).replace("None", "*")
+    raise error(f"{name} must be finite with shape {expected}, got {actual}")

@@ -55,7 +55,7 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse import linalg as spla
 
-from .errors import FieldError, NumericalError, ParameterError
+from .errors import FieldError, NumericalError, ParameterError, check_values
 from .geometry import _LOCAL_EDGES, compute_measures, mesh_cached
 from .geometry import gradient_matrix  # noqa: F401  unused here; perfbench/tracing.py wraps it
 from .solve import check_symmetric, solve_pinned
@@ -389,12 +389,8 @@ def apply_dirichlet_partition(op, boundary_values):
     """
     if op.bc_kind != "neumann":
         raise ParameterError("Dirichlet partition requires the weak-Neumann operator")
-    boundary_values = np.asarray(boundary_values, dtype=float)
     bv = op.boundary_vertices
-    if boundary_values.shape != bv.shape:
-        raise ParameterError("boundary value count does not match boundary vertices")
-    if not np.all(np.isfinite(boundary_values)):
-        raise ParameterError("boundary values must be finite")
+    boundary_values = check_values("boundary values", boundary_values, bv.shape)
     try:
         return solve_pinned(op, bv, boundary_values)
     except NumericalError as exc:

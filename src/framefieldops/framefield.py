@@ -18,8 +18,8 @@ from scipy import sparse
 from scipy.spatial import cKDTree
 from scipy.spatial.transform import Rotation
 
-from .errors import FieldError, GeometryError
-from .geometry import _tangent_bases, compute_measures, gradient_matrix
+from .errors import FieldError, GeometryError, check_values
+from .geometry import _save_csv, _tangent_bases, compute_measures, gradient_matrix
 from .solve import solve_pinned
 from .symtensor import OdecoFrame, contract, modify_epsilon, odeco_form
 
@@ -38,7 +38,8 @@ class FrameField:
     weights : np.ndarray
         Shape ``(nv, dim)`` finite nonnegative weights.
 
-    Non-finite components or weights raise ``FieldError``.
+    Components or weights of another shape, or not finite, raise
+    ``FieldError``.
 
     ``kind`` is ``octahedral``, ``conformal_octahedral`` or ``odeco``,
     classified from the weights.
@@ -46,21 +47,13 @@ class FrameField:
 
     def __init__(self, mesh, components, weights):
         self.mesh = mesh
-        self.components = np.ascontiguousarray(components, dtype=float)
-        self.weights = np.ascontiguousarray(weights, dtype=float)
         nv, dim = mesh.num_vertices, mesh.dim
-        if self.components.shape != (nv, dim, dim):
-            raise FieldError(
-                f"components must have shape {(nv, dim, dim)}, "
-                f"got {self.components.shape}"
-            )
-        if self.weights.shape != (nv, dim):
-            raise FieldError(f"weights must have shape {(nv, dim)}")
-        # Each check passes only when its bound holds, so NaN fails it.
-        if not np.all(np.isfinite(self.components)):
-            raise FieldError("frame components must be finite")
-        if not np.all((self.weights >= 0) & np.isfinite(self.weights)):
-            raise FieldError("frame weights must be finite and nonnegative")
+        self.components = check_values(
+            "frame components", components, (nv, dim, dim), FieldError
+        )
+        self.weights = check_values("frame weights", weights, (nv, dim), FieldError)
+        if not np.all(self.weights >= 0):
+            raise FieldError("frame weights must be nonnegative")
         gram = np.einsum("vad,vbd->vab", self.components, self.components)
         if not np.max(np.abs(gram - np.eye(dim))) <= 1e-8:
             raise FieldError("frame components are not orthonormal per vertex")
@@ -237,16 +230,14 @@ def helical_field_3d(mesh, axis, pitch):
     turned right-handed about ``axis`` (counterclockwise seen from its tip)
     by the angle ``pitch * (x . axis)``, so a positive pitch twists the
     frames counterclockwise as the axial coordinate grows.  ``pitch=0``
-    reproduces the constant axis-aligned field.  A non-finite pitch raises
+    reproduces the constant axis-aligned field.  A non-finite pitch, or an
+    axis that is not three finite components, not all zero, raises
     ``FieldError``.
     """
     if mesh.dim != 3:
         raise FieldError("helical fields are volumetric (dim=3)")
-    if not np.isfinite(pitch):
-        raise FieldError(f"pitch must be finite, got {pitch}")
-    axis = np.asarray(axis, dtype=float)
-    if axis.shape != (3,):
-        raise FieldError(f"axis must have 3 components, got shape {axis.shape}")
+    pitch = check_values("pitch", pitch, (), FieldError)
+    axis = check_values("axis (3 components)", axis, (3,), FieldError)
     norm = np.linalg.norm(axis)
     if norm < 1e-12:
         raise FieldError("axis must be nonzero")
@@ -273,18 +264,16 @@ def map_coframe_field(mesh_warped, inverse_jacobian):
         The image mesh (vertices are the mapped positions).
     inverse_jacobian : np.ndarray
         ``(nv, dim, dim)`` stack of inverse Jacobians df^-1, one per vertex
-        (evaluated at the preimage of that vertex).  Non-finite entries
-        raise ``FieldError``.
+        (evaluated at the preimage of that vertex).  Another shape or a
+        non-finite entry raises ``FieldError``.
 
     Components are the normalized columns of df^-1 with weights
     ``|column|^4``.  Columns must be orthogonal within 1e-6.
     """
-    Jinv = np.asarray(inverse_jacobian, dtype=float)
     nv, dim = mesh_warped.num_vertices, mesh_warped.dim
-    if Jinv.shape != (nv, dim, dim) or not np.all(np.isfinite(Jinv)):
-        raise FieldError(
-            f"inverse Jacobians must be finite with shape {(nv, dim, dim)}"
-        )
+    Jinv = check_values(
+        "inverse Jacobians", inverse_jacobian, (nv, dim, dim), FieldError
+    )
     dets = np.linalg.det(Jinv)
     if np.any(np.abs(dets) < 1e-12):
         raise FieldError("singular Jacobian at some vertex")
@@ -421,34 +410,26 @@ def save_field(field, path):
     else:
         q = components_to_quaternions(field.components)
         rows = np.column_stack([q, field.weights])
-    np.savetxt(path, rows, delimiter=",", fmt="%.17e")
+    _save_csv(path, rows)
 
 
 def load_field(mesh, path):
     """Load a field saved by :func:`save_field` onto ``mesh``.
 
     Raises ``FieldError`` when the file does not parse as numeric CSV rows,
-    or a 3D row's quaternion is zero or not finite.
+    does not hold one finite row per vertex (``theta,w1,w2`` in 2D,
+    ``qw,qx,qy,qz,w1,w2,w3`` in 3D), or a 3D row's quaternion is zero.
     """
     try:
         rows = np.atleast_2d(np.loadtxt(path, delimiter=",", comments="#"))
     except ValueError as exc:
         raise FieldError(f"{path}: malformed field file ({exc})") from exc
-    if rows.shape[0] != mesh.num_vertices:
-        raise FieldError(
-            f"field file has {rows.shape[0]} rows for {mesh.num_vertices} vertices"
-        )
+    shape = (mesh.num_vertices, 3 if mesh.dim == 2 else 7)
+    rows = check_values(f"{path}: field rows", rows, shape, FieldError)
     if mesh.dim == 2:
-        if rows.shape[1] != 3:
-            raise FieldError("2D field rows must be theta,w1,w2")
-        comps = angles_to_components(rows[:, 0])
-        weights = rows[:, 1:3]
-    else:
-        if rows.shape[1] != 7:
-            raise FieldError("3D field rows must be qw,qx,qy,qz,w1,w2,w3")
-        norm = np.linalg.norm(rows[:, :4], axis=1)
-        if not np.all((norm > 0) & np.isfinite(norm)):
-            raise FieldError(f"{path}: quaternion rows must be finite and nonzero")
-        comps = quaternions_to_components(rows[:, :4] / norm[:, None])
-        weights = rows[:, 4:7]
-    return FrameField(mesh, comps, weights)
+        return FrameField(mesh, angles_to_components(rows[:, 0]), rows[:, 1:])
+    norm = np.linalg.norm(rows[:, :4], axis=1)
+    if not np.all(norm > 0):
+        raise FieldError(f"{path}: quaternion rows must be nonzero")
+    comps = quaternions_to_components(rows[:, :4] / norm[:, None])
+    return FrameField(mesh, comps, rows[:, 4:])

@@ -34,7 +34,7 @@ from scipy import sparse
 from scipy.sparse.csgraph import reverse_cuthill_mckee
 from scipy.spatial import cKDTree
 
-from .errors import GeometryError, MeshFormatError, ParameterError
+from .errors import GeometryError, MeshFormatError, ParameterError, check_values
 
 logger = logging.getLogger(__name__)
 
@@ -122,15 +122,13 @@ class SimplicialMesh:
     """
 
     def __init__(self, vertices, elements):
-        self.vertices = _freeze(np.array(vertices, dtype=float, order="C"))
+        width = 2 if np.shape(vertices)[1:] == (2,) else 3
+        vertices = check_values("vertices", vertices, (None, width), GeometryError)
+        self.vertices = _freeze(np.array(vertices, order="C"))
         e = np.asarray(elements)
         if e.dtype.kind == "f" and not np.all((abs(e) < 2**53) & (e == np.round(e))):
             raise GeometryError("element vertex indices must be integral")
         self.elements = _freeze(np.array(e, dtype=np.int64, order="C"))
-        if self.vertices.ndim != 2 or self.vertices.shape[1] not in (2, 3):
-            raise GeometryError("vertices must be an (nv, 2) or (nv, 3) array")
-        if not np.all(np.isfinite(self.vertices)):
-            raise GeometryError("vertex coordinates must be finite")
         self.dim = self.vertices.shape[1]
         if self.elements.ndim != 2 or self.elements.shape[1] != self.dim + 1:
             raise GeometryError(
@@ -522,13 +520,13 @@ def refine_uniform(mesh):
 
 
 def prolong_linear(fine_mesh, coarse_values):
-    """Interpolate coarse vertex values onto a mesh built by refine_uniform."""
+    """Interpolate coarse vertex values, one finite row per coarse vertex,
+    onto a mesh built by refine_uniform; else ``ParameterError``."""
     if fine_mesh.parent_edges is None:
         raise ParameterError("mesh does not carry refinement provenance")
-    coarse_values = np.asarray(coarse_values, dtype=float)
     nc = fine_mesh.num_vertices - len(fine_mesh.parent_edges)
-    if coarse_values.shape[0] != nc:
-        raise ParameterError("coarse value count does not match parent mesh")
+    shape = (nc,) + np.shape(coarse_values)[1:]
+    coarse_values = check_values("coarse values", coarse_values, shape)
     mids = 0.5 * (
         coarse_values[fine_mesh.parent_edges[:, 0]]
         + coarse_values[fine_mesh.parent_edges[:, 1]]
@@ -544,6 +542,15 @@ def _write_rows(fh, fmt, rows):
     as one string; ``%.17g`` and ``%d`` give the text of ``f"{x:.17g}"`` and
     ``str(i)``."""
     fh.write((fmt + "\n") * len(rows) % tuple(rows.ravel().tolist()))
+
+
+def _save_csv(path, rows):
+    """Write the float array ``rows``, 1-D or 2-D, as comma-separated lines
+    of ``%.17e`` values: the text ``np.savetxt`` gives with that format."""
+    rows = np.asarray(rows, dtype=float)
+    width = rows.shape[1] if rows.ndim == 2 else 1
+    with open(path, "w") as fh:
+        _write_rows(fh, ",".join(["%.17e"] * width), rows)
 
 
 def _data_lines(path):

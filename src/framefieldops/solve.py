@@ -34,7 +34,7 @@ from scipy.linalg import eigh  # noqa: F401  unused here; perfbench/tracing.py w
 from scipy.sparse import linalg as spla
 from scipy.sparse.csgraph import reverse_cuthill_mckee
 
-from .errors import NumericalError, ParameterError, check_indices, check_integer
+from .errors import NumericalError, ParameterError, check_indices, check_integer, check_values
 
 logger = logging.getLogger(__name__)
 
@@ -64,12 +64,9 @@ def _prescribed(names, indices, values, n):
     """Distinct ``indices`` in [0, n), each with one finite row of
     ``values``, as arrays; else ``ParameterError`` naming the argument."""
     indices = check_indices(names[0], indices, n)
-    values = np.asarray(values, dtype=float)
     if np.unique(indices).size != indices.size:
         raise ParameterError(f"{names[0]}: a vertex is given twice")
-    if values.shape[:1] != indices.shape or not np.all(np.isfinite(values)):
-        raise ParameterError(f"{names[1]} must be finite, one row per index of {names[0]}")
-    return indices, values
+    return indices, check_values(names[1], values, indices.shape + np.shape(values)[1:2])
 
 
 class _Ordered(NamedTuple):
@@ -173,11 +170,7 @@ def solve_spd(A, b):
     """
     A, order = _ordered(A)
     A = sparse.csr_matrix(A)
-    b = np.asarray(b, dtype=float)
-    if b.ndim not in (1, 2) or len(b) != A.shape[0] or not np.all(np.isfinite(b)):
-        raise ParameterError(
-            f"b must be finite with shape (n,) or (n, r), n = {A.shape[0]}"
-        )
+    b = check_values("b", b, A.shape[:1] + np.shape(b)[1:2])
     x = _factorize(A, order).solve(b)
     # Backward-stable acceptance: residual relative to |A||x| + |b| guards
     # against silent failure without punishing ill-conditioned systems.
@@ -283,11 +276,11 @@ def eigs_generalized(A, M_diag, k, seed=0):
     """
     A, order = _ordered(A)
     A = check_symmetric(A)
-    M_diag = np.asarray(M_diag, dtype=float)
     n = A.shape[0]
     check_integer("k", k, below=n)
-    if M_diag.shape != (n,) or not np.all((M_diag > 0) & (M_diag < np.inf)):
-        raise ParameterError(f"mass diagonal must hold {n} positive finite values")
+    M_diag = check_values("mass diagonal", M_diag, (n,))
+    if not np.all(M_diag > 0):
+        raise ParameterError("mass diagonal must be positive")
 
     sigma = -1e-5 * A.diagonal().sum() / n
     M = sparse.diags(M_diag)
@@ -319,13 +312,7 @@ def diffuse(op, u0, tau):
     M_diag = getattr(op, "vertex_mass", None)
     if M_diag is None:
         raise ParameterError("diffuse requires an operator with a vertex mass")
-    u0 = np.asarray(u0, dtype=float)
-    if u0.shape != M_diag.shape:
-        raise ParameterError(
-            f"u0 must hold one value per vertex, shape {M_diag.shape}, got {u0.shape}"
-        )
-    if not np.all(np.isfinite(u0)):
-        raise ParameterError("u0 must be finite")
+    u0 = check_values("u0", u0, M_diag.shape)
     A, order = _ordered(op)
     system = (sparse.diags(M_diag) + tau * A).tocsr()
     return solve_spd(_Ordered(system, order), M_diag * u0)
@@ -368,8 +355,10 @@ def solve_box_qp(A, fixed_indices, fixed_values, lower, upper, return_info=False
         Equality-pinned entries: distinct indices in [0, n), finite values
         within the bounds.
     lower, upper : np.ndarray
-        Bounds of shape ``(n,)`` with ``lower <= upper``, so without NaN.
-        Bad indices, bounds or fixed values raise ``ParameterError``.
+        Finite bounds of shape ``(n,)`` with ``lower <= upper``.  An
+        infinite bound would make the 1e-12 margin infinite, and the entry
+        could never become active at its other bound.  Bad indices, bounds
+        or fixed values raise ``ParameterError``.
     return_info : bool
         Also return a dict with the step count ``iterations``, ``converged``
         (true whenever a result is returned) and ``kkt_residual``, the norm
@@ -378,10 +367,10 @@ def solve_box_qp(A, fixed_indices, fixed_values, lower, upper, return_info=False
     A, order = _ordered(A)
     A = sparse.csr_matrix(A)
     n = A.shape[0]
-    lower = np.asarray(lower, dtype=float)
-    upper = np.asarray(upper, dtype=float)
-    if lower.shape != (n,) or upper.shape != (n,) or not np.all(lower <= upper):
-        raise ParameterError(f"bounds must have shape ({n},) and lower <= upper")
+    lower = check_values("lower", lower, (n,))
+    upper = check_values("upper", upper, (n,))
+    if not np.all(lower <= upper):
+        raise ParameterError("lower must not exceed upper")
     fixed_indices, fixed_values = _prescribed(
         ("fixed_indices", "fixed_values"), fixed_indices, fixed_values, n
     )

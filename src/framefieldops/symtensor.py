@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FieldError, ParameterError
+from .errors import FieldError, ParameterError, check_values
 
 _SQRT2 = np.sqrt(2.0)
 
@@ -114,20 +114,18 @@ class OdecoFrame:
 
     def __post_init__(self):
         comps = np.atleast_2d(np.asarray(self.components, dtype=float))
-        w = np.atleast_1d(np.asarray(self.weights, dtype=float))
+        n, dim = comps.shape
+        w = check_values("frame weights", np.atleast_1d(self.weights), (n,), FieldError)
         object.__setattr__(self, "components", comps)
         object.__setattr__(self, "weights", w)
-        n, dim = comps.shape
         if dim not in (2, 3):
             raise FieldError(f"component dimension must be 2 or 3, got {dim}")
-        if w.shape != (n,):
-            raise FieldError("weights must match the number of components")
-        # Each check passes only when its bound holds, so NaN fails it.
+        # The check passes only when its bound holds, so NaN fails it.
         gram = comps @ comps.T
         if not np.max(np.abs(gram - np.eye(n))) <= 1e-10:
             raise FieldError("frame components are not orthonormal within 1e-10")
-        if not np.all((w >= 0) & np.isfinite(w)):
-            raise FieldError("frame weights must be finite and nonnegative")
+        if not np.all(w >= 0):
+            raise FieldError("frame weights must be nonnegative")
 
     @property
     def dim(self):

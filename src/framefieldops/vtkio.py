@@ -5,7 +5,7 @@ opened, so a refused call leaves no file behind."""
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, check_values
 from .geometry import _write_rows
 
 _CELL_TYPES = {2: 5, 3: 10}  # VTK triangle / tetrahedron
@@ -13,8 +13,7 @@ _XYZ = "%.17g %.17g %.17g"
 
 
 def _padded(points):
-    """``points`` as float rows zero-filled to 3 columns."""
-    points = np.asarray(points, dtype=float)
+    """The float rows ``points`` zero-filled to 3 columns."""
     return np.pad(points, ((0, 0), (0, 3 - points.shape[1])))
 
 
@@ -56,11 +55,13 @@ def write_vtk(path, mesh, point_data=None):
 
 def write_polyline_obj(path, polylines):
     """Write a list of polylines, each an ``(n, 2)`` or ``(n, 3)`` array of
-    points, as an OBJ file with one line element per polyline."""
-    polylines = [_padded(points) for points in polylines]
+    finite points, as an OBJ file with one line element per polyline; any
+    other polyline raises ``ParameterError``."""
+    polylines = [check_values("polylines", p, (None, 2 if np.shape(p)[1:] == (2,) else 3))
+                 for p in polylines]
     with open(path, "w") as fh:
         offset = 1
         for points in polylines:
-            _write_rows(fh, "v " + _XYZ, points)
+            _write_rows(fh, "v " + _XYZ, _padded(points))
             fh.write(f"l {' '.join(map(str, range(offset, offset + len(points))))}\n")
             offset += len(points)

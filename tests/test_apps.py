@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from framefieldops.apps import (
     radial_ratio,
     square_wave_boundary,
 )
+from framefieldops.vtkio import write_polyline_obj
 
 from conftest import rotation_frame_2d
 from oracles import dense_eigs
@@ -259,6 +262,7 @@ BAD_ENTRY_INPUTS = {
     "b nan": lambda mesh, emb, op, d: ff.solve_spd(
         op, np.where(np.arange(len(d)) == 3, np.nan, d)
     ),
+    "b text": lambda mesh, emb, op, d: ff.solve_spd(op, "abc"),
     "pinned nv": lambda mesh, emb, op, d: ff.solve_pinned(op, [0, len(d)], [0.0, 1.0]),
     "pinned -1": lambda mesh, emb, op, d: ff.solve_pinned(op, [0, -1], [0.0, 1.0]),
     "pinned repeated": lambda mesh, emb, op, d: ff.solve_pinned(
@@ -271,6 +275,9 @@ BAD_ENTRY_INPUTS = {
     ),
     "fixed repeated": lambda mesh, emb, op, d: ff.solve_box_qp(
         op, [0, 0], [0.5, 0.25], np.zeros(len(d)), np.ones(len(d))
+    ),
+    "bound inf": lambda mesh, emb, op, d: ff.solve_box_qp(
+        op, [0], [0.5], np.zeros(len(d)), np.full(len(d), np.inf)
     ),
     "bound nan": lambda mesh, emb, op, d: ff.solve_box_qp(
         op, [0], [0.5], np.where(np.arange(len(d)) == 3, np.nan, 0.0), np.ones(len(d))
@@ -287,6 +294,17 @@ BAD_ENTRY_INPUTS = {
     ),
     "dirichlet inf": lambda mesh, emb, op, d: ff.apply_dirichlet_partition(
         op, np.full(len(op.boundary_vertices), np.inf)
+    ),
+    "coarse values nan": lambda mesh, emb, op, d: ff.prolong_linear(
+        ff.refine_uniform(mesh), np.where(np.arange(len(d)) == 3, np.nan, d)
+    ),
+    # both used to escape before the file was opened, as numpy's ValueError
+    # from padding and as an IndexError
+    "polyline 4 columns": lambda mesh, emb, op, d: write_polyline_obj(
+        os.devnull, [np.zeros((3, 4))]
+    ),
+    "polyline bare array": lambda mesh, emb, op, d: write_polyline_obj(
+        os.devnull, mesh.vertices[:3]
     ),
 }
 
@@ -311,6 +329,10 @@ BAD_BUILDER_INPUTS = {
         ff.GeometryError,
         lambda op: ff.SimplicialMesh([[0, 0], [1, 0], [0, 1]], [[0.5, 1, 2]]),
     ),
+    "helical axis nan": (
+        ff.FieldError,
+        lambda op: ff.helical_field_3d(meshgen.ball(), [0.0, np.nan, 1.0], 1.0),
+    ),
     "helical pitch inf": (
         ff.FieldError,
         lambda op: ff.helical_field_3d(meshgen.ball(), [0.0, 0.0, 1.0], np.inf),
@@ -331,6 +353,8 @@ def test_bad_builder_input_raises_its_named_error(case, disk_op):
         build(disk_op)
     if "count" in case:
         assert str(info.value).startswith("count must be an integer")
+    if "axis" in case:
+        assert str(info.value).startswith("axis")
 
 
 def test_color_by_boundary(disk_mesh, disk_measures, disk_harmonic_field):

@@ -1,5 +1,5 @@
-"""Property tests of the star blocks, the boundary projection rule and the
-operator invariants.
+"""Property tests of the star blocks, the boundary projection rule, the
+operator invariants and the finiteness of the solves on them.
 
 Cases are drawn over jittered Delaunay meshes in 2D and 3D, constant
 odeco frames with random orientation and weights, epsilon in (0, 1], and
@@ -96,3 +96,16 @@ def test_projector_property(case):
     S = Q * rng.uniform(0.5, 2.0, (nb, 1, r))
     redone = projected_middle_blocks(dataclasses.replace(system, constraint_rows=S @ rows))
     assert np.abs(redone - P).max() <= 1e-10 * scale
+
+
+@PROPERTY_SETTINGS
+@given(cases(), st.floats(-6.0, 2.0))
+def test_finite_input_gives_finite_solutions_property(case, log_tau):
+    mesh, field, epsilon, bc, rng = case
+    op = ff.assemble_operator(mesh, field, epsilon, bc)
+    u = ff.diffuse(op, rng.standard_normal(mesh.num_vertices), 10.0**log_tau)
+    assert np.all(np.isfinite(u))
+    if bc == "neumann":
+        bv = op.boundary_vertices
+        x = ff.solve_pinned(op, bv, rng.standard_normal(len(bv)))
+        assert np.all(np.isfinite(x))

@@ -331,6 +331,21 @@ def test_box_qp_settles_at_degenerate_and_round_off_bounds():
     assert x[0] == bound
 
 
+def test_box_qp_refuses_an_infinite_bound():
+    # A chain Laplacian with its ends fixed at -1 and 1 and x >= 0 inside:
+    # the minimizer is 0 up to the middle, then linear to 1.  An infinite
+    # upper bound made the 1e-12 margin infinite, so no entry could become
+    # active at 0 and the clipped result [-1, 0, 0, 0, 1/3, 2/3, 1] had
+    # gradient -1/3 at an active lower bound.
+    n = 7
+    L = sparse.diags([-np.ones(n - 1), 2 * np.ones(n), -np.ones(n - 1)], [-1, 0, 1])
+    lower = np.r_[-1.0, np.zeros(n - 2), 1.0]
+    x = ff.solve_box_qp(L.tocsr(), [0, n - 1], [-1.0, 1.0], lower, np.full(n, 10.0))
+    assert np.abs(x - [-1.0, 0.0, 0.2, 0.4, 0.6, 0.8, 1.0]).max() < 1e-12
+    with pytest.raises(ParameterError, match="^upper must be finite"):
+        ff.solve_box_qp(L.tocsr(), [0, n - 1], [-1.0, 1.0], lower, np.full(n, np.inf))
+
+
 def test_box_qp_raises_when_the_active_set_cycles():
     # Three bounded unknowns and a fixed entry that supplies a linear term.
     # The matrix is SPD but not an M-matrix: after five steps the loop
