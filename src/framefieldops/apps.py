@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalError, ParameterError, check_integer, check_values
+from .errors import NumericalError, ParameterError, as_floats, check_integer, check_values
 from .solve import EigenResult, eigs_generalized, solve_box_qp
 from .symtensor import mandel_size
 
@@ -193,7 +193,7 @@ def color_by_boundary(op, boundary_colors):
     np.ndarray
         Shape ``(nv, 3)`` per-vertex colors.
     """
-    boundary_colors = np.asarray(boundary_colors, dtype=float)
+    boundary_colors = as_floats("boundary colors", boundary_colors)
     bv = op.boundary_vertices
     # the range check comes first, so a NaN is reported as out of range
     if not np.all((boundary_colors >= -1e-12) & (boundary_colors <= 1.0 + 1e-12)):

@@ -1,7 +1,7 @@
-"""Exception types shared across the package, and the three rules for
-arguments where they enter it: ``check_integer`` for one integer in a range,
-``check_indices`` for vertex indices and ``check_values`` for finite float
-arrays of a given shape."""
+"""Exception types shared across the package, and the rules for arguments
+where they enter it: ``check_integer`` for one integer in a range,
+``check_indices`` for vertex indices, ``as_floats`` for a float array and
+``check_values`` for a finite float array of a given shape."""
 
 import numbers
 
@@ -57,20 +57,36 @@ def check_indices(name, indices, n):
     return indices
 
 
-def check_values(name, values, shape, error=ParameterError):
-    """``values`` as a float array of ``shape`` (a ``None`` matches any
-    length), every entry finite, else ``error`` naming ``name``; text and
-    ragged lists fail too."""
+def as_floats(name, values, error=ParameterError):
+    """``values`` as a float array, else ``error`` naming ``name``; text and
+    ragged lists fail."""
     try:
-        array = np.asarray(values, dtype=float)
+        return np.asarray(values, dtype=float)
     except (TypeError, ValueError):
-        actual = f"a {type(values).__name__} that is not a float array"
-    else:
-        actual = f"shape {array.shape}"
-        fits = all(w in (None, g) for w, g in zip(shape, array.shape))
-        if fits and array.ndim == len(shape):
-            if np.isfinite(array).all():
-                return array
-            actual = str(array[~np.isfinite(array)][0])
-    expected = str(tuple(shape)).replace("None", "*")
-    raise error(f"{name} must be finite with shape {expected}, got {actual}")
+        raise error(f"{name} must be a float array, got a {type(values).__name__}") from None
+
+
+def check_values(name, values, shape, error=ParameterError):
+    """``values`` as a float array of ``shape``, every entry finite, else
+    ``error`` naming ``name``; text and ragged lists fail too.
+
+    An entry of ``shape`` is a length, ``None`` for any length, or a tuple of
+    the lengths allowed; a last entry ``...`` allows one more axis of any
+    length.  The shape is matched on the converted array, so a caller never
+    reads the shape of raw input.
+    """
+    shape = tuple(shape)
+    optional = shape[-1:] == (...,)
+    shape = shape[:-1] if optional else shape
+    array = as_floats(name, values, error)
+    fits = all(w is None or g in np.atleast_1d(w) for w, g in zip(shape, array.shape))
+    actual = f"shape {array.shape}"
+    if fits and len(shape) <= array.ndim <= len(shape) + optional:
+        if np.isfinite(array).all():
+            return array
+        actual = str(array[~np.isfinite(array)][0])
+    expected = ", ".join(
+        "*" if w is None else " or ".join(map(str, np.atleast_1d(w))) for w in shape
+    )
+    expected += ", ..." if optional else ""
+    raise error(f"{name} must be finite with shape ({expected}), got {actual}")

@@ -122,8 +122,7 @@ class SimplicialMesh:
     """
 
     def __init__(self, vertices, elements):
-        width = 2 if np.shape(vertices)[1:] == (2,) else 3
-        vertices = check_values("vertices", vertices, (None, width), GeometryError)
+        vertices = check_values("vertices", vertices, (None, (2, 3)), GeometryError)
         self.vertices = _freeze(np.array(vertices, order="C"))
         e = np.asarray(elements)
         if e.dtype.kind == "f" and not np.all((abs(e) < 2**53) & (e == np.round(e))):
@@ -525,8 +524,7 @@ def prolong_linear(fine_mesh, coarse_values):
     if fine_mesh.parent_edges is None:
         raise ParameterError("mesh does not carry refinement provenance")
     nc = fine_mesh.num_vertices - len(fine_mesh.parent_edges)
-    shape = (nc,) + np.shape(coarse_values)[1:]
-    coarse_values = check_values("coarse values", coarse_values, shape)
+    coarse_values = check_values("coarse values", coarse_values, (nc, ...))
     mids = 0.5 * (
         coarse_values[fine_mesh.parent_edges[:, 0]]
         + coarse_values[fine_mesh.parent_edges[:, 1]]

@@ -2,13 +2,20 @@
 generalized eigenpairs, implicit-Euler diffusion, and box-constrained
 quadratic programs.
 
-Every solve goes through one banded Cholesky factorization, ``_factorize``.
-``solve_spd`` factors the system and solves all right-hand sides with that
-factor; ``solve_pinned`` solves the free block of a problem with prescribed
-entries by ``solve_spd``, and each step of the box QP is one
-``solve_pinned``; ``eigs_generalized`` factors ``A + |sigma| M`` once and
-hands its solves to ARPACK's shift-invert Lanczos.  There is no dense or
-iterative alternative.
+Every solve goes through one banded Cholesky factorization, ``_factorize``,
+whose factor binds LAPACK's banded triangular solve ``pbtrs`` once and
+calls it directly.  ``solve_spd`` factors the system and solves all
+right-hand sides with that factor; ``solve_pinned`` solves the free block of
+a problem with prescribed entries by ``solve_spd``, and each step of the box
+QP is one ``solve_pinned``; ``eigs_generalized`` factors ``A + |sigma| M``
+once and hands its solves to ARPACK's shift-invert Lanczos.  There is no
+dense or iterative alternative.
+
+M is a positive diagonal, so ``A phi = lambda M phi`` is the standard
+problem of ``M^-1/2 A M^-1/2`` for ``psi = M^1/2 phi``.  ARPACK runs on
+that standard form in the factor's band order, with no products with M;
+it starts from the image of generalized mode's start vector, which keeps
+that mode's Krylov spaces and eigenvector signs.
 
 Every matrix factored here is symmetric positive definite: the shifted
 eigen operator, the implicit-Euler ``M + tau A``, and the free block of a
@@ -29,7 +36,7 @@ from typing import NamedTuple
 
 import numpy as np
 from scipy import sparse
-from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded
+from scipy.linalg import LinAlgError, cholesky_banded, get_lapack_funcs
 from scipy.linalg import eigh  # noqa: F401  unused here; perfbench/tracing.py wraps it
 from scipy.sparse import linalg as spla
 from scipy.sparse.csgraph import reverse_cuthill_mckee
@@ -66,7 +73,7 @@ def _prescribed(names, indices, values, n):
     indices = check_indices(names[0], indices, n)
     if np.unique(indices).size != indices.size:
         raise ParameterError(f"{names[0]}: a vertex is given twice")
-    return indices, check_values(names[1], values, indices.shape + np.shape(values)[1:2])
+    return indices, check_values(names[1], values, indices.shape + (...,))
 
 
 class _Ordered(NamedTuple):
@@ -87,20 +94,28 @@ def _ordered(op):
 
 
 class _BandFactor:
-    """Banded Cholesky factor of ``A[order][:, order]`` that solves ``A x = b``
-    in the original order."""
+    """Banded Cholesky factor ``L L'`` of ``A[order][:, order]``, with
+    LAPACK's ``pbtrs`` bound once to solve with it."""
 
     def __init__(self, band, order):
         self._band = band
-        self._order = order
+        self.order = order
+        (self._pbtrs,) = get_lapack_funcs(("pbtrs",), (band,))
+
+    def band_solve(self, b):
+        """Solve ``A[order][:, order] x = b`` for ``b`` in band order, shape
+        ``(n,)`` or ``(n, r)``; a Fortran-ordered float ``b`` is overwritten."""
+        x, info = self._pbtrs(self._band, b, lower=1, overwrite_b=1)
+        if info:
+            raise NumericalError(f"banded Cholesky solve failed: LAPACK info {info}")
+        return x
 
     def solve(self, b):
-        """Solve for a right-hand side of shape ``(n,)`` or ``(n, r)``."""
+        """Solve ``A x = b`` for ``b`` in the original order, shape ``(n,)``
+        or ``(n, r)``."""
         b = np.asarray(b, dtype=float)
         x = np.empty_like(b)
-        x[self._order] = cho_solve_banded(
-            (self._band, True), b[self._order], overwrite_b=True, check_finite=False
-        )
+        x[self.order] = self.band_solve(b[self.order])
         return x
 
 
@@ -115,9 +130,10 @@ def _factorize(A, order=None):
     and the factor stores ``(bw + 1) n`` values.  Only the lower triangle of
     ``A`` is read.
 
-    Returns an object whose ``solve(b)`` accepts a 1-D or ``(n, r)``
-    right-hand side.  A matrix that is not positive definite to working
-    precision raises ``NumericalError``.
+    Returns a ``_BandFactor``: its ``solve(b)`` takes a 1-D or ``(n, r)``
+    right-hand side in the original order, its ``band_solve(b)`` one in
+    ``order``.  A matrix that is not positive definite to working precision
+    raises ``NumericalError``.
     """
     A = sparse.csr_matrix(A)
     n = A.shape[0]
@@ -170,7 +186,7 @@ def solve_spd(A, b):
     """
     A, order = _ordered(A)
     A = sparse.csr_matrix(A)
-    b = check_values("b", b, A.shape[:1] + np.shape(b)[1:2])
+    b = check_values("b", b, A.shape[:1] + (...,))
     x = _factorize(A, order).solve(b)
     # Backward-stable acceptance: residual relative to |A||x| + |b| guards
     # against silent failure without punishing ill-conditioned systems.
@@ -250,6 +266,16 @@ def eigs_generalized(A, M_diag, k, seed=0):
     ``1e-5`` the worst residual on the squares, disks and balls of the tests
     and the benchmark is below 1/400 of its bound.
 
+    ARPACK sees the standard form, in band order: with ``d = sqrt(M)[order]``
+    it iterates on ``psi = d * phi[order]`` with the operator
+    ``y -> d * (A - sigma M)^-1 (d * y)``, one banded solve between two
+    scalings, and needs no mass products or gathers; ``phi = psi / d``
+    comes back with one copy that undoes the order.  Generalized mode would
+    start from ``(A - sigma M)^-1 M v0`` for the random ``v0``, so the
+    standard form starts from that vector's image, which keeps the Krylov
+    spaces, and with them the eigenvector signs, of the generalized mode in
+    exact arithmetic.
+
     Parameters
     ----------
     A : sparse symmetric PSD matrix or AssembledOperator
@@ -283,16 +309,27 @@ def eigs_generalized(A, M_diag, k, seed=0):
         raise ParameterError("mass diagonal must be positive")
 
     sigma = -1e-5 * A.diagonal().sum() / n
-    M = sparse.diags(M_diag)
-    factor = _factorize(A - sigma * M, order)
-    OPinv = spla.LinearOperator((n, n), matvec=factor.solve, dtype=float)
+    factor = _factorize(A - sigma * sparse.diags(M_diag), order)
+    order = factor.order
+    d = np.sqrt(M_diag)[order]
+
+    def op_inv(y):
+        x = factor.band_solve(d * y)
+        x *= d
+        return x
+
+    OPinv = spla.LinearOperator((n, n), matvec=op_inv, dtype=float)
+    # the image of generalized mode's start vector (A - sigma M)^-1 M v0
     v0 = np.random.default_rng(seed).standard_normal(n)
+    psi0 = op_inv(d * v0[order])
     try:
-        vals, vecs = spla.eigsh(A, k, M=M, sigma=sigma, OPinv=OPinv, v0=v0)
+        # in shift-invert mode ARPACK applies OPinv alone; A gives the shape
+        vals, psi = spla.eigsh(A, k, sigma=sigma, OPinv=OPinv, v0=psi0)
     except spla.ArpackError as exc:
         raise NumericalError(f"shift-invert Lanczos failed: {exc}") from exc
-    order = np.argsort(vals)
-    vals, vecs = vals[order], vecs[:, order]
+    psi /= d[:, None]
+    ascending = np.argsort(vals)
+    vals, vecs = vals[ascending], psi[np.ix_(np.argsort(order), ascending)]
 
     residuals = np.linalg.norm(A @ vecs - M_diag[:, None] * vecs * vals, axis=0)
     result = EigenResult(values=vals, vectors=vecs, residuals=residuals)

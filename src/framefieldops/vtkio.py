@@ -5,7 +5,7 @@ opened, so a refused call leaves no file behind."""
 
 import numpy as np
 
-from .errors import ParameterError, check_values
+from .errors import ParameterError, as_floats, check_values
 from .geometry import _write_rows
 
 _CELL_TYPES = {2: 5, 3: 10}  # VTK triangle / tetrahedron
@@ -26,7 +26,7 @@ def write_vtk(path, mesh, point_data=None):
     of at most 3 components; anything else raises ``ParameterError``.
     """
     n = mesh.num_vertices
-    fields = {name: np.asarray(values, dtype=float)
+    fields = {name: as_floats(f"point field {name!r}", values)
               for name, values in (point_data or {}).items()}
     for name, values in fields.items():
         one_word = str(name).split() == [str(name)]
@@ -57,8 +57,7 @@ def write_polyline_obj(path, polylines):
     """Write a list of polylines, each an ``(n, 2)`` or ``(n, 3)`` array of
     finite points, as an OBJ file with one line element per polyline; any
     other polyline raises ``ParameterError``."""
-    polylines = [check_values("polylines", p, (None, 2 if np.shape(p)[1:] == (2,) else 3))
-                 for p in polylines]
+    polylines = [check_values("polylines", p, (None, (2, 3))) for p in polylines]
     with open(path, "w") as fh:
         offset = 1
         for points in polylines:

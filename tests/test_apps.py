@@ -10,7 +10,7 @@ from framefieldops.apps import (
     radial_ratio,
     square_wave_boundary,
 )
-from framefieldops.vtkio import write_polyline_obj
+from framefieldops.vtkio import write_polyline_obj, write_vtk
 
 from conftest import rotation_frame_2d
 from oracles import dense_eigs
@@ -263,6 +263,7 @@ BAD_ENTRY_INPUTS = {
         op, np.where(np.arange(len(d)) == 3, np.nan, d)
     ),
     "b text": lambda mesh, emb, op, d: ff.solve_spd(op, "abc"),
+    "b ragged": lambda mesh, emb, op, d: ff.solve_spd(op, [[1.0, 2.0], [3.0]]),
     "pinned nv": lambda mesh, emb, op, d: ff.solve_pinned(op, [0, len(d)], [0.0, 1.0]),
     "pinned -1": lambda mesh, emb, op, d: ff.solve_pinned(op, [0, -1], [0.0, 1.0]),
     "pinned repeated": lambda mesh, emb, op, d: ff.solve_pinned(
@@ -270,6 +271,10 @@ BAD_ENTRY_INPUTS = {
     ),
     "values short": lambda mesh, emb, op, d: ff.solve_pinned(op, [0, 4], [1.0]),
     "values nan": lambda mesh, emb, op, d: ff.solve_pinned(op, [0, 4], [1.0, np.nan]),
+    "values ragged": lambda mesh, emb, op, d: ff.solve_pinned(op, [0, 4], [[1.0, 2.0], [3.0]]),
+    "fixed values ragged": lambda mesh, emb, op, d: ff.solve_box_qp(
+        op, [0, 4], [[0.5, 0.5], [0.5]], np.zeros(len(d)), np.ones(len(d))
+    ),
     "fixed nv": lambda mesh, emb, op, d: ff.solve_box_qp(
         op, [len(d)], [0.5], np.zeros(len(d)), np.ones(len(d))
     ),
@@ -292,11 +297,15 @@ BAD_ENTRY_INPUTS = {
     "color nan": lambda mesh, emb, op, d: ff.color_by_boundary(
         op, np.full((len(op.boundary_vertices), 3), np.nan)
     ),
+    "color text": lambda mesh, emb, op, d: ff.color_by_boundary(op, "abc"),
     "dirichlet inf": lambda mesh, emb, op, d: ff.apply_dirichlet_partition(
         op, np.full(len(op.boundary_vertices), np.inf)
     ),
     "coarse values nan": lambda mesh, emb, op, d: ff.prolong_linear(
         ff.refine_uniform(mesh), np.where(np.arange(len(d)) == 3, np.nan, d)
+    ),
+    "coarse values ragged": lambda mesh, emb, op, d: ff.prolong_linear(
+        ff.refine_uniform(mesh), [[0.0, 1.0], [2.0]] + [[0.0, 0.0]] * (len(d) - 2)
     ),
     # both used to escape before the file was opened, as numpy's ValueError
     # from padding and as an IndexError
@@ -306,6 +315,10 @@ BAD_ENTRY_INPUTS = {
     "polyline bare array": lambda mesh, emb, op, d: write_polyline_obj(
         os.devnull, mesh.vertices[:3]
     ),
+    "polyline ragged": lambda mesh, emb, op, d: write_polyline_obj(
+        os.devnull, [[[0.0, 0.0], [1.0]]]
+    ),
+    "vtk field text": lambda mesh, emb, op, d: write_vtk(os.devnull, mesh, {"f": "abc"}),
 }
 
 
@@ -328,6 +341,10 @@ BAD_BUILDER_INPUTS = {
     "mesh index 0.5": (
         ff.GeometryError,
         lambda op: ff.SimplicialMesh([[0, 0], [1, 0], [0, 1]], [[0.5, 1, 2]]),
+    ),
+    "mesh vertices ragged": (
+        ff.GeometryError,
+        lambda op: ff.SimplicialMesh([[0, 0], [1, 0], [0]], [[0, 1, 2]]),
     ),
     "helical axis nan": (
         ff.FieldError,

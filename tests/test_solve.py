@@ -8,6 +8,7 @@ from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 import framefieldops as ff
 from framefieldops import meshgen
+from framefieldops import solve as solve_module
 from framefieldops.errors import NumericalError, ParameterError
 from framefieldops.solve import check_symmetric
 
@@ -244,6 +245,69 @@ def test_eigs_input_validation(disk_mesh, disk_harmonic_field):
         ff.eigs_generalized(op, op.vertex_mass, op.matrix.shape[0] + 5)
     with pytest.raises(ff.ParameterError):
         ff.eigs_generalized(op, np.zeros_like(op.vertex_mass), 4)
+
+
+def test_eigs_of_a_bare_matrix_with_a_varied_mass_match_dense_oracle():
+    # A mass that varies by 100x makes a missing or misplaced sqrt(M) show,
+    # which the near-uniform mass of a structured square would hide.
+    A = disk_interior_laplacian()
+    n, k = A.shape[0], 10
+    M_diag = np.random.default_rng(5).uniform(0.1, 10.0, n)
+    eig = ff.eigs_generalized(A, M_diag, k)
+    oracle_vals, oracle_vecs = dense_eigs(A, M_diag, k)
+    assert np.abs(eig.values - oracle_vals).max() < 1e-8 * np.abs(oracle_vals).max()
+    gaps = np.diff(np.concatenate([[-np.inf], oracle_vals, [np.inf]]))
+    for j in np.flatnonzero(np.minimum(gaps[:-1], gaps[1:]) > 1e-6 * oracle_vals.max()):
+        phi, ref = eig.vectors[:, j], oracle_vecs[:, j]
+        phi = phi * np.sign(phi @ ref)
+        assert np.abs(phi - ref).max() < 1e-6 * np.abs(ref).max(), j
+    gram = eig.vectors.T @ (M_diag[:, None] * eig.vectors)
+    assert np.abs(gram - np.eye(k)).max() < 1e-8
+
+
+def test_eigs_with_one_seed_are_bitwise_reproducible(disk_mesh, disk_harmonic_field):
+    op = ff.assemble_operator(disk_mesh, disk_harmonic_field, 0.1, "natural")
+    first = ff.eigs_generalized(op, op.vertex_mass, 8, seed=3)
+    second = ff.eigs_generalized(op, op.vertex_mass, 8, seed=3)
+    assert np.array_equal(first.values, second.values)
+    assert np.array_equal(first.vectors, second.vectors)
+
+
+def test_eigs_factor_once_per_call(monkeypatch, disk_mesh, disk_harmonic_field):
+    factorize = solve_module._factorize
+    factored = []
+
+    def counting(A, order=None):
+        factored.append(A.shape)
+        return factorize(A, order)
+
+    monkeypatch.setattr(solve_module, "_factorize", counting)
+    op = ff.assemble_operator(disk_mesh, disk_harmonic_field, 0.1, "neumann")
+    A = disk_interior_laplacian()
+    for problem in ((op, op.vertex_mass, 8), (A, np.ones(A.shape[0]), 4)):
+        factored.clear()
+        ff.eigs_generalized(*problem)
+        assert len(factored) == 1
+
+
+def test_solve_spd_columns_match_single_solves():
+    # the banded solve takes a C-ordered (n, r) block, a 1-D vector and a
+    # strided view, and writes to none of them
+    A = disk_interior_laplacian()
+    n = A.shape[0]
+    block = np.random.default_rng(2).standard_normal((n, 4))
+    assert block.flags.c_contiguous
+    kept = block.copy()
+    X = ff.solve_spd(A, block)
+    strided = block[:, 1]
+    assert not strided.flags.contiguous
+    x = ff.solve_spd(A, strided)
+    assert np.array_equal(block, kept)
+    for j in range(4):
+        single = ff.solve_spd(A, np.ascontiguousarray(block[:, j]))
+        assert single.shape == (n,)
+        assert np.abs(X[:, j] - single).max() <= 1e-14 * np.abs(single).max()
+    assert np.array_equal(x, ff.solve_spd(A, np.ascontiguousarray(strided)))
 
 
 def test_diffuse_basics(disk_mesh, disk_harmonic_field):
