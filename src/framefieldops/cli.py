@@ -74,7 +74,8 @@ def _sha256(path):
 
 
 class Run:
-    """Collects inputs/outputs and writes the manifest."""
+    """Collects inputs/outputs and writes the manifest, with the fingerprint
+    of the operator the command assembled, if any."""
 
     def __init__(self, args):
         self.args = args
@@ -82,6 +83,7 @@ class Run:
         self.outdir.mkdir(parents=True, exist_ok=True)
         self.inputs = {}
         self.outputs = []
+        self.fingerprint = None
         self.t0 = time.time()
 
     def input(self, path):
@@ -106,6 +108,8 @@ class Run:
             },
             "elapsed_seconds": time.time() - self.t0,
         }
+        if self.fingerprint is not None:
+            manifest["fingerprint"] = self.fingerprint
         if extra:
             manifest.update(extra)
         with open(self.outdir / "manifest.json", "w") as fh:
@@ -161,7 +165,9 @@ def cmd_field_gen(args):
 def _assemble_from_args(run, args, bc=None):
     mesh = load_mesh(run.input(args.mesh))
     field = load_field(mesh, run.input(args.field))
-    return mesh, assemble_operator(mesh, field, args.epsilon, bc or args.bc)
+    op = assemble_operator(mesh, field, args.epsilon, bc or args.bc)
+    run.fingerprint = op.fingerprint
+    return mesh, op
 
 
 def cmd_assemble(args):
@@ -169,7 +175,7 @@ def cmd_assemble(args):
     _, op = _assemble_from_args(run, args)
     mmwrite(run.out("operator.mtx"), op.matrix)
     mmwrite(run.out("mass.mtx"), sparse.diags(op.vertex_mass).tocoo())
-    run.finish({"epsilon": args.epsilon, "bc": args.bc, "fingerprint": op.fingerprint})
+    run.finish({"epsilon": args.epsilon, "bc": args.bc})
     return EXIT_OK
 
 

@@ -1,25 +1,31 @@
-"""Frame fields over meshes: generators, storage, alignment, resampling.
+"""Frame fields over meshes: generators, storage, alignment, restriction.
 
 A :class:`FrameField` assigns an odeco frame (orthonormal component vectors
 with nonnegative weights) to every mesh vertex.  Each field's kind is
 classified from its weights: ``octahedral`` (all weights one),
 ``conformal_octahedral`` (per-vertex equal weights), or general ``odeco``.
 
-Planar crosses are represented by one angle via the 4-fold symmetric
-(cos 4t, sin 4t) vector; volumetric frames by unit quaternions.  Moving a
-3D field between meshes therefore never leaves the space of rotations, so
-octahedrality is preserved by construction.
+Planar crosses are interpolated through the 4-fold symmetric
+(cos 4t, sin 4t) vector; volumetric frames are stored in files as unit
+quaternions.  A field moves down a refinement hierarchy by restriction:
+``refine_uniform`` keeps the coarse vertices first, at unchanged positions,
+so a coarser level takes the fine frames and weights at those vertices.
 """
 
 import logging
 
 import numpy as np
 from scipy import sparse
-from scipy.spatial import cKDTree
 from scipy.spatial.transform import Rotation
 
 from .errors import FieldError, GeometryError, check_values
-from .geometry import _save_csv, _tangent_bases, compute_measures, gradient_matrix
+from .geometry import (
+    _freeze,
+    _save_csv,
+    _tangent_bases,
+    compute_measures,
+    gradient_matrix,
+)
 from .solve import solve_pinned
 from .symtensor import OdecoFrame, contract, modify_epsilon, odeco_form
 
@@ -39,7 +45,9 @@ class FrameField:
         Shape ``(nv, dim)`` finite nonnegative weights.
 
     Components or weights of another shape, or not finite, raise
-    ``FieldError``.
+    ``FieldError``.  Both arrays are copied and stored read-only, as are
+    ``norms`` and the cached ``forms()``, so no edit to an array passed in
+    or handed out can reach the field or its fingerprint.
 
     ``kind`` is ``octahedral``, ``conformal_octahedral`` or ``odeco``,
     classified from the weights.
@@ -48,10 +56,12 @@ class FrameField:
     def __init__(self, mesh, components, weights):
         self.mesh = mesh
         nv, dim = mesh.num_vertices, mesh.dim
-        self.components = check_values(
+        components = check_values(
             "frame components", components, (nv, dim, dim), FieldError
         )
-        self.weights = check_values("frame weights", weights, (nv, dim), FieldError)
+        weights = check_values("frame weights", weights, (nv, dim), FieldError)
+        self.components = _freeze(np.array(components))
+        self.weights = _freeze(np.array(weights))
         if not np.all(self.weights >= 0):
             raise FieldError("frame weights must be nonnegative")
         gram = np.einsum("vad,vbd->vab", self.components, self.components)
@@ -59,7 +69,7 @@ class FrameField:
             raise FieldError("frame components are not orthonormal per vertex")
 
         self.kind = self._classify()
-        self.norms = self.weights.max(axis=1)
+        self.norms = _freeze(self.weights.max(axis=1))
         self._forms = None
         # Generator metadata (harmonic fields): magnitude of the interpolated
         # symmetry vector, and vertices where it vanished.
@@ -79,7 +89,7 @@ class FrameField:
     def forms(self):
         """Stacked Mandel quadratic forms, shape ``(nv, m, m)``."""
         if self._forms is None:
-            self._forms = odeco_form(self.components, self.weights)
+            self._forms = _freeze(odeco_form(self.components, self.weights))
         return self._forms
 
     def epsilon_forms(self, epsilon):
@@ -159,8 +169,8 @@ def constant_field(mesh, frame):
             f"frame dimension {frame.dim} does not match mesh dimension {mesh.dim}"
         )
     nv = mesh.num_vertices
-    comps = np.broadcast_to(frame.components, (nv, mesh.dim, mesh.dim)).copy()
-    weights = np.broadcast_to(frame.weights, (nv, mesh.dim)).copy()
+    comps = np.broadcast_to(frame.components, (nv, mesh.dim, mesh.dim))
+    weights = np.broadcast_to(frame.weights, (nv, mesh.dim))
     return FrameField(mesh, comps, weights)
 
 
@@ -169,9 +179,10 @@ def harmonic_cross_field_2d(mesh):
 
     Boundary vertices take the angle of the (averaged) boundary tangent;
     the 4-fold representation vector (cos 4t, sin 4t) is interpolated
-    harmonically into the interior with the piecewise-linear Laplacian and
-    turned into crosses by ``_cross_field``.  Vertices where the
-    interpolated vector vanishes (field singularities) are flagged in
+    harmonically into the interior with the piecewise-linear Laplacian, and
+    each vertex takes the cross of angle ``arg(rep) / 4``; ``|rep|`` is kept
+    in ``rep_magnitude``.  Vertices where the interpolated vector vanishes
+    (``|rep| < 1e-8``, field singularities) are flagged in
     ``singular_vertices``, get angle 0 and are counted in a warning.
     """
     if mesh.dim != 2:
@@ -201,25 +212,18 @@ def harmonic_cross_field_2d(mesh):
     A = sparse.diags(np.repeat(measures.element_volumes, 2))
     L = (G.T @ A @ G).tocsr()
 
-    field = _cross_field(mesh, solve_pinned(L, bverts, data))
-    if len(field.singular_vertices):
-        logger.warning(
-            "harmonic cross field: %d singular vertices (zero symmetry vector)",
-            len(field.singular_vertices),
-        )
-    return field
-
-
-def _cross_field(mesh, rep):
-    """Cross field of angle ``arg(rep) / 4`` from the ``(nv, 2)`` 4-fold
-    vectors ``rep``, keeping ``|rep|`` in ``rep_magnitude``.  Vertices with
-    ``|rep| < 1e-8`` get angle 0 and are listed in ``singular_vertices``."""
+    rep = solve_pinned(L, bverts, data)
     mag = np.linalg.norm(rep, axis=1)
     singular = mag < 1e-8
     theta = np.where(singular, 0.0, np.arctan2(rep[:, 1], rep[:, 0]) / 4.0)
     field = FrameField(mesh, angles_to_components(theta), np.ones((len(rep), 2)))
     field.rep_magnitude = mag
     field.singular_vertices = np.flatnonzero(singular)
+    if len(field.singular_vertices):
+        logger.warning(
+            "harmonic cross field: %d singular vertices (zero symmetry vector)",
+            len(field.singular_vertices),
+        )
     return field
 
 
@@ -297,7 +301,7 @@ def map_coframe_field(mesh_warped, inverse_jacobian):
 # -- alignment ----------------------------------------------------------------
 
 
-def check_boundary_alignment(field, measures, tol=1e-6):
+def check_boundary_alignment(field, tol=1e-6):
     """Per-boundary-vertex residual of the generalized-eigenvector condition.
 
     The boundary normal n is a generalized eigenvector of the frame tensor
@@ -305,14 +309,20 @@ def check_boundary_alignment(field, measures, tol=1e-6):
     itself.  The residual is that mismatch in Frobenius norm, relative to
     the tensor norm.
 
+    The boundary and its normals are the field mesh's own, from
+    ``compute_measures(field.mesh)``.  A ``tol`` that is not one finite
+    number raises ``ParameterError``.
+
     Returns
     -------
     residuals : np.ndarray
-        One value per boundary vertex (in ``measures.boundary_vertices``
-        order).
+        One value per boundary vertex (in ``boundary_vertices`` order of the
+        field mesh's measures).
     aligned : np.ndarray
         Boolean mask ``residuals <= tol``.
     """
+    tol = check_values("tol", tol, ())
+    measures = compute_measures(field.mesh)
     bv = measures.boundary_vertices
     n = measures.boundary_normals
     Q = field.forms()[bv]
@@ -324,79 +334,28 @@ def check_boundary_alignment(field, measures, tol=1e-6):
     return residual, residual <= tol
 
 
-# -- resampling ----------------------------------------------------------------
-
-
-def _locate_barycentric(points, mesh, k_candidates=32):
-    """Containing element and barycentric coordinates per query point.
-
-    Candidate elements come from the mesh's cached centroid KD-tree; the
-    element with the largest minimum barycentric coordinate wins, which also
-    serves as the nearest-element fallback for points outside the mesh.  All
-    candidates of all points are evaluated in one batch, with the element
-    inverses taken from the mesh's cached shape gradients.
-    """
-    k = min(k_candidates, mesh.num_elements)
-    _, cand = mesh.centroid_tree().query(points, k=k)
-    cand = cand.reshape(len(points), k)
-    Einv = mesh.shape_gradients()[cand, 1:, :]  # (n, k, dim, dim)
-    p0 = mesh.vertices[mesh.elements[cand, 0]]  # (n, k, dim)
-    lam = np.einsum("nkij,nkj->nki", Einv, points[:, None, :] - p0)
-    bary = np.concatenate([1.0 - lam.sum(axis=2, keepdims=True), lam], axis=2)
-    best = np.argmax(bary.min(axis=2), axis=1)
-    rows = np.arange(len(points))
-    return cand[rows, best], bary[rows, best]
-
-
-def _right_multiplication(q):
-    """Matrices ``M`` with ``M @ p`` the product ``p q``, in (x, y, z, w) order."""
-    x, y, z, w = q.T
-    rows = [[w, z, -y, x], [-z, w, x, y], [y, -x, w, z], [-x, -y, -z, w]]
-    return np.stack(rows).transpose(2, 0, 1)
-
-
-# The frame's 24 rotational symmetries: ``_SYMMETRIES @ q`` all give its frame.
-_SYMMETRIES = _right_multiplication(Rotation.create_group("O").as_quat())
+# -- restriction ---------------------------------------------------------------
 
 
 def resample_field(field, coarse):
-    """Transfer a frame field from a fine mesh onto a coarse mesh.
+    """Restrict a frame field to a coarser level of its mesh's hierarchy.
 
-    2D: the 4-fold symmetry vector is interpolated barycentrically at the
-    coarse vertex positions and turned into crosses by ``_cross_field``.
-    3D: each coarse vertex takes the quaternion of the nearest fine vertex,
-    then the normalized sum of it and, per coarse 1-ring neighbour, the
-    closest of the neighbour's 24 symmetry images and their negatives, over
-    all edges in one batch.  The output is octahedral in both cases.
+    ``coarse`` must have the field mesh's dimension, and its vertices must
+    equal, exactly, the first ``coarse.num_vertices`` vertices of the field's
+    mesh, as they do for any mesh that ``refine_uniform`` (once or repeatedly)
+    refined into the field's mesh.  The result holds the field's frames and
+    weights at those vertices.  A mesh that breaks this rule raises
+    ``FieldError``.
     """
-    fine_mesh = field.mesh
-    if coarse.dim != fine_mesh.dim:
-        raise FieldError("mesh dimensions do not match")
-
-    if fine_mesh.dim == 2:
-        theta_f = components_to_angles(field.components)
-        rep = np.column_stack([np.cos(4 * theta_f), np.sin(4 * theta_f)])
-        elems, barys = _locate_barycentric(coarse.vertices, fine_mesh)
-        vals = np.einsum("vk,vkc->vc", barys, rep[fine_mesh.elements[elems]])
-        return _cross_field(coarse, vals)
-
-    tree = cKDTree(fine_mesh.vertices)
-    _, nearest = tree.query(coarse.vertices)
-    q0 = components_to_quaternions(field.components[nearest])[:, [1, 2, 3, 0]]
-    graph = coarse.vertex_graph()
-    rows = np.repeat(np.arange(coarse.num_vertices), np.diff(graph.indptr))
-    # score the images by q_v' S_s q_u without storing them; form only the picked one
-    neighbours = q0[graph.indices]
-    dots = np.einsum("ei,sij,ej->es", q0[rows], _SYMMETRIES, neighbours)
-    best = np.argmax(np.abs(dots), axis=1)
-    picked = np.einsum("eij,ej->ei", _SYMMETRIES[best], neighbours)
-    sign = np.sign(dots[np.arange(len(rows)), best])
-    acc = q0.copy()
-    # unbuffered and in CSR order: each vertex adds its neighbours in turn
-    np.add.at(acc, rows, sign[:, None] * picked)
-    averaged = acc / np.linalg.norm(acc, axis=1)[:, None]
-    comps = quaternions_to_components(averaged[:, [3, 0, 1, 2]])
-    return FrameField(coarse, comps, np.ones((coarse.num_vertices, 3)))
+    nc = coarse.num_vertices
+    if not np.array_equal(coarse.vertices, field.mesh.vertices[:nc]):
+        raise FieldError(
+            f"cannot restrict a field on {field.mesh.num_vertices} vertices "
+            f"(dim {field.mesh.dim}) to a mesh of {nc} vertices (dim {coarse.dim}): "
+            "the coarse vertices must equal the first vertices of the field's "
+            "mesh, as refine_uniform keeps them"
+        )
+    return FrameField(coarse, field.components[:nc], field.weights[:nc])
 
 
 # -- serialization -------------------------------------------------------------

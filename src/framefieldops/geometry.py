@@ -9,10 +9,10 @@ Everything derived from the mesh alone is built once, with vectorized numpy,
 and is read-only.  Element volumes and boundary facets are built at
 construction, every other mesh-only result on first use through
 :func:`mesh_cached`: the edges with the element-edge incidence, the vertex
-graph, 1-ring neighbors and order, shape gradients, the hash state, the
-centroid KD-tree, ``compute_measures``, ``gradient_matrix``, and
-``fem.star_blocks``, which holds the star blocks of the operator's
-mesh-only factor and the pattern they are assembled into.  The mesh keeps
+graph, 1-ring neighbors and order, shape gradients, the hash state,
+``compute_measures``, ``gradient_matrix``, and ``fem.star_blocks``, which
+holds the star blocks of the operator's mesh-only factor and the pattern
+they are assembled into.  The mesh keeps
 read-only copies of its vertex and element arrays, so no cached result can
 go stale; meshes are immutable after construction and safe to share across
 threads.  Only this module touches the cache.
@@ -32,7 +32,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 from scipy.sparse.csgraph import reverse_cuthill_mckee
-from scipy.spatial import cKDTree
 
 from .errors import GeometryError, MeshFormatError, ParameterError, check_values
 
@@ -43,15 +42,12 @@ _FACTORIAL = {2: 2.0, 3: 6.0}
 
 def _freeze(value):
     """Mark read-only every array reachable from ``value``: ndarrays, the
-    ``data``, ``indices`` and ``indptr`` of sparse matrices, the points of a
-    KD-tree, and the members of tuples, lists and dataclasses.  Anything
-    else is left as it is."""
+    ``data``, ``indices`` and ``indptr`` of sparse matrices, and the members
+    of tuples, lists and dataclasses.  Anything else is left as it is."""
     if isinstance(value, np.ndarray):
         value.setflags(write=False)
     elif sparse.issparse(value):
         _freeze((value.data, value.indices, value.indptr))
-    elif isinstance(value, cKDTree):
-        value.data.setflags(write=False)
     elif isinstance(value, (tuple, list)):
         for item in value:
             _freeze(item)
@@ -307,11 +303,6 @@ class SimplicialMesh:
         """
         return self._hashed().copy()
 
-    @mesh_cached
-    def centroid_tree(self):
-        """KD-tree over the element centroids, indexed like the elements."""
-        return cKDTree(self.vertices[self.elements].mean(axis=1))
-
     def __repr__(self):
         return (
             f"SimplicialMesh(dim={self.dim}, vertices={self.num_vertices}, "
@@ -489,7 +480,9 @@ def refine_uniform(mesh):
     by parent: for a tetrahedron its four corner tets, then the octahedron's.
 
     The refined mesh records the coarse edge behind each appended vertex in
-    ``parent_edges``, which supports exact linear prolongation.
+    ``parent_edges``, which supports exact linear prolongation
+    (``prolong_linear``).  Because the coarse vertices come first, a field
+    moves back down by restriction to them (``framefield.resample_field``).
     """
     edges = mesh.edges()
     nv = mesh.num_vertices

@@ -273,8 +273,15 @@ def eigs_generalized(A, M_diag, k, seed=0):
     comes back with one copy that undoes the order.  Generalized mode would
     start from ``(A - sigma M)^-1 M v0`` for the random ``v0``, so the
     standard form starts from that vector's image, which keeps the Krylov
-    spaces, and with them the eigenvector signs, of the generalized mode in
-    exact arithmetic.
+    spaces of the generalized mode in exact arithmetic.
+
+    Each eigenvector's sign is then set by rule: its entry of largest
+    magnitude is positive.  Entries within a relative 1e-8 of that
+    magnitude count as tied, since on a symmetric mesh mirrored entries tie
+    up to round-off, and the lowest index of them decides.  This fixes the
+    sign of a simple mode only; the basis of a multiple eigenvalue's space
+    is still whatever ARPACK returns.  Negation is exact, so eigenvalues and
+    residuals do not change.
 
     Parameters
     ----------
@@ -330,6 +337,9 @@ def eigs_generalized(A, M_diag, k, seed=0):
     psi /= d[:, None]
     ascending = np.argsort(vals)
     vals, vecs = vals[ascending], psi[np.ix_(np.argsort(order), ascending)]
+    size = np.abs(vecs)
+    peak = np.argmax(size >= (1.0 - 1e-8) * size.max(axis=0), axis=0)
+    vecs *= np.sign(vecs[peak, np.arange(k)])
 
     residuals = np.linalg.norm(A @ vecs - M_diag[:, None] * vecs * vals, axis=0)
     result = EigenResult(values=vals, vectors=vecs, residuals=residuals)

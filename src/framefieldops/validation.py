@@ -65,7 +65,7 @@ def _hierarchy(mesh, refinements):
 
 
 def _harmonic_fields(meshes):
-    """The harmonic cross field on the finest mesh, resampled onto each
+    """The harmonic cross field on the finest mesh, restricted to each
     coarser one, so every level discretizes the same anisotropy."""
     fine = harmonic_cross_field_2d(meshes[-1])
     return [resample_field(fine, m) for m in meshes[:-1]] + [fine]
@@ -146,10 +146,10 @@ def validate_square_spectrum(
 def validate_refine_spectrum(
     rings=8, levels=4, epsilon=0.1, check_modes=(10, 20, 30, 40), bc="neumann"
 ):
-    """Spectral convergence on a disk hierarchy with a resampled cross field.
+    """Spectral convergence on a disk hierarchy with a restricted cross field.
 
-    The boundary-aligned field is computed at the finest level and resampled
-    down, so the operators across levels discretize the same anisotropy.
+    The boundary-aligned field is computed at the finest level and restricted
+    to the coarser ones, so the operators across levels discretize the same anisotropy.
     Eigenvalue errors against the finest level must decrease monotonically
     with mean edge length for every checked mode.  Mode numbers count
     nonzero modes from 1, whatever the boundary conditions' nullity.

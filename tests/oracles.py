@@ -14,13 +14,11 @@ The epsilon = 1 reference, the mixed-FEM Bilaplacian with natural
 conditions, is built on it.  The mesh-cache references take the slow
 general route the closed forms replaced: a LAPACK inverse per element,
 ``np.unique`` over edge rows, a BSR middle matrix times the transpose view
-of K, one sequential hash over every array, and a centroid KD-tree built
-per call.  The tensor checks (the spectral norm of an odeco frame and the
-full-symmetry violation of a form) and the forward Jacobian of a conformal
-map have no caller in the package.  The mesh generators at the end loop
-over cells, rings and merge steps one at a time, and the 3D resampling
-reference matches one neighbour quaternion against the 24 frame
-symmetries per call.
+of K, and one sequential hash over every array.  The tensor checks (the
+spectral norm of an odeco frame and the full-symmetry violation of a form)
+and the forward Jacobian of a conformal map have no caller in the package.
+The mesh generators at the end loop over cells, rings and merge steps one
+at a time.
 """
 
 import hashlib
@@ -29,12 +27,9 @@ import itertools
 import numpy as np
 from scipy import sparse
 from scipy.linalg import block_diag, eigh, lu_factor, lu_solve
-from scipy.spatial import cKDTree
-from scipy.spatial.transform import Rotation
 
-from framefieldops import FrameField, OdecoFrame, compute_measures
+from framefieldops import OdecoFrame, compute_measures
 from framefieldops.errors import FieldError
-from framefieldops.framefield import components_to_quaternions, quaternions_to_components
 from framefieldops.fem import build_mixed_system, projected_middle_blocks
 from framefieldops.geometry import SimplicialMesh, _orient_elements, gradient_matrix
 from framefieldops.symtensor import _SQRT2, _mandel_dim, mandel_pairs, mandel_size
@@ -340,22 +335,6 @@ def fingerprint_sequential(field):
     return h.hexdigest()
 
 
-def locate_by_fresh_tree(points, mesh, k_candidates=32):
-    """Containing element and barycentric coordinates per point, with the
-    centroid KD-tree built for this call (the shape gradients are the
-    mesh's, so results compare bitwise with ``_locate_barycentric``)."""
-    tree = cKDTree(mesh.vertices[mesh.elements].mean(axis=1))
-    k = min(k_candidates, mesh.num_elements)
-    cand = tree.query(points, k=k)[1].reshape(len(points), k)
-    Einv = mesh.shape_gradients()[cand, 1:, :]
-    p0 = mesh.vertices[mesh.elements[cand, 0]]
-    lam = np.einsum("nkij,nkj->nki", Einv, points[:, None, :] - p0)
-    bary = np.concatenate([1.0 - lam.sum(axis=2, keepdims=True), lam], axis=2)
-    best = np.argmax(bary.min(axis=2), axis=1)
-    rows = np.arange(len(points))
-    return cand[rows, best], bary[rows, best]
-
-
 def spectral_norm(frame):
     """Spectral norm max_{|v|=1} T(v, v, v, v) of an odeco tensor.
 
@@ -507,44 +486,3 @@ def annulus_by_loops(inner_rings, outer_rings, radius=1.0):
         tris += _ring_band_by_loop(k, ring_start[k], ring_start[k + 1])
     elements = _orient_elements(vertices, np.array(tris, dtype=np.int64))
     return SimplicialMesh(vertices, elements)
-
-
-def octahedral_rotations():
-    """The 24 rotational symmetries of a frame, as scipy Rotations built
-    from the signed permutation matrices of determinant +1."""
-    mats = []
-    for perm in itertools.permutations(range(3)):
-        for signs in itertools.product((1.0, -1.0), repeat=3):
-            M = np.zeros((3, 3))
-            for r, (c, s) in enumerate(zip(perm, signs)):
-                M[r, c] = s
-            if np.linalg.det(M) > 0:
-                mats.append(M)
-    return Rotation.from_matrix(np.array(mats))
-
-
-def match_quaternion(q_ref, q):
-    """Representative of the frame of ``q`` closest to ``q_ref``.
-
-    Both quaternions are in scipy (x, y, z, w) order.  Searches the 24
-    octahedral symmetries and both double-cover signs.
-    """
-    variants = (Rotation.from_quat(q) * octahedral_rotations()).as_quat()
-    dots = variants @ q_ref
-    best = int(np.argmax(np.abs(dots)))
-    return np.sign(dots[best]) * variants[best]
-
-
-def resample_3d_by_loops(field, coarse):
-    """3D ``resample_field`` with one ``match_quaternion`` call per coarse
-    vertex and neighbour, summed in neighbour order."""
-    _, nearest = cKDTree(field.mesh.vertices).query(coarse.vertices)
-    q0 = components_to_quaternions(field.components[nearest])[:, [1, 2, 3, 0]]
-    averaged = np.empty_like(q0)
-    for v, neighbors in enumerate(coarse.vertex_neighbors()):
-        acc = q0[v].copy()
-        for u in neighbors:
-            acc += match_quaternion(q0[v], q0[u])
-        averaged[v] = acc / np.linalg.norm(acc)
-    comps = quaternions_to_components(averaged[:, [3, 0, 1, 2]])
-    return FrameField(coarse, comps, np.ones((coarse.num_vertices, 3)))

@@ -64,7 +64,7 @@ def test_criterion_02_analytic_square_spectrum():
 
 
 def test_criterion_03_spectral_refinement_convergence():
-    rep = validate_refine_spectrum()  # disk hierarchy, 4 levels, resampled field
+    rep = validate_refine_spectrum()  # disk hierarchy, 4 levels, restricted field
     report(3, rep.passed, rep.summary)
 
 

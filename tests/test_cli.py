@@ -106,6 +106,37 @@ def test_assemble_writes_matrixmarket(workspace):
     assert manifest["outputs"][str(out / "operator.mtx")] == digest
 
 
+@pytest.mark.parametrize(
+    "command, extra, epsilon, bc",
+    [
+        ("assemble", ["--bc", "natural"], 0.1, "natural"),
+        ("dirichlet", [], 0.1, "neumann"),
+        ("diffuse", [], 0.1, "natural"),
+        ("eigs", ["--num", "6"], 0.1, "neumann"),
+        ("distance", ["--modes", "8"], 0.1, "neumann"),
+        ("color", ["--boundary-colors", "colors.csv"], 0.01, "natural"),
+    ],
+)
+def test_manifest_records_the_operator_fingerprint(workspace, command, extra, epsilon, bc):
+    disk = ff.load_mesh(workspace / "disk.off")
+    field = ff.load_field(disk, workspace / "gen" / "field.csv")
+    nb = len(ff.compute_measures(disk).boundary_vertices)
+    np.savetxt(workspace / "colors.csv", np.linspace(0.0, 1.0, 3 * nb).reshape(nb, 3),
+               delimiter=",")
+    extra = [str(workspace / a) if a.endswith(".csv") else a for a in extra]
+    out = workspace / f"fp_{command}"
+    assert main(
+        ["-o", str(out), command, "--mesh", str(workspace / "disk.off"),
+         "--field", str(workspace / "gen" / "field.csv"), *extra]
+    ) == EXIT_OK
+    manifest = json.loads((out / "manifest.json").read_text())
+    expected = ff.assemble_operator(disk, field, epsilon, bc).fingerprint
+    assert manifest["fingerprint"] == expected
+    # a command that assembles nothing records no fingerprint
+    gen = json.loads((workspace / "gen" / "manifest.json").read_text())
+    assert "fingerprint" not in gen
+
+
 def test_eigs_flags_zero_mode(workspace):
     out = workspace / "eigs"
     assert main(

@@ -5,7 +5,7 @@ from scipy.spatial.transform import Rotation
 import framefieldops as ff
 from framefieldops import meshgen
 from framefieldops.framefield import (
-    _locate_barycentric,
+    angles_to_components,
     components_to_angles,
     components_to_quaternions,
     quaternions_to_components,
@@ -15,9 +15,7 @@ from conftest import rotation_frame_2d
 from oracles import (
     conformal_jacobian,
     fingerprint_sequential,
-    locate_by_fresh_tree,
     random_rotation,
-    resample_3d_by_loops,
 )
 
 
@@ -65,7 +63,7 @@ def test_frame_field_rejects_non_finite_input(disk_mesh, where, bad):
         ff.FrameField(disk_mesh, arrays["components"], arrays["weights"])
 
 
-def test_harmonic_disk_singularity(disk_mesh, disk_harmonic_field, disk_measures):
+def test_harmonic_disk_singularity(disk_mesh, disk_harmonic_field):
     field = disk_harmonic_field
     # one +1-index singular region: the 4-fold vector winds 4 times around the
     # boundary, so its harmonic extension vanishes near the center only
@@ -82,7 +80,7 @@ def test_harmonic_disk_singularity(disk_mesh, disk_harmonic_field, disk_measures
     steps = np.diff(np.r_[ang, ang[0]])
     winding = np.sum((steps + np.pi) % (2 * np.pi) - np.pi) / (2 * np.pi)
     assert round(winding) == 4
-    res, ok = ff.check_boundary_alignment(field, disk_measures, 1e-6)
+    res, ok = ff.check_boundary_alignment(field, 1e-6)
     assert ok.all()
 
 
@@ -94,9 +92,8 @@ def test_harmonic_square_is_constant(small_square_mesh):
 
 def test_harmonic_annulus_aligned():
     mesh = meshgen.annulus(3, 7)
-    meas = ff.compute_measures(mesh)
     field = ff.harmonic_cross_field_2d(mesh)
-    res, ok = ff.check_boundary_alignment(field, meas, 1e-6)
+    res, ok = ff.check_boundary_alignment(field, 1e-6)
     assert ok.all()
 
 
@@ -209,7 +206,7 @@ def test_coframe_norm_product():
 def test_boundary_alignment_square_corners(small_square_mesh):
     meas = ff.compute_measures(small_square_mesh)
     field = ff.constant_field(small_square_mesh, ff.axis_frame(2))
-    res, ok = ff.check_boundary_alignment(field, meas, 1e-6)
+    res, ok = ff.check_boundary_alignment(field, 1e-6)
     pos = small_square_mesh.vertices[meas.boundary_vertices]
     corner = np.all(np.abs(np.abs(pos) - 1.0) < 1e-12, axis=1)
     assert res[corner].min() > 0.1
@@ -266,18 +263,66 @@ def test_resample_3d_matches_symmetry_images(small_ball_mesh):
     assert np.abs(back.forms() - expect.forms()).max() < 1e-12
 
 
-def test_resample_3d_matches_the_loop():
-    # the batched matching against one match per vertex and neighbour
-    balls = [meshgen.ball()]
-    for _ in range(3):
-        balls.append(ff.refine_uniform(balls[-1]))
-    for coarse, fine in zip(balls[:-1], balls[1:]):
-        for axis, pitch in (([0.0, 0.0, 1.0], 2.0), ([0.3, -0.2, 0.9], 1.3)):
-            field = ff.helical_field_3d(fine, axis, pitch)
-            got = ff.resample_field(field, coarse)
-            ref = resample_3d_by_loops(field, coarse)
-            assert np.abs(got.components - ref.components).max() <= 1e-15
-            assert np.abs(got.forms() - ref.forms()).max() <= 1e-14
+def test_resample_restricts_to_the_coarse_prefix(disk_mesh, small_ball_mesh):
+    # on a two-level hierarchy the coarse field is the fine field's first rows
+    cases = [
+        (disk_mesh, ff.harmonic_cross_field_2d(ff.refine_uniform(disk_mesh))),
+        (small_ball_mesh,
+         ff.helical_field_3d(ff.refine_uniform(small_ball_mesh), [0.3, -0.2, 0.9], 1.3)),
+    ]
+    for coarse, fine in cases:
+        nc = coarse.num_vertices
+        back = ff.resample_field(fine, coarse)
+        assert back.mesh is coarse
+        assert np.array_equal(back.components, fine.components[:nc])
+        assert np.array_equal(back.weights, fine.weights[:nc])
+        assert not np.shares_memory(back.components, fine.components)
+    # a conformal field keeps its weights
+    fine = ff.refine_uniform(disk_mesh)
+    weights = np.repeat(0.5 + fine.vertices[:, :1] ** 2, 2, axis=1)
+    comps = angles_to_components(np.linspace(0.0, 1.0, fine.num_vertices))
+    conformal = ff.FrameField(fine, comps, weights)
+    assert conformal.kind == "conformal_octahedral"
+    back = ff.resample_field(conformal, disk_mesh)
+    assert np.array_equal(back.weights, weights[: disk_mesh.num_vertices])
+    assert back.kind == "conformal_octahedral"
+    # a mesh whose vertices are not a prefix of the field's is refused,
+    # a finer one and one of another dimension included
+    others = (meshgen.structured_square(4), meshgen.disk(6), ff.refine_uniform(fine),
+              small_ball_mesh)
+    for other in others:
+        with pytest.raises(ff.FieldError, match="first vertices"):
+            ff.resample_field(conformal, other)
+
+
+def test_frame_field_keeps_its_own_read_only_arrays(disk_mesh):
+    nv = disk_mesh.num_vertices
+    comps = np.broadcast_to(np.eye(2), (nv, 2, 2)).copy()
+    w = np.ones((nv, 2))
+    field = ff.FrameField(disk_mesh, comps, w)
+    forms, fingerprint = field.forms().copy(), field.fingerprint()
+    comps[:] = comps[:, ::-1]
+    w[:] = 0.0
+    assert field.kind == "octahedral"
+    assert np.array_equal(field.weights, np.ones((nv, 2)))
+    assert np.array_equal(field.forms(), forms)
+    assert field.fingerprint() == fingerprint
+    for array in (field.components, field.weights, field.norms, field.forms()):
+        with pytest.raises(ValueError):
+            array[0] = array[0]
+
+
+def test_boundary_alignment_reads_the_field_mesh():
+    # each field is checked on its own boundary, whatever mesh came before
+    for rings in (3, 4, 6):
+        mesh = meshgen.disk(rings)
+        res, ok = ff.check_boundary_alignment(ff.harmonic_cross_field_2d(mesh))
+        assert len(res) == len(ff.compute_measures(mesh).boundary_vertices)
+        assert ok.all()
+    # another mesh's measures are no longer an argument, nor a tolerance
+    field = ff.harmonic_cross_field_2d(meshgen.disk(4))
+    with pytest.raises(ff.ParameterError, match="tol"):
+        ff.check_boundary_alignment(field, ff.compute_measures(meshgen.disk(3)))
 
 
 def test_quaternion_component_roundtrip():
@@ -332,19 +377,3 @@ def test_fingerprint_matches_sequential_hash(disk_mesh, disk_harmonic_field, sma
     ]
     for field in fields + fields:
         assert field.fingerprint() == fingerprint_sequential(field)
-
-
-def test_locate_with_cached_tree_matches_fresh_tree(disk_mesh, small_ball_mesh):
-    rng = np.random.default_rng(7)
-    for coarse in (disk_mesh, small_ball_mesh):
-        fine = ff.refine_uniform(coarse)
-        finer = ff.refine_uniform(fine)
-        lo, hi = coarse.vertices.min(axis=0), coarse.vertices.max(axis=0)
-        points = np.vstack(
-            [coarse.vertices, rng.uniform(lo - 0.1, hi + 0.1, (100, coarse.dim))]
-        )
-        for mesh in (fine, finer, fine):
-            elems, barys = _locate_barycentric(points, mesh)
-            ref_elems, ref_barys = locate_by_fresh_tree(points, mesh)
-            assert np.array_equal(elems, ref_elems)
-            assert np.array_equal(barys, ref_barys)

@@ -478,17 +478,14 @@ def test_mesh_hands_out_read_only_arrays():
         measures.dual_volumes = np.ones(mesh.num_vertices)
 
 
-def test_measures_and_centroid_tree_are_built_once_per_mesh():
+def test_measures_and_gradient_are_built_once_per_mesh():
     mesh = meshgen.disk(5)
     measures = ff.compute_measures(mesh)
-    tree = mesh.centroid_tree()
     G = ff.gradient_matrix(mesh)
     ff.fem.star_blocks(mesh)
     ff.harmonic_cross_field_2d(mesh)
     assert ff.compute_measures(mesh) is measures
-    assert mesh.centroid_tree() is tree
     assert ff.gradient_matrix(mesh) is G
-    assert np.array_equal(tree.data, mesh.vertices[mesh.elements].mean(axis=1))
     assert G.format == "csr" and G.has_canonical_format
     assert np.array_equal(G.toarray(), gradient_dense(mesh))
     # a refined mesh builds its own and leaves the coarse ones alone
@@ -496,12 +493,9 @@ def test_measures_and_centroid_tree_are_built_once_per_mesh():
     fine_measures = ff.compute_measures(fine)
     assert fine_measures is not measures
     assert fine_measures.dual_volumes.shape == (fine.num_vertices,)
-    assert fine.centroid_tree() is not tree
-    assert fine.centroid_tree().n == fine.num_elements
     assert ff.gradient_matrix(fine) is not G
     assert ff.gradient_matrix(fine).shape == (2 * fine.num_elements, fine.num_vertices)
     assert ff.compute_measures(mesh) is measures
-    assert mesh.centroid_tree() is tree
     assert ff.gradient_matrix(mesh) is G
 
 

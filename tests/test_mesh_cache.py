@@ -13,7 +13,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 from scipy import sparse
-from scipy.spatial import cKDTree
 
 import framefieldops as ff
 from framefieldops import meshgen
@@ -55,8 +54,6 @@ def _reachable_arrays(value):
         return [value]
     if sparse.issparse(value):
         return [value.data, value.indices, value.indptr]
-    if isinstance(value, cKDTree):
-        return [value.data]
     if isinstance(value, (tuple, list)):
         return [a for item in value for a in _reachable_arrays(item)]
     if dataclasses.is_dataclass(value):
@@ -72,7 +69,7 @@ def test_every_named_cache_is_an_entry_point():
     names = {name for _, _, name in ENTRY_POINTS}
     assert names >= {
         "edges", "vertex_graph", "vertex_neighbors", "vertex_order",
-        "shape_gradients", "centroid_tree", "compute_measures",
+        "shape_gradients", "compute_measures",
         "gradient_matrix", "element_edges", "star_blocks",
     }
 

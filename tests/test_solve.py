@@ -273,6 +273,30 @@ def test_eigs_with_one_seed_are_bitwise_reproducible(disk_mesh, disk_harmonic_fi
     assert np.array_equal(first.vectors, second.vectors)
 
 
+def test_eigs_signs_do_not_depend_on_the_seed(disk_mesh, disk_harmonic_field):
+    # the natural square's antisymmetric modes have mirrored peaks that tie
+    # up to round-off; the sign rule must not let round-off pick between them
+    square = meshgen.structured_square(12)
+    ops = [
+        ff.assemble_operator(disk_mesh, disk_harmonic_field, 0.1, "neumann"),
+        ff.assemble_operator(square, ff.constant_field(square, ff.axis_frame(2)), 0.1,
+                             "natural"),
+    ]
+    for op in ops:
+        first = ff.eigs_generalized(op, op.vertex_mass, 12, seed=0)
+        second = ff.eigs_generalized(op, op.vertex_mass, 12, seed=1)
+        vals = first.values
+        # the last mode's upper neighbour is not computed, so its gap is unknown
+        steps = np.abs(np.diff(vals)) / np.abs(vals).max()
+        gaps = np.minimum(np.r_[np.inf, steps[:-1]], steps)
+        simple = np.flatnonzero(gaps > 1e-6)
+        assert len(simple) >= 6
+        for j in simple:
+            phi, other = first.vectors[:, j], second.vectors[:, j]
+            assert phi @ other > 0, j  # same sign
+            assert np.abs(phi - other).max() <= 1e-6 * np.abs(phi).max(), j
+
+
 def test_eigs_factor_once_per_call(monkeypatch, disk_mesh, disk_harmonic_field):
     factorize = solve_module._factorize
     factored = []
