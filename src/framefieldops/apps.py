@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError, ParameterError, as_floats, check_integer, check_values
+from .geometry import compute_measures
 from .solve import EigenResult, eigs_generalized, solve_box_qp
 from .symtensor import mandel_size
 
@@ -240,7 +241,11 @@ def square_wave_boundary(mesh, measures, periods=4):
 
     Using the angle (rather than a per-mesh arc-length parametrization)
     keeps the data consistent across refinement levels of the same domain.
+    ``measures`` must be ``compute_measures(mesh)``: another mesh's boundary
+    raises ``ParameterError``.
     """
+    if measures is not compute_measures(mesh):
+        raise ParameterError("measures must be compute_measures(mesh) of the mesh given")
     boundary = mesh.vertices[measures.boundary_vertices]
     p = boundary - boundary.mean(axis=0)
     angle = np.arctan2(p[:, 1], p[:, 0])

@@ -1,13 +1,24 @@
 """Command-line interface: file-based, reproducible experiment runs.
 
-Every run writes its outputs plus a ``manifest.json`` recording the SHA-256
-of each input and output file, package versions, and timings.  Outputs are
-deterministic given identical inputs and seeds.  Exit codes: 0 ok, 1 usage,
-2 input error, 3 numerical failure, 4 validation failed.
+``main`` parses the command line, runs the command and writes its outputs
+plus a ``manifest.json`` holding:
+
+- ``command``: the argument list as given
+- ``options``: every parsed option, defaults included, by its ``dest`` name
+- ``inputs`` and ``outputs``: the SHA-256 of each file read and written
+- ``versions``: of framefieldops, numpy and scipy
+- ``elapsed_seconds``: wall time from parsing to the manifest
+- ``fingerprint``: of the operator the command assembled, if it assembled one
+- what the command computed: ``field_kind`` (``field gen``), ``zero_modes``
+  (``eigs``), or ``passed`` and ``summary`` (``validate``)
+
+Outputs are deterministic given identical inputs and seeds.  Exit codes:
+0 ok, 1 usage, 2 input error, 3 numerical failure, 4 validation failed.
 """
 
 import argparse
 import hashlib
+import inspect
 import json
 import logging
 import sys
@@ -74,8 +85,8 @@ def _sha256(path):
 
 
 class Run:
-    """Collects inputs/outputs and writes the manifest, with the fingerprint
-    of the operator the command assembled, if any."""
+    """Collects a command's inputs and outputs and writes the manifest, with
+    the fingerprint of the operator the command assembled, if any."""
 
     def __init__(self, args):
         self.args = args
@@ -96,9 +107,16 @@ class Run:
         self.outputs.append(str(path))
         return path
 
-    def finish(self, extra=None):
+    def finish(self, result):
+        """Write ``manifest.json``, with the command's ``result`` at its top
+        level."""
+        options = {
+            key: value for key, value in vars(self.args).items()
+            if key not in ("func", "argv")
+        }
         manifest = {
             "command": self.args.argv,
+            "options": options,
             "inputs": self.inputs,
             "outputs": {path: _sha256(path) for path in self.outputs},
             "versions": {
@@ -110,8 +128,7 @@ class Run:
         }
         if self.fingerprint is not None:
             manifest["fingerprint"] = self.fingerprint
-        if extra:
-            manifest.update(extra)
+        manifest.update(result)
         with open(self.outdir / "manifest.json", "w") as fh:
             json.dump(manifest, fh, indent=2, sort_keys=True)
 
@@ -132,8 +149,7 @@ def _parse_list(text, kind=int):
         ) from exc
 
 
-def cmd_field_gen(args):
-    run = Run(args)
+def cmd_field_gen(run, args):
     mesh = load_mesh(run.input(args.mesh))
     if args.kind == "constant":
         frame = axis_frame(mesh.dim)
@@ -147,7 +163,7 @@ def cmd_field_gen(args):
     elif args.kind == "helical":
         axis = _parse_list(args.axis, float)
         field = helical_field_3d(mesh, axis, args.pitch)
-    elif args.kind == "coframe":
+    else:  # coframe
         warp = conformal_warp(args.map, **({"c": args.c} if args.map == "polynomial" else {}))
         warp.validate_on(mesh.vertices)
         warped = SimplicialMesh(warp.apply(mesh.vertices), mesh.elements)
@@ -155,33 +171,26 @@ def cmd_field_gen(args):
         warped_path = run.out("warped_" + Path(args.mesh).name)
         save_mesh(warped, warped_path)
         mesh = warped
-    else:
-        raise UsageError(f"unknown field kind {args.kind!r}")
     save_field(field, run.out(args.name))
-    run.finish({"kind": args.kind, "field_kind": field.kind})
-    return EXIT_OK
+    return {"field_kind": field.kind}
 
 
-def _assemble_from_args(run, args, bc=None):
+def _assemble_from_args(run, args):
     mesh = load_mesh(run.input(args.mesh))
     field = load_field(mesh, run.input(args.field))
-    op = assemble_operator(mesh, field, args.epsilon, bc or args.bc)
+    op = assemble_operator(mesh, field, args.epsilon, args.bc)
     run.fingerprint = op.fingerprint
     return mesh, op
 
 
-def cmd_assemble(args):
-    run = Run(args)
+def cmd_assemble(run, args):
     _, op = _assemble_from_args(run, args)
     mmwrite(run.out("operator.mtx"), op.matrix)
     mmwrite(run.out("mass.mtx"), sparse.diags(op.vertex_mass).tocoo())
-    run.finish({"epsilon": args.epsilon, "bc": args.bc})
-    return EXIT_OK
 
 
-def cmd_dirichlet(args):
-    run = Run(args)
-    mesh, op = _assemble_from_args(run, args, bc="neumann")
+def cmd_dirichlet(run, args):
+    mesh, op = _assemble_from_args(run, args)
     if args.boundary:
         u0 = _load_csv(run.input(args.boundary))
     else:
@@ -189,12 +198,9 @@ def cmd_dirichlet(args):
     u = apply_dirichlet_partition(op, u0)
     _save_csv(run.out("solution.csv"), u)
     write_vtk(run.out("solution.vtk"), mesh, {"u": u})
-    run.finish({"epsilon": args.epsilon})
-    return EXIT_OK
 
 
-def cmd_diffuse(args):
-    run = Run(args)
+def cmd_diffuse(run, args):
     mesh, op = _assemble_from_args(run, args)
     if args.u0:
         u0 = _load_csv(run.input(args.u0))
@@ -204,12 +210,9 @@ def cmd_diffuse(args):
     u = diffuse(op, u0, args.tau)
     _save_csv(run.out("diffused.csv"), u)
     write_vtk(run.out("diffused.vtk"), mesh, {"u": u, "u0": u0})
-    run.finish({"tau": args.tau, "epsilon": args.epsilon, "bc": args.bc})
-    return EXIT_OK
 
 
-def cmd_eigs(args):
-    run = Run(args)
+def cmd_eigs(run, args):
     mesh, op = _assemble_from_args(run, args)
     eig = eigs_generalized(op, op.vertex_mass, args.num)
     zero = zero_modes(op, eig.values)
@@ -221,16 +224,11 @@ def cmd_eigs(args):
         _write_rows(fh, "%d,%.17e,%d", flagged)
     data = {f"phi_{k:03d}": eig.vectors[:, k] for k in range(min(6, args.num))}
     write_vtk(run.out("eigs.vtk"), mesh, data)
-    run.finish(
-        {"num": args.num, "zero_modes": int(zero.sum()), "epsilon": args.epsilon,
-         "bc": args.bc}
-    )
-    return EXIT_OK
+    return {"zero_modes": int(zero.sum())}
 
 
-def cmd_distance(args):
-    run = Run(args)
-    mesh, op = _assemble_from_args(run, args, bc="neumann")
+def cmd_distance(run, args):
+    mesh, op = _assemble_from_args(run, args)
     source = int(check_indices("--source", args.source, mesh.num_vertices))
     starts = check_indices("--trace", _parse_list(args.trace or ""), mesh.num_vertices)
     emb = build_embedding(op, args.modes)
@@ -240,48 +238,30 @@ def cmd_distance(args):
     if args.trace:
         paths = [trace_descent_path(mesh, d, s) for s in starts]
         write_polyline_obj(run.out("paths.obj"), paths)
-    run.finish({"source": args.source, "modes": args.modes, "epsilon": args.epsilon})
-    return EXIT_OK
 
 
-def cmd_color(args):
-    run = Run(args)
-    mesh, op = _assemble_from_args(run, args, bc="natural")
+def cmd_color(run, args):
+    mesh, op = _assemble_from_args(run, args)
     colors = _load_csv(run.input(args.boundary_colors))
     col = color_by_boundary(op, colors)
     _save_csv(run.out("colors.csv"), col)
     write_vtk(run.out("colors.vtk"), mesh, {"rgb": col})
-    run.finish({"epsilon": args.epsilon})
-    return EXIT_OK
 
 
-# The optional ``validate`` flags each experiment takes, by keyword.
-VALIDATE_FLAGS = {
-    "square-spectrum": {"base_n"},
-    "refine-spectrum": {"rings"},
-    "warp": set(),
-    "dirichlet-convergence": {"rings"},
-    "anisotropy": {"rings"},
+# The validator keywords ``validate`` offers as flags, each to the
+# experiments whose validator takes it, with their help.
+_SIZE_FLAGS = {
+    "base_n": "structured-square resolution of the coarsest level",
+    "rings": "disk resolution in rings of the coarsest level",
 }
 
 
-def cmd_validate(args):
-    kwargs = {
-        key: getattr(args, key)
-        for key in ("base_n", "rings")
-        if getattr(args, key) is not None
-    }
-    misapplied = sorted(set(kwargs) - VALIDATE_FLAGS[args.experiment])
-    if misapplied:
-        flags = ", ".join("--" + key.replace("_", "-") for key in misapplied)
-        raise UsageError(f"{flags} does not apply to validate {args.experiment}")
-    run = Run(args)
+def cmd_validate(run, args):
+    kwargs = {key: value for key, value in vars(args).items() if key in _SIZE_FLAGS}
     report = VALIDATORS[args.experiment](**kwargs)
     report.write_csv(run.out(f"{report.name}.csv"))
-    run.finish({"experiment": report.name, "passed": report.passed,
-                "summary": report.summary})
     print(f"[{'PASS' if report.passed else 'FAIL'}] {report.name}: {report.summary}")
-    return EXIT_OK if report.passed else EXIT_VALIDATION
+    return {"passed": report.passed, "summary": report.summary}
 
 
 def build_parser():
@@ -311,7 +291,7 @@ def build_parser():
     p_gen.set_defaults(func=cmd_field_gen)
 
     def common(p, bc_default="neumann", eps_default=0.1):
-        # bc_default=None leaves out --bc, for commands with a fixed BC.
+        # bc_default=None leaves out --bc: the command sets its fixed BC.
         p.add_argument("--mesh", required=True)
         p.add_argument("--field", required=True)
         p.add_argument("--epsilon", type=float, default=eps_default)
@@ -327,7 +307,7 @@ def build_parser():
     p_dir.add_argument("--boundary", help="CSV of per-boundary-vertex values")
     p_dir.add_argument("--periods", type=int, default=4,
                        help="square-wave periods when --boundary is omitted")
-    p_dir.set_defaults(func=cmd_dirichlet)
+    p_dir.set_defaults(func=cmd_dirichlet, bc="neumann")
 
     p_diff = sub.add_parser("diffuse", help="one implicit-Euler diffusion step")
     common(p_diff, bc_default="natural")
@@ -357,22 +337,24 @@ def build_parser():
     p_dist.add_argument("--modes", type=int, default=64,
                         help="nonzero modes in the spectral embedding")
     p_dist.add_argument("--trace", help="comma-separated start vertices for paths")
-    p_dist.set_defaults(func=cmd_distance)
+    p_dist.set_defaults(func=cmd_distance, bc="neumann")
 
     p_col = sub.add_parser("color", help="boundary-value coloring")
     common(p_col, bc_default=None, eps_default=0.01)
     p_col.add_argument("--boundary-colors", required=True,
                        help="CSV with one r,g,b row per boundary vertex")
-    p_col.set_defaults(func=cmd_color)
+    p_col.set_defaults(func=cmd_color, bc="natural")
 
     p_val = sub.add_parser("validate", help="run a validation experiment")
-    p_val.add_argument("experiment", choices=sorted(VALIDATORS))
-    p_val.add_argument("--base-n", type=int, default=None,
-                       help="square-spectrum base resolution")
-    p_val.add_argument("--rings", type=int, default=None,
-                       help="disk resolution for refine-spectrum, "
-                            "dirichlet-convergence and anisotropy")
-    p_val.set_defaults(func=cmd_validate)
+    val_sub = p_val.add_subparsers(dest="experiment", required=True)
+    for name, validator in VALIDATORS.items():
+        p_exp = val_sub.add_parser(name)
+        params = inspect.signature(validator).parameters
+        for key in [key for key in _SIZE_FLAGS if key in params]:
+            p_exp.add_argument("--" + key.replace("_", "-"), type=int,
+                               default=params[key].default,
+                               help=_SIZE_FLAGS[key] + " (default %(default)s)")
+        p_exp.set_defaults(func=cmd_validate)
     return parser
 
 
@@ -391,7 +373,9 @@ def main(argv=None):
     log.addHandler(handler)
     log.setLevel(args.log_level.upper())
     try:
-        return args.func(args)
+        run = Run(args)
+        result = args.func(run, args) or {}
+        run.finish(result)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -404,6 +388,7 @@ def main(argv=None):
     finally:
         log.removeHandler(handler)
         log.setLevel(logging.NOTSET)
+    return EXIT_OK if result.get("passed", True) else EXIT_VALIDATION
 
 
 if __name__ == "__main__":

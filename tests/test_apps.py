@@ -441,3 +441,13 @@ def test_square_wave_boundary_consistent_across_levels(disk_mesh):
     lookup = {v: w1[i] for i, v in enumerate(mf.boundary_vertices)}
     for i, v in enumerate(meas.boundary_vertices):
         assert lookup[v] == w0[i]
+
+
+@pytest.mark.parametrize("rings", [3, 6])
+def test_square_wave_boundary_refuses_another_meshs_measures(rings):
+    # disk(3)'s measures gave 18 values for disk(4)'s 24 boundary vertices,
+    # and disk(6)'s an IndexError
+    mesh = meshgen.disk(4)
+    assert len(square_wave_boundary(mesh, ff.compute_measures(mesh))) == 24
+    with pytest.raises(ff.ParameterError, match="compute_measures"):
+        square_wave_boundary(mesh, ff.compute_measures(meshgen.disk(rings)))

@@ -1,5 +1,6 @@
 import csv
 import hashlib
+import inspect
 import json
 import sys
 
@@ -14,7 +15,8 @@ from framefieldops.cli import (
     EXIT_OK,
     EXIT_USAGE,
     EXIT_VALIDATION,
-    VALIDATE_FLAGS,
+    UsageError,
+    build_parser,
     main,
 )
 from framefieldops.validation import VALIDATORS
@@ -132,9 +134,16 @@ def test_manifest_records_the_operator_fingerprint(workspace, command, extra, ep
     manifest = json.loads((out / "manifest.json").read_text())
     expected = ff.assemble_operator(disk, field, epsilon, bc).fingerprint
     assert manifest["fingerprint"] == expected
+    # every parsed option, the fixed BCs and defaults included, is recorded
+    assert manifest["options"]["epsilon"] == epsilon
+    assert manifest["options"]["bc"] == bc
+    assert manifest["options"]["command"] == command
+    assert not {"func", "argv"} & set(manifest["options"])
     # a command that assembles nothing records no fingerprint
     gen = json.loads((workspace / "gen" / "manifest.json").read_text())
     assert "fingerprint" not in gen
+    assert gen["options"]["kind"] == "harmonic2d"
+    assert gen["field_kind"] == field.kind
 
 
 def test_eigs_flags_zero_mode(workspace):
@@ -384,7 +393,20 @@ def test_manifest_records_argv_and_rings_reach_dirichlet(monkeypatch, tmp_path):
     ],
 )
 def test_validate_rejects_misapplied_flags(args, tmp_path, capsys):
-    assert set(VALIDATE_FLAGS) == set(VALIDATORS)
     assert main(["-o", str(tmp_path / "out"), "validate", *args]) == EXIT_USAGE
-    assert f"does not apply to validate {args[0]}" in capsys.readouterr().err
+    assert f"unrecognized arguments: {args[1]} {args[2]}" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("experiment", sorted(VALIDATORS))
+def test_validate_offers_exactly_the_flags_its_validator_takes(experiment):
+    params = inspect.signature(VALIDATORS[experiment]).parameters
+    parser = build_parser()
+    for key in ("base_n", "rings"):
+        argv = ["validate", experiment, "--" + key.replace("_", "-"), "3"]
+        if key in params:
+            assert getattr(parser.parse_args(argv), key) == 3
+            assert getattr(parser.parse_args(argv[:2]), key) == params[key].default
+        else:
+            with pytest.raises(UsageError, match="unrecognized arguments"):
+                parser.parse_args(argv)

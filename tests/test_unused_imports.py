@@ -1,8 +1,9 @@
-"""Every name a package module imports is used in that module.
+"""Every name a package module imports is used in that module, and every
+private module-level name is read somewhere in the package.
 
-``__init__.py`` is left out: its imports are the public API.  A name kept
-for readers outside its module is marked with ``# noqa: F401`` on its
-import line.
+``__init__.py`` is left out of the import check: its imports are the public
+API.  A name kept for readers outside its module is marked with
+``# noqa: F401`` on its import line.
 """
 
 import ast
@@ -13,7 +14,8 @@ import pytest
 import framefieldops as ff
 
 PACKAGE = Path(ff.__file__).resolve().parent
-MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+SOURCES = sorted(PACKAGE.glob("*.py"))
+MODULES = [p for p in SOURCES if p.name != "__init__.py"]
 
 
 def unused_imports(source):
@@ -49,3 +51,40 @@ def test_the_scan_sees_an_unused_import():
         "x = np.zeros(3) + distance.euclidean(x, x)\n"
     )
     assert unused_imports(source) == [(2, "os"), (4, "cKDTree")]
+
+
+def unread_private_names(sources):
+    """``(module, name)`` of each private module-level name (one leading
+    ``_``) bound in one of the ``{module: source}`` and read in none: as a
+    loaded name, or an attribute."""
+    defined, read = [], set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined.append((module, node.name))
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined += [(module, t.id) for t in targets if isinstance(t, ast.Name)]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    return [
+        (module, name) for module, name in defined
+        if name.startswith("_") and not name.startswith("__") and name not in read
+    ]
+
+
+def test_package_reads_every_private_name_it_defines():
+    assert unread_private_names({p.name: p.read_text() for p in SOURCES}) == []
+
+
+def test_the_scan_sees_an_unread_private_name():
+    sources = {
+        "a.py": "_kept = 1\n_left = 2\n__version__ = '1'\n"
+                "def _fmt(v):\n    return str(v)\n",
+        "b.py": "import a\nfrom a import _kept\nx = _kept + a._left\n",
+    }
+    assert unread_private_names(sources) == [("a.py", "_fmt")]
