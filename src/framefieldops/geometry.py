@@ -7,7 +7,8 @@ and oriented outward.
 
 Everything derived from the mesh alone is built once, with vectorized numpy,
 and is read-only.  Element volumes and boundary facets are built at
-construction, every other mesh-only result on first use through
+construction, and in 2D the edge table too, as a triangle's facets are its
+edges; every other mesh-only result is built on first use through
 :func:`mesh_cached`: the edges with the element-edge incidence, the vertex
 graph, 1-ring neighbors and order, shape gradients, the hash state,
 ``compute_measures``, ``gradient_matrix``, and ``fem.star_blocks``, which
@@ -77,19 +78,58 @@ def mesh_cached(build):
     return cached
 
 
-def _row_groups(rows):
-    """Group equal rows of an integer array.
+def _row_groups(rows, bound):
+    """Group equal rows of an integer array whose entries lie in [0, bound).
 
     Returns the lexicographic sort order of the rows and the positions in
-    that order where each run of equal rows starts.  One ``lexsort`` and an
-    adjacent-row comparison replace ``np.unique(axis=0)``, whose row-wise
-    sort is several times slower.
+    that order where each run of equal rows starts.  The columns are packed,
+    in base ``bound``, into int64 keys of m adjacent columns each, with m as
+    large as keeps every key below 2**63 (``bound**m <= 2**63``): one key
+    holds a whole row while ``bound`` is at most 3,037,000,499 for two
+    columns, 2**21 for three and 55,108 for four.  Stable argsorts of the
+    keys, last to first, give exactly the order of a ``lexsort`` of the
+    columns, ties in index order included, for a fraction of its cost.
     """
-    order = np.lexsort(rows.T[::-1])
-    ranked = rows[order]
-    new = np.ones(len(rows), dtype=bool)
-    new[1:] = np.any(ranked[1:] != ranked[:-1], axis=1)
+    bound = int(bound)
+    width = 1
+    while width < rows.shape[1] and bound ** (width + 1) <= 2**63:
+        width += 1
+    keys = []
+    for first in range(0, rows.shape[1], width):
+        key = rows[:, first].astype(np.int64)
+        for column in rows.T[first + 1 : first + width]:
+            key *= bound
+            key += column
+        keys.append(key)
+    order = np.argsort(keys[-1], kind="stable")
+    for key in keys[-2::-1]:
+        order = order[np.argsort(key[order], kind="stable")]
+    new = np.zeros(len(rows), dtype=bool)
+    for key in keys:
+        ranked = key[order]
+        new[1:] |= ranked[1:] != ranked[:-1]
+    new[:1] = True
     return order, np.flatnonzero(new)
+
+
+# Compare-exchange networks that sort 2, 3 and 4 values.
+_SORTING_NETWORKS = {
+    2: ((0, 1),),
+    3: ((0, 1), (1, 2), (0, 1)),
+    4: ((0, 1), (2, 3), (0, 2), (1, 3), (1, 2)),
+}
+
+
+def _sorted_rows(rows):
+    """``np.sort(rows, axis=1)`` for rows of 2 to 4 integers, by min/max
+    compare-exchanges of whole columns."""
+    columns = list(rows.T)
+    for i, j in _SORTING_NETWORKS[len(columns)]:
+        columns[i], columns[j] = (
+            np.minimum(columns[i], columns[j]),
+            np.maximum(columns[i], columns[j]),
+        )
+    return np.stack(columns, axis=1)
 
 
 class SimplicialMesh:
@@ -142,7 +182,7 @@ class SimplicialMesh:
                 f"{len(unused)} vertices belong to no element (first: {unused[0]})"
             )
 
-        _, starts = _row_groups(np.sort(self.elements, axis=1))
+        _, starts = _row_groups(_sorted_rows(self.elements), len(self.vertices))
         if len(starts) != len(self.elements):
             raise GeometryError("duplicate elements")
 
@@ -154,11 +194,11 @@ class SimplicialMesh:
                 "elements must be consistently oriented and nondegenerate"
             )
         self.element_volumes = _freeze(vols)
+        self._cache = {}  # filled by mesh_cached, in 2D first by the boundary
         self.boundary_facets = _freeze(self._extract_boundary())
         # Optional refinement provenance: (n_new, 2) coarse edge endpoints for
         # vertices appended by refine_uniform; None for meshes built directly.
         self.parent_edges = None
-        self._cache = {}  # filled by mesh_cached
 
     # -- basic queries ----------------------------------------------------
 
@@ -171,33 +211,36 @@ class SimplicialMesh:
         return len(self.elements)
 
     def _oriented_facets(self):
-        # Facets of each element, oriented so that on the boundary the facet
-        # normal (right-hand rule) points outward of the element.
-        t = self.elements
-        if self.dim == 2:
-            return np.concatenate([t[:, [0, 1]], t[:, [1, 2]], t[:, [2, 0]]])
-        return np.concatenate(
-            [t[:, [1, 2, 3]], t[:, [0, 3, 2]], t[:, [0, 1, 3]], t[:, [0, 2, 1]]]
-        )
+        # Facets of each element, element by element, oriented so that on
+        # the boundary the facet normal (right-hand rule) points outward of
+        # the element.
+        return self.elements[:, _LOCAL_FACETS[self.dim]].reshape(-1, self.dim)
 
     def _extract_boundary(self):
-        facets = self._oriented_facets()
-        order, starts = _row_groups(np.sort(facets, axis=1))
-        counts = np.diff(starts, append=len(facets))
+        # Facets of one element each, in lexicographic order of their sorted
+        # vertex tuples, which makes the boundary order deterministic.
+        if self.dim == 2:
+            # A triangle's facets are its local edges, in the order of the
+            # incidence, so the edge table has grouped them already.
+            ids = self._edge_table()[1].ravel()
+            counts = np.bincount(ids)
+            once = np.flatnonzero(counts[ids] == 1)
+            once = once[np.argsort(ids[once])]
+        else:
+            facets = _sorted_rows(self._oriented_facets())
+            order, starts = _row_groups(facets, len(self.vertices))
+            counts = np.diff(starts, append=len(facets))
+            once = order[starts[counts == 1]]
         if np.any(counts > 2):
             raise GeometryError("non-manifold facet shared by more than two elements")
-        # Groups come in lexicographic order of the sorted vertex tuple, which
-        # makes the boundary order deterministic.
-        return facets[order[starts[counts == 1]]]
+        return self._oriented_facets()[once]
 
     @mesh_cached
     def _edge_table(self):
         # One grouping pass over the local edges yields both the unique
         # edges and the element-edge incidence.
-        local = np.asarray(_LOCAL_EDGES[self.dim])
-        a, b = self.elements[:, local[:, 0]], self.elements[:, local[:, 1]]
-        pairs = np.stack([np.minimum(a, b), np.maximum(a, b)], axis=-1).reshape(-1, 2)
-        order, starts = _row_groups(pairs)
+        pairs = _sorted_rows(self.elements[:, _LOCAL_EDGES[self.dim]].reshape(-1, 2))
+        order, starts = _row_groups(pairs, len(self.vertices))
         dtype = np.int32 if len(starts) < 2**31 else np.int64
         ids = np.empty(len(pairs), dtype=dtype)
         ids[order] = np.repeat(np.arange(len(starts)), np.diff(starts, append=len(pairs)))
@@ -454,6 +497,9 @@ _LOCAL_EDGES = {
     2: ((0, 1), (1, 2), (2, 0)),
     3: ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)),
 }
+# A triangle's facets are its local edges; a tetrahedron's are the
+# triangles opposite its vertices 0 to 3.
+_LOCAL_FACETS = {2: _LOCAL_EDGES[2], 3: ((1, 2, 3), (0, 3, 2), (0, 1, 3), (0, 2, 1))}
 _TRI_CHILDREN = np.array([[0, 3, 5], [1, 4, 3], [2, 5, 4], [3, 4, 5]])
 _TET_CORNERS = np.array([[0, 4, 5, 6], [1, 4, 7, 8], [2, 5, 7, 9], [3, 6, 8, 9]])
 # Octahedron diagonals (m01, m23), (m02, m13), (m03, m12), and for each the

@@ -13,8 +13,9 @@ never forms D and sums K's blocks from their element closed form instead.
 The epsilon = 1 reference, the mixed-FEM Bilaplacian with natural
 conditions, is built on it.  The mesh-cache references take the slow
 general route the closed forms replaced: a LAPACK inverse per element,
-``np.unique`` over edge rows, a BSR middle matrix times the transpose view
-of K, and one sequential hash over every array.  The tensor checks (the
+``np.unique`` over edge rows, a ``lexsort`` over every column to group
+rows, a BSR middle matrix times the transpose view of K, and one
+sequential hash over every array.  The tensor checks (the
 spectral norm of an odeco frame and the full-symmetry violation of a form)
 and the forward Jacobian of a conformal map have no caller in the package.
 The mesh generators at the end loop over cells, rings and merge steps one
@@ -268,6 +269,17 @@ def boundary_facets_by_unique(mesh):
     )
     boundary = facets[first[counts == 1]]
     return boundary[np.lexsort(np.sort(boundary, axis=1).T[::-1])]
+
+
+def row_groups_by_lexsort(rows):
+    """The lexicographic order of the rows of an integer array by one
+    ``lexsort`` over all its columns, and the positions in that order where
+    each run of equal rows starts, by comparing adjacent rows."""
+    order = np.lexsort(rows.T[::-1])
+    ranked = rows[order]
+    new = np.ones(len(rows), dtype=bool)
+    new[1:] = np.any(ranked[1:] != ranked[:-1], axis=1)
+    return order, np.flatnonzero(new)
 
 
 def shape_gradients_by_inv(mesh):

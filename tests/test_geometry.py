@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import framefieldops as ff
 from framefieldops import meshgen
-from framefieldops.geometry import _LOCAL_EDGES, prolong_linear
+from framefieldops.geometry import _LOCAL_EDGES, _row_groups, prolong_linear
 from framefieldops.vtkio import write_vtk
 
 from oracles import (
@@ -18,6 +18,7 @@ from oracles import (
     disk_by_loops,
     edges_by_unique,
     gradient_dense,
+    row_groups_by_lexsort,
     shape_gradients_by_inv,
     structured_square_by_loops,
 )
@@ -203,14 +204,47 @@ def test_validation_errors():
         ff.SimplicialMesh(
             [[0, 0], [1, 0], [0, 1], [1, 1]], [[0, 1, 2], [1, 3, 2], [2, 0, 1]]
         )
+    with pytest.raises(ff.GeometryError, match="duplicate"):  # tets, rotated
+        ff.SimplicialMesh(
+            [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1]],
+            [[0, 1, 2, 3], [1, 2, 3, 4], [1, 2, 0, 3]],
+        )
     with pytest.raises(ff.GeometryError):  # index out of range
         ff.SimplicialMesh([[0, 0], [1, 0], [0, 1]], [[0, 1, 3]])
-    with pytest.raises(ff.GeometryError):  # facet shared by 3 elements
+    with pytest.raises(ff.GeometryError, match="non-manifold"):  # 3 triangles
+        ff.SimplicialMesh(
+            [[0, 0], [1, 0], [0.5, 1], [0.5, 2], [0.5, -1]],
+            [[0, 1, 2], [0, 1, 3], [1, 0, 4]],
+        )
+    with pytest.raises(ff.GeometryError, match="non-manifold"):  # 3 tetrahedra
         ff.SimplicialMesh(
             [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1],
              [0.3, 0.3, -1.0], [0.3, 0.3, -2.0]],
             [[0, 1, 2, 3], [0, 2, 1, 4], [0, 2, 1, 5]],
         )
+
+
+# The largest bound for which rows of each width pack into one int64 key.
+PACKING_LIMITS = {2: 3_037_000_499, 3: 2**21, 4: 55_108}
+
+
+@pytest.mark.parametrize("width, limit", sorted(PACKING_LIMITS.items()))
+@pytest.mark.parametrize("where", ["small", "at", "past"])
+def test_row_groups_match_lexsort_oracle(width, limit, where):
+    # past the limit the columns are split over two keys
+    assert limit**width <= 2**63 < (limit + 1) ** width
+    bound = {"small": 7, "at": limit, "past": limit + 1}[where]
+    rng = np.random.default_rng(width)
+    # Few values per column, the largest among them, so that equal rows lie
+    # far apart and unequal ones share leading or trailing columns.
+    values = np.array([0, 1, bound // 2, bound - 2, bound - 1])
+    pool = values[rng.integers(len(values), size=(40, width))]
+    rows = pool[rng.integers(len(pool), size=500)]
+    order, starts = _row_groups(rows, bound)
+    expect_order, expect_starts = row_groups_by_lexsort(rows)
+    assert np.array_equal(order, expect_order)
+    assert np.array_equal(starts, expect_starts)
+    assert len(starts) == len(np.unique(rows, axis=0)) < len(rows)
 
 
 def test_measures_square(unit_square_mesh):
@@ -338,6 +372,8 @@ def test_boundary_facets_match_unique_oracle():
         R(R(R(meshgen.ball()))),
         meshgen.jittered_delaunay(3, 3),
         R(meshgen.annulus(3, 6)),
+        meshgen.structured_square(8),
+        meshgen.jittered_delaunay(2, 6),
     ):
         assert np.array_equal(mesh.boundary_facets, boundary_facets_by_unique(mesh))
 
@@ -444,6 +480,7 @@ def test_edges_match_unique_oracle():
         R(R(meshgen.ball())),
         meshgen.jittered_delaunay(3, 3),
         meshgen.jittered_delaunay(2, 6),
+        meshgen.structured_square(8),
     ):
         assert np.array_equal(mesh.edges(), edges_by_unique(mesh))
         # the incidence names the edge of every local edge, in _LOCAL_EDGES order

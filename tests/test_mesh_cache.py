@@ -15,7 +15,7 @@ import pytest
 from scipy import sparse
 
 import framefieldops as ff
-from framefieldops import meshgen
+from framefieldops import geometry, meshgen
 
 PACKAGE = Path(ff.__file__).resolve().parent
 
@@ -92,6 +92,27 @@ def test_entry_point_is_built_once_per_mesh_and_read_only(entry, dim):
     assert call(fine) is not first
     assert call(fine) is call(fine)
     assert call(mesh) is first
+
+
+def test_triangle_mesh_builds_its_edge_table_at_construction(monkeypatch):
+    grouped = []
+    row_groups = geometry._row_groups
+
+    def counted(rows, bound):
+        grouped.append(rows.shape)
+        return row_groups(rows, bound)
+
+    disk = meshgen.disk(3)
+    monkeypatch.setattr(geometry, "_row_groups", counted)
+    mesh = ff.SimplicialMesh(disk.vertices, disk.elements)
+    # the duplicate check, then the edge table, which the boundary reads
+    ne = mesh.num_elements
+    assert grouped == [(ne, 3), (3 * ne, 2)]
+    edges, incidence = mesh.edges(), mesh.element_edges()
+    for _ in range(2):
+        assert mesh.edges() is edges and mesh.element_edges() is incidence
+    assert len(grouped) == 2
+    assert not edges.flags.writeable and not incidence.flags.writeable
 
 
 def _violations(path):
