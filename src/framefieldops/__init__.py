@@ -26,9 +26,6 @@ from .geometry import (
 )
 from .symtensor import (
     OdecoFrame,
-    alignment_quadratic,
-    contract,
-    mandel_to_sym,
     modify_epsilon,
     odeco_form,
     principal_symbol,

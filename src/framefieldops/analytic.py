@@ -92,6 +92,14 @@ class ConformalMap:
         J[:, 1, 1] = d.real / sq
         return J
 
+    def pullback(self, mesh):
+        """The warped copy of ``mesh`` (same connectivity, mapped vertices)
+        and the map's coframe field on it, after :meth:`validate_on` passes
+        on the vertices."""
+        self.validate_on(mesh.vertices)
+        warped = SimplicialMesh(self.apply(mesh.vertices), mesh.elements)
+        return warped, map_coframe_field(warped, self.inverse_jacobian(mesh.vertices))
+
     def validate_on(self, points):
         """Nonsingularity and injectivity checks by sampling.
 
@@ -135,27 +143,24 @@ class WarpResult:
     values_warped: np.ndarray
     vectors_base: np.ndarray
     vectors_warped: np.ndarray
-    base_mesh: SimplicialMesh
     warped_mesh: SimplicialMesh
 
 
-def warp_experiment(base_mesh, warp, epsilon, modes, bc="neumann"):
+def warp_experiment(base_mesh, warp, epsilon, modes):
     """Spectra of the constant-field operator and its coframe pullback.
 
     Builds the constant axis-aligned operator on ``base_mesh`` and the map
-    coframe operator on the warped copy (same connectivity, mapped
-    vertices), takes the ``modes`` smallest nonzero eigenpairs of each from
-    ``nonzero_eigenpairs`` with matching boundary conditions, and returns
-    both, with the base eigenfunctions sharing vertex indexing with the
-    warped mesh for side-by-side export.
+    coframe operator on the warped copy from ``warp.pullback``, both under
+    Neumann conditions, takes the ``modes`` smallest nonzero eigenpairs of
+    each from ``nonzero_eigenpairs``, and returns both, with the base
+    eigenfunctions sharing vertex indexing with the warped mesh for
+    side-by-side export.
     """
-    warp.validate_on(base_mesh.vertices)
-    warped = SimplicialMesh(warp.apply(base_mesh.vertices), base_mesh.elements)
+    warped, field_warp = warp.pullback(base_mesh)
     field_base = constant_field(base_mesh, axis_frame(base_mesh.dim))
-    field_warp = map_coframe_field(warped, warp.inverse_jacobian(base_mesh.vertices))
 
-    op_base = assemble_operator(base_mesh, field_base, epsilon, bc)
-    op_warp = assemble_operator(warped, field_warp, epsilon, bc)
+    op_base = assemble_operator(base_mesh, field_base, epsilon, "neumann")
+    op_warp = assemble_operator(warped, field_warp, epsilon, "neumann")
     eig_base = nonzero_eigenpairs(op_base, modes)
     eig_warp = nonzero_eigenpairs(op_warp, modes)
     return WarpResult(
@@ -163,6 +168,5 @@ def warp_experiment(base_mesh, warp, epsilon, modes, bc="neumann"):
         values_warped=eig_warp.values,
         vectors_base=eig_base.vectors,
         vectors_warped=eig_warp.vectors,
-        base_mesh=base_mesh,
         warped_mesh=warped,
     )

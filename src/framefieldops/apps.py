@@ -214,7 +214,13 @@ def color_by_boundary(op, boundary_colors):
 
 
 def isoline_crossings(mesh, values, level):
-    """Points where the piecewise-linear field crosses a level, on edges."""
+    """Points where the piecewise-linear field crosses a level, on edges.
+
+    ``values`` must hold one finite number per vertex and ``level`` be one
+    finite number, else ``ParameterError``.
+    """
+    values = check_values("isoline values", values, (mesh.num_vertices,))
+    level = check_values("isoline level", level, ())
     e = mesh.edges()
     va, vb = values[e[:, 0]], values[e[:, 1]]
     mask = (va - level) * (vb - level) < 0.0
@@ -229,10 +235,17 @@ def radial_ratio(points, center):
     For a closed isoline this measures anisotropy as the major/minor axis
     ratio of the curve; 1 for a circle.  Second moments would miss 4-fold
     symmetric (star-shaped) curves, so radii are used directly.
+    ``ParameterError`` is raised unless ``points`` are finite ``(n, d)``
+    rows, n >= 1, and ``center`` a finite ``(d,)`` point that none of them
+    lies on.
     """
-    r = np.linalg.norm(points - np.asarray(center, dtype=float), axis=1)
+    points = check_values("isoline points", points, (None, None))
+    center = check_values("isoline center", center, (points.shape[1],))
+    r = np.linalg.norm(points - center, axis=1)
     if len(r) == 0:
         raise ParameterError("no isoline points")
+    if not r.min() > 0.0:
+        raise ParameterError("an isoline point lies on the center")
     return float(np.max(r) / np.min(r))
 
 

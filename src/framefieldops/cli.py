@@ -51,11 +51,9 @@ from .framefield import (
     harmonic_cross_field_2d,
     helical_field_3d,
     load_field,
-    map_coframe_field,
     save_field,
 )
-from .geometry import SimplicialMesh, _save_csv, _write_rows, compute_measures
-from .geometry import load_mesh, save_mesh
+from .geometry import _save_csv, _write_rows, compute_measures, load_mesh, save_mesh
 from .solve import diffuse, eigs_generalized
 from .symtensor import OdecoFrame
 from .validation import VALIDATORS
@@ -165,12 +163,8 @@ def cmd_field_gen(run, args):
         field = helical_field_3d(mesh, axis, args.pitch)
     else:  # coframe
         warp = conformal_warp(args.map, **({"c": args.c} if args.map == "polynomial" else {}))
-        warp.validate_on(mesh.vertices)
-        warped = SimplicialMesh(warp.apply(mesh.vertices), mesh.elements)
-        field = map_coframe_field(warped, warp.inverse_jacobian(mesh.vertices))
-        warped_path = run.out("warped_" + Path(args.mesh).name)
-        save_mesh(warped, warped_path)
-        mesh = warped
+        warped, field = warp.pullback(mesh)
+        save_mesh(warped, run.out("warped_" + Path(args.mesh).name))
     save_field(field, run.out(args.name))
     return {"field_kind": field.kind}
 

@@ -27,7 +27,7 @@ from .geometry import (
     gradient_matrix,
 )
 from .solve import solve_pinned
-from .symtensor import OdecoFrame, contract, modify_epsilon, odeco_form
+from .symtensor import OdecoFrame, modify_epsilon, odeco_form, sym_to_mandel
 
 logger = logging.getLogger(__name__)
 
@@ -306,8 +306,9 @@ def check_boundary_alignment(field, tol=1e-6):
 
     The boundary normal n is a generalized eigenvector of the frame tensor
     when contracting the rank-one projector n n^T reproduces a multiple of
-    itself.  The residual is that mismatch in Frobenius norm, relative to
-    the tensor norm.
+    itself.  With v the Mandel vector of n n^T and Q the vertex's form, the
+    residual is ``|Q v - (v' Q v) v|`` relative to the tensor norm; the
+    Mandel map is an isometry, so this is the mismatch in Frobenius norm.
 
     The boundary and its normals are the field mesh's own, from
     ``compute_measures(field.mesh)``.  A ``tol`` that is not one finite
@@ -325,12 +326,11 @@ def check_boundary_alignment(field, tol=1e-6):
     measures = compute_measures(field.mesh)
     bv = measures.boundary_vertices
     n = measures.boundary_normals
-    Q = field.forms()[bv]
-    nnT = n[:, :, None] * n[:, None, :]
-    C = contract(nnT, Q)
-    w = np.einsum("bi,bij,bj->b", n, C, n)
-    R = C - w[:, None, None] * nnT
-    residual = np.linalg.norm(R, axis=(1, 2)) / np.maximum(field.norms[bv], 1e-12)
+    v = sym_to_mandel(n[:, :, None] * n[:, None, :])
+    Qv = np.einsum("bpq,bq->bp", field.forms()[bv], v)
+    w = np.einsum("bp,bp->b", v, Qv)
+    R = Qv - w[:, None] * v
+    residual = np.linalg.norm(R, axis=1) / np.maximum(field.norms[bv], 1e-12)
     return residual, residual <= tol
 
 

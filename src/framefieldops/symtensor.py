@@ -1,14 +1,14 @@
 """Symmetric second- and fourth-order tensor algebra in dimensions 2 and 3.
 
-Second-order symmetric tensors are handled as plain ``(d, d)`` numpy arrays
-together with their Mandel vectorization, in which off-diagonal entries are
-scaled by sqrt(2) so that the vector dot product equals the Frobenius inner
-product of the matrices.  Fourth-order tensors that are symmetric in their
-first and last index pairs are stored as the ``(m, m)`` matrix of their
-quadratic form on Mandel vectors (m = 3 in 2D, m = 6 in 3D).  That array is
-their only representation: every function here takes and returns
-``(..., m, m)`` stacks and broadcasts over the leading axes, so one call
-serves a single tensor and a per-vertex field alike.
+Second-order symmetric tensors enter as plain ``(d, d)`` numpy arrays and
+are used only as their Mandel vectors (:func:`sym_to_mandel`), in which
+off-diagonal entries are scaled by sqrt(2) so that the vector dot product
+equals the Frobenius inner product of the matrices.  Fourth-order tensors
+that are symmetric in their first and last index pairs are stored as the
+``(m, m)`` matrix of their quadratic form on Mandel vectors (m = 3 in 2D,
+m = 6 in 3D).  That array is their only representation: every function here
+takes and returns ``(..., m, m)`` stacks and broadcasts over the leading
+axes, so one call serves a single tensor and a per-vertex field alike.
 
 The orthogonally decomposable (odeco) tensors sum(w_a * xi_a^{x4}) over an
 orthonormal set of component vectors are the main producers of such forms
@@ -34,17 +34,7 @@ _PAIRS = {
 
 def mandel_size(dim):
     """Number of Mandel components for symmetric matrices in ``dim`` dimensions."""
-    if dim not in (2, 3):
-        raise ParameterError(f"dimension must be 2 or 3, got {dim}")
-    return 3 if dim == 2 else 6
-
-
-def _mandel_dim(m):
-    """Dimension whose symmetric matrices have ``m`` Mandel components."""
-    dim = {3: 2, 6: 3}.get(m)
-    if dim is None:
-        raise ParameterError(f"Mandel vector length must be 3 or 6, got {m}")
-    return dim
+    return len(mandel_pairs(dim))
 
 
 def mandel_pairs(dim):
@@ -76,20 +66,6 @@ def sym_to_mandel(S):
         scale = 1.0 if i == j else _SQRT2
         out[..., c] = scale * S[..., i, j]
     return out
-
-
-def mandel_to_sym(v):
-    """Inverse of :func:`sym_to_mandel`."""
-    v = np.asarray(v, dtype=float)
-    dim = _mandel_dim(v.shape[-1])
-    S = np.zeros(v.shape[:-1] + (dim, dim))
-    for c, (i, j) in enumerate(mandel_pairs(dim)):
-        if i == j:
-            S[..., i, j] = v[..., c]
-        else:
-            S[..., i, j] = v[..., c] / _SQRT2
-            S[..., j, i] = v[..., c] / _SQRT2
-    return S
 
 
 @dataclass(frozen=True)
@@ -173,41 +149,21 @@ def modify_epsilon(Q, norms, epsilon):
     return norms[..., None, None] * np.eye(Q.shape[-1]) - (1.0 - epsilon) * Q
 
 
-def _matching_form(v, Q):
-    """``Q`` as a float array, checked against the Mandel vectors ``v``."""
-    Q = np.asarray(Q, dtype=float)
-    if Q.shape[-2:] != (v.shape[-1], v.shape[-1]):
-        raise ParameterError(
-            f"form shape {Q.shape} does not match Mandel length {v.shape[-1]}"
-        )
-    return Q
-
-
-def contract(A, Q):
-    """Contract symmetric matrices against fourth-order forms: (A : T).
-
-    ``(A : T)_kl = A_ij T_ijkl``; in Mandel coordinates this is ``Q @ vec(A)``.
-    ``A`` has shape ``(..., d, d)`` and ``Q`` shape ``(..., m, m)``.
-    """
-    v = sym_to_mandel(A)
-    Q = _matching_form(v, Q)
-    return mandel_to_sym(np.einsum("...pq,...q->...p", Q, v))
-
-
-def alignment_quadratic(S, Q):
-    """Quadratic form S : T : S measuring alignment of S with the frame."""
-    v = sym_to_mandel(S)
-    Q = _matching_form(v, Q)
-    return np.einsum("...p,...pq,...q->...", v, Q, v)
-
-
 def principal_symbol(Q, zeta):
     """Evaluate the quartic principal-symbol polynomial at frequency zeta.
 
-    This is ``(zeta zeta^T) : T : (zeta zeta^T)``.  For a conformal
+    This is ``(zeta zeta^T) : T : (zeta zeta^T)``, that is ``v' Q v`` with v
+    the Mandel vector of ``zeta zeta^T``; a form whose last two axes do not
+    match that length raises ``ParameterError``.  For a conformal
     octahedral tensor with norm w, epsilon-modified, it equals
     ``w * (|zeta|^4 - (1 - eps) * sum_a (xi_a . zeta)^4)`` and is bounded
     below by ``eps * w * |zeta|^4``.
     """
     zeta = np.asarray(zeta, dtype=float)
-    return alignment_quadratic(zeta[..., :, None] * zeta[..., None, :], Q)
+    v = sym_to_mandel(zeta[..., :, None] * zeta[..., None, :])
+    Q = np.asarray(Q, dtype=float)
+    if Q.shape[-2:] != (v.shape[-1], v.shape[-1]):
+        raise ParameterError(
+            f"form shape {Q.shape} does not match Mandel length {v.shape[-1]}"
+        )
+    return np.einsum("...p,...pq,...q->...", v, Q, v)

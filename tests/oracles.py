@@ -16,7 +16,8 @@ general route the closed forms replaced: a LAPACK inverse per element,
 ``np.unique`` over edge rows, a ``lexsort`` over every column to group
 rows, a BSR middle matrix times the transpose view of K, and one
 sequential hash over every array.  The tensor checks (the
-spectral norm of an odeco frame and the full-symmetry violation of a form)
+spectral norm of an odeco frame and the full-symmetry violation of a form),
+the inverse Mandel map, the boundary alignment in matrix form
 and the forward Jacobian of a conformal map have no caller in the package.
 The mesh generators at the end loop over cells, rings and merge steps one
 at a time.
@@ -33,7 +34,12 @@ from framefieldops import OdecoFrame, compute_measures
 from framefieldops.errors import FieldError
 from framefieldops.fem import build_mixed_system, projected_middle_blocks
 from framefieldops.geometry import SimplicialMesh, _orient_elements, gradient_matrix
-from framefieldops.symtensor import _SQRT2, _mandel_dim, mandel_pairs, mandel_size
+from framefieldops.symtensor import (
+    _SQRT2,
+    mandel_pairs,
+    mandel_size,
+    sym_to_mandel,
+)
 
 
 def random_rotation(rng, dim):
@@ -365,10 +371,11 @@ def spectral_norm(frame):
 
 
 # Entries of a Mandel form tied together by full index symmetry, as
-# (entry, partner, scale) with Q[entry] == scale * Q[partner].
+# (entry, partner, scale) with Q[entry] == scale * Q[partner], keyed by the
+# Mandel length m.
 _FULL_SYMMETRY = {
-    2: (((2, 2), (0, 1), 2.0),),
-    3: (
+    3: (((2, 2), (0, 1), 2.0),),
+    6: (
         ((3, 3), (1, 2), 2.0),
         ((4, 4), (0, 2), 2.0),
         ((5, 5), (0, 1), 2.0),
@@ -388,9 +395,35 @@ def full_symmetry_violation(Q):
     a ``(..., m, m)`` stack.
     """
     Q = np.asarray(Q, dtype=float)
-    ties = _FULL_SYMMETRY[_mandel_dim(Q.shape[-1])]
+    ties = _FULL_SYMMETRY[Q.shape[-1]]
     gaps = [Q[(..., *a)] - s * Q[(..., *b)] for a, b, s in ties]
     return np.max(np.abs(gaps), axis=0)
+
+
+def mandel_to_sym(v):
+    """Symmetric ``(..., d, d)`` matrices of Mandel vectors ``(..., m)``,
+    the inverse of ``sym_to_mandel``, filled one component at a time."""
+    v = np.asarray(v, dtype=float)
+    dim = {3: 2, 6: 3}[v.shape[-1]]
+    S = np.zeros(v.shape[:-1] + (dim, dim))
+    for c, (i, j) in enumerate(mandel_pairs(dim)):
+        scale = 1.0 if i == j else _SQRT2
+        S[..., i, j] = S[..., j, i] = v[..., c] / scale
+    return S
+
+
+def boundary_alignment_by_contraction(field):
+    """``check_boundary_alignment``'s residuals in matrix form: contract
+    ``C = (n n') : T`` back to a matrix and take the Frobenius norm of
+    ``C - (n' C n) n n'`` over the tensor norm, per boundary vertex."""
+    measures = compute_measures(field.mesh)
+    bv = measures.boundary_vertices
+    n = measures.boundary_normals
+    nnT = n[:, :, None] * n[:, None, :]
+    C = mandel_to_sym(np.einsum("bpq,bq->bp", field.forms()[bv], sym_to_mandel(nnT)))
+    w = np.einsum("bi,bij,bj->b", n, C, n)
+    R = C - w[:, None, None] * nnT
+    return np.linalg.norm(R, axis=(1, 2)) / np.maximum(field.norms[bv], 1e-12)
 
 
 def structured_square_by_loops(n, lo=-1.0, hi=1.0):

@@ -12,6 +12,7 @@ from scipy import sparse
 import framefieldops as ff
 from framefieldops import meshgen
 from framefieldops.fem import build_mixed_system, projected_middle_blocks
+from framefieldops.symtensor import sym_to_mandel
 from framefieldops.validation import (
     validate_anisotropy,
     validate_dirichlet_convergence,
@@ -150,13 +151,14 @@ def test_criterion_06_tensor_property_suite():
         frame = random_octahedral_frame(rng, dim)
         T = ff.odeco_form(frame.components, frame.weights)
         S = random_symmetric(rng, dim)
-        align_ok &= ff.alignment_quadratic(S, T) <= np.sum(S * S) * (1 + 1e-10)
+        v = sym_to_mandel(S)
+        align_ok &= v @ T @ v <= np.sum(S * S) * (1 + 1e-10)
         lam = rng.standard_normal(dim)
-        S_aligned = frame.components.T @ np.diag(lam) @ frame.components
-        eq_ok &= abs(ff.alignment_quadratic(S_aligned, T) - np.sum(lam**2)) < 1e-10
+        v = sym_to_mandel(frame.components.T @ np.diag(lam) @ frame.components)
+        eq_ok &= abs(v @ T @ v - np.sum(lam**2)) < 1e-10
         x1, x2 = frame.components[:2]
-        S_deg = np.outer(x1, x2) + np.outer(x2, x1)
-        deg_ok &= abs(ff.alignment_quadratic(S_deg, T)) < 1e-12
+        v = sym_to_mandel(np.outer(x1, x2) + np.outer(x2, x1))
+        deg_ok &= abs(v @ T @ v) < 1e-12
         w = rng.uniform(0.05, 3.0)
         eps = rng.uniform(1e-4, 1.0)
         frame_w = random_octahedral_frame(rng, dim, weight=w)

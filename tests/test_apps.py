@@ -425,8 +425,33 @@ def test_isoline_tools(unit_square_mesh):
     radii = np.linalg.norm(pts, axis=1)
     assert np.abs(radii - 0.5).max() < 0.05
     assert radial_ratio(pts, [0.0, 0.0]) < 1.1
-    with pytest.raises(ValueError):
+    with pytest.raises(ff.ParameterError, match="no isoline points"):
         radial_ratio(pts[:0], [0.0, 0.0])
+
+
+def test_isoline_crossings_entry_checks():
+    mesh = meshgen.disk(4)
+    with pytest.raises(ff.ParameterError, match="isoline values"):
+        isoline_crossings(mesh, np.ones(5), 0.5)
+    with pytest.raises(ff.ParameterError, match="isoline values"):
+        isoline_crossings(mesh, np.full(mesh.num_vertices, np.nan), 0.5)
+    with pytest.raises(ff.ParameterError, match="isoline values"):
+        isoline_crossings(mesh, "values", 0.5)
+    with pytest.raises(ff.ParameterError, match="isoline level"):
+        isoline_crossings(mesh, np.zeros(mesh.num_vertices), np.nan)
+
+
+def test_radial_ratio_entry_checks():
+    pts = np.array([[1.0, 0.0], [0.0, 2.0]])
+    with pytest.raises(ff.ParameterError, match="on the center"):
+        radial_ratio(np.vstack([pts, [[0.0, 0.0]]]), [0.0, 0.0])
+    with pytest.raises(ff.ParameterError, match="isoline points"):
+        radial_ratio(np.vstack([pts, [[np.nan, 0.0]]]), [0.0, 0.0])
+    with pytest.raises(ff.ParameterError, match="isoline center"):
+        radial_ratio(pts, [0.0, np.nan])
+    with pytest.raises(ff.ParameterError, match="isoline center"):
+        radial_ratio(pts, [0.0, 0.0, 0.0])
+    assert radial_ratio(pts, [0.0, 0.0]) == 2.0
 
 
 def test_square_wave_boundary_consistent_across_levels(disk_mesh):

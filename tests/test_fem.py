@@ -21,6 +21,7 @@ from oracles import (
     dense_kkt_apply,
     dense_kkt_factor,
     divergence_by_coo,
+    mandel_to_sym,
     mixed_factor,
     natural_shortcut,
     operator_by_bsr,
@@ -65,7 +66,6 @@ def test_divergence_theorem_identity(dim):
     meas = ff.compute_measures(mesh)
     D = divergence_by_coo(mesh)
     m = mandel_size(dim)
-    from framefieldops.symtensor import mandel_to_sym
     from framefieldops.geometry import _facet_normals_and_measures
 
     fnormals, fmeasure = _facet_normals_and_measures(mesh)

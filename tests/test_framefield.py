@@ -13,6 +13,7 @@ from framefieldops.framefield import (
 
 from conftest import rotation_frame_2d
 from oracles import (
+    boundary_alignment_by_contraction,
     conformal_jacobian,
     fingerprint_sequential,
     random_rotation,
@@ -323,6 +324,18 @@ def test_boundary_alignment_reads_the_field_mesh():
     field = ff.harmonic_cross_field_2d(meshgen.disk(4))
     with pytest.raises(ff.ParameterError, match="tol"):
         ff.check_boundary_alignment(field, ff.compute_measures(meshgen.disk(3)))
+
+
+def test_boundary_alignment_matches_matrix_contraction():
+    # the Mandel residual is the Frobenius residual of the contracted matrix
+    ball = ff.refine_uniform(ff.refine_uniform(meshgen.ball()))
+    for field in (
+        ff.harmonic_cross_field_2d(meshgen.disk(8)),
+        ff.harmonic_cross_field_2d(meshgen.annulus(3, 7)),
+        ff.helical_field_3d(ball, [0.0, 0.0, 1.0], 0.7),
+    ):
+        res, _ = ff.check_boundary_alignment(field)
+        assert np.abs(res - boundary_alignment_by_contraction(field)).max() <= 1e-15
 
 
 def test_quaternion_component_roundtrip():

@@ -1,5 +1,6 @@
 """Property tests of the star blocks, the boundary projection rule, the
-operator invariants and the finiteness of the solves on them.
+operator invariants, their behaviour under similarity transforms and the
+finiteness of the solves on them.
 
 Cases are drawn over jittered Delaunay meshes in 2D and 3D, constant
 odeco frames with random orientation and weights, epsilon in (0, 1], and
@@ -109,3 +110,23 @@ def test_finite_input_gives_finite_solutions_property(case, log_tau):
         bv = op.boundary_vertices
         x = ff.solve_pinned(op, bv, rng.standard_normal(len(bv)))
         assert np.all(np.isfinite(x))
+
+
+@PROPERTY_SETTINGS
+@given(cases(), st.floats(0.3, 3.0))
+def test_similarity_equivariance_property(case, scale):
+    # moving the mesh by x -> sRx + t and rotating the frame by R scales the
+    # operator by s^(d-4) and the mass by s^d, with nothing else changing
+    mesh, field, epsilon, bc, rng = case
+    dim = mesh.dim
+    R = random_rotation(rng, dim)
+    moved = ff.SimplicialMesh(
+        scale * mesh.vertices @ R.T + rng.uniform(-2.0, 2.0, dim), mesh.elements
+    )
+    frame = ff.OdecoFrame(field.components[0] @ R.T, field.weights[0])
+    op = ff.assemble_operator(mesh, field, epsilon, bc)
+    moved_op = ff.assemble_operator(moved, ff.constant_field(moved, frame), epsilon, bc)
+    A = scale ** (dim - 4) * op.matrix.toarray()
+    assert np.abs(moved_op.matrix.toarray() - A).max() <= 1e-12 * np.abs(A).max()
+    M = scale**dim * op.vertex_mass
+    assert np.abs(moved_op.vertex_mass - M).max() <= 1e-12 * M.max()

@@ -1,8 +1,10 @@
-"""Every name a package module imports is used in that module, and every
-private module-level name is read somewhere in the package.
+"""Every name a package module imports is used in that module, every
+private module-level name is read somewhere in the package, and every public
+one is read by a program: a package module, a demo or the benchmark.
 
 ``__init__.py`` is left out of the import check: its imports are the public
-API.  A name kept for readers outside its module is marked with
+API.  For the same reason its re-exports do not count as reads of a public
+name.  A name kept for readers outside its module is marked with
 ``# noqa: F401`` on its import line.
 """
 
@@ -16,6 +18,16 @@ import framefieldops as ff
 PACKAGE = Path(ff.__file__).resolve().parent
 SOURCES = sorted(PACKAGE.glob("*.py"))
 MODULES = [p for p in SOURCES if p.name != "__init__.py"]
+ROOT = Path(__file__).resolve().parents[1]
+PROGRAMS = MODULES + sorted((ROOT / "demos").glob("*.py")) + sorted(
+    (ROOT / "perfbench").glob("*.py")
+)
+
+# Public names that no program reads, each with the reason it stays.
+UNREAD_PUBLIC_ALLOWED = {
+    ("meshgen.py", "annulus"): "a test domain with two boundary loops",
+    ("meshgen.py", "box"): "the cube test domain, and the planned cube validator's",
+}
 
 
 def unused_imports(source):
@@ -53,26 +65,41 @@ def test_the_scan_sees_an_unused_import():
     assert unused_imports(source) == [(2, "os"), (4, "cKDTree")]
 
 
-def unread_private_names(sources):
-    """``(module, name)`` of each private module-level name (one leading
-    ``_``) bound in one of the ``{module: source}`` and read in none: as a
-    loaded name, or an attribute."""
-    defined, read = [], set()
+def bound_names(sources):
+    """``(module, name)`` of each name bound at the top level of one of the
+    ``{module: source}``: by a def, a class or an assignment."""
+    defined = []
     for module, source in sources.items():
-        tree = ast.parse(source)
-        for node in tree.body:
+        for node in ast.parse(source).body:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 defined.append((module, node.name))
             elif isinstance(node, (ast.Assign, ast.AnnAssign)):
                 targets = node.targets if isinstance(node, ast.Assign) else [node.target]
                 defined += [(module, t.id) for t in targets if isinstance(t, ast.Name)]
-        for node in ast.walk(tree):
+    return defined
+
+
+def read_names(sources):
+    """Names read in any of the ``sources``: loaded names, attributes and the
+    names that an import statement brings in."""
+    read = set()
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 read.add(node.id)
             elif isinstance(node, ast.Attribute):
                 read.add(node.attr)
+            elif isinstance(node, ast.alias):
+                read.add(node.name)
+    return read
+
+
+def unread_private_names(sources):
+    """``(module, name)`` of each private module-level name (one leading
+    ``_``) bound in one of the ``{module: source}`` and read in none."""
+    read = read_names(sources.values())
     return [
-        (module, name) for module, name in defined
+        (module, name) for module, name in bound_names(sources)
         if name.startswith("_") and not name.startswith("__") and name not in read
     ]
 
@@ -88,3 +115,33 @@ def test_the_scan_sees_an_unread_private_name():
         "b.py": "import a\nfrom a import _kept\nx = _kept + a._left\n",
     }
     assert unread_private_names(sources) == [("a.py", "_fmt")]
+
+
+def unread_public_names(sources, programs):
+    """``(module, name)`` of each public module-level name bound in one of the
+    ``{module: source}`` and read in none of the ``programs`` sources."""
+    read = read_names(programs)
+    return [
+        (module, name) for module, name in bound_names(sources)
+        if not name.startswith("_") and name not in read
+    ]
+
+
+def test_programs_read_every_public_name_the_package_defines():
+    unread = unread_public_names(
+        {p.name: p.read_text() for p in MODULES}, [p.read_text() for p in PROGRAMS]
+    )
+    assert sorted(unread) == sorted(UNREAD_PUBLIC_ALLOWED)
+
+
+def test_the_scan_sees_an_unread_public_name():
+    sources = {
+        "a.py": "LIMIT = 1\ndef used():\n    return LIMIT\n"
+                "def imported():\n    pass\ndef called_by_attribute():\n    pass\n"
+                "def dead():\n    pass\nclass Dead:\n    pass\n",
+    }
+    programs = [
+        sources["a.py"],
+        "import a\nfrom a import imported as alias\na.called_by_attribute()\nused()\n",
+    ]
+    assert unread_public_names(sources, programs) == [("a.py", "dead"), ("a.py", "Dead")]
