@@ -79,9 +79,9 @@ def bound_names(sources):
     return defined
 
 
-def read_names(sources):
-    """Names read in any of the ``sources``: loaded names, attributes and the
-    names that an import statement brings in."""
+def read_names(sources, aliases=False):
+    """Names read in any of the ``sources``: loaded names, attributes and,
+    with ``aliases``, the names that an import statement brings in."""
     read = set()
     for source in sources:
         for node in ast.walk(ast.parse(source)):
@@ -89,14 +89,15 @@ def read_names(sources):
                 read.add(node.id)
             elif isinstance(node, ast.Attribute):
                 read.add(node.attr)
-            elif isinstance(node, ast.alias):
+            elif aliases and isinstance(node, ast.alias):
                 read.add(node.name)
     return read
 
 
 def unread_private_names(sources):
     """``(module, name)`` of each private module-level name (one leading
-    ``_``) bound in one of the ``{module: source}`` and read in none."""
+    ``_``) bound in one of the ``{module: source}`` and read in none: as a
+    loaded name, or an attribute.  Importing a name does not read it."""
     read = read_names(sources.values())
     return [
         (module, name) for module, name in bound_names(sources)
@@ -110,17 +111,19 @@ def test_package_reads_every_private_name_it_defines():
 
 def test_the_scan_sees_an_unread_private_name():
     sources = {
-        "a.py": "_kept = 1\n_left = 2\n__version__ = '1'\n"
+        "a.py": "_kept = 1\n_left = 2\n__version__ = '1'\n_only_imported = 3\n"
                 "def _fmt(v):\n    return str(v)\n",
-        "b.py": "import a\nfrom a import _kept\nx = _kept + a._left\n",
+        "b.py": "import a\nfrom a import _kept, _only_imported  # noqa: F401\n"
+                "x = _kept + a._left\n",
     }
-    assert unread_private_names(sources) == [("a.py", "_fmt")]
+    assert unread_private_names(sources) == [("a.py", "_only_imported"), ("a.py", "_fmt")]
 
 
 def unread_public_names(sources, programs):
     """``(module, name)`` of each public module-level name bound in one of the
-    ``{module: source}`` and read in none of the ``programs`` sources."""
-    read = read_names(programs)
+    ``{module: source}`` and read in none of the ``programs`` sources: as a
+    loaded name, an attribute or an imported name."""
+    read = read_names(programs, aliases=True)
     return [
         (module, name) for module, name in bound_names(sources)
         if not name.startswith("_") and name not in read
