@@ -53,12 +53,11 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse import linalg as spla
 
 from .errors import FieldError, NumericalError, ParameterError, check_values
-from .geometry import _LOCAL_EDGES, compute_measures, mesh_cached
+from .geometry import _LOCAL_EDGES, _stable_order, compute_measures, mesh_cached
 from .geometry import gradient_matrix  # noqa: F401  unused here; perfbench/tracing.py wraps it
-from .solve import check_symmetric, solve_pinned
+from .solve import _symmetric_magnitude, solve_pinned
 from .symtensor import _SQRT2, mandel_pairs, mandel_size, sym_to_mandel
 
 logger = logging.getLogger(__name__)
@@ -109,21 +108,27 @@ class AssembledOperator:
     def validate(self, seed=0):
         """Check symmetry, positive semidefiniteness, and the constant-mode
         nullspace (plus the affine nullspace under natural conditions).
-        Each test passes only if its bound holds, so NaN fails all of them."""
-        A = check_symmetric(self.matrix)
+        Each test passes only if its bound holds, so NaN fails all of them.
+
+        Symmetry is ``solve.check_symmetric``'s test, and the ``|a|`` it
+        takes gives the bounds' scale, the infinity norm of A: the largest
+        row sum of ``|a|``, where an empty row sums to 0.  Five random
+        probes X, the constants and, under natural conditions, the
+        coordinate functions Y are applied in one product ``A @ [X' | Y]``.
+        """
+        A, magnitude = _symmetric_magnitude(self.matrix)
         n = A.shape[0]
-        norm_a = spla.norm(A, np.inf)
-        # Five random probes, then the constant and (natural) coordinate
-        # functions, each set applied in one sparse-times-dense product.
+        filled = np.flatnonzero(np.diff(A.indptr))
+        norm_a = np.add.reduceat(magnitude, A.indptr[filled]).max(initial=0.0)
         X = np.random.default_rng(seed).standard_normal((5, n))
-        for x, Ax in zip(X, (A @ X.T).T):
-            q = x @ Ax
-            if not q >= -1e-10 * norm_a * (x @ x):
-                raise NumericalError(f"operator not PSD: x'Ax = {q:.3e}")
         Y = np.ones((n, 1))
         if self.bc_kind == "natural":
             Y = np.column_stack([Y, self.mesh.vertices])
-        AY = A @ Y
+        AX, AY = np.hsplit(A @ np.hstack([X.T, Y]), [len(X)])
+        for x, Ax in zip(X, AX.T):
+            q = x @ Ax
+            if not q >= -1e-10 * norm_a * (x @ x):
+                raise NumericalError(f"operator not PSD: x'Ax = {q:.3e}")
         if not np.linalg.norm(AY[:, 0]) <= 1e-10 * norm_a * np.sqrt(n):
             raise NumericalError("constants are not in the nullspace")
         for x, Ax in zip(Y.T[1:], AY.T[1:]):
@@ -217,7 +222,7 @@ def star_blocks(mesh):
     rows = np.repeat(np.arange(nv), np.diff(star.indptr))
     source = rows.copy()
     source[star.indices > rows] = nv + np.arange(len(edges))
-    source[star.indices < rows] = nv + np.argsort(edges[:, 1], kind="stable")
+    source[star.indices < rows] = nv + _stable_order(edges[:, 1], nv)
     pattern = star @ star
     pattern.sort_indices()
     slots = np.arange(pattern.nnz, dtype=pattern.indices.dtype)

@@ -47,7 +47,7 @@ class FrameField:
     Components or weights of another shape, or not finite, raise
     ``FieldError``.  Both arrays are copied and stored read-only, as are
     ``norms`` and the cached ``forms()``, so no edit to an array passed in
-    or handed out can reach the field or its fingerprint.
+    or handed out can reach the field or its cached fingerprint.
 
     ``kind`` is ``octahedral``, ``conformal_octahedral`` or ``odeco``,
     classified from the weights.
@@ -71,6 +71,7 @@ class FrameField:
         self.kind = self._classify()
         self.norms = _freeze(self.weights.max(axis=1))
         self._forms = None
+        self._fingerprint = None
         # Generator metadata (harmonic fields): magnitude of the interpolated
         # symmetry vector, and vertices where it vanished.
         self.rep_magnitude = None
@@ -101,12 +102,16 @@ class FrameField:
         elements, components, weights).
 
         Continues from the mesh's cached hash state, so the mesh arrays are
-        hashed once per mesh, not once per call.
+        hashed once per mesh, and the digest is kept on the field, so the
+        field's arrays are hashed once per field; both are read-only, so
+        the digest cannot go stale.
         """
-        h = self.mesh.hash_state()
-        h.update(self.components.tobytes())
-        h.update(self.weights.tobytes())
-        return h.hexdigest()
+        if self._fingerprint is None:
+            h = self.mesh.hash_state()
+            h.update(self.components.tobytes())
+            h.update(self.weights.tobytes())
+            self._fingerprint = h.hexdigest()
+        return self._fingerprint
 
     def __repr__(self):
         return (

@@ -18,6 +18,13 @@ read-only copies of its vertex and element arrays, so no cached result can
 go stale; meshes are immutable after construction and safe to share across
 threads.  Only this module touches the cache.
 
+Every mesh pays these kernels on first use, so they run on long 1-D arrays:
+volumes and shape gradients on per-coordinate ``(ne,)`` columns of the
+element edges (``_edge_columns``), and row grouping on one ``np.sort`` per
+int64 key that packs the columns with the row index (``_row_groups``).
+Both give exactly the bits of the ``(ne, k, dim)`` and ``lexsort`` forms
+they replaced.
+
 Files: the extension picks the format from one table, OFF or OBJ for planar
 triangle meshes and MEDIT (``.mesh``, ``.medit``) for tetrahedral ones.  Rows
 are written as whole arrays with 17 significant digits, so a saved mesh loads
@@ -78,21 +85,44 @@ def mesh_cached(build):
     return cached
 
 
+def _stable_order(key, bound):
+    """``np.argsort(key, kind="stable")`` for integer keys in [0, bound).
+
+    Each key is packed with its index into one int64, ``key << bits |
+    index`` with ``bits`` the bit length of the largest index, so the
+    packed keys are distinct and one ``np.sort`` of them orders the keys
+    with ties in index order; the order is read back from the low bits.
+    A packed key stays below 2**63 when ``bound << bits <= 2**63``;
+    a larger ``bound`` raises ``ValueError``.
+    """
+    bits = (len(key) - 1).bit_length()
+    if int(bound) << bits > 2**63:
+        raise ValueError(f"keys below {bound} do not pack with {bits} index bits")
+    packed = key.astype(np.int64) << bits
+    packed |= np.arange(len(key))
+    packed.sort()
+    packed &= (1 << bits) - 1
+    return packed
+
+
 def _row_groups(rows, bound):
     """Group equal rows of an integer array whose entries lie in [0, bound).
 
     Returns the lexicographic sort order of the rows and the positions in
     that order where each run of equal rows starts.  The columns are packed,
     in base ``bound``, into int64 keys of m adjacent columns each, with m as
-    large as keeps every key below 2**63 (``bound**m <= 2**63``): one key
-    holds a whole row while ``bound`` is at most 3,037,000,499 for two
-    columns, 2**21 for three and 55,108 for four.  Stable argsorts of the
-    keys, last to first, give exactly the order of a ``lexsort`` of the
-    columns, ties in index order included, for a fraction of its cost.
+    large as leaves room for ``_stable_order``'s row index below 2**63
+    (``bound**m << bits <= 2**63``, ``bits`` the bit length of the last row
+    index): with up to 2**20 rows one key holds a whole row while
+    ``bound`` is at most 2,965,820 for two columns, 20,642 for three and
+    1,722 for four.  Stable orders of the keys, last to first, give exactly the
+    order of a ``lexsort`` of the columns, ties in index order included,
+    for a fraction of its cost.
     """
     bound = int(bound)
+    bits = (len(rows) - 1).bit_length()
     width = 1
-    while width < rows.shape[1] and bound ** (width + 1) <= 2**63:
+    while width < rows.shape[1] and bound ** (width + 1) << bits <= 2**63:
         width += 1
     keys = []
     for first in range(0, rows.shape[1], width):
@@ -101,9 +131,9 @@ def _row_groups(rows, bound):
             key *= bound
             key += column
         keys.append(key)
-    order = np.argsort(keys[-1], kind="stable")
+    order = _stable_order(keys[-1], bound**width)
     for key in keys[-2::-1]:
-        order = order[np.argsort(key[order], kind="stable")]
+        order = order[_stable_order(key[order], bound**width)]
     new = np.zeros(len(rows), dtype=bool)
     for key in keys:
         ranked = key[order]
@@ -314,21 +344,18 @@ class SimplicialMesh:
         Row i >= 1 is row i of the inverse of the edge matrix with columns
         ``p_i - p_0``, taken in closed form: the adjugate over the
         determinant in 2D, and the cross products of the other two edges
-        over the determinant in 3D.
+        over the determinant in 3D.  Row 0 is minus the sum of rows 1 to
+        dim, added in that order.
         """
-        p = self.vertices[self.elements]
-        e = p[:, 1:, :] - p[:, :1, :]  # rows p_i - p_0
+        e = _edge_columns(self.vertices, self.elements)
+        rows = [_adjugate_row(e, i) for i in range(self.dim)]
+        det = _dot(e[0], rows[0])
         g = np.empty((self.num_elements, self.dim + 1, self.dim))
-        if self.dim == 2:
-            g[:, 1, 0], g[:, 1, 1] = e[:, 1, 1], -e[:, 1, 0]
-            g[:, 2, 0], g[:, 2, 1] = -e[:, 0, 1], e[:, 0, 0]
-        else:
-            g[:, 1] = np.cross(e[:, 1], e[:, 2])
-            g[:, 2] = np.cross(e[:, 2], e[:, 0])
-            g[:, 3] = np.cross(e[:, 0], e[:, 1])
-        det = np.einsum("ei,ei->e", e[:, 0], g[:, 1])
-        g[:, 1:] /= det[:, None, None]
-        g[:, 0] = -np.sum(g[:, 1:], axis=1)
+        for c in range(self.dim):
+            column = [row[c] / det for row in rows]
+            g[:, 0, c] = -functools.reduce(np.add, column)
+            for i, gi in enumerate(column, 1):
+                g[:, i, c] = gi
         return g
 
     @mesh_cached
@@ -471,15 +498,41 @@ def mean_edge_length(mesh):
     return float(np.mean(np.linalg.norm(d, axis=1)))
 
 
+def _edge_columns(vertices, elements):
+    """The edges ``p_i - p_0``, i = 1 to dim, of every simplex as coordinate
+    columns: ``e[i - 1][c]`` is the ``(ne,)`` array of their coordinate c.
+    Kernels on these long columns run several times faster than on
+    ``(ne, dim, dim)`` arrays, whose trailing axes hold 2 or 3 entries."""
+    x = vertices.T
+    first, *others = elements.T
+    origin = [xc[first] for xc in x]
+    return [[xc[i] - oc for xc, oc in zip(x, origin)] for i in others]
+
+
+def _adjugate_row(e, i):
+    """Row i of the adjugate of the edge matrix whose columns are the edge
+    columns ``e``: orthogonal to every edge but ``e[i]``, whose dot product
+    with it is the determinant."""
+    if len(e) == 2:
+        return (e[1][1], -e[1][0]) if i == 0 else (-e[0][1], e[0][0])
+    a, b = e[(i + 1) % 3], e[(i + 2) % 3]
+    return (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0])
+
+
+def _dot(a, b):
+    """The dot product of two vectors of columns, summed as
+    ``einsum("ei,ei->e")`` sums rows of 2 and 3 entries on numpy 2.4:
+    x0 + x1, and (x0 + x2) + x1, so volumes keep their bits."""
+    x = [ac * bc for ac, bc in zip(a, b)]
+    return x[0] + x[1] if len(x) == 2 else (x[0] + x[2]) + x[1]
+
+
 def _edge_determinants(vertices, elements):
     """Determinant of each simplex's edge matrix (columns p_i - p_0): dim!
     times its signed volume, positive for counterclockwise triangles and
     right-handed tetrahedra."""
-    p = vertices[elements]
-    edges = p[:, 1:, :] - p[:, :1, :]
-    if vertices.shape[1] == 2:
-        return edges[:, 0, 0] * edges[:, 1, 1] - edges[:, 0, 1] * edges[:, 1, 0]
-    return np.einsum("ei,ei->e", edges[:, 0], np.cross(edges[:, 1], edges[:, 2]))
+    e = _edge_columns(vertices, elements)
+    return _dot(e[0], _adjugate_row(e, 0))
 
 
 def _orient_elements(vertices, elements):
@@ -492,7 +545,9 @@ def _orient_elements(vertices, elements):
 
 # Child simplices of the midpoint refinement as rows of local node indices:
 # the element's vertices come first, then its edge midpoints in the order of
-# _LOCAL_EDGES.
+# _LOCAL_EDGES.  The orientation of a child relative to its parent is fixed,
+# so every row is listed in the order that makes the child of a positive
+# parent positive.
 _LOCAL_EDGES = {
     2: ((0, 1), (1, 2), (2, 0)),
     3: ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)),
@@ -501,16 +556,16 @@ _LOCAL_EDGES = {
 # triangles opposite its vertices 0 to 3.
 _LOCAL_FACETS = {2: _LOCAL_EDGES[2], 3: ((1, 2, 3), (0, 3, 2), (0, 1, 3), (0, 2, 1))}
 _TRI_CHILDREN = np.array([[0, 3, 5], [1, 4, 3], [2, 5, 4], [3, 4, 5]])
-_TET_CORNERS = np.array([[0, 4, 5, 6], [1, 4, 7, 8], [2, 5, 7, 9], [3, 6, 8, 9]])
+_TET_CORNERS = np.array([[0, 4, 5, 6], [1, 4, 8, 7], [2, 5, 7, 9], [3, 6, 9, 8]])
 # Octahedron diagonals (m01, m23), (m02, m13), (m03, m12), and for each the
 # four tets it spans with the ring midpoint pairs whose parent edges share
 # an endpoint.
 _OCTA_DIAGONALS = np.array([[4, 9], [5, 8], [6, 7]])
 _OCTA_SPLITS = np.array(
     [
-        [[4, 9, 5, 6], [4, 9, 5, 7], [4, 9, 6, 8], [4, 9, 7, 8]],
-        [[5, 8, 4, 6], [5, 8, 4, 7], [5, 8, 6, 9], [5, 8, 7, 9]],
-        [[6, 7, 4, 5], [6, 7, 4, 8], [6, 7, 5, 9], [6, 7, 8, 9]],
+        [[4, 9, 5, 6], [4, 9, 7, 5], [4, 9, 6, 8], [4, 9, 8, 7]],
+        [[5, 8, 6, 4], [5, 8, 4, 7], [5, 8, 9, 6], [5, 8, 7, 9]],
+        [[6, 7, 4, 5], [6, 7, 8, 4], [6, 7, 5, 9], [6, 7, 9, 8]],
     ]
 )
 
@@ -524,6 +579,8 @@ def refine_uniform(mesh):
     The central octahedron of each tetrahedron is split along its shortest
     diagonal to bound aspect-ratio degradation.  Children are listed parent
     by parent: for a tetrahedron its four corner tets, then the octahedron's.
+    Their vertex order comes from fixed tables, which orient the children
+    of a positive parent positively with no determinant evaluated.
 
     The refined mesh records the coarse edge behind each appended vertex in
     ``parent_edges``, which supports exact linear prolongation
@@ -550,9 +607,7 @@ def refine_uniform(mesh):
         octa = np.take_along_axis(nodes, split.reshape(len(t), 16), axis=1)
         children = np.hstack([nodes[:, _TET_CORNERS.ravel()], octa])
 
-    new_elements = children.reshape(-1, mesh.dim + 1)
-    new_elements = _orient_elements(vertices, new_elements)
-    fine = SimplicialMesh(vertices, new_elements)
+    fine = SimplicialMesh(vertices, children.reshape(-1, mesh.dim + 1))
     fine.parent_edges = edges  # read-only, so it can be shared
     return fine
 

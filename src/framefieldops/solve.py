@@ -51,20 +51,46 @@ DENSE_THRESHOLD = 3000  # unused here; perfbench/workloads.py labels records wit
 def check_symmetric(A, tol=1e-12):
     """Validate and return a CSR matrix that is symmetric within tolerance.
 
+    The matrix returned is canonical: an input with unsorted or duplicate
+    entries is summed on a copy, so the input itself is never written.
+
     Raises
     ------
     NumericalError
         Unless ``max |a_ij - a_ji| <= tol * max |a|``, so a NaN entry fails.
     """
+    return _symmetric_magnitude(A, tol)[0]
+
+
+def _symmetric_magnitude(A, tol=1e-12):
+    """``check_symmetric(A, tol)`` and ``|a|`` over its stored entries.
+
+    ``|a|`` is taken once and gives the scale.  The transpose's canonical
+    CSR arrays are ``A.tocsc()``'s, so where they have A's pattern the
+    asymmetry is the largest ``|a - a'|`` over the stored entries; only
+    where the patterns differ, as for an entry with no mirror, is
+    ``A - A'`` formed.
+    """
     A = sparse.csr_matrix(A)
-    scale = max(abs(A).max() if A.nnz else 0.0, 1e-300)
-    gap = abs(A - A.T).max() if A.nnz else 0.0
+    if not A.has_canonical_format:
+        A = A.copy()
+        A.sum_duplicates()
+    magnitude = np.abs(A.data)
+    scale = max(magnitude.max() if A.nnz else 0.0, 1e-300)
+    gap = 0.0
+    if A.nnz:
+        T = A.tocsc()
+        if np.array_equal(A.indptr, T.indptr) and np.array_equal(A.indices, T.indices):
+            with np.errstate(invalid="ignore"):  # inf - inf is NaN, and fails
+                gap = np.abs(A.data - T.data).max()
+        else:
+            gap = abs(A - A.T).max()
     if not gap <= tol * scale:
         raise NumericalError(
             f"matrix is not symmetric: asymmetry {gap:.3e} exceeds "
             f"{tol:.0e} * max|a| = {tol * scale:.3e}"
         )
-    return A
+    return A, magnitude
 
 
 def _prescribed(names, indices, values, n):

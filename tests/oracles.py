@@ -15,7 +15,10 @@ conditions, is built on it.  The mesh-cache references take the slow
 general route the closed forms replaced: a LAPACK inverse per element,
 ``np.unique`` over edge rows, a ``lexsort`` over every column to group
 rows, a BSR middle matrix times the transpose view of K, and one
-sequential hash over every array.  The tensor checks (the
+sequential hash over every array.  Here the geometry kernels work on
+``(ne, k, dim)`` arrays, refinement orients each child by the sign of its
+determinant, and the symmetry and operator checks take the asymmetry from
+``abs(A - A.T)`` and the infinity norm from scipy.  The tensor checks (the
 spectral norm of an odeco frame and the full-symmetry violation of a form),
 the inverse Mandel map, the boundary alignment in matrix form
 and the forward Jacobian of a conformal map have no caller in the package.
@@ -29,11 +32,17 @@ import itertools
 import numpy as np
 from scipy import sparse
 from scipy.linalg import block_diag, eigh, lu_factor, lu_solve
+from scipy.sparse import linalg as spla
 
 from framefieldops import OdecoFrame, compute_measures
 from framefieldops.errors import FieldError
 from framefieldops.fem import build_mixed_system, projected_middle_blocks
-from framefieldops.geometry import SimplicialMesh, _orient_elements, gradient_matrix
+from framefieldops.geometry import (
+    _OCTA_DIAGONALS,
+    SimplicialMesh,
+    _orient_elements,
+    gradient_matrix,
+)
 from framefieldops.symtensor import (
     _SQRT2,
     mandel_pairs,
@@ -297,6 +306,108 @@ def shape_gradients_by_inv(mesh):
     g[:, 1:, :] = Einv  # row i of E^-1 is grad of barycentric coord i
     g[:, 0, :] = -np.sum(Einv, axis=1)
     return g
+
+
+def edge_determinants_by_rows(vertices, elements):
+    """Edge-matrix determinants from the ``(ne, dim, dim)`` array of each
+    simplex's edges p_i - p_0: the 2D cross product, or ``einsum`` of the
+    first edge with ``np.cross`` of the other two."""
+    p = vertices[elements]
+    edges = p[:, 1:, :] - p[:, :1, :]
+    if vertices.shape[1] == 2:
+        return edges[:, 0, 0] * edges[:, 1, 1] - edges[:, 0, 1] * edges[:, 1, 0]
+    return np.einsum("ei,ei->e", edges[:, 0], np.cross(edges[:, 1], edges[:, 2]))
+
+
+def shape_gradients_by_rows(mesh):
+    """Shape gradients in closed form on ``(ne, k, dim)`` arrays: the
+    adjugate rows by ``np.cross`` (3D) or a quarter turn (2D) written into
+    the gradient array, divided by the ``einsum`` determinant, and row 0 as
+    minus ``np.sum`` of the others."""
+    p = mesh.vertices[mesh.elements]
+    e = p[:, 1:, :] - p[:, :1, :]  # rows p_i - p_0
+    g = np.empty((mesh.num_elements, mesh.dim + 1, mesh.dim))
+    if mesh.dim == 2:
+        g[:, 1, 0], g[:, 1, 1] = e[:, 1, 1], -e[:, 1, 0]
+        g[:, 2, 0], g[:, 2, 1] = -e[:, 0, 1], e[:, 0, 0]
+    else:
+        g[:, 1] = np.cross(e[:, 1], e[:, 2])
+        g[:, 2] = np.cross(e[:, 2], e[:, 0])
+        g[:, 3] = np.cross(e[:, 0], e[:, 1])
+    det = np.einsum("ei,ei->e", e[:, 0], g[:, 1])
+    g[:, 1:] /= det[:, None, None]
+    g[:, 0] = -np.sum(g[:, 1:], axis=1)
+    return g
+
+
+# Children of the midpoint refinement in local node order (vertices, then
+# edge midpoints in _LOCAL_EDGES order), listed with no regard to their
+# orientation.
+_TRI_CHILDREN = np.array([[0, 3, 5], [1, 4, 3], [2, 5, 4], [3, 4, 5]])
+_TET_CORNERS = np.array([[0, 4, 5, 6], [1, 4, 7, 8], [2, 5, 7, 9], [3, 6, 8, 9]])
+_OCTA_SPLITS = np.array(
+    [
+        [[4, 9, 5, 6], [4, 9, 5, 7], [4, 9, 6, 8], [4, 9, 7, 8]],
+        [[5, 8, 4, 6], [5, 8, 4, 7], [5, 8, 6, 9], [5, 8, 7, 9]],
+        [[6, 7, 4, 5], [6, 7, 4, 8], [6, 7, 5, 9], [6, 7, 8, 9]],
+    ]
+)
+
+
+def refine_uniform_by_orientation(mesh):
+    """Midpoint refinement from child tables that ignore orientation, each
+    child then oriented by the sign of its determinant
+    (``_orient_elements``, which swaps the last two vertices)."""
+    edges = mesh.edges()
+    nv = mesh.num_vertices
+    midpoints = 0.5 * (mesh.vertices[edges[:, 0]] + mesh.vertices[edges[:, 1]])
+    vertices = np.vstack([mesh.vertices, midpoints])
+    nodes = np.hstack([mesh.elements, mesh.element_edges() + np.int64(nv)])
+    if mesh.dim == 2:
+        children = nodes[:, _TRI_CHILDREN]
+    else:
+        ends = vertices[nodes[:, _OCTA_DIAGONALS]]
+        d = ends[:, :, 0] - ends[:, :, 1]
+        split = _OCTA_SPLITS[np.argmin(np.sqrt(np.vecdot(d, d)), axis=1)]
+        octa = np.take_along_axis(nodes, split.reshape(len(nodes), 16), axis=1)
+        children = np.hstack([nodes[:, _TET_CORNERS.ravel()], octa])
+    elements = _orient_elements(vertices, children.reshape(-1, mesh.dim + 1))
+    return SimplicialMesh(vertices, elements)
+
+
+def symmetric_by_difference(A, tol=1e-12):
+    """Whether ``max |a_ij - a_ji| <= tol * max |a|``, with both maxima
+    taken by scipy on ``abs(A)`` and ``abs(A - A.T)`` of a copy of A."""
+    A = sparse.csr_matrix(A, copy=True)  # scipy's abs sums duplicates in place
+    scale = max(abs(A).max() if A.nnz else 0.0, 1e-300)
+    gap = abs(A - A.T).max() if A.nnz else 0.0
+    return bool(gap <= tol * scale)
+
+
+def valid_by_difference(op, seed=0):
+    """Whether ``op`` passes the checks of ``AssembledOperator.validate``,
+    with symmetry by ``symmetric_by_difference``, the infinity norm by
+    ``scipy.sparse.linalg.norm`` and the random probes, the constants and
+    the coordinate functions each applied in a product of their own."""
+    A = sparse.csr_matrix(op.matrix, copy=True)
+    A.sum_duplicates()
+    if not symmetric_by_difference(A):
+        return False
+    n = A.shape[0]
+    norm_a = spla.norm(A, np.inf)
+    X = np.random.default_rng(seed).standard_normal((5, n))
+    if not all(x @ Ax >= -1e-10 * norm_a * (x @ x) for x, Ax in zip(X, (A @ X.T).T)):
+        return False
+    Y = np.ones((n, 1))
+    if op.bc_kind == "natural":
+        Y = np.column_stack([Y, op.mesh.vertices])
+    AY = A @ Y
+    if not np.linalg.norm(AY[:, 0]) <= 1e-10 * norm_a * np.sqrt(n):
+        return False
+    return all(
+        np.linalg.norm(Ax) <= 1e-8 * norm_a * np.linalg.norm(x)
+        for x, Ax in zip(Y.T[1:], AY.T[1:])
+    )
 
 
 def edges_by_unique(mesh):

@@ -380,8 +380,9 @@ def test_fingerprint_changes_with_mesh():
 
 
 def test_fingerprint_matches_sequential_hash(disk_mesh, disk_harmonic_field, small_ball_mesh):
-    # two fields per mesh, each hashed twice: the cached mesh state must be
-    # extended by copy, never in place
+    # two fields per mesh, each hashed twice: the first call must extend a
+    # copy of the cached mesh state, never the state itself, and the second
+    # returns the digest kept on the field
     fields = [
         disk_harmonic_field,
         ff.constant_field(disk_mesh, rotation_frame_2d(0.7, (1.0, 0.2))),

@@ -8,7 +8,13 @@ from hypothesis import strategies as st
 
 import framefieldops as ff
 from framefieldops import meshgen
-from framefieldops.geometry import _LOCAL_EDGES, _row_groups, prolong_linear
+from framefieldops.geometry import (
+    _LOCAL_EDGES,
+    _edge_determinants,
+    _row_groups,
+    _stable_order,
+    prolong_linear,
+)
 from framefieldops.vtkio import write_vtk
 
 from oracles import (
@@ -16,10 +22,13 @@ from oracles import (
     boundary_facets_by_unique,
     box_by_loops,
     disk_by_loops,
+    edge_determinants_by_rows,
     edges_by_unique,
     gradient_dense,
+    refine_uniform_by_orientation,
     row_groups_by_lexsort,
     shape_gradients_by_inv,
+    shape_gradients_by_rows,
     structured_square_by_loops,
 )
 
@@ -224,15 +233,16 @@ def test_validation_errors():
         )
 
 
-# The largest bound for which rows of each width pack into one int64 key.
-PACKING_LIMITS = {2: 3_037_000_499, 3: 2**21, 4: 55_108}
+# The largest bound for which rows of each width pack into one int64 key
+# next to the index of one of 500 rows (9 bits).
+PACKING_LIMITS = {2: 134_217_728, 3: 262_144, 4: 11_585}
 
 
 @pytest.mark.parametrize("width, limit", sorted(PACKING_LIMITS.items()))
 @pytest.mark.parametrize("where", ["small", "at", "past"])
 def test_row_groups_match_lexsort_oracle(width, limit, where):
     # past the limit the columns are split over two keys
-    assert limit**width <= 2**63 < (limit + 1) ** width
+    assert limit**width << 9 <= 2**63 < (limit + 1) ** width << 9
     bound = {"small": 7, "at": limit, "past": limit + 1}[where]
     rng = np.random.default_rng(width)
     # Few values per column, the largest among them, so that equal rows lie
@@ -245,6 +255,22 @@ def test_row_groups_match_lexsort_oracle(width, limit, where):
     assert np.array_equal(order, expect_order)
     assert np.array_equal(starts, expect_starts)
     assert len(starts) == len(np.unique(rows, axis=0)) < len(rows)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 64, 65, 4096, 4097])
+def test_stable_order_matches_stable_argsort(n):
+    # the index takes (n - 1).bit_length() bits, so the largest bound that
+    # packs fills all 63 bits with key and index
+    bits = (n - 1).bit_length()
+    rng = np.random.default_rng(n)
+    for bound in (1, 5, 2**63 >> bits):
+        values = np.array([0, bound // 2, bound - 1])
+        keys = values[rng.integers(len(values), size=n)]
+        order = _stable_order(keys, bound)
+        assert order.dtype == np.int64
+        assert np.array_equal(order, np.argsort(keys, kind="stable"))
+    with pytest.raises(ValueError):
+        _stable_order(keys, (2**63 >> bits) + 1)
 
 
 def test_measures_square(unit_square_mesh):
@@ -471,6 +497,52 @@ def test_shape_gradients_match_inverse_oracle(dim):
         ref = shape_gradients_by_inv(mesh)
         scale = np.abs(ref).max(axis=(1, 2))[:, None, None]
         assert (np.abs(mesh.shape_gradients() - ref) / scale).max() <= 1e-13
+
+
+def _bits(array):
+    return np.ascontiguousarray(array).view(np.uint64)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_column_kernels_match_row_oracles_bitwise(dim):
+    R = ff.refine_uniform
+    if dim == 2:
+        meshes = [R(R(meshgen.disk(16))), meshgen.jittered_delaunay(2, 12, seed=5)]
+    else:
+        meshes = [R(R(meshgen.ball())), meshgen.jittered_delaunay(3, 6, seed=5),
+                  meshgen.box(3, 4, 5)]
+    for mesh in meshes:
+        dets = _edge_determinants(mesh.vertices, mesh.elements)
+        expect = edge_determinants_by_rows(mesh.vertices, mesh.elements)
+        assert np.array_equal(_bits(dets), _bits(expect))
+        g = mesh.shape_gradients()
+        assert g.shape == (mesh.num_elements, dim + 1, dim) and g.flags.c_contiguous
+        assert np.array_equal(_bits(g), _bits(shape_gradients_by_rows(mesh)))
+
+
+def _refinement_cases():
+    R = ff.refine_uniform
+    balls = [meshgen.ball()]
+    for _ in range(3):
+        balls.append(R(balls[-1]))
+    return [
+        meshgen.disk(8),
+        R(meshgen.disk(8)),
+        meshgen.structured_square(7),
+        meshgen.jittered_delaunay(2, 10, seed=2),
+        meshgen.jittered_delaunay(3, 5, seed=2),
+        meshgen.box(2, 3, 4),
+        *balls,
+    ]
+
+
+def test_refinement_orients_children_like_the_determinant_oracle():
+    for mesh in _refinement_cases():
+        fine = ff.refine_uniform(mesh)
+        expect = refine_uniform_by_orientation(mesh)
+        assert np.array_equal(fine.vertices, expect.vertices)
+        assert np.array_equal(fine.elements, expect.elements)
+        assert np.array_equal(_bits(fine.element_volumes), _bits(expect.element_volumes))
 
 
 def test_edges_match_unique_oracle():

@@ -12,7 +12,7 @@ from framefieldops import solve as solve_module
 from framefieldops.errors import NumericalError, ParameterError
 from framefieldops.solve import check_symmetric
 
-from oracles import box_qp_active_set, dense_eigs
+from oracles import box_qp_active_set, dense_eigs, symmetric_by_difference, valid_by_difference
 
 
 def test_check_symmetric():
@@ -20,6 +20,124 @@ def test_check_symmetric():
     with pytest.raises(NumericalError):
         check_symmetric(A + 2 * A.T)
     check_symmetric(A + A.T)
+
+
+def _csr(n, entries):
+    """An n x n CSR matrix of the (i, j, value) ``entries``, kept row by row
+    in the order given, so unsorted columns and duplicates stay."""
+    rows, cols, values = np.array(entries, dtype=float).reshape(-1, 3).T
+    order = np.argsort(rows, kind="stable")
+    indptr = np.searchsorted(rows[order], np.arange(n + 1))
+    return sparse.csr_matrix(
+        (values[order], cols[order].astype(np.int32), indptr.astype(np.int32)), shape=(n, n)
+    )
+
+
+_SYMMETRIC = [(0, 0, 4.0), (0, 1, -1.0), (0, 3, 0.5), (1, 0, -1.0), (1, 1, 4.0),
+              (1, 2, -1.0), (2, 1, -1.0), (2, 2, 4.0), (3, 0, 0.5), (3, 3, 2.0)]
+
+
+def _without(*positions):
+    return [e for e in _SYMMETRIC if e[:2] not in positions]
+
+
+# Entry lists and whether they are symmetric within 1e-12 of max |a|.
+SYMMETRY_CASES = {
+    "symmetric": (_SYMMETRIC, True),
+    "asymmetric_values": (_without((1, 2)) + [(1, 2, -1.0 + 1e-9)], False),
+    "round_off_asymmetry": (_without((1, 2)) + [(1, 2, -1.0 + 1e-15)], True),
+    "entry_without_mirror": (_SYMMETRIC + [(2, 3, 1e-3)], False),
+    "explicit_zero_without_mirror": (_SYMMETRIC + [(2, 3, 0.0)], True),
+    "nan": (_without((3, 3)) + [(3, 3, np.nan)], False),
+    "nan_without_mirror": (_SYMMETRIC + [(2, 3, np.nan)], False),
+    "infinite_pair": (_without((0, 3), (3, 0)) + [(0, 3, np.inf), (3, 0, np.inf)], False),
+    "unsorted": (_SYMMETRIC[::-1], True),
+    "duplicates": (_without((1, 2)) + [(1, 2, -0.75), (1, 0, 0.0), (1, 2, -0.25)], True),
+    "asymmetric_duplicates": (_without((1, 2)) + [(1, 2, -0.5), (1, 2, -0.6)], False),
+    # the scale is max |a| after summing, not the sum of |a| over duplicates
+    "cancelling_duplicates": (
+        _SYMMETRIC + [(2, 3, 1e6), (2, 4, 1e-7), (2, 3, -1e6), (3, 2, 0.0)], False),
+    "empty": ([], True),
+}
+
+
+def _passes(check, *args):
+    try:
+        check(*args)
+    except NumericalError:
+        return False
+    return True
+
+
+def _read_only(A):
+    """``A`` with its arrays made read-only, and copies of them."""
+    saved = [a.copy() for a in (A.data, A.indices, A.indptr)]
+    for a in (A.data, A.indices, A.indptr):
+        a.flags.writeable = False
+    return A, saved
+
+
+def _unchanged(A, saved):
+    return all(
+        np.array_equal(a, b, equal_nan=True)
+        for a, b in zip((A.data, A.indices, A.indptr), saved)
+    )
+
+
+@pytest.mark.parametrize("name", sorted(SYMMETRY_CASES))
+def test_check_symmetric_matches_difference_oracle(name):
+    entries, symmetric = SYMMETRY_CASES[name]
+    A, saved = _read_only(_csr(6, entries))
+    assert symmetric_by_difference(A) == symmetric
+    assert _passes(check_symmetric, A) == symmetric
+    assert _unchanged(A, saved)
+    if symmetric:
+        B = check_symmetric(A)
+        assert B.has_canonical_format
+        assert np.array_equal(B.toarray(), A.toarray())
+
+
+def _operator_cases(op):
+    """Matrices derived from ``op.matrix`` and whether ``op`` with each of
+    them passes ``validate``."""
+    A = op.matrix.tocoo()
+    entries = list(zip(A.row.tolist(), A.col.tolist(), A.data.tolist()))
+    n = A.shape[0]
+    i, j, v = next(e for e in entries if e[0] != e[1])
+    pattern = set(zip(A.row.tolist(), A.col.tolist()))
+    unmirrored = next((a, b) for a in range(n) for b in range(n) if (b, a) not in pattern)
+    split = [(a, b, w) for a, b, w in entries if (a, b) != (i, j)]
+    return {
+        "operator": (entries, True),
+        "asymmetric_values": (split + [(i, j, v + 1e-9 * abs(A.data).max())], False),
+        "entry_without_mirror": (entries + [(*unmirrored, 1e-3)], False),
+        "explicit_zero_without_mirror": (entries + [(*unmirrored, 0.0)], True),
+        "nan": (split + [(i, j, np.nan)], False),
+        "unsorted_duplicates": ((split + [(i, j, 0.5 * v), (i, j, 0.5 * v)])[::-1], True),
+    }
+
+
+def test_validate_matches_difference_oracle(disk_mesh, disk_harmonic_field):
+    # a disjoint triangle of boundary vertices, last in the vertex order:
+    # under natural conditions their rows are empty, and count 0 in the norm
+    nv = disk_mesh.num_vertices
+    lone = ff.SimplicialMesh(
+        np.vstack([disk_mesh.vertices, [[5.0, 0.0], [6.0, 0.0], [5.0, 1.0]]]),
+        np.vstack([disk_mesh.elements, [[nv, nv + 1, nv + 2]]]),
+    )
+    ops = [
+        ff.assemble_operator(disk_mesh, disk_harmonic_field, 0.1, "natural"),
+        ff.assemble_operator(disk_mesh, disk_harmonic_field, 0.1, "neumann"),
+        ff.assemble_operator(lone, ff.constant_field(lone, ff.axis_frame(2)), 0.1, "natural"),
+    ]
+    assert np.array_equal(np.flatnonzero(np.diff(ops[2].matrix.indptr) == 0), nv + np.arange(3))
+    for op in ops:
+        for name, (entries, valid) in _operator_cases(op).items():
+            A, saved = _read_only(_csr(op.matrix.shape[0], entries))
+            broken = dataclasses.replace(op, matrix=A)
+            assert valid_by_difference(broken) == valid, name
+            assert _passes(broken.validate) == valid, name
+            assert _unchanged(A, saved), name
 
 
 def _with_nan(A):
