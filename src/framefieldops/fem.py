@@ -57,7 +57,7 @@ from scipy import sparse
 from .errors import FieldError, NumericalError, ParameterError, check_values
 from .geometry import _LOCAL_EDGES, _stable_order, compute_measures, mesh_cached
 from .geometry import gradient_matrix  # noqa: F401  unused here; perfbench/tracing.py wraps it
-from .solve import _symmetric_magnitude, solve_pinned
+from .solve import _row_sums, _symmetric_magnitude, solve_pinned
 from .symtensor import _SQRT2, mandel_pairs, mandel_size, sym_to_mandel
 
 logger = logging.getLogger(__name__)
@@ -118,8 +118,7 @@ class AssembledOperator:
         """
         A, magnitude = _symmetric_magnitude(self.matrix)
         n = A.shape[0]
-        filled = np.flatnonzero(np.diff(A.indptr))
-        norm_a = np.add.reduceat(magnitude, A.indptr[filled]).max(initial=0.0)
+        norm_a = _row_sums(A, magnitude).max(initial=0.0)
         X = np.random.default_rng(seed).standard_normal((5, n))
         Y = np.ones((n, 1))
         if self.bc_kind == "natural":
@@ -176,23 +175,33 @@ def _entries(M, rows, cols):
 def _pair_sums(mesh):
     """K's blocks ``sum_e vol_e mandel(sym(g_a g_b'))`` as an ``(m, nv + E)``
     array: column v holds the pair (v, v), column nv + i edge i.  A function
-    of its own, so its temporaries are freed before A's pattern is built."""
+    of its own, so its temporaries are freed before A's pattern is built.
+
+    The gradients are read as contiguous ``(ne,)`` columns, one per local
+    vertex and coordinate.  Each pair's forms fill an ``(ne, k)`` array
+    one local vertex or local edge at a time, so ``np.bincount`` sums them
+    element by element in the order of ``mesh.elements`` or
+    ``element_edges``."""
     nv, dim = mesh.num_vertices, mesh.dim
-    g = mesh.shape_gradients()
-    vol = mesh.element_volumes[:, None]
-    ends = np.array(_LOCAL_EDGES[dim]).T
+    g = np.ascontiguousarray(np.moveaxis(mesh.shape_gradients(), 0, -1))
+    vol = mesh.element_volumes
     pairs = mandel_pairs(dim)
     sums = np.zeros((len(pairs), nv + len(mesh.edges())))
     # every vertex with itself, then the local edges
-    for target, ga, gb in (
-        (mesh.elements, g, g),
-        (mesh.element_edges() + np.int64(nv), g[:, ends[0]], g[:, ends[1]]),
+    for target, local in (
+        (mesh.elements, [(a, a) for a in range(dim + 1)]),
+        (mesh.element_edges() + np.int64(nv), _LOCAL_EDGES[dim]),
     ):
+        target = target.ravel()
+        form = np.empty((len(vol), len(local)))
         for c, (i, j) in enumerate(pairs):
-            form = ga[..., i] * gb[..., j]
-            form += ga[..., j] * gb[..., i]
-            form *= vol * (0.5 if i == j else 1.0 / _SQRT2)
-            sums[c] += np.bincount(target.ravel(), form.ravel(), sums.shape[1])
+            weight = vol * (0.5 if i == j else 1.0 / _SQRT2)
+            for column, (a, b) in enumerate(local):
+                entry = g[a, i] * g[b, j]
+                entry += g[a, j] * g[b, i]
+                entry *= weight
+                form[:, column] = entry
+            sums[c] += np.bincount(target, form.ravel(), sums.shape[1])
     return sums
 
 

@@ -64,8 +64,15 @@ class FrameField:
         self.weights = _freeze(np.array(weights))
         if not np.all(self.weights >= 0):
             raise FieldError("frame weights must be nonnegative")
-        gram = np.einsum("vad,vbd->vab", self.components, self.components)
-        if not np.max(np.abs(gram - np.eye(dim))) <= 1e-8:
+        # every Gram entry within 1e-8 of the identity's, one pair of
+        # components at a time over contiguous per-vertex columns
+        columns = np.ascontiguousarray(np.moveaxis(self.components, 0, -1))
+        worst = max(
+            np.abs((columns[a] * columns[b]).sum(axis=0) - (a == b)).max(initial=0.0)
+            for a in range(dim)
+            for b in range(a + 1)
+        )
+        if not worst <= 1e-8:
             raise FieldError("frame components are not orthonormal per vertex")
 
         self.kind = self._classify()

@@ -11,6 +11,23 @@ QP is one ``solve_pinned``; ``eigs_generalized`` factors ``A + |sigma| M``
 once and hands its solves to ARPACK's shift-invert Lanczos.  There is no
 dense or iterative alternative.
 
+``_factorize`` is the one place where a matrix becomes a band, and it
+reads the canonical CSR arrays of the assembled matrix as they are: no
+system is summed as a sparse matrix and no block of it is copied out.  It
+takes the entries kept, in band order, a scale tau and a diagonal d, and
+places ``tau A + diag(d)`` on the kept entries in the band:
+
+- ``diffuse``'s ``M + tau A`` scales A's entries by tau and adds M to the
+  band's diagonal row;
+- ``eigs_generalized``'s ``A - sigma M`` adds ``-sigma M`` to that row;
+- ``solve_pinned`` on an operator keeps the free entries and masks out the
+  pinned rows and columns.  One product of A with the pinned values in
+  place gives its right-hand side, and one more, after the solve, the
+  residual of the free rows.
+
+Each band equals, bit for bit, the one of the same system summed or
+extracted with scipy first.
+
 M is a positive diagonal, so ``A phi = lambda M phi`` is the standard
 problem of ``M^-1/2 A M^-1/2`` for ``psi = M^1/2 phi``.  ARPACK runs on
 that standard form in the factor's band order, with no products with M;
@@ -23,10 +40,10 @@ pinned solve (Dirichlet and harmonic-field interiors, a QP's inactive
 set).  A system on a mesh's vertices is factored in the mesh's
 ``vertex_order``, reverse Cuthill-McKee on the vertex graph, restricted to
 the free entries of a pinned solve; a matrix without a mesh in reverse
-Cuthill-McKee of its own graph.  In these orders the band is narrow (2n + 2
-for the fourth-order operators on ``structured_square(n)``), and LAPACK's
-blocked banded Cholesky factors it several times faster than a general
-sparse LU.
+Cuthill-McKee of its own graph, which for a pinned solve is the graph of
+its free block.  In these orders the band is narrow (2n + 2 for the
+fourth-order operators on ``structured_square(n)``), and LAPACK's blocked
+banded Cholesky factors it several times faster than a general sparse LU.
 """
 
 import itertools
@@ -71,10 +88,7 @@ def _symmetric_magnitude(A, tol=1e-12):
     where the patterns differ, as for an entry with no mirror, is
     ``A - A'`` formed.
     """
-    A = sparse.csr_matrix(A)
-    if not A.has_canonical_format:
-        A = A.copy()
-        A.sum_duplicates()
+    A = _canonical(A)
     magnitude = np.abs(A.data)
     scale = max(magnitude.max() if A.nnz else 0.0, 1e-300)
     gap = 0.0
@@ -93,6 +107,26 @@ def _symmetric_magnitude(A, tol=1e-12):
     return A, magnitude
 
 
+def _canonical(A):
+    """``A`` as CSR with sorted, distinct columns in every row.  An input
+    with unsorted or duplicate entries is summed on a copy, so the input
+    itself is never written."""
+    A = sparse.csr_matrix(A)
+    if not A.has_canonical_format:
+        A = A.copy()
+        A.sum_duplicates()
+    return A
+
+
+def _row_sums(A, values):
+    """Sums of ``values``, one per stored entry of the CSR matrix ``A``, over
+    each row; an empty row sums to 0."""
+    filled = np.flatnonzero(np.diff(A.indptr))
+    sums = np.zeros(A.shape[0])
+    sums[filled] = np.add.reduceat(values, A.indptr[filled])
+    return sums
+
+
 def _prescribed(names, indices, values, n):
     """Distinct ``indices`` in [0, n), each with one finite row of
     ``values``, as arrays; else ``ParameterError`` naming the argument."""
@@ -102,86 +136,124 @@ def _prescribed(names, indices, values, n):
     return indices, check_values(names[1], values, indices.shape + (...,))
 
 
-class _Ordered(NamedTuple):
-    """A matrix with the order its factor uses, or ``None`` for RCM of its graph."""
+class _System(NamedTuple):
+    """The system ``tau A + diag(d)`` on the entries ``kept`` of x.
+
+    ``matrix`` is A in canonical CSR form.  ``kept`` lists the rows and
+    columns kept, in band order; ``None`` keeps all of them, in reverse
+    Cuthill-McKee order of A's graph.  A ``tau`` of ``None`` stands for 1
+    and a ``diag`` (one entry per row of A) of ``None`` for 0.
+    """
 
     matrix: object
-    order: object
+    kept: object = None
+    tau: object = None
+    diag: object = None
 
 
-def _ordered(op):
-    """``op`` as an ``_Ordered``: an AssembledOperator brings its matrix and
+def _system(op):
+    """``op`` as a ``_System``: an AssembledOperator brings its matrix and
     its mesh's vertex order, a raw sparse or dense matrix no order."""
-    if isinstance(op, _Ordered):
+    if isinstance(op, _System):
         return op
     if hasattr(op, "matrix"):
-        return _Ordered(op.matrix, op.mesh.vertex_order())
-    return _Ordered(op, None)
+        return _System(_canonical(op.matrix), op.mesh.vertex_order())
+    return _System(_canonical(op))
 
 
 class _BandFactor:
-    """Banded Cholesky factor ``L L'`` of ``A[order][:, order]``, with
-    LAPACK's ``pbtrs`` bound once to solve with it."""
+    """Banded Cholesky factor ``L L'`` of a system on its kept entries in
+    band ``order``, with LAPACK's ``pbtrs`` bound once to solve with it.
+    ``norm`` is the infinity norm of the system factored."""
 
-    def __init__(self, band, order):
+    def __init__(self, band, order, norm):
         self._band = band
         self.order = order
+        self.norm = norm
         (self._pbtrs,) = get_lapack_funcs(("pbtrs",), (band,))
 
     def band_solve(self, b):
-        """Solve ``A[order][:, order] x = b`` for ``b`` in band order, shape
-        ``(n,)`` or ``(n, r)``; a Fortran-ordered float ``b`` is overwritten."""
+        """Solve the system for ``b`` in band order, shape ``(n,)`` or
+        ``(n, r)``; a Fortran-ordered float ``b`` is overwritten."""
         x, info = self._pbtrs(self._band, b, lower=1, overwrite_b=1)
         if info:
             raise NumericalError(f"banded Cholesky solve failed: LAPACK info {info}")
         return x
 
-    def solve(self, b):
-        """Solve ``A x = b`` for ``b`` in the original order, shape ``(n,)``
-        or ``(n, r)``."""
-        b = np.asarray(b, dtype=float)
-        x = np.empty_like(b)
-        x[self.order] = self.band_solve(b[self.order])
-        return x
 
+def _factorize(A, kept=None, tau=None, diag=None):
+    """Banded Cholesky factor of ``tau A + diag(d)`` on the entries ``kept``.
 
-def _factorize(A, order=None):
-    """Banded Cholesky factor of the symmetric positive definite matrix ``A``.
+    ``A`` is symmetric in canonical CSR form, and only its lower triangle
+    enters the band.  ``kept`` lists the rows and columns kept, in band order; by
+    default all of them, in reverse Cuthill-McKee order of A's graph.
+    ``tau`` defaults to 1 and ``diag``, one entry per row of A, to 0.
 
-    The rows and columns are permuted symmetrically by ``order``, by default
-    reverse Cuthill-McKee on the graph of ``A``.  The lower band of the
-    permuted matrix, bandwidth ``bw`` = its widest row, is summed straight
-    into a Fortran-ordered ``(bw + 1, n)`` array, which LAPACK's blocked
-    ``pbtrf`` factors in place: no copy of ``A`` is made in its new order,
-    and the factor stores ``(bw + 1) n`` values.  Only the lower triangle of
-    ``A`` is read.
+    The band comes straight from A's CSR arrays, with no copy of A in its
+    new order: the ranks of the rows are repeated over their entries, the
+    ranks of the columns are gathered in scipy's index type (32-bit where
+    it fits), and the entries of the lower triangle between kept rows and
+    columns are placed with one flat assignment into a zeroed
+    Fortran-ordered ``(bw + 1, n)`` band, bw the widest kept row.  A
+    canonical matrix has no duplicates to sum.  The entries are scaled by
+    tau, and d is then added to band row 0 in band order, so the band
+    holds the values a scipy sum of the same matrices would.  LAPACK's
+    blocked ``pbtrf`` factors it in place, and the factor stores
+    ``(bw + 1) n`` values.
 
-    Returns a ``_BandFactor``: its ``solve(b)`` takes a 1-D or ``(n, r)``
-    right-hand side in the original order, its ``band_solve(b)`` one in
-    ``order``.  A matrix that is not positive definite to working precision
-    raises ``NumericalError``.
+    Returns a ``_BandFactor`` whose ``order`` is ``kept`` and whose
+    ``norm`` is the system's infinity norm: the largest row sum of the
+    magnitudes of its kept entries, diagonal included, from A's rows
+    scaled by tau.  A system that is not positive definite to working
+    precision raises ``NumericalError``.
     """
-    A = sparse.csr_matrix(A)
     n = A.shape[0]
-    if order is None:
-        order = reverse_cuthill_mckee(A, symmetric_mode=True)
-    A = A.tocoo()
-    rank = np.empty(n, dtype=np.int64)
-    rank[order] = np.arange(n)
-    i, j = rank[A.row], rank[A.col]
-    lower = i >= j
-    i, j, data = i[lower], j[lower], A.data[lower]
-    bw = int((i - j).max(initial=0))
+    if kept is None:
+        kept = reverse_cuthill_mckee(A, symmetric_mode=True)
+    size = len(kept)
+    # Ranks in scipy's index type.  A column left out ranks above every row
+    # and a row left out below every column, so an entry lies in the kept
+    # lower triangle exactly when its offset, row rank minus column rank,
+    # is not negative; the offset is its row in the band.
+    index = A.indices.dtype
+    out = np.iinfo(index).max
+    rank = np.full(n, out, dtype=index)
+    rank[kept] = np.arange(size)
+    col = rank.take(A.indices)
+    magnitude = np.abs(A.data)
+    if size < n:
+        magnitude[col == out] = 0.0
+        rank[rank == out] = -1
+    offset = np.repeat(rank, np.diff(A.indptr))
+    offset -= col
+    lower = np.flatnonzero(offset >= 0)
+    bw = int(offset.max(initial=0))
+    col = col.take(lower)
+    if size * (bw + 1) > out:
+        col = col.astype(np.int64)
     # column j of the band holds rows j..j+bw; (n, bw + 1) in C order is
     # the (bw + 1, n) band in Fortran order
-    band = np.bincount(
-        j * (bw + 1) + (i - j), weights=data, minlength=n * (bw + 1)
-    ).reshape(n, bw + 1).T
+    col *= bw + 1
+    col += offset.take(lower)
+    values = A.data.take(lower)
+    if tau is not None:
+        values *= tau
+    band = np.zeros((size, bw + 1))
+    band.reshape(-1)[col] = values
+    band = band.T
+    rows = _row_sums(A, magnitude)[kept]
+    if tau is not None:
+        rows *= tau
+    if diag is not None:
+        rows -= np.abs(band[0])
+        band[0] += diag[kept]
+        rows += np.abs(band[0])
+    norm = rows.max(initial=0.0)
     try:
         band = cholesky_banded(band, overwrite_ab=True, lower=True, check_finite=False)
     except LinAlgError as exc:
         raise NumericalError(f"banded Cholesky factorization failed: {exc}") from exc
-    return _BandFactor(band, order)
+    return _BandFactor(band, kept, norm)
 
 
 def solve_spd(A, b):
@@ -190,7 +262,11 @@ def solve_spd(A, b):
     One banded Cholesky factor of ``A`` solves every column of ``b``.  It
     stores ``(bandwidth + 1) n`` values.  An ``AssembledOperator`` is
     ordered by its mesh's ``vertex_order``, a bare matrix by reverse
-    Cuthill-McKee on its own graph.
+    Cuthill-McKee on its own graph; either reaches the band from its CSR
+    arrays as they are (see ``_factorize``).  Inside the package ``A`` may
+    also be a ``_System``, a scaled matrix with a diagonal added and rows
+    and columns left out; its kept rows are solved for its kept entries of
+    x, and x is zero elsewhere.
 
     Parameters
     ----------
@@ -208,16 +284,28 @@ def solve_spd(A, b):
     ------
     NumericalError
         If ``A`` is not positive definite to working precision, or a
-        column's residual exceeds ``1e-7 * (|A|_inf |x| + |b|)``.
+        column's residual exceeds ``1e-7 * (|S|_inf |x| + |b|)``, with S
+        the system factored and ``|S|_inf`` summed from its kept entries.
     """
-    A, order = _ordered(A)
-    A = sparse.csr_matrix(A)
+    system = _system(A)
+    A = system.matrix
     b = check_values("b", b, A.shape[:1] + (...,))
-    x = _factorize(A, order).solve(b)
-    # Backward-stable acceptance: residual relative to |A||x| + |b| guards
+    factor = _factorize(*system)
+    kept = factor.order
+    x = np.zeros(b.shape)
+    x[kept] = factor.band_solve(b[kept])
+    # Backward-stable acceptance: residual relative to |S||x| + |b| guards
     # against silent failure without punishing ill-conditioned systems.
-    resid = np.linalg.norm(A @ x - b, axis=0)
-    scale = spla.norm(A, np.inf) * np.linalg.norm(x, axis=0) + np.linalg.norm(b, axis=0)
+    resid = A @ x
+    if system.tau is not None:
+        resid *= system.tau
+    if system.diag is not None:
+        resid += (system.diag * x.T).T
+    resid -= b
+    if len(kept) < len(b):
+        resid, b = resid[kept], b[kept]
+    resid = np.linalg.norm(resid, axis=0)
+    scale = factor.norm * np.linalg.norm(x, axis=0) + np.linalg.norm(b, axis=0)
     if not np.all(resid <= 1e-7 * scale):
         raise NumericalError(f"SPD solve residual {np.max(resid):.3e} above tolerance")
     return x
@@ -229,26 +317,33 @@ def solve_pinned(A, pinned, values):
     ``pinned`` holds distinct indices in [0, n) and ``values`` is finite
     with shape ``(np,)`` or ``(np, r)``; anything else raises
     ``ParameterError``.  The free entries solve ``A_ff x_f = -A_fp values``
-    with one ``solve_spd``, so the free block must be positive definite.  An
+    with one ``solve_spd``, so the free block must be positive definite.
+    One product ``A @ x``, with the pinned values in place and zeros
+    elsewhere, gives the right-hand side of every free row.  An
     ``AssembledOperator``'s free block is factored in its mesh's vertex
-    order restricted to the free entries.  Returns the full solution, shape
+    order with the pinned rows and columns masked out, so no block of A is
+    extracted, and the residual of the free rows comes from one more
+    product with A.  A bare matrix's free block is extracted once, for
+    its own reverse Cuthill-McKee order.  Returns the full solution, shape
     ``(n,)`` or ``(n, r)``, with ``x[pinned] = values``.
     """
-    A, order = _ordered(A)
-    A = sparse.csr_matrix(A)
+    A, kept = _system(A)[:2]
     n = A.shape[0]
     pinned, values = _prescribed(("pinned", "values"), pinned, values, n)
-    free = np.setdiff1d(np.arange(n), pinned)
+    free = np.ones(n, dtype=bool)
+    free[pinned] = False
     x = np.zeros((n,) + values.shape[1:])
     x[pinned] = values
-    if len(free):
-        if order is not None:
-            local = np.full(n, -1, dtype=np.int64)
-            local[free] = np.arange(len(free))
-            order = local[order]
-            order = order[order >= 0]
-        A_f = A[free]
-        x[free] = solve_spd(_Ordered(A_f[:, free], order), -(A_f[:, pinned] @ values))
+    if not free.any():
+        return x
+    b = A @ x
+    np.negative(b, out=b)
+    if kept is None:
+        free = np.flatnonzero(free)
+        x[free] = solve_spd(A[free][:, free], b[free])
+        return x
+    x = solve_spd(_System(A, kept[free[kept]]), b)
+    x[pinned] = values
     return x
 
 
@@ -333,7 +428,7 @@ def eigs_generalized(A, M_diag, k, seed=0):
         If the shifted matrix is not positive definite, ARPACK does not
         converge, or a pair fails ``EigenResult.validate``.
     """
-    A, order = _ordered(A)
+    A, kept = _system(A)[:2]
     A = check_symmetric(A)
     n = A.shape[0]
     check_integer("k", k, below=n)
@@ -342,7 +437,7 @@ def eigs_generalized(A, M_diag, k, seed=0):
         raise ParameterError("mass diagonal must be positive")
 
     sigma = -1e-5 * A.diagonal().sum() / n
-    factor = _factorize(A - sigma * sparse.diags(M_diag), order)
+    factor = _factorize(A, kept, diag=-sigma * M_diag)
     order = factor.order
     d = np.sqrt(M_diag)[order]
 
@@ -378,7 +473,9 @@ def diffuse(op, u0, tau):
 
     ``u0`` holds one finite value per vertex and ``tau`` must be positive
     and finite; either failing raises ``ParameterError`` before anything
-    is factored.
+    is factored.  ``M + tau A`` is never formed: ``solve_spd`` gets the
+    operator with tau and M, and its band holds A's entries scaled by tau
+    with M added to the diagonal, in band order.
     """
     if not 0 < tau < np.inf:
         raise ParameterError(f"diffusion time must be positive and finite, got {tau}")
@@ -386,9 +483,7 @@ def diffuse(op, u0, tau):
     if M_diag is None:
         raise ParameterError("diffuse requires an operator with a vertex mass")
     u0 = check_values("u0", u0, M_diag.shape)
-    A, order = _ordered(op)
-    system = (sparse.diags(M_diag) + tau * A).tocsr()
-    return solve_spd(_Ordered(system, order), M_diag * u0)
+    return solve_spd(_system(op)._replace(tau=tau, diag=M_diag), M_diag * u0)
 
 
 def solve_box_qp(A, fixed_indices, fixed_values, lower, upper, return_info=False):
@@ -437,8 +532,8 @@ def solve_box_qp(A, fixed_indices, fixed_values, lower, upper, return_info=False
         (true whenever a result is returned) and ``kkt_residual``, the norm
         of the projected gradient.
     """
-    A, order = _ordered(A)
-    A = sparse.csr_matrix(A)
+    system = _system(A)
+    A = system.matrix
     n = A.shape[0]
     lower = check_values("lower", lower, (n,))
     upper = check_values("upper", upper, (n,))
@@ -468,7 +563,7 @@ def solve_box_qp(A, fixed_indices, fixed_values, lower, upper, return_info=False
         seen.add(side.tobytes())
         active = np.flatnonzero(side)
         x = solve_pinned(
-            _Ordered(A, order),
+            system,
             np.concatenate([pinned, bounded[active]]),
             np.concatenate([pinned_values, np.where(side < 0, lo, hi)[active]]),
         )

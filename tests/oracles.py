@@ -5,7 +5,9 @@ works straight from the first-order optimality matrix with the sparse
 constraint matrix B placed explicitly, the natural-condition shortcut
 deletes the boundary multiplier blocks outright, the eigen oracle
 diagonalizes the full dense pencil, the QP oracle enumerates every active
-set, and the random frame helpers build tensors from their definition.
+set, the band oracle sums COO triplets with ``np.bincount``, the pinned
+solve copies its free and coupling blocks out of the matrix, and the
+random frame helpers build tensors from their definition.
 The mixed factor K = D' A G is rebuilt here from its parts, never read
 from the mesh cache, with the divergence D placed as one COO triplet per
 (vertex, component, row) and ordered by ``sum_duplicates``; the package
@@ -15,8 +17,8 @@ conditions, is built on it.  The mesh-cache references take the slow
 general route the closed forms replaced: a LAPACK inverse per element,
 ``np.unique`` over edge rows, a ``lexsort`` over every column to group
 rows, a BSR middle matrix times the transpose view of K, and one
-sequential hash over every array.  Here the geometry kernels work on
-``(ne, k, dim)`` arrays, refinement orients each child by the sign of its
+sequential hash over every array.  Here the geometry kernels and K's
+pair sums work on ``(ne, k, dim)`` arrays, refinement orients each child by the sign of its
 determinant, and the symmetry and operator checks take the asymmetry from
 ``abs(A - A.T)`` and the infinity norm from scipy.  The tensor checks (the
 spectral norm of an odeco frame and the full-symmetry violation of a form),
@@ -31,13 +33,22 @@ import itertools
 
 import numpy as np
 from scipy import sparse
-from scipy.linalg import block_diag, eigh, lu_factor, lu_solve
+from scipy.linalg import (
+    block_diag,
+    cho_solve_banded,
+    cholesky_banded,
+    eigh,
+    lu_factor,
+    lu_solve,
+)
 from scipy.sparse import linalg as spla
+from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from framefieldops import OdecoFrame, compute_measures
 from framefieldops.errors import FieldError
 from framefieldops.fem import build_mixed_system, projected_middle_blocks
 from framefieldops.geometry import (
+    _LOCAL_EDGES,
     _OCTA_DIAGONALS,
     SimplicialMesh,
     _orient_elements,
@@ -273,6 +284,74 @@ def box_qp_active_set(A, lower, upper, fixed_indices=(), fixed_values=()):
             if obj[k] < best:
                 best, best_x = obj[k], X[k]
     return best, best_x
+
+
+def band_by_coo(A, order):
+    """The lower band of ``A[order][:, order]`` before it is factored, a
+    Fortran-ordered ``(bw + 1, n)`` array: A's COO triplets are ranked in
+    ``order`` with two int64 gathers, the lower triangle is compressed out
+    with three masks, and ``np.bincount`` sums the entries into their
+    slots."""
+    A = sparse.csr_matrix(A).tocoo()
+    n = A.shape[0]
+    rank = np.empty(n, dtype=np.int64)
+    rank[order] = np.arange(n)
+    i, j = rank[A.row], rank[A.col]
+    lower = i >= j
+    i, j, data = i[lower], j[lower], A.data[lower]
+    bw = int((i - j).max(initial=0))
+    return np.bincount(
+        j * (bw + 1) + (i - j), weights=data, minlength=n * (bw + 1)
+    ).reshape(n, bw + 1).T
+
+
+def solve_pinned_by_extraction(A, pinned, values, order=None):
+    """``solve_pinned`` with its blocks copied out: the free block
+    ``A[free][:, free]`` is factored in ``order`` restricted to the free
+    entries (by default reverse Cuthill-McKee of the free block) from
+    ``band_by_coo``, and ``A[free][:, pinned] @ values`` gives the
+    right-hand side."""
+    A = sparse.csr_matrix(A)
+    n = A.shape[0]
+    pinned = np.asarray(pinned)
+    values = np.asarray(values, dtype=float)
+    free = np.setdiff1d(np.arange(n), pinned)
+    x = np.zeros((n,) + values.shape[1:])
+    x[pinned] = values
+    A_f = A[free]
+    A_ff = A_f[:, free]
+    if order is None:
+        order = reverse_cuthill_mckee(A_ff, symmetric_mode=True)
+    else:
+        local = np.full(n, -1)
+        local[free] = np.arange(len(free))
+        order = local[order]
+        order = order[order >= 0]
+    rhs = -(A_f[:, pinned] @ values)
+    factor = cholesky_banded(band_by_coo(A_ff, order), lower=True)
+    x[free[order]] = cho_solve_banded((factor, True), rhs[order])
+    return x
+
+
+def pair_sums_by_fancy_index(mesh):
+    """``fem._pair_sums`` on fancy-indexed ``(ne, k, dim)`` copies of the
+    shape gradients, one per end of the local edges."""
+    nv, dim = mesh.num_vertices, mesh.dim
+    g = mesh.shape_gradients()
+    vol = mesh.element_volumes[:, None]
+    ends = np.array(_LOCAL_EDGES[dim]).T
+    pairs = mandel_pairs(dim)
+    sums = np.zeros((len(pairs), nv + len(mesh.edges())))
+    for target, ga, gb in (
+        (mesh.elements, g, g),
+        (mesh.element_edges() + np.int64(nv), g[:, ends[0]], g[:, ends[1]]),
+    ):
+        for c, (i, j) in enumerate(pairs):
+            form = ga[..., i] * gb[..., j]
+            form += ga[..., j] * gb[..., i]
+            form *= vol * (0.5 if i == j else 1.0 / _SQRT2)
+            sums[c] += np.bincount(target.ravel(), form.ravel(), sums.shape[1])
+    return sums
 
 
 def boundary_facets_by_unique(mesh):

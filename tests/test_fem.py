@@ -8,6 +8,7 @@ from scipy import sparse
 import framefieldops as ff
 from framefieldops import meshgen
 from framefieldops.fem import (
+    _pair_sums,
     build_mixed_system,
     constraint_blocks,
     projected_middle_blocks,
@@ -26,6 +27,7 @@ from oracles import (
     natural_shortcut,
     operator_by_bsr,
     operator_from_blocks,
+    pair_sums_by_fancy_index,
     random_octahedral_frame,
 )
 
@@ -454,3 +456,15 @@ def test_epsilon_validation(disk_mesh, disk_harmonic_field):
             ff.assemble_operator(disk_mesh, disk_harmonic_field, bad, "neumann")
     with pytest.raises(ValueError):
         build_mixed_system(disk_mesh, disk_harmonic_field, 0.5, "periodic")
+
+
+@pytest.mark.parametrize(
+    "mesh",
+    [ff.refine_uniform(meshgen.disk(6)), ff.refine_uniform(meshgen.ball())],
+    ids=["disk", "ball"],
+)
+def test_pair_sums_match_the_fancy_indexed_gradients_bitwise(mesh):
+    expected = pair_sums_by_fancy_index(mesh)
+    actual = _pair_sums(mesh)
+    assert actual.shape == expected.shape
+    assert actual.tobytes() == expected.tobytes()

@@ -39,6 +39,26 @@ def test_constant_field(unit_square_mesh):
         ff.constant_field(unit_square_mesh, ff.axis_frame(3))
 
 
+@pytest.mark.parametrize("dim", [2, 3])
+def test_orthonormality_is_checked_within_1e_8(disk_mesh, small_ball_mesh, dim):
+    # the last component moved by delta toward the first puts delta on one
+    # Gram entry off the diagonal (and delta^2 on the diagonal)
+    mesh = disk_mesh if dim == 2 else small_ball_mesh
+    nv = mesh.num_vertices
+    rng = np.random.default_rng(dim)
+    comps = np.stack([random_rotation(rng, dim) for _ in range(nv)])
+    weights = np.ones((nv, dim))
+    ff.FrameField(mesh, comps, weights)
+    for delta in (5e-9, 2e-8):
+        bent = comps.copy()
+        bent[nv // 2, dim - 1] += delta * comps[nv // 2, 0]
+        if delta < 1e-8:
+            ff.FrameField(mesh, bent, weights)
+        else:
+            with pytest.raises(ff.FieldError, match="not orthonormal"):
+                ff.FrameField(mesh, bent, weights)
+
+
 def test_kind_classification(disk_mesh):
     nv = disk_mesh.num_vertices
     comps = np.broadcast_to(np.eye(2), (nv, 2, 2)).copy()

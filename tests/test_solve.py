@@ -12,7 +12,14 @@ from framefieldops import solve as solve_module
 from framefieldops.errors import NumericalError, ParameterError
 from framefieldops.solve import check_symmetric
 
-from oracles import box_qp_active_set, dense_eigs, symmetric_by_difference, valid_by_difference
+from oracles import (
+    band_by_coo,
+    box_qp_active_set,
+    dense_eigs,
+    solve_pinned_by_extraction,
+    symmetric_by_difference,
+    valid_by_difference,
+)
 
 
 def test_check_symmetric():
@@ -188,13 +195,18 @@ def test_solve_spd_identity_and_nullspace():
     assert np.abs(x).max() < 1e-12
 
 
+def _laplacian(mesh):
+    """The piecewise-linear Laplacian, built as the harmonic field builds it."""
+    G = ff.gradient_matrix(mesh)
+    volumes = sparse.diags(np.repeat(ff.compute_measures(mesh).element_volumes, mesh.dim))
+    return (G.T @ volumes @ G).tocsr()
+
+
 def disk_interior_laplacian():
     mesh = ff.refine_uniform(meshgen.disk(4))
-    measures = ff.compute_measures(mesh)
-    G = ff.gradient_matrix(mesh)
-    L = (G.T @ sparse.diags(np.repeat(measures.element_volumes, 2)) @ G).tocsr()
-    interior = np.setdiff1d(np.arange(mesh.num_vertices), measures.boundary_vertices)
-    return L[interior][:, interior]
+    boundary = ff.compute_measures(mesh).boundary_vertices
+    interior = np.setdiff1d(np.arange(mesh.num_vertices), boundary)
+    return _laplacian(mesh)[interior][:, interior]
 
 
 def test_solve_spd_matches_dense_oracle():
@@ -419,9 +431,9 @@ def test_eigs_factor_once_per_call(monkeypatch, disk_mesh, disk_harmonic_field):
     factorize = solve_module._factorize
     factored = []
 
-    def counting(A, order=None):
+    def counting(A, *args, **kwargs):
         factored.append(A.shape)
-        return factorize(A, order)
+        return factorize(A, *args, **kwargs)
 
     monkeypatch.setattr(solve_module, "_factorize", counting)
     op = ff.assemble_operator(disk_mesh, disk_harmonic_field, 0.1, "neumann")
@@ -430,6 +442,130 @@ def test_eigs_factor_once_per_call(monkeypatch, disk_mesh, disk_harmonic_field):
         factored.clear()
         ff.eigs_generalized(*problem)
         assert len(factored) == 1
+
+
+def _counting_factorizations(monkeypatch):
+    factorize = solve_module._factorize
+    factored = []
+
+    def counting(A, *args, **kwargs):
+        factored.append(A.shape)
+        return factorize(A, *args, **kwargs)
+
+    monkeypatch.setattr(solve_module, "_factorize", counting)
+    return factored
+
+
+@pytest.mark.parametrize("solve", ["diffuse", "dirichlet", "pinned", "pinned_bare"])
+def test_solves_factor_once_per_call(monkeypatch, disk_mesh, disk_harmonic_field, solve):
+    op = ff.assemble_operator(disk_mesh, disk_harmonic_field, 0.1, "neumann")
+    bv = op.boundary_vertices
+    values = np.random.default_rng(4).standard_normal((len(bv), 2))
+    factored = _counting_factorizations(monkeypatch)
+    if solve == "diffuse":
+        ff.diffuse(op, np.ones(disk_mesh.num_vertices), 1e-5)
+    elif solve == "dirichlet":
+        ff.apply_dirichlet_partition(op, values[:, 0])
+    elif solve == "pinned":
+        ff.solve_pinned(op, bv[::-1], values)
+    else:
+        ff.solve_pinned(_laplacian(disk_mesh), bv, values)
+    assert len(factored) == 1
+
+
+@pytest.fixture
+def factored_bands(monkeypatch):
+    """Every band handed to ``pbtrf``, copied before it is factored."""
+    bands = []
+    factor = solve_module.cholesky_banded
+
+    def capturing(band, **kwargs):
+        bands.append(band.copy(order="F"))
+        return factor(band, **kwargs)
+
+    monkeypatch.setattr(solve_module, "cholesky_banded", capturing)
+    return bands
+
+
+def _assert_bitwise(actual, expected):
+    assert actual.shape == expected.shape
+    assert actual.tobytes() == expected.tobytes()
+
+
+def _operator(mesh, bc):
+    if mesh.dim == 2:
+        field = ff.harmonic_cross_field_2d(mesh)
+    else:
+        field = ff.helical_field_3d(mesh, [0.0, 0.0, 1.0], 1.0)
+    return ff.assemble_operator(mesh, field, 0.1, bc)
+
+
+@pytest.mark.parametrize("bc", ["neumann", "natural"])
+@pytest.mark.parametrize("dim", [2, 3])
+def test_shifted_bands_match_the_coo_builder(factored_bands, disk_mesh, small_ball_mesh,
+                                             dim, bc):
+    # M + tau A and A - sigma M reach the band from A's CSR arrays with the
+    # diagonal added in band order; the bands equal those of the systems
+    # summed by scipy bit for bit
+    mesh = disk_mesh if dim == 2 else small_ball_mesh
+    op = _operator(mesh, bc)
+    A, M, order = op.matrix, op.vertex_mass, mesh.vertex_order()
+    tau = 1e-5
+    ff.diffuse(op, np.ones(len(M)), tau)
+    _assert_bitwise(factored_bands[-1], band_by_coo(sparse.diags(M) + tau * A, order))
+    ff.eigs_generalized(op, M, 4)
+    sigma = -1e-5 * A.diagonal().sum() / len(M)
+    _assert_bitwise(factored_bands[-1], band_by_coo(A - sigma * sparse.diags(M), order))
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_dirichlet_interior_matches_the_extracted_block(factored_bands, disk_mesh,
+                                                        small_ball_mesh, dim):
+    # the interior band masks the boundary rows and columns out of A, and
+    # the right-hand side sums the boundary products in CSR column order,
+    # so band and solution equal those of the extracted blocks bit for bit
+    mesh = disk_mesh if dim == 2 else small_ball_mesh
+    op = _operator(mesh, "neumann")
+    bv = op.boundary_vertices
+    values = np.random.default_rng(6).standard_normal(len(bv))
+    x = ff.apply_dirichlet_partition(op, values)
+    order = mesh.vertex_order()
+    interior = np.setdiff1d(np.arange(mesh.num_vertices), bv)
+    restricted = order[np.isin(order, interior)]
+    block = op.matrix[interior][:, interior]
+    _assert_bitwise(factored_bands[-1], band_by_coo(block, np.searchsorted(interior, restricted)))
+    _assert_bitwise(x, solve_pinned_by_extraction(op.matrix, bv, values, order))
+
+
+def test_bare_interior_laplacian_matches_the_extracted_block(factored_bands, disk_mesh):
+    L = _laplacian(disk_mesh)
+    bv = ff.compute_measures(disk_mesh).boundary_vertices
+    values = np.random.default_rng(7).standard_normal((len(bv), 2))
+    x = ff.solve_pinned(L, bv, values)
+    interior = np.setdiff1d(np.arange(disk_mesh.num_vertices), bv)
+    block = L[interior][:, interior]
+    _assert_bitwise(
+        factored_bands[-1], band_by_coo(block, reverse_cuthill_mckee(block, symmetric_mode=True))
+    )
+    _assert_bitwise(x, solve_pinned_by_extraction(L, bv, values))
+
+
+@pytest.mark.parametrize("bare", [False, True])
+def test_unsorted_pinned_indices_match_the_extracted_block(disk_mesh, disk_harmonic_field, bare):
+    # the box QP pins fixed, then active entries: not in ascending order
+    op = ff.assemble_operator(disk_mesh, disk_harmonic_field, 0.01, "natural")
+    A = _laplacian(disk_mesh) if bare else op
+    matrix = getattr(A, "matrix", A)
+    rng = np.random.default_rng(8)
+    interior = np.setdiff1d(np.arange(disk_mesh.num_vertices), op.boundary_vertices)
+    pinned = np.concatenate([op.boundary_vertices, rng.choice(interior, 9, replace=False)])
+    pinned = rng.permutation(pinned)
+    values = rng.standard_normal((len(pinned), 3))
+    x = ff.solve_pinned(A, pinned, values)
+    expected = solve_pinned_by_extraction(
+        matrix, pinned, values, None if bare else disk_mesh.vertex_order()
+    )
+    assert np.abs(x - expected).max() <= 1e-13 * np.abs(expected).max()
 
 
 def test_solve_spd_columns_match_single_solves():
