@@ -6,7 +6,6 @@ experiment."""
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .apps import nonzero_eigenpairs
 from .errors import GeometryError, ParameterError, check_integer, check_values
@@ -107,6 +106,8 @@ class ConformalMap:
         positive at the sample points, or if two well-separated samples map
         to nearly the same image (self-intersection test).
         """
+        from scipy.spatial import cKDTree
+
         points = np.asarray(points, dtype=float)
         _, d = self._fz(points[:, 0] + 1j * points[:, 1])
         if np.any(np.abs(d) ** 2 < 1e-12):

@@ -32,10 +32,14 @@ block K_v holds the m rows of K at v over the closed 1-ring, or star, of v.
 ``star_blocks``, cached once per mesh by ``geometry.mesh_cached`` like the
 measures, holds every K_v, the CSR pattern of A (the 2-ring) and one
 scatter index from each entry of each star's product to its slot in that
-pattern.  Each assembly forms only the middle blocks, takes the products as
-batched dense ``@``, symmetrizes each one, sums their upper triangles into
-the pattern with one ``np.bincount`` and copies the upper triangle of A to
-the lower one.
+pattern.  A fresh mesh pays for it once: the star blocks are gathered
+batch by batch, and the scatter slots of every batch are found by one
+lookup of (row, column) queries in the pattern, which gives bit for bit
+what one lookup per batch gave (``star_scatter_by_batches`` in
+``tests/oracles.py``).  Each assembly forms only the middle blocks, takes
+the products as batched dense ``@``, symmetrizes each one, sums their
+upper triangles into the pattern with one ``np.bincount`` and copies the
+upper triangle of A to the lower one.
 
 No operator shares a cached array: every ``AssembledOperator`` owns fresh
 copies of the pattern arrays, so editing or compacting one
@@ -155,7 +159,8 @@ class StarBlocks:
     couples the vertices of each star, so every vertex to its 2-ring.
     ``scatter`` maps each entry of the flat products to its slot (i, j),
     i <= j, in that pattern, and ``twin`` maps every slot (i, j) to the
-    slot of (min(i, j), max(i, j)).
+    slot of (min(i, j), max(i, j)).  Every array equals, dtype and bits,
+    the one ``star_scatter_by_batches`` in ``tests/oracles.py`` builds.
     """
 
     groups: tuple
@@ -163,13 +168,6 @@ class StarBlocks:
     twin: np.ndarray
     indptr: np.ndarray
     indices: np.ndarray
-
-
-def _entries(M, rows, cols):
-    """``M[rows, cols]`` over the broadcast shape of the index arrays, as an
-    ndarray.  Each lookup searches only its own row of the CSR matrix M."""
-    rows, cols = np.broadcast_arrays(rows, cols)
-    return np.asarray(M[rows.ravel(), cols.ravel()]).reshape(rows.shape)
 
 
 def _pair_sums(mesh):
@@ -215,8 +213,11 @@ def star_blocks(mesh):
     directions, and each star block gathers its columns from these sums.
     Stars are grouped by size, so no block is padded, and the index arrays
     keep scipy's 32-bit index type where it fits.  The star adjacency is
-    the vertex graph plus the identity, and A's pattern is its square;
-    each scatter index is found by a search within one row of it.  Only
+    the vertex graph plus the identity, and A's pattern is its square.
+    Each batch writes its (p, q) queries, rows ``cols[:, p]`` and columns
+    ``cols[:, q]``, into its slice of one query table, and one
+    ``pattern[rows, cols]`` finds every scatter index by a search within
+    its row, so the pattern's format is checked once, not per batch.  Only
     upper triangles are scattered: A is symmetric, and its lower triangle
     is a copy of the upper one.
     """
@@ -241,7 +242,9 @@ def star_blocks(mesh):
     twin = np.minimum(slots, pattern.T.tocsr().data - 1)
     size = np.diff(star.indptr)
     by_size = np.argsort(size, kind="stable").astype(star.indices.dtype)
-    groups, scatter, start = [], [], 0
+    # every batch's (p, q) entries as (row, column) queries of the pattern
+    query = np.empty((2, (size * (size + 1) // 2).sum()), star.indices.dtype)
+    groups, start = [], 0
     for same in np.split(by_size, np.flatnonzero(np.diff(size[by_size])) + 1):
         s = size[same[0]]
         p, q = np.triu_indices(s)
@@ -250,11 +253,12 @@ def star_blocks(mesh):
             at = star.indptr[verts][:, None] + np.arange(s)
             cols = star.indices[at]
             blocks = np.swapaxes(sums[:, source[at]], 0, 1).copy()
-            scatter.append(_entries(pattern, cols[:, p], cols[:, q]).ravel())
             stop = start + len(verts) * len(p)
+            query[0, start:stop] = cols[:, p].ravel()
+            query[1, start:stop] = cols[:, q].ravel()
             groups.append((verts, blocks, (p, q), slice(start, stop)))
             start = stop
-    scatter = np.concatenate(scatter)
+    scatter = np.asarray(pattern[query[0], query[1]]).ravel()
     scatter -= 1
     return StarBlocks(tuple(groups), scatter, twin, pattern.indptr, pattern.indices)
 

@@ -16,7 +16,6 @@ import logging
 
 import numpy as np
 from scipy import sparse
-from scipy.spatial.transform import Rotation
 
 from .errors import FieldError, GeometryError, check_values
 from .geometry import (
@@ -154,6 +153,8 @@ def components_to_angles(components):
 
 def quaternions_to_components(quats_wxyz):
     """Rotation-matrix columns for unit quaternions in (w, x, y, z) order."""
+    from scipy.spatial.transform import Rotation
+
     q = np.asarray(quats_wxyz, dtype=float)
     rot = Rotation.from_quat(q[:, [1, 2, 3, 0]])  # scipy uses (x, y, z, w)
     mats = rot.as_matrix()
@@ -163,6 +164,8 @@ def quaternions_to_components(quats_wxyz):
 def components_to_quaternions(components):
     """Unit quaternions (w, x, y, z) for 3D frames, flipping a component
     sign where needed to reach determinant +1 (the frame is unchanged)."""
+    from scipy.spatial.transform import Rotation
+
     mats = np.swapaxes(np.ascontiguousarray(components), 1, 2).copy()
     dets = np.linalg.det(mats)
     flip = dets < 0
@@ -250,6 +253,8 @@ def helical_field_3d(mesh, axis, pitch):
     axis that is not three finite components, not all zero, raises
     ``FieldError``.
     """
+    from scipy.spatial.transform import Rotation
+
     if mesh.dim != 3:
         raise FieldError("helical fields are volumetric (dim=3)")
     pitch = check_values("pitch", pitch, (), FieldError)

@@ -480,15 +480,41 @@ def gradient_matrix(mesh):
 
     Maps per-vertex scalars to per-element constant gradients; the result
     has ``ne * dim`` rows grouped per element.  Exact on affine functions.
+
+    The CSR arrays are written directly: each row holds its element's
+    vertices in ascending order, sorted by the compare-exchanges of
+    ``_SORTING_NETWORKS`` with their gradient columns carried along, so
+    the arrays, their dtypes and the canonical flag are those of the COO
+    build ``gradient_matrix_by_coo`` in ``tests/oracles.py``.
     """
     g = mesh.shape_gradients()
     ne, k, dim = g.shape
-    rows = np.arange(ne)[:, None, None] * dim + np.arange(dim)[None, None, :]
-    rows = np.broadcast_to(rows, (ne, k, dim)).ravel()
-    cols = np.broadcast_to(mesh.elements[:, :, None], (ne, k, dim)).ravel()
-    return sparse.coo_matrix(
-        (g.ravel(), (rows, cols)), shape=(ne * dim, mesh.num_vertices)
-    ).tocsr()  # canonical: each row's columns are distinct
+    # Each element's vertices in ascending order, their gradients alongside.
+    vertices = list(mesh.elements.T)
+    columns = [list(g[:, a].T) for a in range(k)]
+    for i, j in _SORTING_NETWORKS[k]:
+        swap = vertices[j] < vertices[i]
+        vertices[i], vertices[j] = (
+            np.where(swap, vertices[j], vertices[i]),
+            np.where(swap, vertices[i], vertices[j]),
+        )
+        columns[i], columns[j] = (
+            [np.where(swap, b, a) for a, b in zip(columns[i], columns[j])],
+            [np.where(swap, a, b) for a, b in zip(columns[i], columns[j])],
+        )
+    index = sparse.get_index_dtype(maxval=max(ne * dim * k, mesh.num_vertices))
+    indices = np.empty((ne, dim, k), dtype=index)
+    data = np.empty((ne, dim, k))
+    for a in range(k):
+        indices[:, :, a] = vertices[a][:, None]
+        for d in range(dim):
+            data[:, d, a] = columns[a][d]
+    indptr = np.arange(0, ne * dim * k + 1, k, dtype=index)
+    G = sparse.csr_matrix(
+        (data.ravel(), indices.ravel(), indptr), shape=(ne * dim, mesh.num_vertices)
+    )
+    G.has_canonical_format = True  # each row's columns are distinct and sorted
+    return G
 
 
 def mean_edge_length(mesh):

@@ -9,7 +9,6 @@ with no Python loop over vertices, cells or rings.
 import itertools
 
 import numpy as np
-from scipy.spatial import Delaunay
 
 from .errors import ParameterError, check_integer
 from .geometry import SimplicialMesh, _edge_determinants, _orient_elements
@@ -133,6 +132,8 @@ def ball(radius=1.0):
     Refine with :func:`framefieldops.geometry.refine_uniform` to build
     hierarchies; the polyhedral boundary is preserved exactly.
     """
+    from scipy.spatial import Delaunay
+
     a, b = 1.0, (1.0 + np.sqrt(5.0)) / 2.0
     pts = np.array([
         (0, +a, +b), (0, +a, -b), (0, -a, +b), (0, -a, -b),
@@ -158,6 +159,8 @@ def jittered_delaunay(dim, n_side, jitter=0.25, seed=0):
     broken.  Useful for randomized assembly tests.  ``dim`` must be 2 or 3
     and ``n_side`` an integer >= 1, else ``ParameterError``.
     """
+    from scipy.spatial import Delaunay
+
     if dim not in (2, 3):
         raise ParameterError(f"dim must be 2 or 3, got {dim!r}")
     check_integer("n_side", n_side)

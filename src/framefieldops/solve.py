@@ -360,8 +360,14 @@ class EigenResult:
     residuals: np.ndarray
 
     def validate(self, A, M_diag, rtol=1e-7, otol=1e-8):
-        """Assert the residual and M-orthonormality contracts."""
-        norm_a = spla.norm(getattr(A, "matrix", A), np.inf)
+        """Assert the residual and M-orthonormality contracts.
+
+        A is sparse, dense or an ``AssembledOperator``; the bound's scale is
+        its infinity norm, the largest row sum of ``|a|`` over the canonical
+        CSR form, as in ``AssembledOperator.validate``.
+        """
+        A = _canonical(getattr(A, "matrix", A))
+        norm_a = _row_sums(A, np.abs(A.data)).max(initial=0.0)
         norm_m = float(np.max(np.abs(M_diag)))
         bound = rtol * (norm_a + np.abs(self.values) * norm_m)
         if not np.all(self.residuals <= bound):

@@ -114,6 +114,12 @@ def odeco_form(components, weights):
     Q = sum_a w_a m_a m_a^T with m_a the Mandel vector of the rank-one
     projector onto component a.  The result is fully symmetric.
 
+    Each entry is summed from contiguous per-component columns of w and of
+    the m_a, as ``(w_a m_ap) m_aq`` from component 0 onward into a zero,
+    which are the operations and the order of the three-operand ``einsum``
+    that ``odeco_form_by_einsum`` in ``tests/oracles.py`` takes, so the
+    two agree bit for bit.
+
     Parameters
     ----------
     components : np.ndarray
@@ -128,9 +134,23 @@ def odeco_form(components, weights):
     """
     components = np.asarray(components, dtype=float)
     weights = np.asarray(weights, dtype=float)
-    outer = components[..., :, None] * components[..., None, :]  # (..., n, d, d)
-    mvecs = sym_to_mandel(outer)  # (..., n, m)
-    return np.einsum("...n,...np,...nq->...pq", weights, mvecs, mvecs)
+    pairs = mandel_pairs(components.shape[-1])
+    lead = np.broadcast_shapes(components.shape[:-2], weights.shape[:-1])
+    # per component a: w_a and the entries of m_a, each a contiguous column
+    w = [weights[..., a].copy() for a in range(weights.shape[-1])]
+    m = [
+        [c[..., i] * c[..., j] if i == j else _SQRT2 * (c[..., i] * c[..., j]) for i, j in pairs]
+        for c in np.moveaxis(components, -2, 0)
+    ]
+    out = np.empty(lead + (len(pairs), len(pairs)))
+    for p in range(len(pairs)):
+        wm = [w_a * m_a[p] for w_a, m_a in zip(w, m, strict=True)]
+        for q in range(len(pairs)):
+            entry = np.zeros(lead)
+            for wm_a, m_a in zip(wm, m):
+                entry += wm_a * m_a[q]
+            out[..., p, q] = entry
+    return out
 
 
 def modify_epsilon(Q, norms, epsilon):

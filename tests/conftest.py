@@ -47,6 +47,31 @@ def small_ball_mesh():
     return ff.refine_uniform(meshgen.ball())
 
 
+def refined(mesh, levels):
+    for _ in range(levels):
+        mesh = ff.refine_uniform(mesh)
+    return mesh
+
+
+# The meshes on which the kernels a fresh mesh pays for are pinned bit for
+# bit to their oracles: the disk and ball levels of a refinement hierarchy
+# and one mesh of every other generator.
+KERNEL_MESHES = {
+    **{f"disk16x{k}": (lambda k=k: refined(meshgen.disk(16), k)) for k in range(3)},
+    "square12": lambda: meshgen.structured_square(12),
+    "annulus": lambda: meshgen.annulus(2, 6),
+    "jittered2d": lambda: meshgen.jittered_delaunay(2, 9, seed=5),
+    "jittered3d": lambda: meshgen.jittered_delaunay(3, 4, seed=5),
+    "box": lambda: meshgen.box(3, 2, 4),
+    **{f"ballx{k}": (lambda k=k: refined(meshgen.ball(), k)) for k in range(4)},
+}
+
+
+@pytest.fixture(scope="session", params=list(KERNEL_MESHES))
+def kernel_mesh(request):
+    return KERNEL_MESHES[request.param]()
+
+
 def rotation_frame_2d(theta, weights=(1.0, 1.0)):
     c, s = np.cos(theta), np.sin(theta)
     return ff.OdecoFrame(np.array([[c, s], [-s, c]]), np.asarray(weights, dtype=float))

@@ -9,15 +9,16 @@ set, the band oracle sums COO triplets with ``np.bincount``, the pinned
 solve copies its free and coupling blocks out of the matrix, and the
 random frame helpers build tensors from their definition.
 The mixed factor K = D' A G is rebuilt here from its parts, never read
-from the mesh cache, with the divergence D placed as one COO triplet per
-(vertex, component, row) and ordered by ``sum_duplicates``; the package
-never forms D and sums K's blocks from their element closed form instead.
+from the mesh cache, with the divergence D and the gradient G each placed
+as COO triplets and converted by scipy; the package never forms D and
+sums K's blocks from their element closed form instead.
 The epsilon = 1 reference, the mixed-FEM Bilaplacian with natural
 conditions, is built on it.  The mesh-cache references take the slow
 general route the closed forms replaced: a LAPACK inverse per element,
 ``np.unique`` over edge rows, a ``lexsort`` over every column to group
-rows, a BSR middle matrix times the transpose view of K, and one
-sequential hash over every array.  Here the geometry kernels and K's
+rows, a BSR middle matrix times the transpose view of K, one scipy
+lookup per batch of stars for the scatter into A's pattern, and one
+sequential hash over every array.  The odeco forms are one ``einsum``.  Here the geometry kernels and K's
 pair sums work on ``(ne, k, dim)`` arrays, refinement orients each child by the sign of its
 determinant, and the symmetry and operator checks take the asymmetry from
 ``abs(A - A.T)`` and the infinity norm from scipy.  The tensor checks (the
@@ -46,13 +47,19 @@ from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from framefieldops import OdecoFrame, compute_measures
 from framefieldops.errors import FieldError
-from framefieldops.fem import build_mixed_system, projected_middle_blocks
+import framefieldops.fem
+from framefieldops.fem import (
+    StarBlocks,
+    _pair_sums,
+    build_mixed_system,
+    projected_middle_blocks,
+)
 from framefieldops.geometry import (
     _LOCAL_EDGES,
     _OCTA_DIAGONALS,
     SimplicialMesh,
     _orient_elements,
-    gradient_matrix,
+    _stable_order,
 )
 from framefieldops.symtensor import (
     _SQRT2,
@@ -126,7 +133,7 @@ def mixed_factor(mesh):
     """K = D' A G from the gradient, the divergence of ``divergence_by_coo``
     and the element volumes, as one sparse product in canonical CSR."""
     A = sparse.diags(np.repeat(mesh.element_volumes, mesh.dim))
-    K = (divergence_by_coo(mesh).T @ A @ gradient_matrix(mesh)).tocsr()
+    K = (divergence_by_coo(mesh).T @ A @ gradient_matrix_by_coo(mesh)).tocsr()
     K.sum_duplicates()
     return K
 
@@ -331,6 +338,59 @@ def solve_pinned_by_extraction(A, pinned, values, order=None):
     factor = cholesky_banded(band_by_coo(A_ff, order), lower=True)
     x[free[order]] = cho_solve_banded((factor, True), rhs[order])
     return x
+
+
+def gradient_matrix_by_coo(mesh):
+    """``gradient_matrix`` from one COO triplet per (element, local vertex,
+    coordinate), converted by scipy's ``tocsr``, which sorts each row's
+    columns and sets the canonical flag."""
+    g = mesh.shape_gradients()
+    ne, k, dim = g.shape
+    rows = np.arange(ne)[:, None, None] * dim + np.arange(dim)[None, None, :]
+    rows = np.broadcast_to(rows, (ne, k, dim)).ravel()
+    cols = np.broadcast_to(mesh.elements[:, :, None], (ne, k, dim)).ravel()
+    return sparse.coo_matrix(
+        (g.ravel(), (rows, cols)), shape=(ne * dim, mesh.num_vertices)
+    ).tocsr()
+
+
+def star_scatter_by_batches(mesh):
+    """``fem.star_blocks`` with each batch's scatter looked up by its own
+    ``pattern[rows, cols]`` call on the broadcast query arrays, and the
+    batches' results concatenated."""
+    nv = mesh.num_vertices
+    edges = mesh.edges()
+    sums = _pair_sums(mesh)
+    star = mesh.vertex_graph() + sparse.identity(nv, dtype=np.int32, format="csr")
+    rows = np.repeat(np.arange(nv), np.diff(star.indptr))
+    source = rows.copy()
+    source[star.indices > rows] = nv + np.arange(len(edges))
+    source[star.indices < rows] = nv + _stable_order(edges[:, 1], nv)
+    pattern = star @ star
+    pattern.sort_indices()
+    slots = np.arange(pattern.nnz, dtype=pattern.indices.dtype)
+    pattern.data = slots + 1
+    twin = np.minimum(slots, pattern.T.tocsr().data - 1)
+    size = np.diff(star.indptr)
+    by_size = np.argsort(size, kind="stable").astype(star.indices.dtype)
+    groups, scatter, start = [], [], 0
+    for same in np.split(by_size, np.flatnonzero(np.diff(size[by_size])) + 1):
+        s = size[same[0]]
+        p, q = np.triu_indices(s)
+        step = max(1, framefieldops.fem.STAR_BATCH // (s * s))
+        for verts in (same[i : i + step] for i in range(0, len(same), step)):
+            at = star.indptr[verts][:, None] + np.arange(s)
+            cols = star.indices[at]
+            blocks = np.swapaxes(sums[:, source[at]], 0, 1).copy()
+            lo, hi = np.broadcast_arrays(cols[:, p], cols[:, q])
+            found = np.asarray(pattern[lo.ravel(), hi.ravel()]).reshape(lo.shape)
+            scatter.append(found.ravel())
+            stop = start + len(verts) * len(p)
+            groups.append((verts, blocks, (p, q), slice(start, stop)))
+            start = stop
+    scatter = np.concatenate(scatter)
+    scatter -= 1
+    return StarBlocks(tuple(groups), scatter, twin, pattern.indptr, pattern.indices)
 
 
 def pair_sums_by_fancy_index(mesh):
@@ -541,6 +601,16 @@ def fingerprint_sequential(field):
     ):
         h.update(array.tobytes())
     return h.hexdigest()
+
+
+def odeco_form_by_einsum(components, weights):
+    """``odeco_form`` as one three-operand ``einsum`` over the Mandel vectors
+    of the stacked outer products ``c_a c_a'``."""
+    components = np.asarray(components, dtype=float)
+    weights = np.asarray(weights, dtype=float)
+    outer = components[..., :, None] * components[..., None, :]  # (..., n, d, d)
+    mvecs = sym_to_mandel(outer)  # (..., n, m)
+    return np.einsum("...n,...np,...nq->...pq", weights, mvecs, mvecs)
 
 
 def spectral_norm(frame):

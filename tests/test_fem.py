@@ -29,6 +29,7 @@ from oracles import (
     operator_from_blocks,
     pair_sums_by_fancy_index,
     random_octahedral_frame,
+    star_scatter_by_batches,
 )
 
 
@@ -401,8 +402,27 @@ def test_star_batches_leave_the_operator_unchanged(monkeypatch):
     big, small = (ff.fem.star_blocks(mesh) for mesh in meshes)
     assert len(small.groups) > len(big.groups)
     check_star_blocks(meshes[1], small)
+    assert_same_stars(small, star_scatter_by_batches(meshes[1]))
     for name in ("data", "indices", "indptr"):
         assert np.array_equal(getattr(ops[0], name), getattr(ops[1], name))
+
+
+def assert_same_stars(stars, expected):
+    def arrays(s):
+        out = [s.scatter, s.twin, s.indptr, s.indices]
+        for verts, blocks, (p, q), part in s.groups:
+            out += [verts, blocks, p, q, np.array([part.start, part.stop])]
+        return out
+
+    assert len(stars.groups) == len(expected.groups)
+    for actual, wanted in zip(arrays(stars), arrays(expected), strict=True):
+        assert actual.dtype == wanted.dtype and actual.shape == wanted.shape
+        assert actual.tobytes() == wanted.tobytes()
+
+
+def test_star_blocks_match_the_batched_lookups_bitwise(kernel_mesh):
+    # one lookup of every batch's queries finds what a lookup per batch found
+    assert_same_stars(ff.fem.star_blocks(kernel_mesh), star_scatter_by_batches(kernel_mesh))
 
 
 @pytest.mark.parametrize("dim", [2, 3])

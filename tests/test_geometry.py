@@ -25,6 +25,7 @@ from oracles import (
     edge_determinants_by_rows,
     edges_by_unique,
     gradient_dense,
+    gradient_matrix_by_coo,
     refine_uniform_by_orientation,
     row_groups_by_lexsort,
     shape_gradients_by_inv,
@@ -585,6 +586,18 @@ def test_mesh_hands_out_read_only_arrays():
             array.flat[0] = array.flat[0]
     with pytest.raises(dataclasses.FrozenInstanceError):
         measures.dual_volumes = np.ones(mesh.num_vertices)
+
+
+def test_gradient_matrix_matches_the_coo_build_bitwise(kernel_mesh):
+    # sorting each element's vertices, gradients alongside, gives the rows
+    # that scipy's tocsr sorts
+    G = ff.gradient_matrix(kernel_mesh)
+    expected = gradient_matrix_by_coo(kernel_mesh)
+    assert G.format == expected.format == "csr" and G.shape == expected.shape
+    for name in ("indptr", "indices", "data"):
+        actual, wanted = getattr(G, name), getattr(expected, name)
+        assert actual.dtype == wanted.dtype and actual.tobytes() == wanted.tobytes(), name
+    assert G.has_canonical_format and expected.has_canonical_format
 
 
 def test_measures_and_gradient_are_built_once_per_mesh():

@@ -367,6 +367,21 @@ def test_eigs_paths_cross_validate(
     assert np.abs(eig.values[:3]).max() < 1e-8 * eig.values.max()
 
 
+def test_eigen_validate_takes_a_dense_or_sparse_matrix(small_square_mesh):
+    field = ff.constant_field(small_square_mesh, ff.axis_frame(2))
+    op = ff.assemble_operator(small_square_mesh, field, 0.4, "neumann")
+    M = op.vertex_mass
+    eig = ff.eigs_generalized(op, M, 4)
+    # residuals at the bound pass and one ulp above it fail, for the
+    # operator, its sparse matrix and that matrix as a dense array alike:
+    # each takes the norm scipy takes of the sparse matrix
+    bound = 1e-7 * (spla.norm(op.matrix, np.inf) + np.abs(eig.values) * M.max())
+    for residuals, valid in ((bound, True), (np.nextafter(bound, np.inf), False)):
+        edge = dataclasses.replace(eig, residuals=residuals)
+        for A in (op, op.matrix, op.matrix.toarray()):
+            assert _passes(edge.validate, A, M) == valid
+
+
 def test_eigs_input_validation(disk_mesh, disk_harmonic_field):
     op = ff.assemble_operator(disk_mesh, disk_harmonic_field, 0.1, "neumann")
     with pytest.raises(ValueError):

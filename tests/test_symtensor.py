@@ -2,11 +2,14 @@ import numpy as np
 import pytest
 
 import framefieldops as ff
+from framefieldops import meshgen
 from framefieldops.symtensor import _SQRT2, mandel_size, sym_to_mandel
 
+from conftest import refined
 from oracles import (
     full_symmetry_violation,
     mandel_to_sym,
+    odeco_form_by_einsum,
     random_octahedral_frame,
     random_rotation,
     random_symmetric,
@@ -188,6 +191,25 @@ def test_batch_helpers_match_single():
             ("violation", full_symmetry_violation(single)),
         ):
             assert np.abs(stacked[name][i, v] - value).max() < 1e-12
+
+
+def test_odeco_form_matches_the_einsum_bitwise():
+    rng = np.random.default_rng(12)
+    disk = ff.harmonic_cross_field_2d(refined(meshgen.disk(16), 2))
+    ball = ff.helical_field_3d(refined(meshgen.ball(), 3), [0.3, 0.2, 1.0], 2.0).components
+    cases = {
+        "square frame": (np.eye(2), np.ones(2)),
+        "harmonic disk": (disk.components, disk.weights),
+        "unequal weights": (ball, rng.uniform(0.0, 2.0, (len(ball), 3))),
+        "broadcast (7, 1) by (5,)": (ball[:7, None], rng.uniform(0.0, 2.0, (5, 3))),
+        "shared weights": (ball[:4], rng.uniform(0.0, 2.0, 3)),
+        "two components in 3D": (ball[:6, :2], rng.uniform(0.0, 2.0, (6, 2))),
+    }
+    for name, (components, weights) in cases.items():
+        expected = odeco_form_by_einsum(components, weights)
+        actual = ff.odeco_form(components, weights)
+        assert actual.shape == expected.shape and actual.dtype == expected.dtype, name
+        assert actual.tobytes() == expected.tobytes(), name
 
 
 def test_frame_validation_errors():

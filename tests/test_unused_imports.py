@@ -1,6 +1,7 @@
 """Every name a package module imports is used in that module, every
 private module-level name is read somewhere in the package, and every public
 one is read by a program: a package module, a demo or the benchmark.
+Importing the package leaves ``scipy.spatial`` unloaded.
 
 ``__init__.py`` is left out of the import check: its imports are the public
 API.  For the same reason its re-exports do not count as reads of a public
@@ -9,6 +10,9 @@ name.  A name kept for readers outside its module is marked with
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -63,6 +67,19 @@ def test_the_scan_sees_an_unused_import():
         "x = np.zeros(3) + distance.euclidean(x, x)\n"
     )
     assert unused_imports(source) == [(2, "os"), (4, "cKDTree")]
+
+
+def test_importing_the_package_leaves_scipy_spatial_unloaded():
+    # only mesh generation and a few frame and warp functions use it, and
+    # each imports it when called
+    paths = [str(PACKAGE.parent)]
+    paths += [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
+    probe = "import sys, framefieldops; print('scipy.spatial' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, check=True, capture_output=True, text=True
+    )
+    assert out.stdout.strip() == "False"
 
 
 def bound_names(sources):
