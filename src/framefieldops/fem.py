@@ -48,6 +48,13 @@ other operator alone.
 
 Assembly is vectorized and deterministic: identical inputs produce
 bitwise-identical matrices, and every matrix is bitwise symmetric.
+
+The operator converges only on nested meshes, such as uniform refinements.
+On the Neumann source problem at epsilon 0.1 its error falls at order 2
+there, but levels off at 0.26-0.29 on ``meshgen.jittered_delaunay(2, n,
+jitter=0.0)`` for n from 16 to 128: K rebuilds second derivatives from
+element gradients, which is consistent only where neighbouring triangles
+pair into near-parallelograms, as uniform refinement keeps them.
 """
 
 import hashlib
@@ -109,7 +116,7 @@ class AssembledOperator:
     mesh: object
     boundary_vertices: np.ndarray
 
-    def validate(self, seed=0):
+    def validate(self):
         """Check symmetry, positive semidefiniteness, and the constant-mode
         nullspace (plus the affine nullspace under natural conditions).
         Each test passes only if its bound holds, so NaN fails all of them.
@@ -117,13 +124,13 @@ class AssembledOperator:
         Symmetry is ``solve.check_symmetric``'s test, and the ``|a|`` it
         takes gives the bounds' scale, the infinity norm of A: the largest
         row sum of ``|a|``, where an empty row sums to 0.  Five random
-        probes X, the constants and, under natural conditions, the
+        probes X of seed 0, the constants and, under natural conditions, the
         coordinate functions Y are applied in one product ``A @ [X' | Y]``.
         """
         A, magnitude = _symmetric_magnitude(self.matrix)
         n = A.shape[0]
         norm_a = _row_sums(A, magnitude).max(initial=0.0)
-        X = np.random.default_rng(seed).standard_normal((5, n))
+        X = np.random.default_rng(0).standard_normal((5, n))
         Y = np.ones((n, 1))
         if self.bc_kind == "natural":
             Y = np.column_stack([Y, self.mesh.vertices])

@@ -129,11 +129,9 @@ class FrameField:
 # -- basic frames -----------------------------------------------------------
 
 
-def axis_frame(dim, weights=None):
-    """The axis-aligned frame e_1, ..., e_dim with given weights (default 1)."""
-    if weights is None:
-        weights = np.ones(dim)
-    return OdecoFrame(np.eye(dim), np.asarray(weights, dtype=float))
+def axis_frame(dim):
+    """The axis-aligned frame e_1, ..., e_dim with unit weights."""
+    return OdecoFrame(np.eye(dim), np.ones(dim))
 
 
 def angles_to_components(theta):
@@ -202,8 +200,7 @@ def harmonic_cross_field_2d(mesh):
     """
     if mesh.dim != 2:
         raise FieldError("harmonic cross fields are planar (dim=2)")
-    measures = compute_measures(mesh)
-    bverts = measures.boundary_vertices
+    bverts = compute_measures(mesh).boundary_vertices
     if len(bverts) == 0:
         raise GeometryError("mesh has no boundary")
     # Per-vertex boundary data: average incident facet tangents in the
@@ -224,7 +221,7 @@ def harmonic_cross_field_2d(mesh):
     data[degenerate] = (1.0, 0.0)  # corner with 45-degree sides: arbitrary
 
     G = gradient_matrix(mesh)
-    A = sparse.diags(np.repeat(measures.element_volumes, 2))
+    A = sparse.diags(np.repeat(mesh.element_volumes, 2))
     L = (G.T @ A @ G).tocsr()
 
     rep = solve_pinned(L, bverts, data)

@@ -150,11 +150,17 @@ _SORTING_NETWORKS = {
 }
 
 
-def _sorted_rows(rows):
+def _sorted_rows(rows, carried=None):
     """``np.sort(rows, axis=1)`` for rows of 2 to 4 integers, by min/max
-    compare-exchanges of whole columns."""
+    compare-exchanges of whole columns.  ``carried``, if given, holds one
+    list of ``(n,)`` arrays per column, which each exchange swaps in place
+    where it swaps the keys."""
     columns = list(rows.T)
     for i, j in _SORTING_NETWORKS[len(columns)]:
+        if carried:
+            swap = columns[j] < columns[i]
+            for c, (a, b) in enumerate(zip(carried[i], carried[j])):
+                carried[i][c], carried[j][c] = np.where(swap, b, a), np.where(swap, a, b)
         columns[i], columns[j] = (
             np.minimum(columns[i], columns[j]),
             np.maximum(columns[i], columns[j]),
@@ -382,12 +388,10 @@ class SimplicialMesh:
 
 @dataclass(frozen=True)
 class MeshMeasures:
-    """Volumes and boundary frames of a mesh, read-only.
+    """Vertex volumes and boundary frames of a mesh, read-only.
 
     Attributes
     ----------
-    element_volumes : np.ndarray
-        Area (2D) or volume (3D) per element.
     dual_volumes : np.ndarray
         Barycentric vertex lumping: each element donates volume/(dim+1) to
         each of its vertices.  Sums to the total domain volume.
@@ -402,7 +406,6 @@ class MeshMeasures:
         complement at each boundary vertex.
     """
 
-    element_volumes: np.ndarray
     dual_volumes: np.ndarray
     boundary_vertices: np.ndarray
     boundary_normals: np.ndarray
@@ -437,17 +440,16 @@ def _tangent_bases(normals):
 
 @mesh_cached
 def compute_measures(mesh):
-    """Element volumes, dual vertex volumes, and boundary normal frames.
+    """Dual vertex volumes and boundary normal frames.
 
     Boundary normals at a vertex average the outward normals of incident
     boundary facets weighted by facet measure, then normalize; the tangent
     basis is the normal turned a quarter counterclockwise in 2D and
     ``_tangent_bases`` in 3D.
     """
-    vols = mesh.element_volumes  # positive: SimplicialMesh checks it
     dual = np.zeros(mesh.num_vertices)
     for k in range(mesh.dim + 1):
-        np.add.at(dual, mesh.elements[:, k], vols / (mesh.dim + 1))
+        np.add.at(dual, mesh.elements[:, k], mesh.element_volumes / (mesh.dim + 1))
 
     bverts = np.unique(mesh.boundary_facets)
     normals = np.zeros((mesh.num_vertices, mesh.dim))
@@ -466,7 +468,6 @@ def compute_measures(mesh):
         tangents = _tangent_bases(normals)
 
     return MeshMeasures(
-        element_volumes=vols,
         dual_volumes=dual,
         boundary_vertices=bverts,
         boundary_normals=normals,
@@ -482,33 +483,19 @@ def gradient_matrix(mesh):
     has ``ne * dim`` rows grouped per element.  Exact on affine functions.
 
     The CSR arrays are written directly: each row holds its element's
-    vertices in ascending order, sorted by the compare-exchanges of
-    ``_SORTING_NETWORKS`` with their gradient columns carried along, so
-    the arrays, their dtypes and the canonical flag are those of the COO
-    build ``gradient_matrix_by_coo`` in ``tests/oracles.py``.
+    vertices in ascending order, sorted by ``_sorted_rows`` with their
+    gradient columns carried along, so the arrays, their dtypes and the
+    canonical flag are those of the COO build ``gradient_matrix_by_coo`` in
+    ``tests/oracles.py``.
     """
     g = mesh.shape_gradients()
     ne, k, dim = g.shape
-    # Each element's vertices in ascending order, their gradients alongside.
-    vertices = list(mesh.elements.T)
     columns = [list(g[:, a].T) for a in range(k)]
-    for i, j in _SORTING_NETWORKS[k]:
-        swap = vertices[j] < vertices[i]
-        vertices[i], vertices[j] = (
-            np.where(swap, vertices[j], vertices[i]),
-            np.where(swap, vertices[i], vertices[j]),
-        )
-        columns[i], columns[j] = (
-            [np.where(swap, b, a) for a, b in zip(columns[i], columns[j])],
-            [np.where(swap, a, b) for a, b in zip(columns[i], columns[j])],
-        )
+    vertices = _sorted_rows(mesh.elements, columns)
     index = sparse.get_index_dtype(maxval=max(ne * dim * k, mesh.num_vertices))
-    indices = np.empty((ne, dim, k), dtype=index)
+    indices = np.repeat(vertices.astype(index), dim, axis=0)  # row (e, d): e's vertices
     data = np.empty((ne, dim, k))
-    for a in range(k):
-        indices[:, :, a] = vertices[a][:, None]
-        for d in range(dim):
-            data[:, d, a] = columns[a][d]
+    data.T[:] = columns  # entry (e, d, a): coordinate d of vertex a's gradient
     indptr = np.arange(0, ne * dim * k + 1, k, dtype=index)
     G = sparse.csr_matrix(
         (data.ravel(), indices.ravel(), indptr), shape=(ne * dim, mesh.num_vertices)

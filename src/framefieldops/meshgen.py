@@ -10,13 +10,21 @@ import itertools
 
 import numpy as np
 
-from .errors import ParameterError, check_integer
+from .errors import GeometryError, ParameterError, check_integer
 from .geometry import SimplicialMesh, _edge_determinants, _orient_elements
 
 # The 6 path-simplices of the unit cube as (6, 4, 3) corner offsets: from
 # the origin, one unit step along each axis in the order of a permutation.
 _KUHN_STEPS = np.eye(3, dtype=np.int64)[list(itertools.permutations(range(3)))]
 _KUHN_OFFSETS = np.cumsum(np.pad(_KUHN_STEPS, ((0, 0), (1, 0), (0, 0))), axis=1)
+
+# The ball's 20 positively oriented tetrahedra: the center, 0, and a face.
+_BALL_TETS = np.array([
+    [0, 3, 6, 9], [0, 7, 5, 2], [0, 12, 7, 2], [0, 11, 6, 4], [0, 11, 4, 2],
+    [0, 12, 2, 4], [0, 11, 5, 9], [0, 11, 2, 5], [0, 11, 9, 6], [0, 8, 4, 6],
+    [0, 12, 4, 8], [0, 8, 3, 10], [0, 12, 8, 10], [0, 8, 6, 3], [0, 1, 7, 10],
+    [0, 12, 10, 7], [0, 1, 5, 7], [0, 1, 10, 3], [0, 1, 3, 9], [0, 1, 9, 5],
+])
 
 
 def structured_square(n, lo=-1.0, hi=1.0):
@@ -127,13 +135,12 @@ def box(nx, ny, nz, lo=(0.0, 0.0, 0.0), hi=(1.0, 1.0, 1.0)):
 
 
 def ball(radius=1.0):
-    """Coarse ball: unit icosahedron vertices plus center, 20 tetrahedra.
+    """Coarse ball: icosahedron vertices at ``radius`` plus center, and the
+    20 tetrahedra of ``_BALL_TETS``, the same for every radius.
 
     Refine with :func:`framefieldops.geometry.refine_uniform` to build
     hierarchies; the polyhedral boundary is preserved exactly.
     """
-    from scipy.spatial import Delaunay
-
     a, b = 1.0, (1.0 + np.sqrt(5.0)) / 2.0
     pts = np.array([
         (0, +a, +b), (0, +a, -b), (0, -a, +b), (0, -a, -b),
@@ -141,12 +148,7 @@ def ball(radius=1.0):
         (+b, 0, +a), (-b, 0, +a), (+b, 0, -a), (-b, 0, -a),
     ])
     pts *= radius / np.linalg.norm(pts[0])
-    # Faces by convex hull of the 12 sphere points.
-    hull = Delaunay(pts).convex_hull
-    vertices = np.vstack([np.zeros(3), pts])
-    tets = np.column_stack([np.zeros(len(hull), dtype=np.int64), hull + 1])
-    elements = _orient_elements(vertices, tets)
-    return SimplicialMesh(vertices, elements)
+    return SimplicialMesh(np.vstack([np.zeros(3), pts]), _BALL_TETS)
 
 
 def jittered_delaunay(dim, n_side, jitter=0.25, seed=0):
@@ -157,7 +159,11 @@ def jittered_delaunay(dim, n_side, jitter=0.25, seed=0):
     box faces stay put, so the domain is exactly the unit box while the
     regular-grid degeneracies that produce flat Delaunay simplices are
     broken.  Useful for randomized assembly tests.  ``dim`` must be 2 or 3
-    and ``n_side`` an integer >= 1, else ``ParameterError``.
+    and ``n_side`` an integer >= 1, else ``ParameterError``.  Flat Delaunay
+    simplices, as of the 3D grid with ``jitter=0.0``, raise ``GeometryError``:
+    the mesh would crack without them.  The operator does not converge on
+    these meshes, which are not nested: in 2D with ``jitter=0.0`` its errors
+    level off at 0.26-0.29 (see :mod:`framefieldops.fem`).
     """
     from scipy.spatial import Delaunay
 
@@ -174,5 +180,7 @@ def jittered_delaunay(dim, n_side, jitter=0.25, seed=0):
         pts[free, a] += rng.uniform(-jitter * h, jitter * h, free.sum())
     tri = Delaunay(pts)
     elements = _orient_elements(pts, tri.simplices.astype(np.int64))
-    dets = _edge_determinants(pts, elements)  # nonnegative once oriented
-    return SimplicialMesh(pts, elements[dets > 1e-9 * h**dim])
+    flat = _edge_determinants(pts, elements) <= 1e-9 * h**dim  # nonnegative once oriented
+    if np.any(flat):
+        raise GeometryError(f"{np.count_nonzero(flat)} Delaunay simplices are flat")
+    return SimplicialMesh(pts, elements)

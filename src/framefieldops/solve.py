@@ -65,7 +65,7 @@ logger = logging.getLogger(__name__)
 DENSE_THRESHOLD = 3000  # unused here; perfbench/workloads.py labels records with it
 
 
-def check_symmetric(A, tol=1e-12):
+def check_symmetric(A):
     """Validate and return a CSR matrix that is symmetric within tolerance.
 
     The matrix returned is canonical: an input with unsorted or duplicate
@@ -74,13 +74,13 @@ def check_symmetric(A, tol=1e-12):
     Raises
     ------
     NumericalError
-        Unless ``max |a_ij - a_ji| <= tol * max |a|``, so a NaN entry fails.
+        Unless ``max |a_ij - a_ji| <= 1e-12 * max |a|``, so a NaN entry fails.
     """
-    return _symmetric_magnitude(A, tol)[0]
+    return _symmetric_magnitude(A)[0]
 
 
-def _symmetric_magnitude(A, tol=1e-12):
-    """``check_symmetric(A, tol)`` and ``|a|`` over its stored entries.
+def _symmetric_magnitude(A):
+    """``check_symmetric(A)`` and ``|a|`` over its stored entries.
 
     ``|a|`` is taken once and gives the scale.  The transpose's canonical
     CSR arrays are ``A.tocsc()``'s, so where they have A's pattern the
@@ -99,10 +99,10 @@ def _symmetric_magnitude(A, tol=1e-12):
                 gap = np.abs(A.data - T.data).max()
         else:
             gap = abs(A - A.T).max()
-    if not gap <= tol * scale:
+    if not gap <= 1e-12 * scale:
         raise NumericalError(
             f"matrix is not symmetric: asymmetry {gap:.3e} exceeds "
-            f"{tol:.0e} * max|a| = {tol * scale:.3e}"
+            f"1e-12 * max|a| = {1e-12 * scale:.3e}"
         )
     return A, magnitude
 
@@ -359,8 +359,8 @@ class EigenResult:
     vectors: np.ndarray
     residuals: np.ndarray
 
-    def validate(self, A, M_diag, rtol=1e-7, otol=1e-8):
-        """Assert the residual and M-orthonormality contracts.
+    def validate(self, A, M_diag, rtol=1e-7):
+        """Assert the residual (``rtol``) and M-orthonormality (1e-8) contracts.
 
         A is sparse, dense or an ``AssembledOperator``; the bound's scale is
         its infinity norm, the largest row sum of ``|a|`` over the canonical
@@ -373,7 +373,7 @@ class EigenResult:
         if not np.all(self.residuals <= bound):
             raise NumericalError("eigenpair residual exceeds tolerance")
         gram = self.vectors.T @ (M_diag[:, None] * self.vectors)
-        if not np.max(np.abs(gram - np.eye(len(self.values)))) <= otol:
+        if not np.max(np.abs(gram - np.eye(len(self.values)))) <= 1e-8:
             raise NumericalError("eigenvectors are not M-orthonormal")
         return True
 

@@ -276,7 +276,7 @@ def test_stable_order_matches_stable_argsort(n):
 
 def test_measures_square(unit_square_mesh):
     meas = ff.compute_measures(unit_square_mesh)
-    assert np.allclose(meas.element_volumes, 0.5)
+    assert np.allclose(unit_square_mesh.element_volumes, 0.5)
     assert np.isclose(meas.dual_volumes.sum(), 1.0)
     # all four vertices are corners: averaged normals are diagonal
     assert np.allclose(np.abs(meas.boundary_normals), np.sqrt(0.5))
@@ -312,7 +312,7 @@ def test_measures_tangent_frames(dim):
 def test_dual_volume_conservation(disk_mesh, small_ball_mesh):
     for mesh in (disk_mesh, small_ball_mesh):
         meas = ff.compute_measures(mesh)
-        total = meas.element_volumes.sum()
+        total = mesh.element_volumes.sum()
         assert abs(meas.dual_volumes.sum() - total) < 1e-12 * total
 
 
@@ -421,6 +421,7 @@ def test_generators_are_valid():
         meshgen.box(2, 3, 2),
         meshgen.ball(),
         meshgen.jittered_delaunay(2, 6, seed=0),
+        meshgen.jittered_delaunay(2, 16, jitter=0.0),  # unlike the 3D grid, no flat simplex
         meshgen.jittered_delaunay(3, 3, seed=0),
     ):
         assert np.all(mesh.element_volumes > 0)
@@ -464,6 +465,21 @@ def test_ring_generators_match_ring_loops():
 def test_disk_needs_a_ring():
     with pytest.raises(ff.ParameterError, match="rings"):
         meshgen.disk(0)
+
+
+def test_ball_has_one_element_table_for_every_radius():
+    # Qhull's hull of the 12 points listed the faces in another order at
+    # radius 2.5
+    for radius in (1e-3, 1.0, 2.5):
+        assert np.array_equal(meshgen.ball(radius).elements, meshgen.ball().elements)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_unjittered_3d_delaunay_raises_on_flat_tetrahedra(n):
+    # dropping them left cracks: 204 boundary facets at n = 3 where the
+    # cube has 108
+    with pytest.raises(ff.GeometryError, match="flat"):
+        meshgen.jittered_delaunay(3, n, jitter=0.0)
 
 
 def test_nan_coordinate_rejected():

@@ -198,7 +198,7 @@ def test_solve_spd_identity_and_nullspace():
 def _laplacian(mesh):
     """The piecewise-linear Laplacian, built as the harmonic field builds it."""
     G = ff.gradient_matrix(mesh)
-    volumes = sparse.diags(np.repeat(ff.compute_measures(mesh).element_volumes, mesh.dim))
+    volumes = sparse.diags(np.repeat(mesh.element_volumes, mesh.dim))
     return (G.T @ volumes @ G).tocsr()
 
 
@@ -390,6 +390,26 @@ def test_eigs_input_validation(disk_mesh, disk_harmonic_field):
         ff.eigs_generalized(op, op.vertex_mass, op.matrix.shape[0] + 5)
     with pytest.raises(ff.ParameterError):
         ff.eigs_generalized(op, np.zeros_like(op.vertex_mass), 4)
+
+
+def test_a_natural_eigensolve_returns_its_whole_zero_cluster():
+    # EigenResult.validate checks residuals and orthonormality, so it would
+    # pass a solve that skipped members of the zero cluster for nonzero
+    # modes.  The natural helical jittered cube has 27 zero modes; asked for
+    # 23, every seed must return 23 of them.
+    mesh = meshgen.jittered_delaunay(3, 8, seed=501)
+    field = ff.helical_field_3d(mesh, [0.0, 0.0, 1.0], 2.0)
+    op = ff.assemble_operator(mesh, field, 0.05, "natural")
+    assert ff.nullity(op) == 27
+    oracle, vectors = dense_eigs(op.matrix, op.vertex_mass, 28)
+    null = vectors[:, :27]  # M-orthonormal
+    gap = oracle[27]  # the first nonzero eigenvalue
+    for seed in range(4):
+        eig = ff.eigs_generalized(op, op.vertex_mass, 23, seed=seed)
+        assert ff.zero_modes(op, eig.values).all()
+        assert np.abs(eig.values - oracle[:23]).max() < 1e-10 * gap
+        outside = eig.vectors - null @ (null.T @ (op.vertex_mass[:, None] * eig.vectors))
+        assert np.abs(outside).max() < 1e-6 * np.abs(eig.vectors).max()
 
 
 def test_eigs_of_a_bare_matrix_with_a_varied_mass_match_dense_oracle():

@@ -1,7 +1,8 @@
 """Every name a package module imports is used in that module, every
 private module-level name is read somewhere in the package, and every public
 one is read by a program: a package module, a demo or the benchmark.
-Importing the package leaves ``scipy.spatial`` unloaded.
+Importing the package, and running the disk and refined-ball pipelines,
+leave ``scipy.spatial`` unloaded.
 
 ``__init__.py`` is left out of the import check: its imports are the public
 API.  For the same reason its re-exports do not count as reads of a public
@@ -69,13 +70,35 @@ def test_the_scan_sees_an_unused_import():
     assert unused_imports(source) == [(2, "os"), (4, "cKDTree")]
 
 
-def test_importing_the_package_leaves_scipy_spatial_unloaded():
-    # only mesh generation and a few frame and warp functions use it, and
+# Programs after which scipy.spatial must still be unloaded: the import, the
+# disk pipeline, and a refined ball assembled with a constant field.
+SPATIAL_PROBES = {
+    "import": "import framefieldops",
+    "disk pipeline": (
+        "import framefieldops as ff\n"
+        "from framefieldops import meshgen\n"
+        "mesh = meshgen.disk(4)\n"
+        "op = ff.assemble_operator(mesh, ff.harmonic_cross_field_2d(mesh), 0.1, 'natural')\n"
+        "op.validate()\n"
+        "ff.eigs_generalized(op, op.vertex_mass, 12)\n"
+    ),
+    "refined ball": (
+        "import framefieldops as ff\n"
+        "from framefieldops import meshgen\n"
+        "mesh = ff.refine_uniform(meshgen.ball())\n"
+        "ff.assemble_operator(mesh, ff.constant_field(mesh, ff.axis_frame(3)), 0.1, 'neumann')\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("program", SPATIAL_PROBES.values(), ids=list(SPATIAL_PROBES))
+def test_importing_the_package_leaves_scipy_spatial_unloaded(program):
+    # only Delaunay meshes and a few frame and warp functions use it, and
     # each imports it when called
     paths = [str(PACKAGE.parent)]
     paths += [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
-    probe = "import sys, framefieldops; print('scipy.spatial' in sys.modules)"
+    probe = program + "\nimport sys; print('scipy.spatial' in sys.modules)"
     out = subprocess.run(
         [sys.executable, "-c", probe], env=env, check=True, capture_output=True, text=True
     )
