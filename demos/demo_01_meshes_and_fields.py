@@ -37,7 +37,7 @@ ff.save_mesh(ball, out / "ball.mesh")
 # -- a boundary-aligned cross field on the disk --------------------------------
 
 field = ff.harmonic_cross_field_2d(disk)
-residuals, aligned = ff.check_boundary_alignment(field, 1e-6)
+residuals, aligned = ff.check_boundary_alignment(field)
 print(f"boundary alignment: max residual {residuals.max():.2e}, all aligned: {aligned.all()}")
 
 # The 4-fold representation vector vanishes where the cross winds: the one

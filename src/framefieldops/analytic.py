@@ -24,7 +24,6 @@ class SquareSpectrum:
     with multiplicities kept.
     """
 
-    epsilon: float
     frequencies: np.ndarray
     values: np.ndarray
 
@@ -56,7 +55,7 @@ def square_spectrum(epsilon, count):
             break
         K *= 2
     take = order[:count]
-    return SquareSpectrum(epsilon=epsilon, frequencies=ab[take], values=vals[take])
+    return SquareSpectrum(frequencies=ab[take], values=vals[take])
 
 
 @dataclass

@@ -32,7 +32,6 @@ class SpectralEmbedding:
     coordinates: np.ndarray
     eigenvalues: np.ndarray
     n_modes: int
-    fingerprint: str
 
 
 def zero_modes(op, values):
@@ -130,7 +129,6 @@ def build_embedding(op, n_modes=64):
         coordinates=eig.vectors / eig.values,
         eigenvalues=eig.values,
         n_modes=n_modes,
-        fingerprint=op.fingerprint,
     )
 
 

@@ -58,7 +58,6 @@ pair into near-parallelograms, as uniform refinement keeps them.
 """
 
 import hashlib
-import logging
 import warnings
 from dataclasses import dataclass
 
@@ -70,8 +69,6 @@ from .geometry import _LOCAL_EDGES, _stable_order, compute_measures, mesh_cached
 from .geometry import gradient_matrix  # noqa: F401  unused here; perfbench/tracing.py wraps it
 from .solve import _row_sums, _symmetric_magnitude, solve_pinned
 from .symtensor import _SQRT2, mandel_pairs, mandel_size, sym_to_mandel
-
-logger = logging.getLogger(__name__)
 
 BC_KINDS = ("natural", "neumann")
 # Product entries per batch of stars: about 1 MB per float64 temporary.
@@ -111,7 +108,6 @@ class AssembledOperator:
     matrix: sparse.csr_matrix
     vertex_mass: np.ndarray
     bc_kind: str
-    epsilon: float
     fingerprint: str
     mesh: object
     boundary_vertices: np.ndarray
@@ -388,7 +384,6 @@ def assemble_operator(mesh, field, epsilon, bc_kind):
         matrix=op,
         vertex_mass=measures.dual_volumes.copy(),
         bc_kind=bc_kind,
-        epsilon=epsilon,
         fingerprint=_operator_fingerprint(field, epsilon, bc_kind),
         mesh=mesh,
         boundary_vertices=measures.boundary_vertices.copy(),

@@ -315,7 +315,7 @@ def map_coframe_field(mesh_warped, inverse_jacobian):
 # -- alignment ----------------------------------------------------------------
 
 
-def check_boundary_alignment(field, tol=1e-6):
+def check_boundary_alignment(field):
     """Per-boundary-vertex residual of the generalized-eigenvector condition.
 
     The boundary normal n is a generalized eigenvector of the frame tensor
@@ -325,8 +325,7 @@ def check_boundary_alignment(field, tol=1e-6):
     Mandel map is an isometry, so this is the mismatch in Frobenius norm.
 
     The boundary and its normals are the field mesh's own, from
-    ``compute_measures(field.mesh)``.  A ``tol`` that is not one finite
-    number raises ``ParameterError``.
+    ``compute_measures(field.mesh)``.
 
     Returns
     -------
@@ -334,9 +333,8 @@ def check_boundary_alignment(field, tol=1e-6):
         One value per boundary vertex (in ``boundary_vertices`` order of the
         field mesh's measures).
     aligned : np.ndarray
-        Boolean mask ``residuals <= tol``.
+        Boolean mask ``residuals <= 1e-6``.
     """
-    tol = check_values("tol", tol, ())
     measures = compute_measures(field.mesh)
     bv = measures.boundary_vertices
     n = measures.boundary_normals
@@ -345,7 +343,7 @@ def check_boundary_alignment(field, tol=1e-6):
     w = np.einsum("bp,bp->b", v, Qv)
     R = Qv - w[:, None] * v
     residual = np.linalg.norm(R, axis=1) / np.maximum(field.norms[bv], 1e-12)
-    return residual, residual <= tol
+    return residual, residual <= 1e-6
 
 
 # -- restriction ---------------------------------------------------------------

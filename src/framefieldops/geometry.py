@@ -34,7 +34,6 @@ back bitwise, and a refused save leaves an existing file alone.
 import dataclasses
 import functools
 import hashlib
-import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,8 +41,6 @@ from scipy import sparse
 from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from .errors import GeometryError, MeshFormatError, ParameterError, check_values
-
-logger = logging.getLogger(__name__)
 
 _FACTORIAL = {2: 2.0, 3: 6.0}
 

@@ -28,7 +28,9 @@ _BALL_TETS = np.array([
 
 
 def structured_square(n, lo=-1.0, hi=1.0):
-    """Structured triangulation of the square [lo, hi]^2 with n x n cells."""
+    """Structured triangulation of the square [lo, hi]^2 with n x n cells.
+    ``n`` must be an integer >= 1, else ``ParameterError``."""
+    check_integer("n", n)
     xs = np.linspace(lo, hi, n + 1)
     X, Y = np.meshgrid(xs, xs, indexing="ij")
     vertices = np.column_stack([X.ravel(), Y.ravel()])
@@ -118,9 +120,12 @@ def box(nx, ny, nz, lo=(0.0, 0.0, 0.0), hi=(1.0, 1.0, 1.0)):
 
     Each grid cube is split into 6 tetrahedra along the main diagonal; the
     split is identical in every cube, so faces between cubes conform.
+    Each count must be an integer >= 1, else ``ParameterError``.
     """
-    lo, hi = np.asarray(lo, float), np.asarray(hi, float)
     counts = (nx, ny, nz)
+    for name, count in zip(("nx", "ny", "nz"), counts):
+        check_integer(name, count)
+    lo, hi = np.asarray(lo, float), np.asarray(hi, float)
     axes = [np.linspace(lo[a], hi[a], counts[a] + 1) for a in range(3)]
     X, Y, Z = np.meshgrid(*axes, indexing="ij")
     vertices = np.column_stack([X.ravel(), Y.ravel(), Z.ravel()])

@@ -70,12 +70,12 @@ def _harmonic_fields(meshes):
     return [resample_field(fine, m) for m in meshes[:-1]] + [fine]
 
 
-def validate_square_spectrum(base_n=46, refinements=2, finest_modes=10, rel_tol=0.05):
+def validate_square_spectrum(base_n=46, finest_modes=10, rel_tol=0.05):
     """Discrete spectrum on the square versus the analytic Fourier lattice.
 
     Compares the 20 smallest nonzero eigenvalues of the constant axis field
-    at epsilon 1 and 0.1 on ``structured_square(base_n)`` and its
-    ``refinements`` uniform refinements.  Runs both boundary-condition kinds
+    at epsilon 1 and 0.1 on ``structured_square(base_n)`` and its 2
+    uniform refinements.  Runs both boundary-condition kinds
     and reports which matches the lattice better; the pass criteria (per-mode
     errors decreasing across resolutions for at least 90 % of the 20 modes,
     and finest-level relative error below ``rel_tol`` for the leading
@@ -83,7 +83,7 @@ def validate_square_spectrum(base_n=46, refinements=2, finest_modes=10, rel_tol=
     be Neumann.  Each (epsilon, bc, level) makes one ``nonzero_eigenpairs``
     request.
     """
-    meshes = _hierarchy(structured_square(base_n), refinements)
+    meshes = _hierarchy(structured_square(base_n), 2)
     lengths = [mean_edge_length(m) for m in meshes]
     rows = []
     ok = True

@@ -1,3 +1,9 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -89,3 +95,23 @@ def eigs_requests(monkeypatch):
 
     monkeypatch.setattr(framefieldops.apps, "eigs_generalized", counting)
     return requests
+
+
+def package_env():
+    """The environment for a child Python that imports this package."""
+    paths = [str(Path(ff.__file__).resolve().parents[1])]
+    paths += [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
+
+
+@pytest.fixture(scope="session")
+def validator_records():
+    """Every validator's record at its defaults, by name, from one run of
+    ``write_validation.py`` in a process with one BLAS thread, the setting
+    under which ``VALIDATION_1.json`` was written."""
+    out = subprocess.run(
+        [sys.executable, str(Path(__file__).with_name("write_validation.py")), "-"],
+        env=package_env(), capture_output=True, text=True,
+    )
+    assert out.returncode == 0, out.stderr
+    return {r["name"]: r for r in json.loads(out.stdout)["reports"]}

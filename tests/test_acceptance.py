@@ -13,13 +13,6 @@ import framefieldops as ff
 from framefieldops import meshgen
 from framefieldops.fem import build_mixed_system, projected_middle_blocks
 from framefieldops.symtensor import sym_to_mandel
-from framefieldops.validation import (
-    validate_anisotropy,
-    validate_dirichlet_convergence,
-    validate_refine_spectrum,
-    validate_square_spectrum,
-    validate_warp,
-)
 
 from conftest import rotation_frame_2d
 from oracles import (
@@ -59,14 +52,14 @@ def test_criterion_01_bilaplacian_reduction():
     )
 
 
-def test_criterion_02_analytic_square_spectrum():
-    rep = validate_square_spectrum()  # n=46 + 2 refinements, eps {1, 0.1}
-    report(2, rep.passed, rep.summary)
+def test_criterion_02_analytic_square_spectrum(validator_records):
+    rep = validator_records["square-spectrum"]  # n=46 + 2 refinements, eps {1, 0.1}
+    report(2, rep["passed"], rep["summary"])
 
 
-def test_criterion_03_spectral_refinement_convergence():
-    rep = validate_refine_spectrum()  # disk hierarchy, 4 levels, restricted field
-    report(3, rep.passed, rep.summary)
+def test_criterion_03_spectral_refinement_convergence(validator_records):
+    rep = validator_records["refine-spectrum"]  # disk hierarchy, 4 levels, restricted field
+    report(3, rep["passed"], rep["summary"])
 
 
 def test_criterion_04_kkt_oracle_equivalence():
@@ -174,14 +167,14 @@ def test_criterion_06_tensor_property_suite():
     )
 
 
-def test_criterion_07_anisotropy_trend():
-    rep = validate_anisotropy()  # disk(40), tau=1e-5, paper epsilon sweep
-    report(7, rep.passed, rep.summary)
+def test_criterion_07_anisotropy_trend(validator_records):
+    rep = validator_records["anisotropy"]  # disk(40), tau=1e-5, paper epsilon sweep
+    report(7, rep["passed"], rep["summary"])
 
 
-def test_criterion_08_warp_experiment():
-    rep = validate_warp()  # c in {0.05, 0.025, 0.0125, 0}
-    report(8, rep.passed, rep.summary)
+def test_criterion_08_warp_experiment(validator_records):
+    rep = validator_records["warp"]  # c in {0.05, 0.025, 0.0125, 0}
+    report(8, rep["passed"], rep["summary"])
 
 
 def test_criterion_09_distance_metric_properties():
@@ -268,8 +261,8 @@ def test_criterion_11_volumetric_smoke_and_convergence():
     )
 
 
-def test_criterion_dirichlet_convergence_supplement():
+def test_criterion_dirichlet_convergence_supplement(validator_records):
     # exercised alongside the numbered criteria: the boundary-value solutions
     # themselves converge on the disk hierarchy (paper's first experiment)
-    rep = validate_dirichlet_convergence()
-    report("supplement (Dirichlet)", rep.passed, rep.summary)
+    rep = validator_records["dirichlet-convergence"]
+    report("supplement (Dirichlet)", rep["passed"], rep["summary"])

@@ -357,6 +357,14 @@ def test_log_level_shows_validation_progress(tmp_path, capsys):
     assert err.count("best bc") == 2
 
 
+def test_validate_with_a_negative_size_is_bad_input(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["-o", str(out), "validate", "square-spectrum", "--base-n=-2"]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert "input error: n must lie in [1, inf), got -2" in err
+    assert "Traceback" not in err
+
+
 def test_validate_small_runs(tmp_path):
     # the isotropy check needs the isoline resolved, so anisotropy runs at
     # its default disk size (still a couple of seconds)

@@ -1,4 +1,3 @@
-import os
 import shutil
 import subprocess
 import sys
@@ -6,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-import framefieldops
+from conftest import package_env
 
 DEMOS = Path(__file__).resolve().parents[1] / "demos"
 DEMO_OUTPUTS = {
@@ -32,11 +31,9 @@ def test_demo_reproduces_its_committed_files(demo, tmp_path):
     # run a copy, which writes next to itself, so the committed files are only read
     script = tmp_path / demo
     shutil.copy(DEMOS / demo, script)
-    paths = [str(Path(framefieldops.__file__).resolve().parents[1])]
-    paths += [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
     subprocess.run(
-        [sys.executable, str(script)], cwd=tmp_path, env=env, check=True, capture_output=True
+        [sys.executable, str(script)], cwd=tmp_path, env=package_env(), check=True,
+        capture_output=True,
     )
     assert sorted(p.name for p in (tmp_path / "output").iterdir()) == sorted(DEMO_OUTPUTS[demo])
     for name in DEMO_OUTPUTS[demo]:

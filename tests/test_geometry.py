@@ -467,6 +467,19 @@ def test_disk_needs_a_ring():
         meshgen.disk(0)
 
 
+@pytest.mark.parametrize("count", [2.5, True, -3, 0])
+def test_grid_generators_take_only_positive_integer_counts(count):
+    # numpy's linspace raised ValueError for -3, TypeError for 2.5, and True
+    # built a one-cell grid
+    with pytest.raises(ff.ParameterError, match="^n must"):
+        meshgen.structured_square(count)
+    for axis, name in enumerate(("nx", "ny", "nz")):
+        counts = [2, 2, 2]
+        counts[axis] = count
+        with pytest.raises(ff.ParameterError, match=f"^{name} must"):
+            meshgen.box(*counts)
+
+
 def test_ball_has_one_element_table_for_every_radius():
     # Qhull's hull of the 12 points listed the faces in another order at
     # radius 2.5

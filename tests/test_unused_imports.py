@@ -1,6 +1,8 @@
 """Every name a package module imports is used in that module, every
 private module-level name is read somewhere in the package, and every public
-one is read by a program: a package module, a demo or the benchmark.
+one is read by a program: a package module, a demo or the benchmark.  A
+loaded name is a read only of the name its module defines or imports, so
+two modules' ``logger`` are two names.
 Importing the package, and running the disk and refined-ball pipelines,
 leave ``scipy.spatial`` unloaded.
 
@@ -11,7 +13,6 @@ name.  A name kept for readers outside its module is marked with
 """
 
 import ast
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -19,6 +20,8 @@ from pathlib import Path
 import pytest
 
 import framefieldops as ff
+
+from conftest import package_env
 
 PACKAGE = Path(ff.__file__).resolve().parent
 SOURCES = sorted(PACKAGE.glob("*.py"))
@@ -95,12 +98,10 @@ SPATIAL_PROBES = {
 def test_importing_the_package_leaves_scipy_spatial_unloaded(program):
     # only Delaunay meshes and a few frame and warp functions use it, and
     # each imports it when called
-    paths = [str(PACKAGE.parent)]
-    paths += [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
     probe = program + "\nimport sys; print('scipy.spatial' in sys.modules)"
     out = subprocess.run(
-        [sys.executable, "-c", probe], env=env, check=True, capture_output=True, text=True
+        [sys.executable, "-c", probe], env=package_env(), check=True, capture_output=True,
+        text=True,
     )
     assert out.stdout.strip() == "False"
 
@@ -120,28 +121,44 @@ def bound_names(sources):
 
 
 def read_names(sources, aliases=False):
-    """Names read in any of the ``sources``: loaded names, attributes and,
-    with ``aliases``, the names that an import statement brings in."""
-    read = set()
-    for source in sources:
-        for node in ast.walk(ast.parse(source)):
+    """What the ``{module: source}`` read, as ``(local, anywhere)``.
+
+    ``local`` holds ``(module, name)`` for each loaded name, under the
+    module that defines it: the module that loads it, or the one it was
+    imported from.  ``anywhere`` holds the names that count as read in
+    every module: attributes and, with ``aliases``, the names an import
+    statement brings in.
+    """
+    local, anywhere = set(), set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        origin = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module:
+                for alias in node.names:
+                    origin[alias.asname or alias.name] = (
+                        node.module.rsplit(".", 1)[-1] + ".py", alias.name
+                    )
+        for node in ast.walk(tree):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                read.add(node.id)
+                local.add(origin.get(node.id, (module, node.id)))
             elif isinstance(node, ast.Attribute):
-                read.add(node.attr)
+                anywhere.add(node.attr)
             elif aliases and isinstance(node, ast.alias):
-                read.add(node.name)
-    return read
+                anywhere.add(node.name)
+    return local, anywhere
 
 
 def unread_private_names(sources):
     """``(module, name)`` of each private module-level name (one leading
-    ``_``) bound in one of the ``{module: source}`` and read in none: as a
-    loaded name, or an attribute.  Importing a name does not read it."""
-    read = read_names(sources.values())
+    ``_``) bound in one of the ``{module: source}`` and read in none: as an
+    attribute, or as a loaded name in its own module or in one that imports
+    it from there.  Importing a name does not read it."""
+    local, anywhere = read_names(sources)
     return [
         (module, name) for module, name in bound_names(sources)
-        if name.startswith("_") and not name.startswith("__") and name not in read
+        if name.startswith("_") and not name.startswith("__")
+        and name not in anywhere and (module, name) not in local
     ]
 
 
@@ -152,27 +169,31 @@ def test_package_reads_every_private_name_it_defines():
 def test_the_scan_sees_an_unread_private_name():
     sources = {
         "a.py": "_kept = 1\n_left = 2\n__version__ = '1'\n_only_imported = 3\n"
-                "def _fmt(v):\n    return str(v)\n",
+                "def _fmt(v):\n    return str(v)\n_twin = 4\n",
         "b.py": "import a\nfrom a import _kept, _only_imported  # noqa: F401\n"
-                "x = _kept + a._left\n",
+                "x = _kept + a._left\n_twin = 5\ny = _twin\n",
     }
-    assert unread_private_names(sources) == [("a.py", "_only_imported"), ("a.py", "_fmt")]
+    assert unread_private_names(sources) == [
+        ("a.py", "_only_imported"), ("a.py", "_fmt"), ("a.py", "_twin"),
+    ]
 
 
 def unread_public_names(sources, programs):
     """``(module, name)`` of each public module-level name bound in one of the
-    ``{module: source}`` and read in none of the ``programs`` sources: as a
-    loaded name, an attribute or an imported name."""
-    read = read_names(programs, aliases=True)
+    ``{module: source}`` and read in none of the ``{module: source}``
+    ``programs``: as an attribute or an imported name, or as a loaded name
+    in its own module or in one that imports it from there."""
+    local, anywhere = read_names(programs, aliases=True)
     return [
         (module, name) for module, name in bound_names(sources)
-        if not name.startswith("_") and name not in read
+        if not name.startswith("_") and name not in anywhere
+        and (module, name) not in local
     ]
 
 
 def test_programs_read_every_public_name_the_package_defines():
     unread = unread_public_names(
-        {p.name: p.read_text() for p in MODULES}, [p.read_text() for p in PROGRAMS]
+        {p.name: p.read_text() for p in MODULES}, {p.name: p.read_text() for p in PROGRAMS}
     )
     assert sorted(unread) == sorted(UNREAD_PUBLIC_ALLOWED)
 
@@ -181,10 +202,14 @@ def test_the_scan_sees_an_unread_public_name():
     sources = {
         "a.py": "LIMIT = 1\ndef used():\n    return LIMIT\n"
                 "def imported():\n    pass\ndef called_by_attribute():\n    pass\n"
-                "def dead():\n    pass\nclass Dead:\n    pass\n",
+                "def dead():\n    pass\nclass Dead:\n    pass\nlogger = 1\n",
+        "b.py": "logger = 2\ndef log():\n    return logger\n",
     }
-    programs = [
-        sources["a.py"],
-        "import a\nfrom a import imported as alias\na.called_by_attribute()\nused()\n",
+    programs = {
+        **sources,
+        "c.py": "import a\nimport b\nfrom a import imported as alias\n"
+                "a.called_by_attribute()\na.used()\nb.log()\n",
+    }
+    assert unread_public_names(sources, programs) == [
+        ("a.py", "dead"), ("a.py", "Dead"), ("a.py", "logger"),
     ]
-    assert unread_public_names(sources, programs) == [("a.py", "dead"), ("a.py", "Dead")]

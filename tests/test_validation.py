@@ -5,11 +5,11 @@ from framefieldops.validation import validate_anisotropy, validate_square_spectr
 
 
 def test_square_spectrum_makes_one_eigensolve_per_case(eigs_requests):
-    validate_square_spectrum(base_n=6, refinements=1)
-    # 2 epsilons x 2 boundary conditions x 2 levels, each one request of
+    validate_square_spectrum(base_n=6)
+    # 2 epsilons x 2 boundary conditions x 3 levels, each one request of
     # modes + nullity pairs: 1 zero mode under Neumann conditions, 5 on the
     # natural square
-    assert eigs_requests == [21, 21, 25, 25] * 2
+    assert eigs_requests == [21, 21, 21, 25, 25, 25] * 2
 
 
 def test_anisotropy_verdict_ignores_epsilon_order():
