@@ -1,9 +1,12 @@
 """Anisotropic spectral distances and descent paths.
 
-Embeds vertices by eigenfunctions over eigenvalues; distances are Euclidean
-in that embedding (so they form a true metric), reduce to biharmonic
-distances at epsilon = 1, and acquire Manhattan-like structure as epsilon
-shrinks.  Shortest paths are traced by greedy descent on the distance.
+Embeds vertices by eigenfunctions over eigenvalues, phi_k / Lambda_k;
+distances are Euclidean in that embedding (so they form a true metric) and
+acquire Manhattan-like structure as epsilon shrinks.  They are the
+Green's-function distances of A^2: at epsilon = 1, where Lambda_k is the
+square of a Laplacian eigenvalue lambda_k, each mode is weighted by
+lambda_k^-4, not by the biharmonic distance's lambda_k^-2.  Shortest paths
+are traced by greedy descent on the distance.
 """
 
 from pathlib import Path

@@ -6,10 +6,11 @@ conditions, 5 on the natural square, 34 on the natural ``box(5, 5, 5)``),
 ``zero_modes`` decides which computed eigenvalues are zero, and
 ``nonzero_eigenpairs`` skips them with one eigensolve sized by the nullity.
 
-The distance construction embeds vertices by eigenfunction values scaled by
-inverse eigenvalues; distances are Euclidean in that embedding, so metric
-properties hold exactly.  With epsilon = 1 the operator is the Bilaplacian
-and the distances are the classical biharmonic ones.
+Distances are Euclidean between the coordinates ``phi_k / Lambda_k`` of the
+nonzero modes, so ``d^2 = sum_k (phi_k(x) - phi_k(y))^2 / Lambda_k^2`` is a
+metric: the Green's-function distance of ``A^2``.  At epsilon = 1, with
+``Lambda = lambda^2`` for the Laplacian's eigenvalues, each mode weighs
+``lambda^-4``; Lipman's biharmonic distance uses ``phi_k / sqrt(Lambda_k)``.
 """
 
 from dataclasses import dataclass
@@ -88,18 +89,19 @@ def nonzero_eigenpairs(op, count):
     Raises
     ------
     ParameterError
-        If ``count`` is not an integer >= 1 (a bool is not one).
+        If ``count`` is not an integer >= 1 (a bool is not one), or
+        ``count + nullity(op)`` exceeds ``n - 1``.
     NumericalError
-        If ``count + nullity(op)`` exceeds ``n - 1``, or the request holds
-        fewer than ``count`` nonzero pairs (more zero modes than predicted).
+        If the request holds fewer than ``count`` nonzero pairs (more zero
+        modes than predicted).
     """
     check_integer("count", count)
     n_zero = nullity(op)
     k = count + n_zero
     n = op.matrix.shape[0]
     if k > n - 1:
-        raise NumericalError(
-            f"{count} nonzero modes and {n_zero} zero modes need {k} eigenpairs; "
+        raise ParameterError(
+            f"count: {count} nonzero modes and {n_zero} zero modes need {k} eigenpairs; "
             f"the operator has {n} unknowns"
         )
     eig = eigs_generalized(op, op.vertex_mass, k)

@@ -37,11 +37,11 @@ that mode's Krylov spaces and eigenvector signs.
 Every matrix factored here is symmetric positive definite: the shifted
 eigen operator, the implicit-Euler ``M + tau A``, and the free block of a
 pinned solve (Dirichlet and harmonic-field interiors, a QP's inactive
-set).  A system on a mesh's vertices is factored in the mesh's
-``vertex_order``, reverse Cuthill-McKee on the vertex graph, restricted to
-the free entries of a pinned solve; a matrix without a mesh in reverse
-Cuthill-McKee of its own graph, which for a pinned solve is the graph of
-its free block.  In these orders the band is narrow (2n + 2 for the
+set).  ``_system`` orders each system where it enters: one on a mesh's
+vertices by the mesh's ``vertex_order``, reverse Cuthill-McKee on the
+vertex graph, and a bare matrix, which must pass ``check_symmetric``, by
+reverse Cuthill-McKee of its whole graph.  A pinned solve restricts that
+order to its free entries.  In these orders the band is narrow (2n + 2 for the
 fourth-order operators on ``structured_square(n)``), and LAPACK's blocked
 banded Cholesky factors it several times faster than a general sparse LU.
 """
@@ -139,26 +139,28 @@ def _prescribed(names, indices, values, n):
 class _System(NamedTuple):
     """The system ``tau A + diag(d)`` on the entries ``kept`` of x.
 
-    ``matrix`` is A in canonical CSR form.  ``kept`` lists the rows and
-    columns kept, in band order; ``None`` keeps all of them, in reverse
-    Cuthill-McKee order of A's graph.  A ``tau`` of ``None`` stands for 1
-    and a ``diag`` (one entry per row of A) of ``None`` for 0.
+    ``matrix`` is A, symmetric in canonical CSR form.  ``kept`` lists the
+    rows and columns kept, in band order.  A ``tau`` of ``None`` stands
+    for 1 and a ``diag`` (one entry per row of A) of ``None`` for 0.
     """
 
     matrix: object
-    kept: object = None
+    kept: object
     tau: object = None
     diag: object = None
 
 
 def _system(op):
-    """``op`` as a ``_System``: an AssembledOperator brings its matrix and
-    its mesh's vertex order, a raw sparse or dense matrix no order."""
+    """``op`` as a ``_System`` on all its rows: an AssembledOperator brings
+    its canonical matrix, unchecked, and its mesh's vertex order; a bare
+    sparse or dense matrix must pass ``check_symmetric`` and is ordered by
+    reverse Cuthill-McKee of its whole graph."""
     if isinstance(op, _System):
         return op
     if hasattr(op, "matrix"):
         return _System(_canonical(op.matrix), op.mesh.vertex_order())
-    return _System(_canonical(op))
+    A = check_symmetric(op)
+    return _System(A, reverse_cuthill_mckee(A, symmetric_mode=True))
 
 
 class _BandFactor:
@@ -181,13 +183,13 @@ class _BandFactor:
         return x
 
 
-def _factorize(A, kept=None, tau=None, diag=None):
+def _factorize(A, kept, tau=None, diag=None):
     """Banded Cholesky factor of ``tau A + diag(d)`` on the entries ``kept``.
 
-    ``A`` is symmetric in canonical CSR form, and only its lower triangle
-    enters the band.  ``kept`` lists the rows and columns kept, in band order; by
-    default all of them, in reverse Cuthill-McKee order of A's graph.
-    ``tau`` defaults to 1 and ``diag``, one entry per row of A, to 0.
+    The arguments are a ``_System``'s fields.  ``A`` is symmetric in
+    canonical CSR form, and only its lower triangle enters the band.
+    ``kept`` lists the rows and columns kept, in band order.  ``tau``
+    defaults to 1 and ``diag``, one entry per row of A, to 0.
 
     The band comes straight from A's CSR arrays, with no copy of A in its
     new order: the ranks of the rows are repeated over their entries, the
@@ -208,8 +210,6 @@ def _factorize(A, kept=None, tau=None, diag=None):
     precision raises ``NumericalError``.
     """
     n = A.shape[0]
-    if kept is None:
-        kept = reverse_cuthill_mckee(A, symmetric_mode=True)
     size = len(kept)
     # Ranks in scipy's index type.  A column left out ranks above every row
     # and a row left out below every column, so an entry lies in the kept
@@ -260,13 +260,12 @@ def solve_spd(A, b):
     """Solve the symmetric positive definite system ``A x = b``.
 
     One banded Cholesky factor of ``A`` solves every column of ``b``.  It
-    stores ``(bandwidth + 1) n`` values.  An ``AssembledOperator`` is
-    ordered by its mesh's ``vertex_order``, a bare matrix by reverse
-    Cuthill-McKee on its own graph; either reaches the band from its CSR
-    arrays as they are (see ``_factorize``).  Inside the package ``A`` may
-    also be a ``_System``, a scaled matrix with a diagonal added and rows
-    and columns left out; its kept rows are solved for its kept entries of
-    x, and x is zero elsewhere.
+    stores ``(bandwidth + 1) n`` values.  ``A`` is checked and ordered by
+    ``_system`` and reaches the band from its CSR arrays as they are (see
+    ``_factorize``).  Inside the package ``A`` may also be a ``_System``, a
+    scaled matrix with a diagonal added and rows and columns left out; its
+    kept rows are solved for its kept entries of x, and x is zero
+    elsewhere.
 
     Parameters
     ----------
@@ -283,7 +282,8 @@ def solve_spd(A, b):
     Raises
     ------
     NumericalError
-        If ``A`` is not positive definite to working precision, or a
+        If a bare ``A`` fails ``check_symmetric``, ``A`` is not positive
+        definite to working precision, or a
         column's residual exceeds ``1e-7 * (|S|_inf |x| + |b|)``, with S
         the system factored and ``|S|_inf`` summed from its kept entries.
     """
@@ -319,13 +319,12 @@ def solve_pinned(A, pinned, values):
     ``ParameterError``.  The free entries solve ``A_ff x_f = -A_fp values``
     with one ``solve_spd``, so the free block must be positive definite.
     One product ``A @ x``, with the pinned values in place and zeros
-    elsewhere, gives the right-hand side of every free row.  An
-    ``AssembledOperator``'s free block is factored in its mesh's vertex
-    order with the pinned rows and columns masked out, so no block of A is
-    extracted, and the residual of the free rows comes from one more
-    product with A.  A bare matrix's free block is extracted once, for
-    its own reverse Cuthill-McKee order.  Returns the full solution, shape
-    ``(n,)`` or ``(n, r)``, with ``x[pinned] = values``.
+    elsewhere, gives the right-hand side of every free row.  The free
+    block is factored in the order ``_system`` gives all of A, with the
+    pinned rows and columns masked out, so no block of A is extracted, and
+    the residual of the free rows comes from one more product with A.
+    Returns the full solution, shape ``(n,)`` or ``(n, r)``, with
+    ``x[pinned] = values``.
     """
     A, kept = _system(A)[:2]
     n = A.shape[0]
@@ -338,10 +337,6 @@ def solve_pinned(A, pinned, values):
         return x
     b = A @ x
     np.negative(b, out=b)
-    if kept is None:
-        free = np.flatnonzero(free)
-        x[free] = solve_spd(A[free][:, free], b[free])
-        return x
     x = solve_spd(_System(A, kept[free[kept]]), b)
     x[pinned] = values
     return x

@@ -140,7 +140,8 @@ def test_nullity_equals_the_dense_nullity(name, bc, request):
 def test_nonzero_eigenpairs_raise_when_the_mesh_runs_out(small_square_mesh):
     op = _natural_constant_op(small_square_mesh)
     n = op.matrix.shape[0]
-    with pytest.raises(ff.NumericalError):
+    # an oversized request is the caller's input, as an oversized k is
+    with pytest.raises(ff.ParameterError, match="^count: "):
         ff.nonzero_eigenpairs(op, n - 3)
     with pytest.raises(ValueError):
         ff.nonzero_eigenpairs(op, 0)

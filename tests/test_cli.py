@@ -328,6 +328,24 @@ def test_vertex_indices_are_checked_at_entry(tmp_path, capsys, command, flag, in
     assert list(out.iterdir()) == []
 
 
+@pytest.mark.parametrize(
+    "command, flag, named",
+    [("eigs", "--num", "k"), ("distance", "--modes", "count")],
+)
+def test_oversized_spectrum_requests_are_bad_input(tmp_path, capsys, command, flag, named):
+    # disk(3) has 37 vertices, too few for 100 eigenpairs with or without
+    # the zero modes
+    mesh = meshgen.disk(3)
+    assert mesh.num_vertices == 37
+    ff.save_mesh(mesh, tmp_path / "disk.off")
+    ff.save_field(ff.constant_field(mesh, ff.axis_frame(2)), tmp_path / "field.csv")
+    assert main(
+        ["-o", str(tmp_path / "out"), command, "--mesh", str(tmp_path / "disk.off"),
+         "--field", str(tmp_path / "field.csv"), flag, "100"]
+    ) == EXIT_INPUT
+    assert f"input error: {named}" in capsys.readouterr().err
+
+
 def test_validate_exit_codes(monkeypatch, tmp_path):
     import framefieldops.cli as cli
     from framefieldops.validation import ValidationReport

@@ -153,6 +153,13 @@ def _with_nan(A):
     return A
 
 
+def _with_nan_above(A):
+    A = sparse.csr_matrix(A, dtype=float, copy=True)
+    rows = np.repeat(np.arange(A.shape[0]), np.diff(A.indptr))
+    A.data[np.argmax(A.indices > rows)] = np.nan
+    return A
+
+
 def _nan_eigenpairs(op, field):
     eig = ff.eigs_generalized(op, op.vertex_mass, 4)
     getattr(eig, field)[0] = np.nan
@@ -164,11 +171,11 @@ def _nan_eigenpairs(op, field):
     [
         lambda op: check_symmetric(_with_nan(op.matrix)),
         lambda op: dataclasses.replace(op, matrix=_with_nan(op.matrix)).validate(),
-        # the factor reads only the lower triangle, so a NaN above it
-        # reaches the residual alone (a NaN b is rejected at entry)
+        # the factor reads only the lower triangle and an operator is not
+        # checked for symmetry, so a NaN above it reaches the residual alone
+        # (a NaN b is rejected at entry, and a bare matrix by its check)
         lambda op: ff.solve_spd(
-            sparse.eye(5) + sparse.csr_matrix(([np.nan], ([0], [1])), (5, 5)),
-            np.ones(5),
+            dataclasses.replace(op, matrix=_with_nan_above(op.matrix)), op.vertex_mass
         ),
         lambda op: _nan_eigenpairs(op, "residuals").validate(op, op.vertex_mass),
         lambda op: _nan_eigenpairs(op, "vectors").validate(op, op.vertex_mass),
@@ -572,17 +579,49 @@ def test_dirichlet_interior_matches_the_extracted_block(factored_bands, disk_mes
     _assert_bitwise(x, solve_pinned_by_extraction(op.matrix, bv, values, order))
 
 
-def test_bare_interior_laplacian_matches_the_extracted_block(factored_bands, disk_mesh):
-    L = _laplacian(disk_mesh)
-    bv = ff.compute_measures(disk_mesh).boundary_vertices
+def test_bare_interior_laplacian_matches_the_extracted_block(factored_bands):
+    # a bare matrix is masked like an operator, in reverse Cuthill-McKee of
+    # its whole graph restricted to the free entries; on this mesh that
+    # order differs from the free block's own RCM, and its band is narrower
+    mesh = ff.refine_uniform(meshgen.disk(4))
+    L = _laplacian(mesh)
+    bv = ff.compute_measures(mesh).boundary_vertices
     values = np.random.default_rng(7).standard_normal((len(bv), 2))
     x = ff.solve_pinned(L, bv, values)
-    interior = np.setdiff1d(np.arange(disk_mesh.num_vertices), bv)
+    interior = np.setdiff1d(np.arange(mesh.num_vertices), bv)
     block = L[interior][:, interior]
-    _assert_bitwise(
-        factored_bands[-1], band_by_coo(block, reverse_cuthill_mckee(block, symmetric_mode=True))
-    )
-    _assert_bitwise(x, solve_pinned_by_extraction(L, bv, values))
+    whole = reverse_cuthill_mckee(L, symmetric_mode=True)
+    restricted = np.searchsorted(interior, whole[np.isin(whole, interior)])
+    own = reverse_cuthill_mckee(block, symmetric_mode=True)
+    assert _bandwidth(block, restricted) < _bandwidth(block, own)
+    _assert_bitwise(factored_bands[-1], band_by_coo(block, restricted))
+    _assert_bitwise(x, solve_pinned_by_extraction(L, bv, values, whole))
+
+
+def _asymmetric_spd(relative):
+    """A 20 x 20 SPD matrix with one entry above the diagonal off by
+    ``relative`` times the largest magnitude."""
+    R = np.random.default_rng(11).standard_normal((20, 20))
+    A = R @ R.T + 20 * np.eye(20)
+    A[2, 7] += relative * np.abs(A).max()
+    return sparse.csr_matrix(A)
+
+
+@pytest.mark.parametrize("relative", [1e-9, 1e-6, 1e-3])
+@pytest.mark.parametrize(
+    "solve",
+    [
+        lambda A: ff.solve_spd(A, np.ones(20)),
+        lambda A: ff.solve_pinned(A, [0, 5], [1.0, -1.0]),
+        lambda A: ff.solve_box_qp(A, [0], [1.0], -np.ones(20), np.ones(20)),
+    ],
+    ids=["solve_spd", "solve_pinned", "solve_box_qp"],
+)
+def test_asymmetric_bare_matrices_are_rejected_where_they_enter(solve, relative):
+    # the factor reads only the lower triangle, so without the check a small
+    # asymmetry is solved as if absent and a large one blamed on the residual
+    with pytest.raises(NumericalError, match="matrix is not symmetric"):
+        solve(_asymmetric_spd(relative))
 
 
 @pytest.mark.parametrize("bare", [False, True])

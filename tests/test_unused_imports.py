@@ -6,6 +6,9 @@ two modules' ``logger`` are two names.
 Importing the package, and running the disk and refined-ball pipelines,
 leave ``scipy.spatial`` unloaded.
 
+The package's parameters with defaults, its knobs, are counted, so adding
+one is a visible edit of ``KNOBS``.
+
 ``__init__.py`` is left out of the import check: its imports are the public
 API.  For the same reason its re-exports do not count as reads of a public
 name.  A name kept for readers outside its module is marked with
@@ -30,6 +33,9 @@ ROOT = Path(__file__).resolve().parents[1]
 PROGRAMS = MODULES + sorted((ROOT / "demos").glob("*.py")) + sorted(
     (ROOT / "perfbench").glob("*.py")
 )
+
+# Parameters with defaults over every def and lambda in the package.
+KNOBS = 35
 
 # Public names that no program reads, each with the reason it stays.
 UNREAD_PUBLIC_ALLOWED = {
@@ -213,3 +219,31 @@ def test_the_scan_sees_an_unread_public_name():
     assert unread_public_names(sources, programs) == [
         ("a.py", "dead"), ("a.py", "Dead"), ("a.py", "logger"),
     ]
+
+
+def defaulted_parameters(source):
+    """Number of parameters with a default, positional or keyword-only,
+    over every def and lambda in ``source``."""
+    return sum(
+        len(node.args.defaults) + sum(d is not None for d in node.args.kw_defaults)
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+    )
+
+
+def test_the_package_has_its_committed_number_of_knobs():
+    assert sum(defaulted_parameters(p.read_text()) for p in SOURCES) == KNOBS
+
+
+def test_the_knob_count_sees_every_default():
+    source = (
+        "def f(a, b=1, *, c, d=2):\n"
+        "    g = lambda x, y=3: x + y\n"
+        "    class C:\n"
+        "        def m(self, z=None):\n"
+        "            return z\n"
+        "    return g\n"
+        "async def h(e=4):\n"
+        "    pass\n"
+    )
+    assert defaulted_parameters(source) == 5
