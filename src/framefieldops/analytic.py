@@ -123,12 +123,14 @@ class ConformalMap:
 def conformal_warp(name, **params):
     """Construct a named conformal map.
 
-    ``polynomial``: z -> z + c z^2 for a finite c (injective where
-    |2 c z| < 1);
+    ``polynomial``: z -> z + c z^2 for a finite c, which must be given
+    (injective where |2 c z| < 1);
     ``exponential``: z -> exp(z) on a rectangle of height below 2 pi.
     """
     if name == "polynomial":
-        check_values("c", params.setdefault("c", 0.05), ())
+        if "c" not in params:
+            raise ParameterError("the polynomial map needs its strength c")
+        check_values("c", params["c"], ())
     elif name == "exponential":
         if params:
             raise ParameterError("the exponential map takes no parameters")

@@ -28,7 +28,8 @@ ROUNDOFF_RELTOL = 1e-12
 
 @dataclass
 class SpectralEmbedding:
-    """Vertex coordinates phi_k(v) / lambda_k over the kept nonzero modes."""
+    """Vertex coordinates phi_k(v) / Lambda_k over the kept nonzero modes,
+    Lambda_k the operator's eigenvalue."""
 
     coordinates: np.ndarray
     eigenvalues: np.ndarray

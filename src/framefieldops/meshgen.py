@@ -27,11 +27,12 @@ _BALL_TETS = np.array([
 ])
 
 
-def structured_square(n, lo=-1.0, hi=1.0):
-    """Structured triangulation of the square [lo, hi]^2 with n x n cells.
+def structured_square(n):
+    """Structured triangulation of the square [-1, 1]^2, the domain of
+    :func:`framefieldops.analytic.square_spectrum`, with n x n cells.
     ``n`` must be an integer >= 1, else ``ParameterError``."""
     check_integer("n", n)
-    xs = np.linspace(lo, hi, n + 1)
+    xs = np.linspace(-1.0, 1.0, n + 1)
     X, Y = np.meshgrid(xs, xs, indexing="ij")
     vertices = np.column_stack([X.ravel(), Y.ravel()])
 
@@ -46,34 +47,20 @@ def structured_square(n, lo=-1.0, hi=1.0):
     return SimplicialMesh(vertices, tris.reshape(-1, 3))
 
 
-def disk(rings, radius=1.0):
-    """Polygonal disk built from concentric rings of 6k points.
+def disk(rings):
+    """Polygonal disk of radius 1 built from concentric rings of 6k points.
 
     Ring k (1 <= k <= rings) carries 6k equally spaced points at radius
     k/rings; bands between consecutive rings are triangulated by
     ``_bands``.  The center vertex has index 0 and the boundary is a
-    regular 6*rings-gon.  ``rings`` must be an integer >= 1, else
-    ``ParameterError``.
+    regular 6*rings-gon inscribed in the unit circle.  ``rings`` must be an
+    integer >= 1, else ``ParameterError``.
     """
     check_integer("rings", rings)
-    vertices = np.vstack([np.zeros((1, 2)), _rings(1, rings, radius)])
+    vertices = np.vstack([np.zeros((1, 2)), _rings(rings)])
     i = np.arange(6)  # the innermost fan around the center
     fan = np.column_stack([np.zeros_like(i), 1 + i, 1 + (i + 1) % 6])
-    tris = np.vstack([fan, 1 + _bands(1, rings)])
-    return SimplicialMesh(vertices, _orient_elements(vertices, tris))
-
-
-def annulus(inner_rings, outer_rings, radius=1.0):
-    """Polygonal annulus: the band of ring indices [inner, outer] of a disk.
-
-    Ring k carries 6k points at radius ``k/outer_rings * radius``; both
-    boundaries are regular polygons.  The ring counts must be integers with
-    1 <= inner_rings < outer_rings, else ``ParameterError``.
-    """
-    check_integer("inner_rings", inner_rings)
-    check_integer("outer_rings", outer_rings, inner_rings + 1)
-    vertices = _rings(inner_rings, outer_rings, radius)
-    tris = _bands(inner_rings, outer_rings)
+    tris = np.vstack([fan, 1 + _bands(rings)])
     return SimplicialMesh(vertices, _orient_elements(vertices, tris))
 
 
@@ -83,24 +70,23 @@ def _segments(counts):
     return seg, np.arange(len(seg)) - (np.cumsum(counts) - counts)[seg]
 
 
-def _rings(first, last, radius):
-    """Points of rings first..last, ring after ring: ring k holds 6k points
-    at angles 2 pi j / 6k, from the positive x axis, and at radius
-    ``radius * k / last``."""
-    k = np.arange(first, last + 1)
+def _rings(last):
+    """Points of rings 1..last, ring after ring: ring k holds 6k points at
+    angles 2 pi j / 6k, from the positive x axis, and at radius k / last."""
+    k = np.arange(1, last + 1)
     ring, step = _segments(6 * k)
     t = 2.0 * np.pi * step / (6 * k)[ring]
-    r = radius * k[ring] / last
+    r = k[ring] / last
     return np.column_stack([r * np.cos(t), r * np.sin(t)])
 
 
-def _bands(first, last):
-    """Triangles joining consecutive rings of ``_rings(first, last, ...)``,
-    indexed from its first point.  Each band is an angular merge: a step
-    advances on the ring whose next point comes first, the outer ring on
-    ties, and emits the triangle of both current points and that next one.
-    A stable sort by band and angle, outer steps listed first, merges all."""
-    k = np.arange(first, last)  # inner ring of each band
+def _bands(last):
+    """Triangles joining consecutive rings of ``_rings(last)``, indexed from
+    its first point.  Each band is an angular merge: a step advances on the
+    ring whose next point comes first, the outer ring on ties, and emits the
+    triangle of both current points and that next one.  A stable sort by
+    band and angle, outer steps listed first, merges all."""
+    k = np.arange(1, last)  # inner ring of each band
     counts = np.column_stack([6 * k + 6, 6 * k]).ravel()  # outer, inner steps
     seg, step = _segments(counts)
     order = np.lexsort((2.0 * np.pi * (step + 1) / counts[seg], seg // 2))
@@ -109,14 +95,15 @@ def _bands(first, last):
     outer = seg % 2 == 0
     i, j = np.where(outer, other, own), np.where(outer, own, other)
     k = k[seg // 2]
-    n_in, s_in = 6 * k, 3 * (k * (k - 1) - first * (first - 1))  # ring k
+    n_in, s_in = 6 * k, 3 * k * (k - 1)  # ring k
     n_out, s_out = n_in + 6, s_in + n_in  # ring k + 1
     third = np.where(outer, s_out + (j + 1) % n_out, s_in + (i + 1) % n_in)
     return np.column_stack([s_in + i % n_in, s_out + j % n_out, third])
 
 
-def box(nx, ny, nz, lo=(0.0, 0.0, 0.0), hi=(1.0, 1.0, 1.0)):
-    """Kuhn (Freudenthal) tetrahedralization of an axis-aligned box.
+def box(nx, ny, nz):
+    """Kuhn (Freudenthal) tetrahedralization of the unit cube [0, 1]^3 with
+    nx x ny x nz cells.
 
     Each grid cube is split into 6 tetrahedra along the main diagonal; the
     split is identical in every cube, so faces between cubes conform.
@@ -125,8 +112,7 @@ def box(nx, ny, nz, lo=(0.0, 0.0, 0.0), hi=(1.0, 1.0, 1.0)):
     counts = (nx, ny, nz)
     for name, count in zip(("nx", "ny", "nz"), counts):
         check_integer(name, count)
-    lo, hi = np.asarray(lo, float), np.asarray(hi, float)
-    axes = [np.linspace(lo[a], hi[a], counts[a] + 1) for a in range(3)]
+    axes = [np.linspace(0.0, 1.0, count + 1) for count in counts]
     X, Y, Z = np.meshgrid(*axes, indexing="ij")
     vertices = np.column_stack([X.ravel(), Y.ravel(), Z.ravel()])
 
@@ -139,9 +125,9 @@ def box(nx, ny, nz, lo=(0.0, 0.0, 0.0), hi=(1.0, 1.0, 1.0)):
     return SimplicialMesh(vertices, elements)
 
 
-def ball(radius=1.0):
-    """Coarse ball: icosahedron vertices at ``radius`` plus center, and the
-    20 tetrahedra of ``_BALL_TETS``, the same for every radius.
+def ball():
+    """Coarse unit ball: the center and the 12 icosahedron vertices on the
+    unit sphere, joined by the 20 tetrahedra of ``_BALL_TETS``.
 
     Refine with :func:`framefieldops.geometry.refine_uniform` to build
     hierarchies; the polyhedral boundary is preserved exactly.
@@ -152,7 +138,7 @@ def ball(radius=1.0):
         (+a, +b, 0), (+a, -b, 0), (-a, +b, 0), (-a, -b, 0),
         (+b, 0, +a), (-b, 0, +a), (+b, 0, -a), (-b, 0, -a),
     ])
-    pts *= radius / np.linalg.norm(pts[0])
+    pts *= 1.0 / np.linalg.norm(pts[0])
     return SimplicialMesh(np.vstack([np.zeros(3), pts]), _BALL_TETS)
 
 

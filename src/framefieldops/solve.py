@@ -14,8 +14,8 @@ dense or iterative alternative.
 ``_factorize`` is the one place where a matrix becomes a band, and it
 reads the canonical CSR arrays of the assembled matrix as they are: no
 system is summed as a sparse matrix and no block of it is copied out.  It
-takes the entries kept, in band order, a scale tau and a diagonal d, and
-places ``tau A + diag(d)`` on the kept entries in the band:
+takes a ``_System``: the entries kept, in band order, a scale tau and a
+diagonal d, and places ``tau A + diag(d)`` on the kept entries in the band:
 
 - ``diffuse``'s ``M + tau A`` scales A's entries by tau and adds M to the
   band's diagonal row;
@@ -183,13 +183,9 @@ class _BandFactor:
         return x
 
 
-def _factorize(A, kept, tau=None, diag=None):
-    """Banded Cholesky factor of ``tau A + diag(d)`` on the entries ``kept``.
-
-    The arguments are a ``_System``'s fields.  ``A`` is symmetric in
-    canonical CSR form, and only its lower triangle enters the band.
-    ``kept`` lists the rows and columns kept, in band order.  ``tau``
-    defaults to 1 and ``diag``, one entry per row of A, to 0.
+def _factorize(system):
+    """Banded Cholesky factor of the ``_System`` ``tau A + diag(d)`` on its
+    entries ``kept``.  Only the lower triangle of A enters the band.
 
     The band comes straight from A's CSR arrays, with no copy of A in its
     new order: the ranks of the rows are repeated over their entries, the
@@ -209,6 +205,7 @@ def _factorize(A, kept, tau=None, diag=None):
     scaled by tau.  A system that is not positive definite to working
     precision raises ``NumericalError``.
     """
+    A, kept, tau, diag = system
     n = A.shape[0]
     size = len(kept)
     # Ranks in scipy's index type.  A column left out ranks above every row
@@ -290,7 +287,7 @@ def solve_spd(A, b):
     system = _system(A)
     A = system.matrix
     b = check_values("b", b, A.shape[:1] + (...,))
-    factor = _factorize(*system)
+    factor = _factorize(system)
     kept = factor.order
     x = np.zeros(b.shape)
     x[kept] = factor.band_solve(b[kept])
@@ -415,7 +412,8 @@ def eigs_generalized(A, M_diag, k, seed=0):
         Number of eigenpairs, an integer with ``0 < k < n``; anything else
         raises ``ParameterError``.
     seed : int
-        Seeds ARPACK's starting vector, so a call is reproducible.
+        Seeds ARPACK's starting vector, so a call is reproducible; an
+        integer >= 0, else ``ParameterError``.
 
     Returns
     -------
@@ -424,21 +422,24 @@ def eigs_generalized(A, M_diag, k, seed=0):
     Raises
     ------
     ParameterError
-        If ``k`` or ``M_diag`` is out of range, as above.
+        If ``k``, ``seed`` or ``M_diag`` is out of range, as above.
     NumericalError
         If the shifted matrix is not positive definite, ARPACK does not
         converge, or a pair fails ``EigenResult.validate``.
     """
-    A, kept = _system(A)[:2]
-    A = check_symmetric(A)
+    system = _system(A)
+    if hasattr(A, "matrix"):  # _system checks only a bare matrix
+        check_symmetric(system.matrix)
+    A = system.matrix
     n = A.shape[0]
     check_integer("k", k, below=n)
+    seed = check_integer("seed", seed, 0)
     M_diag = check_values("mass diagonal", M_diag, (n,))
     if not np.all(M_diag > 0):
         raise ParameterError("mass diagonal must be positive")
 
     sigma = -1e-5 * A.diagonal().sum() / n
-    factor = _factorize(A, kept, diag=-sigma * M_diag)
+    factor = _factorize(system._replace(diag=-sigma * M_diag))
     order = factor.order
     d = np.sqrt(M_diag)[order]
 
@@ -478,8 +479,9 @@ def diffuse(op, u0, tau):
     operator with tau and M, and its band holds A's entries scaled by tau
     with M added to the diagonal, in band order.
     """
-    if not 0 < tau < np.inf:
-        raise ParameterError(f"diffusion time must be positive and finite, got {tau}")
+    tau = check_values("diffusion time", tau, ())
+    if not tau > 0:
+        raise ParameterError(f"diffusion time must be positive, got {tau}")
     M_diag = getattr(op, "vertex_mass", None)
     if M_diag is None:
         raise ParameterError("diffuse requires an operator with a vertex mass")

@@ -158,8 +158,10 @@ def modify_epsilon(Q, norms, epsilon):
 
     ``Q`` has shape ``(..., m, m)`` and ``norms`` broadcasts against its
     leading axes.  The identity part leaves the result only pairwise
-    symmetric.  This is the package's one check that epsilon lies in (0, 1].
+    symmetric.  This is the package's one check that epsilon is a finite
+    float in (0, 1], else ``ParameterError``.
     """
+    epsilon = check_values("epsilon", epsilon, ())
     if not 0.0 < epsilon <= 1.0:
         raise ParameterError(f"epsilon must lie in (0, 1], got {epsilon}")
     Q = np.asarray(Q, dtype=float)

@@ -17,7 +17,7 @@ def _padded(points):
     return np.pad(points, ((0, 0), (0, 3 - points.shape[1])))
 
 
-def write_vtk(path, mesh, point_data=None):
+def write_vtk(path, mesh, point_data):
     """Write a mesh with named per-vertex scalar or vector fields.
 
     Legacy ASCII unstructured-grid format, readable by standard scientific
@@ -27,7 +27,7 @@ def write_vtk(path, mesh, point_data=None):
     """
     n = mesh.num_vertices
     fields = {name: as_floats(f"point field {name!r}", values)
-              for name, values in (point_data or {}).items()}
+              for name, values in point_data.items()}
     for name, values in fields.items():
         one_word = str(name).split() == [str(name)]
         if not one_word or values.shape not in ((n,), (n, 1), (n, 2), (n, 3)):

@@ -12,6 +12,8 @@ import framefieldops.apps
 import framefieldops.solve
 from framefieldops import meshgen
 
+from oracles import annulus_by_loops
+
 
 @pytest.fixture(scope="session")
 def unit_square_mesh():
@@ -65,7 +67,7 @@ def refined(mesh, levels):
 KERNEL_MESHES = {
     **{f"disk16x{k}": (lambda k=k: refined(meshgen.disk(16), k)) for k in range(3)},
     "square12": lambda: meshgen.structured_square(12),
-    "annulus": lambda: meshgen.annulus(2, 6),
+    "annulus": lambda: annulus_by_loops(2, 6),
     "jittered2d": lambda: meshgen.jittered_delaunay(2, 9, seed=5),
     "jittered3d": lambda: meshgen.jittered_delaunay(3, 4, seed=5),
     "box": lambda: meshgen.box(3, 2, 4),

@@ -686,9 +686,9 @@ def boundary_alignment_by_contraction(field):
     return np.linalg.norm(R, axis=(1, 2)) / np.maximum(field.norms[bv], 1e-12)
 
 
-def structured_square_by_loops(n, lo=-1.0, hi=1.0):
+def structured_square_by_loops(n):
     """``meshgen.structured_square`` with one Python iteration per cell."""
-    xs = np.linspace(lo, hi, n + 1)
+    xs = np.linspace(-1.0, 1.0, n + 1)
     X, Y = np.meshgrid(xs, xs, indexing="ij")
     vertices = np.column_stack([X.ravel(), Y.ravel()])
 
@@ -705,12 +705,10 @@ def structured_square_by_loops(n, lo=-1.0, hi=1.0):
     return SimplicialMesh(vertices, np.array(tris, dtype=np.int64))
 
 
-def box_by_loops(nx, ny, nz, lo=(0.0, 0.0, 0.0), hi=(1.0, 1.0, 1.0)):
+def box_by_loops(nx, ny, nz):
     """``meshgen.box`` with one Python iteration per cell and tetrahedron,
     walking each permutation of the axes from the cell's base corner."""
-    lo, hi = np.asarray(lo, float), np.asarray(hi, float)
-    counts = (nx, ny, nz)
-    axes = [np.linspace(lo[a], hi[a], counts[a] + 1) for a in range(3)]
+    axes = [np.linspace(0.0, 1.0, count + 1) for count in (nx, ny, nz)]
     X, Y, Z = np.meshgrid(*axes, indexing="ij")
     vertices = np.column_stack([X.ravel(), Y.ravel(), Z.ravel()])
 
@@ -757,20 +755,20 @@ def _ring_band_by_loop(k, s_in, s_out):
     return tris
 
 
-def _ring_vertices_by_loop(vertices, ring_start, k, outer, radius):
+def _ring_vertices_by_loop(vertices, ring_start, k, outer):
     ring_start[k] = len(vertices)
     count = 6 * k
     t = 2.0 * np.pi * np.arange(count) / count
-    r = radius * k / outer
+    r = k / outer
     vertices.extend(np.column_stack([r * np.cos(t), r * np.sin(t)]))
 
 
-def disk_by_loops(rings, radius=1.0):
+def disk_by_loops(rings):
     """``meshgen.disk`` with one Python iteration per ring and merge step."""
     vertices = [np.zeros(2)]
     ring_start = {}
     for k in range(1, rings + 1):
-        _ring_vertices_by_loop(vertices, ring_start, k, rings, radius)
+        _ring_vertices_by_loop(vertices, ring_start, k, rings)
     vertices = np.asarray(vertices)
     tris = [(0, 1 + i, 1 + (i + 1) % 6) for i in range(6)]
     for k in range(1, rings):
@@ -779,12 +777,14 @@ def disk_by_loops(rings, radius=1.0):
     return SimplicialMesh(vertices, elements)
 
 
-def annulus_by_loops(inner_rings, outer_rings, radius=1.0):
-    """``meshgen.annulus`` with one Python iteration per ring and merge step."""
+def annulus_by_loops(inner_rings, outer_rings):
+    """Polygonal annulus of outer radius 1, a test domain with two boundary
+    loops: rings inner_rings to outer_rings of ``meshgen.disk(outer_rings)``
+    and the bands between them, indexed from 0."""
     vertices = []
     ring_start = {}
     for k in range(inner_rings, outer_rings + 1):
-        _ring_vertices_by_loop(vertices, ring_start, k, outer_rings, radius)
+        _ring_vertices_by_loop(vertices, ring_start, k, outer_rings)
     vertices = np.asarray(vertices)
     tris = []
     for k in range(inner_rings, outer_rings):

@@ -4,7 +4,7 @@ import pytest
 import framefieldops as ff
 from framefieldops import meshgen
 from framefieldops.analytic import conformal_warp, square_spectrum, warp_experiment
-from framefieldops.errors import GeometryError
+from framefieldops.errors import GeometryError, ParameterError
 
 from oracles import conformal_jacobian
 
@@ -85,6 +85,8 @@ def test_warp_injectivity_checks():
         conformal_warp("spiral")
     with pytest.raises(ValueError):
         conformal_warp("exponential", c=1.0)
+    with pytest.raises(ParameterError, match="strength c"):
+        conformal_warp("polynomial")
 
 
 def test_warp_experiment_identity():

@@ -13,7 +13,7 @@ from framefieldops.apps import (
 from framefieldops.vtkio import write_polyline_obj, write_vtk
 
 from conftest import rotation_frame_2d
-from oracles import dense_eigs
+from oracles import annulus_by_loops, dense_eigs
 
 
 @pytest.fixture(scope="module")
@@ -111,7 +111,7 @@ _NULLITY_MESHES = {
     "square6": lambda: meshgen.structured_square(6),
     "square12": lambda: meshgen.structured_square(12),
     "disk6": lambda: meshgen.disk(6),
-    "annulus": lambda: meshgen.annulus(2, 6),
+    "annulus": lambda: annulus_by_loops(2, 6),
     "box4": lambda: meshgen.box(4, 4, 4),
     "box5": lambda: meshgen.box(5, 5, 5),
     "ball0": meshgen.ball,
@@ -292,6 +292,16 @@ BAD_ENTRY_INPUTS = {
         op, [0], [0.5], np.zeros(len(d) - 1), np.ones(len(d) - 1)
     ),
     "tau inf": lambda mesh, emb, op, d: ff.diffuse(op, d, np.inf),
+    # these five escaped as the builtin TypeError or numpy's ValueError
+    "tau None": lambda mesh, emb, op, d: ff.diffuse(op, d, None),
+    "tau array": lambda mesh, emb, op, d: ff.diffuse(op, d, np.full(2, 1e-5)),
+    "epsilon text": lambda mesh, emb, op, d: ff.assemble_operator(
+        mesh, ff.constant_field(mesh, ff.axis_frame(2)), "abc", "neumann"
+    ),
+    "epsilon array": lambda mesh, emb, op, d: ff.assemble_operator(
+        mesh, ff.constant_field(mesh, ff.axis_frame(2)), np.full(2, 0.1), "neumann"
+    ),
+    "spectrum epsilon None": lambda mesh, emb, op, d: ff.square_spectrum(None, 3),
     "u0 nan": lambda mesh, emb, op, d: ff.diffuse(
         op, np.where(np.arange(len(d)) == 3, np.nan, d), 0.1
     ),
@@ -356,7 +366,6 @@ BAD_BUILDER_INPUTS = {
         lambda op: ff.helical_field_3d(meshgen.ball(), [0.0, 0.0, 1.0], np.inf),
     ),
     "jittered dim 4": (ff.ParameterError, lambda op: meshgen.jittered_delaunay(4, 2)),
-    "annulus rings 1.5": (ff.ParameterError, lambda op: meshgen.annulus(1.5, 3)),
     "spectrum count 2.5": (ff.ParameterError, lambda op: ff.square_spectrum(0.1, 2.5)),
     "spectrum count True": (ff.ParameterError, lambda op: ff.square_spectrum(0.1, True)),
     "eigenpairs count True": (ff.ParameterError, lambda op: ff.nonzero_eigenpairs(op, True)),

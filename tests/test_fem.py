@@ -108,7 +108,7 @@ def test_energy_blocks(disk_mesh, disk_measures):
 
 
 def test_constraint_rows_2d():
-    mesh = meshgen.structured_square(2, 0.0, 1.0)
+    mesh = meshgen.structured_square(2)
     meas = ff.compute_measures(mesh)
     rows = constraint_blocks(meas, "neumann", 2)
     # one row per tangent per boundary vertex, in boundary-vertex order
@@ -116,7 +116,7 @@ def test_constraint_rows_2d():
     # bottom-edge midpoint: n = (0, -1), tangent (-1, 0) up to sign;
     # the single row pins the shear component: (0, 0, +-sqrt(2)/2)
     p = mesh.vertices[meas.boundary_vertices]
-    bottom = np.flatnonzero((np.abs(p[:, 1]) < 1e-12) & (np.abs(p[:, 0] - 0.5) < 1e-12))
+    bottom = np.flatnonzero((np.abs(p[:, 1] + 1.0) < 1e-12) & (np.abs(p[:, 0]) < 1e-12))
     row = rows[bottom[0], 0]
     assert np.abs(np.abs(row) - [0.0, 0.0, np.sqrt(2.0) / 2.0]).max() < 1e-12
 

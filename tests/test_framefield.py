@@ -13,6 +13,7 @@ from framefieldops.framefield import (
 
 from conftest import rotation_frame_2d
 from oracles import (
+    annulus_by_loops,
     boundary_alignment_by_contraction,
     conformal_jacobian,
     fingerprint_sequential,
@@ -112,7 +113,7 @@ def test_harmonic_square_is_constant(small_square_mesh):
 
 
 def test_harmonic_annulus_aligned():
-    mesh = meshgen.annulus(3, 7)
+    mesh = annulus_by_loops(3, 7)
     field = ff.harmonic_cross_field_2d(mesh)
     res, ok = ff.check_boundary_alignment(field)
     assert ok.all()
@@ -134,7 +135,8 @@ def test_harmonic_rotation_invariance(disk_mesh, disk_harmonic_field):
 
 
 def test_helical_field():
-    mesh = meshgen.box(2, 2, 4, hi=(1.0, 1.0, 2.0))
+    unit = meshgen.box(2, 2, 4)
+    mesh = ff.SimplicialMesh(unit.vertices * [1.0, 1.0, 2.0], unit.elements)  # height 2
     hel = ff.helical_field_3d(mesh, [0, 0, 1], np.pi / 4.0)
     assert hel.kind == "octahedral"
     # axis is a component of every frame
@@ -351,7 +353,7 @@ def test_boundary_alignment_matches_matrix_contraction():
     ball = ff.refine_uniform(ff.refine_uniform(meshgen.ball()))
     for field in (
         ff.harmonic_cross_field_2d(meshgen.disk(8)),
-        ff.harmonic_cross_field_2d(meshgen.annulus(3, 7)),
+        ff.harmonic_cross_field_2d(annulus_by_loops(3, 7)),
         ff.helical_field_3d(ball, [0.0, 0.0, 1.0], 0.7),
     ):
         res, _ = ff.check_boundary_alignment(field)

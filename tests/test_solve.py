@@ -397,6 +397,10 @@ def test_eigs_input_validation(disk_mesh, disk_harmonic_field):
         ff.eigs_generalized(op, op.vertex_mass, op.matrix.shape[0] + 5)
     with pytest.raises(ff.ParameterError):
         ff.eigs_generalized(op, np.zeros_like(op.vertex_mass), 4)
+    # numpy raised its own ValueError or TypeError for three, and took True as 1
+    for seed in (-1, 1.5, True, "1"):
+        with pytest.raises(ff.ParameterError, match="^seed must"):
+            ff.eigs_generalized(op, op.vertex_mass, 4, seed=seed)
 
 
 def test_a_natural_eigensolve_returns_its_whole_zero_cluster():
@@ -469,33 +473,30 @@ def test_eigs_signs_do_not_depend_on_the_seed(disk_mesh, disk_harmonic_field):
             assert np.abs(phi - other).max() <= 1e-6 * np.abs(phi).max(), j
 
 
-def test_eigs_factor_once_per_call(monkeypatch, disk_mesh, disk_harmonic_field):
-    factorize = solve_module._factorize
-    factored = []
+def _counting_calls(monkeypatch, name):
+    """The arguments of each call to ``solve.<name>`` from now on."""
+    wrapped = getattr(solve_module, name)
+    calls = []
 
-    def counting(A, *args, **kwargs):
-        factored.append(A.shape)
-        return factorize(A, *args, **kwargs)
+    def counting(*args):
+        calls.append(args)
+        return wrapped(*args)
 
-    monkeypatch.setattr(solve_module, "_factorize", counting)
+    monkeypatch.setattr(solve_module, name, counting)
+    return calls
+
+
+@pytest.mark.parametrize("name", ["_factorize", "_symmetric_magnitude"])
+def test_eigs_factor_and_check_symmetry_once_per_call(monkeypatch, disk_mesh,
+                                                      disk_harmonic_field, name):
+    # a bare matrix used to have its symmetry checked twice
+    calls = _counting_calls(monkeypatch, name)
     op = ff.assemble_operator(disk_mesh, disk_harmonic_field, 0.1, "neumann")
     A = disk_interior_laplacian()
     for problem in ((op, op.vertex_mass, 8), (A, np.ones(A.shape[0]), 4)):
-        factored.clear()
+        calls.clear()
         ff.eigs_generalized(*problem)
-        assert len(factored) == 1
-
-
-def _counting_factorizations(monkeypatch):
-    factorize = solve_module._factorize
-    factored = []
-
-    def counting(A, *args, **kwargs):
-        factored.append(A.shape)
-        return factorize(A, *args, **kwargs)
-
-    monkeypatch.setattr(solve_module, "_factorize", counting)
-    return factored
+        assert len(calls) == 1
 
 
 @pytest.mark.parametrize("solve", ["diffuse", "dirichlet", "pinned", "pinned_bare"])
@@ -503,7 +504,7 @@ def test_solves_factor_once_per_call(monkeypatch, disk_mesh, disk_harmonic_field
     op = ff.assemble_operator(disk_mesh, disk_harmonic_field, 0.1, "neumann")
     bv = op.boundary_vertices
     values = np.random.default_rng(4).standard_normal((len(bv), 2))
-    factored = _counting_factorizations(monkeypatch)
+    factored = _counting_calls(monkeypatch, "_factorize")
     if solve == "diffuse":
         ff.diffuse(op, np.ones(disk_mesh.num_vertices), 1e-5)
     elif solve == "dirichlet":
@@ -676,6 +677,27 @@ def test_diffuse_basics(disk_mesh, disk_harmonic_field):
     assert abs(m @ u - m @ u0) <= 1e-9 * abs(m @ u0)
     with pytest.raises(ValueError):
         ff.diffuse(op, u0, 0.0)
+
+
+def test_epsilon_and_tau_of_any_float_type_give_the_same_bits(disk_mesh, disk_harmonic_field):
+    # both are read as 0-d float arrays; a numeric string converts too
+    ops = [
+        ff.assemble_operator(disk_mesh, disk_harmonic_field, eps, "natural")
+        for eps in (0.1, np.float64(0.1), np.array(0.1), "0.1")
+    ]
+    for op in ops[1:]:
+        for a, b in ((op.matrix.data, ops[0].matrix.data),
+                     (op.matrix.indices, ops[0].matrix.indices)):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+        assert op.fingerprint == ops[0].fingerprint
+    u0 = np.random.default_rng(2).standard_normal(disk_mesh.num_vertices)
+    solutions = {
+        ff.diffuse(ops[0], u0, tau).tobytes()
+        for tau in (1e-5, np.float64(1e-5), np.array(1e-5), "1e-5")
+    }
+    assert len(solutions) == 1
+    spectra = {ff.square_spectrum(eps, 12).values.tobytes() for eps in (0.3, np.array(0.3))}
+    assert len(spectra) == 1
 
 
 @pytest.mark.parametrize(

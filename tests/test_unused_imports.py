@@ -7,7 +7,7 @@ Importing the package, and running the disk and refined-ball pipelines,
 leave ``scipy.spatial`` unloaded.
 
 The package's parameters with defaults, its knobs, are counted, so adding
-one is a visible edit of ``KNOBS``.
+one is a visible edit of ``KNOBS``, and each is set by a call in a program.
 
 ``__init__.py`` is left out of the import check: its imports are the public
 API.  For the same reason its re-exports do not count as reads of a public
@@ -35,12 +35,31 @@ PROGRAMS = MODULES + sorted((ROOT / "demos").glob("*.py")) + sorted(
 )
 
 # Parameters with defaults over every def and lambda in the package.
-KNOBS = 35
+KNOBS = 24
 
 # Public names that no program reads, each with the reason it stays.
 UNREAD_PUBLIC_ALLOWED = {
-    ("meshgen.py", "annulus"): "a test domain with two boundary loops",
     ("meshgen.py", "box"): "the cube test domain, and the planned cube validator's",
+}
+
+# Knobs that no direct call in a program sets, each with the reason it stays.
+_SIGNATURE_DEFAULT = "perfbench/workloads.py reads its signature default"
+_SIZE_FLAG = "the validate command's size flag passes it through **kwargs"
+UNSET_KNOBS_ALLOWED = {
+    ("cli.py", "main", "argv"): "the entry point; tests pass the command line",
+    ("meshgen.py", "jittered_delaunay", "jitter"):
+        "set by tests, and by the planned non-nested convergence rows",
+    ("solve.py", "eigs_generalized", "seed"): "perfbench passes it through p.call",
+    ("solve.py", "solve_box_qp", "return_info"): "perfbench/tracing.py's wrapper passes it",
+    ("solve.py", "validate", "rtol"): "perfbench/tracing.py reads its signature default",
+    ("validation.py", "validate_square_spectrum", "base_n"): _SIZE_FLAG,
+    ("validation.py", "validate_square_spectrum", "finest_modes"): _SIGNATURE_DEFAULT,
+    ("validation.py", "validate_square_spectrum", "rel_tol"): _SIGNATURE_DEFAULT,
+    ("validation.py", "validate_refine_spectrum", "rings"): _SIZE_FLAG,
+    ("validation.py", "validate_dirichlet_convergence", "rings"): _SIZE_FLAG,
+    ("validation.py", "validate_anisotropy", "rings"): _SIZE_FLAG,
+    ("validation.py", "validate_anisotropy", "tau"): _SIGNATURE_DEFAULT,
+    ("validation.py", "validate_anisotropy", "epsilons"): _SIGNATURE_DEFAULT,
 }
 
 
@@ -247,3 +266,83 @@ def test_the_knob_count_sees_every_default():
         "    pass\n"
     )
     assert defaulted_parameters(source) == 5
+
+
+def knobs(sources):
+    """``{(module, function, parameter): position}`` over each parameter with
+    a default in the ``{module: source}``.  ``position`` is its index among
+    the arguments a call passes by position, counted after the instance for
+    a method, or ``None`` for a keyword-only parameter."""
+    found = {}
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        methods = {
+            id(node) for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+            for node in cls.body
+        }
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            name, args = getattr(node, "name", "<lambda>"), node.args
+            positional = args.posonlyargs + args.args
+            skip = id(node) in methods
+            for i in range(len(positional) - len(args.defaults), len(positional)):
+                found[(module, name, positional[i].arg)] = i - skip
+            for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+                if default is not None:
+                    found[(module, name, arg.arg)] = None
+    return found
+
+
+def unset_knobs(sources, programs):
+    """``(module, function, parameter)`` of each knob of the ``{module:
+    source}`` that no direct call in the ``{module: source}`` ``programs``
+    sets.  A call of ``f`` or of ``x.f`` calls every function named ``f``; it
+    sets each parameter it names, each position it fills, every position
+    after a ``*`` argument, and with a ``**`` argument every parameter.  A
+    call through a variable, a subscript or a wrapper sets nothing."""
+    calls = {}
+    for source in programs.values():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = getattr(func, "id", None) or getattr(func, "attr", None)
+                starred = [isinstance(arg, ast.Starred) for arg in node.args]
+                filled = starred.index(True) if any(starred) else len(starred)
+                keywords = {kw.arg for kw in node.keywords}
+                calls.setdefault(name, []).append((filled, any(starred), keywords))
+
+    def sets(call, parameter, position):
+        filled, starred, keywords = call
+        return (parameter in keywords or None in keywords
+                or position is not None and (position < filled or starred))
+
+    return sorted(
+        (module, function, parameter)
+        for (module, function, parameter), position in knobs(sources).items()
+        if not any(sets(call, parameter, position) for call in calls.get(function, []))
+    )
+
+
+def test_a_program_sets_every_knob():
+    unset = unset_knobs({p.name: p.read_text() for p in SOURCES},
+                        {p.name: p.read_text() for p in PROGRAMS})
+    assert unset == sorted(UNSET_KNOBS_ALLOWED)
+
+
+def test_the_knob_scan_sees_an_unset_default():
+    sources = {
+        "a.py": "def f(x, y=1, z=2):\n    pass\n"
+                "def g(u=1, *, v=2, w=3):\n    pass\n"
+                "def h(p=1, q=2):\n    pass\n"
+                "def k(r=1):\n    pass\n"
+                "class C:\n    def m(self, s=1, t=2):\n        pass\n",
+    }
+    programs = {
+        **sources,
+        "b.py": "import a\nfrom a import f\nf(0, 5)\na.g(w=1)\na.h(0, *[])\n"
+                "a.k(**{})\na.C().m(1)\nwrapped = a.f\nwrapped(0, 1, 2)\n",
+    }
+    assert unset_knobs(sources, programs) == [
+        ("a.py", "f", "z"), ("a.py", "g", "u"), ("a.py", "g", "v"), ("a.py", "m", "t"),
+    ]
