@@ -58,30 +58,43 @@ def square_spectrum(epsilon, count):
     return SquareSpectrum(frequencies=ab[take], values=vals[take])
 
 
+# Each conformal map's parameters, with what each sets, and z -> (f(z), f'(z)).
+MAPS = {
+    "polynomial": ({"c": "strength"}, lambda z, c: (z + c * z**2, 1.0 + 2.0 * c * z)),
+    "exponential": ({}, lambda z: (np.exp(z),) * 2),
+}
+
+
 @dataclass
 class ConformalMap:
-    """A closed-form conformal planar map with its derivative fields."""
+    """A closed-form conformal planar map with its derivative fields:
+    ``params`` holds exactly the parameters ``MAPS`` lists for ``name``, each
+    finite, or construction raises ``ParameterError`` naming the parameter."""
 
     name: str
     params: dict
 
-    def _fz(self, z):
-        if self.name == "polynomial":
-            c = self.params["c"]
-            return z + c * z**2, 1.0 + 2.0 * c * z
-        if self.name == "exponential":
-            w = np.exp(z)
-            return w, w
-        raise ParameterError(f"unknown map {self.name!r}")
+    def __post_init__(self):
+        if self.name not in MAPS:
+            raise ParameterError(f"unknown map {self.name!r}, not one of {list(MAPS)}")
+        wanted = MAPS[self.name][0]
+        for key in {**self.params, **wanted}:
+            if key not in wanted:
+                raise ParameterError(f"the {self.name} map takes no parameter {key}")
+            if key not in self.params:
+                raise ParameterError(f"the {self.name} map needs its {wanted[key]} {key}")
+            check_values(key, self.params[key], ())
+
+    def _fz(self, points):
+        points = np.asarray(points, dtype=float)
+        return MAPS[self.name][1](points[:, 0] + 1j * points[:, 1], **self.params)
 
     def apply(self, points):
-        points = np.asarray(points, dtype=float)
-        w, _ = self._fz(points[:, 0] + 1j * points[:, 1])
+        w, _ = self._fz(points)
         return np.column_stack([w.real, w.imag])
 
     def inverse_jacobian(self, points):
-        points = np.asarray(points, dtype=float)
-        _, d = self._fz(points[:, 0] + 1j * points[:, 1])
+        _, d = self._fz(points)
         sq = np.abs(d) ** 2
         J = np.empty((len(points), 2, 2))
         J[:, 0, 0] = d.real / sq
@@ -108,7 +121,7 @@ class ConformalMap:
         from scipy.spatial import cKDTree
 
         points = np.asarray(points, dtype=float)
-        _, d = self._fz(points[:, 0] + 1j * points[:, 1])
+        _, d = self._fz(points)
         if np.any(np.abs(d) ** 2 < 1e-12):
             raise GeometryError(f"{self.name} map is singular on the domain")
         imgs = self.apply(points)
@@ -121,21 +134,12 @@ class ConformalMap:
 
 
 def conformal_warp(name, **params):
-    """Construct a named conformal map.
+    """The conformal map ``name`` of ``MAPS``, checked by ``ConformalMap``.
 
     ``polynomial``: z -> z + c z^2 for a finite c, which must be given
     (injective where |2 c z| < 1);
     ``exponential``: z -> exp(z) on a rectangle of height below 2 pi.
     """
-    if name == "polynomial":
-        if "c" not in params:
-            raise ParameterError("the polynomial map needs its strength c")
-        check_values("c", params["c"], ())
-    elif name == "exponential":
-        if params:
-            raise ParameterError("the exponential map takes no parameters")
-    else:
-        raise ParameterError(f"unknown map {name!r}")
     return ConformalMap(name=name, params=params)
 
 

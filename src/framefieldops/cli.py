@@ -31,10 +31,9 @@ from scipy import sparse
 from scipy.io import mmwrite
 
 from . import __version__
-from .analytic import conformal_warp
+from .analytic import MAPS, conformal_warp
 from .apps import (
     ROUNDOFF_RELTOL,
-    ZERO_MODE_RELTOL,
     build_embedding,
     color_by_boundary,
     distance_field,
@@ -43,7 +42,7 @@ from .apps import (
     zero_modes,
 )
 from .errors import FrameFieldOpsError, NumericalError, ParameterError, check_indices
-from .fem import apply_dirichlet_partition, assemble_operator
+from .fem import BC_KINDS, apply_dirichlet_partition, assemble_operator
 from .framefield import (
     angles_to_components,
     axis_frame,
@@ -162,7 +161,7 @@ def cmd_field_gen(run, args):
         axis = _parse_list(args.axis, float)
         field = helical_field_3d(mesh, axis, args.pitch)
     else:  # coframe
-        warp = conformal_warp(args.map, **({"c": args.c} if args.map == "polynomial" else {}))
+        warp = conformal_warp(args.map, **{key: getattr(args, key) for key in MAPS[args.map][0]})
         warped, field = warp.pullback(mesh)
         save_mesh(warped, run.out("warped_" + Path(args.mesh).name))
     save_field(field, run.out(args.name))
@@ -277,8 +276,7 @@ def build_parser():
     p_gen.add_argument("--axis", default="0,0,1", help="helical axis")
     p_gen.add_argument("--pitch", type=float, default=0.0,
                        help="helical twist rate (radians per unit length)")
-    p_gen.add_argument("--map", default="polynomial",
-                       choices=["polynomial", "exponential"])
+    p_gen.add_argument("--map", default="polynomial", choices=list(MAPS))
     p_gen.add_argument("--c", type=float, default=0.05,
                        help="polynomial warp strength")
     p_gen.add_argument("--name", default="field.csv", help="output file name")
@@ -290,7 +288,7 @@ def build_parser():
         p.add_argument("--field", required=True)
         p.add_argument("--epsilon", type=float, default=eps_default)
         if bc_default is not None:
-            p.add_argument("--bc", default=bc_default, choices=["natural", "neumann"])
+            p.add_argument("--bc", default=bc_default, choices=BC_KINDS)
 
     p_asm = sub.add_parser("assemble", help="write the operator as MatrixMarket")
     common(p_asm)
@@ -316,7 +314,6 @@ def build_parser():
         help="smallest generalized eigenpairs (banded Cholesky shift-invert Lanczos)",
         description="Smallest generalized eigenpairs.  In eigenvalues.csv the "
                     "zero_mode column is 1 for an eigenvalue at or below "
-                    f"{ZERO_MODE_RELTOL:g} times the largest computed one or "
                     f"{ROUNDOFF_RELTOL:g} times max(diag(A) / mass).",
     )
     common(p_eig)

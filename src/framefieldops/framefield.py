@@ -25,7 +25,7 @@ from .geometry import (
     compute_measures,
     gradient_matrix,
 )
-from .solve import solve_pinned
+from .solve import _System, solve_pinned
 from .symtensor import OdecoFrame, modify_epsilon, odeco_form, sym_to_mandel
 
 logger = logging.getLogger(__name__)
@@ -192,11 +192,13 @@ def harmonic_cross_field_2d(mesh):
 
     Boundary vertices take the angle of the (averaged) boundary tangent;
     the 4-fold representation vector (cos 4t, sin 4t) is interpolated
-    harmonically into the interior with the piecewise-linear Laplacian, and
-    each vertex takes the cross of angle ``arg(rep) / 4``; ``|rep|`` is kept
-    in ``rep_magnitude``.  Vertices where the interpolated vector vanishes
-    (``|rep| < 1e-8``, field singularities) are flagged in
-    ``singular_vertices``, get angle 0 and are counted in a warning.
+    harmonically into the interior with the piecewise-linear Laplacian
+    (symmetric as built, so ``solve_pinned`` takes it unchecked, in the
+    mesh's ``vertex_order``), and each vertex takes the cross of angle
+    ``arg(rep) / 4``; ``|rep|`` is kept in ``rep_magnitude``.  Vertices
+    where the interpolated vector vanishes (``|rep| < 1e-8``, field
+    singularities) are flagged in ``singular_vertices``, get angle 0 and
+    are counted in a warning.
     """
     if mesh.dim != 2:
         raise FieldError("harmonic cross fields are planar (dim=2)")
@@ -224,7 +226,7 @@ def harmonic_cross_field_2d(mesh):
     A = sparse.diags(np.repeat(mesh.element_volumes, 2))
     L = (G.T @ A @ G).tocsr()
 
-    rep = solve_pinned(L, bverts, data)
+    rep = solve_pinned(_System(L, mesh.vertex_order()), bverts, data)
     mag = np.linalg.norm(rep, axis=1)
     singular = mag < 1e-8
     theta = np.where(singular, 0.0, np.arctan2(rep[:, 1], rep[:, 0]) / 4.0)
@@ -245,13 +247,12 @@ def helical_field_3d(mesh, axis, pitch):
     Each frame contains the axis.  At a vertex ``x`` the transverse pair is
     turned right-handed about ``axis`` (counterclockwise seen from its tip)
     by the angle ``pitch * (x . axis)``, so a positive pitch twists the
-    frames counterclockwise as the axial coordinate grows.  ``pitch=0``
-    reproduces the constant axis-aligned field.  A non-finite pitch, or an
-    axis that is not three finite components, not all zero, raises
-    ``FieldError``.
+    frames counterclockwise as the axial coordinate grows: the pair
+    ``t1, t2 = _tangent_bases(axis)`` turns to ``cos a t1 + sin a t2`` and
+    ``cos a t2 - sin a t1``.  ``pitch=0`` reproduces the constant
+    axis-aligned field.  A non-finite pitch, or an axis that is not three
+    finite components, not all zero, raises ``FieldError``.
     """
-    from scipy.spatial.transform import Rotation
-
     if mesh.dim != 3:
         raise FieldError("helical fields are volumetric (dim=3)")
     pitch = check_values("pitch", pitch, (), FieldError)
@@ -261,15 +262,13 @@ def helical_field_3d(mesh, axis, pitch):
         raise FieldError("axis must be nonzero")
     axis = axis / norm
     t1, t2 = _tangent_bases(axis[None])[0]
-    height = mesh.vertices @ axis
-    angle = pitch * height
-    rot = Rotation.from_rotvec(angle[:, None] * axis)
+    angle = pitch * (mesh.vertices @ axis)
+    cos, sin = np.cos(angle)[:, None], np.sin(angle)[:, None]
     nv = mesh.num_vertices
     comps = np.empty((nv, 3, 3))
     comps[:, 0, :] = axis
-    # Rotation.apply needs writable input, so tile rather than broadcast
-    comps[:, 1, :] = rot.apply(np.tile(t1, (nv, 1)))
-    comps[:, 2, :] = rot.apply(np.tile(t2, (nv, 1)))
+    comps[:, 1, :] = cos * t1 + sin * t2
+    comps[:, 2, :] = cos * t2 - sin * t1
     return FrameField(mesh, comps, np.ones((nv, 3)))
 
 

@@ -25,6 +25,8 @@ determinant, and the symmetry and operator checks take the asymmetry from
 spectral norm of an odeco frame and the full-symmetry violation of a form),
 the inverse Mandel map, the boundary alignment in matrix form
 and the forward Jacobian of a conformal map have no caller in the package.
+The helical frames are turned by scipy's ``Rotation`` in place of the
+closed-form turn of the transverse pair.
 The mesh generators at the end loop over cells, rings and merge steps one
 at a time.
 """
@@ -44,6 +46,7 @@ from scipy.linalg import (
 )
 from scipy.sparse import linalg as spla
 from scipy.sparse.csgraph import reverse_cuthill_mckee
+from scipy.spatial.transform import Rotation
 
 from framefieldops import OdecoFrame, compute_measures
 from framefieldops.errors import FieldError
@@ -60,6 +63,7 @@ from framefieldops.geometry import (
     SimplicialMesh,
     _orient_elements,
     _stable_order,
+    _tangent_bases,
 )
 from framefieldops.symtensor import (
     _SQRT2,
@@ -586,6 +590,24 @@ def conformal_jacobian(warp, points):
     J[:, 0, 0] = J[:, 1, 1] = d.real
     J[:, 0, 1], J[:, 1, 0] = -d.imag, d.imag
     return J
+
+
+def helical_components_by_rotation(mesh, axis, pitch):
+    """Components of ``helical_field_3d(mesh, axis, pitch)``: the unit axis,
+    and the pair ``_tangent_bases(axis)`` turned at each vertex about the
+    axis by ``pitch`` times the vertex's height, with one ``Rotation`` per
+    vertex from its rotation vector."""
+    axis = np.asarray(axis, dtype=float)
+    axis = axis / np.linalg.norm(axis)
+    t1, t2 = _tangent_bases(axis[None])[0]
+    rot = Rotation.from_rotvec((pitch * (mesh.vertices @ axis))[:, None] * axis)
+    nv = mesh.num_vertices
+    comps = np.empty((nv, 3, 3))
+    comps[:, 0, :] = axis
+    # Rotation.apply needs writable input, so tile rather than broadcast
+    comps[:, 1, :] = rot.apply(np.tile(t1, (nv, 1)))
+    comps[:, 2, :] = rot.apply(np.tile(t2, (nv, 1)))
+    return comps
 
 
 def fingerprint_sequential(field):

@@ -3,7 +3,7 @@ import pytest
 
 import framefieldops as ff
 from framefieldops import meshgen
-from framefieldops.analytic import conformal_warp, square_spectrum, warp_experiment
+from framefieldops.analytic import ConformalMap, conformal_warp, square_spectrum, warp_experiment
 from framefieldops.errors import GeometryError, ParameterError
 
 from oracles import conformal_jacobian
@@ -87,6 +87,18 @@ def test_warp_injectivity_checks():
         conformal_warp("exponential", c=1.0)
     with pytest.raises(ParameterError, match="strength c"):
         conformal_warp("polynomial")
+
+
+def test_maps_take_exactly_their_parameters():
+    with pytest.raises(ParameterError, match="takes no parameter d"):
+        conformal_warp("polynomial", c=0.1, d=2)
+    with pytest.raises(ParameterError, match="takes no parameter c"):
+        conformal_warp("exponential", c=1.0)
+    with pytest.raises(ParameterError, match="c must be finite"):
+        ConformalMap("polynomial", {"c": np.nan})
+    # an unknown name fails at construction, not at the first evaluation
+    with pytest.raises(ParameterError, match="unknown map 'spiral'"):
+        ConformalMap("spiral", {})
 
 
 def test_warp_experiment_identity():

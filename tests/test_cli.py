@@ -1,3 +1,4 @@
+import argparse
 import csv
 import hashlib
 import inspect
@@ -9,6 +10,7 @@ import pytest
 
 import framefieldops as ff
 from framefieldops import meshgen
+from framefieldops.analytic import MAPS, conformal_warp
 from framefieldops.cli import (
     EXIT_INPUT,
     EXIT_NUMERICAL,
@@ -19,6 +21,7 @@ from framefieldops.cli import (
     build_parser,
     main,
 )
+from framefieldops.fem import BC_KINDS
 from framefieldops.validation import VALIDATORS
 
 
@@ -64,6 +67,36 @@ def test_field_gen_variants(workspace):
     flat = ff.load_field(ball, workspace / "flat" / "field.csv")
     const = ff.constant_field(ball, ff.axis_frame(3))
     assert np.abs(flat.forms() - const.forms()).max() < 1e-12
+
+
+def test_field_gen_pulls_back_through_the_exponential_map(workspace, small_square_mesh):
+    ff.save_mesh(small_square_mesh, workspace / "square.obj")
+    assert main(
+        ["-o", str(workspace / "exponential"), "field", "gen",
+         "--mesh", str(workspace / "square.obj"), "--kind", "coframe", "--map", "exponential"]
+    ) == EXIT_OK
+    square = ff.load_mesh(workspace / "square.obj")
+    warped, expected = conformal_warp("exponential").pullback(square)
+    written = ff.load_mesh(workspace / "exponential" / "warped_square.obj")
+    assert np.abs(written.vertices - warped.vertices).max() <= 1e-15 * np.e
+    field = ff.load_field(written, workspace / "exponential" / "field.csv")
+    Q, Q_expected = field.forms(), expected.forms()
+    assert np.abs(Q - Q_expected).max() <= 1e-12 * np.abs(Q_expected).max()
+
+
+def _subcommand_choices(path, option):
+    """The choices of ``option`` under the subcommand ``path`` of the parser."""
+    parser = build_parser()
+    for name in path:
+        commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        parser = commands.choices[name]
+    return next(a for a in parser._actions if option in a.option_strings).choices
+
+
+def test_parser_choices_are_the_package_tables():
+    assert _subcommand_choices(["field", "gen"], "--map") == list(MAPS)
+    for command in ("assemble", "diffuse", "eigs"):
+        assert _subcommand_choices([command], "--bc") == BC_KINDS
 
 
 def test_field_gen_angle_is_two_dimensional(workspace):

@@ -17,6 +17,7 @@ from oracles import (
     boundary_alignment_by_contraction,
     conformal_jacobian,
     fingerprint_sequential,
+    helical_components_by_rotation,
     random_rotation,
 )
 
@@ -173,6 +174,19 @@ def test_helical_field():
         ff.helical_field_3d(mesh, [0, 1], 1.0)
     with pytest.raises(ff.FieldError):
         ff.helical_field_3d(meshgen.disk(2), [0, 0, 1], 0.0)
+
+
+@pytest.mark.parametrize(
+    "axis, pitch", [([0, 0, 1], 2.0), ([0.3, -0.2, 0.9], 1.3), ([1.0, 2.0, -0.5], -0.7)]
+)
+def test_helical_frames_match_rotations(small_ball_mesh, axis, pitch):
+    # the closed-form turn of the transverse pair against one Rotation per vertex
+    mesh = ff.refine_uniform(small_ball_mesh)
+    hel = ff.helical_field_3d(mesh, axis, pitch)
+    reference = helical_components_by_rotation(mesh, axis, pitch)
+    assert np.abs(hel.components - reference).max() <= 1e-15
+    flat = ff.helical_field_3d(mesh, axis, 0.0)
+    assert np.array_equal(flat.components, helical_components_by_rotation(mesh, axis, 0.0))
 
 
 def test_map_coframe_identity_scale_rotation(small_square_mesh):

@@ -8,6 +8,7 @@ from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 import framefieldops as ff
 from framefieldops import meshgen
+from framefieldops import framefield as framefield_module
 from framefieldops import solve as solve_module
 from framefieldops.errors import NumericalError, ParameterError
 from framefieldops.solve import check_symmetric
@@ -478,9 +479,9 @@ def _counting_calls(monkeypatch, name):
     wrapped = getattr(solve_module, name)
     calls = []
 
-    def counting(*args):
+    def counting(*args, **kwargs):
         calls.append(args)
-        return wrapped(*args)
+        return wrapped(*args, **kwargs)
 
     monkeypatch.setattr(solve_module, name, counting)
     return calls
@@ -514,6 +515,31 @@ def test_solves_factor_once_per_call(monkeypatch, disk_mesh, disk_harmonic_field
     else:
         ff.solve_pinned(_laplacian(disk_mesh), bv, values)
     assert len(factored) == 1
+
+
+def test_harmonic_field_solves_its_laplacian_in_the_mesh_order(monkeypatch):
+    """The harmonic field hands its Laplacian L to ``solve_pinned`` in the
+    mesh's ``vertex_order``, with no symmetry scan and no reverse
+    Cuthill-McKee.  On a disk L's pattern is the vertex graph's, so that
+    order is L's own reverse Cuthill-McKee and the field equals, bit for
+    bit, the one of a ``solve_pinned`` on the bare L.  On a square it is
+    not: L omits the zero-weight entries (217 stored on
+    ``structured_square(6)`` against the 289 of the vertex graph with its
+    diagonal), the two orders differ and the interpolated vector moves by
+    7.8e-16, so the equality is checked on a disk."""
+    mesh = meshgen.disk(8)
+    scanned = _counting_calls(monkeypatch, "_symmetric_magnitude")
+    ordered = _counting_calls(monkeypatch, "reverse_cuthill_mckee")
+    field = ff.harmonic_cross_field_2d(mesh)
+    assert scanned == [] and ordered == []
+    monkeypatch.setattr(
+        framefield_module, "solve_pinned",
+        lambda system, pinned, values: ff.solve_pinned(system.matrix, pinned, values),
+    )
+    bare = ff.harmonic_cross_field_2d(mesh)
+    assert len(scanned) == len(ordered) == 1
+    assert np.array_equal(field.components, bare.components)
+    assert np.array_equal(field.rep_magnitude, bare.rep_magnitude)
 
 
 @pytest.fixture

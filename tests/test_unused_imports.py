@@ -3,8 +3,8 @@ private module-level name is read somewhere in the package, and every public
 one is read by a program: a package module, a demo or the benchmark.  A
 loaded name is a read only of the name its module defines or imports, so
 two modules' ``logger`` are two names.
-Importing the package, and running the disk and refined-ball pipelines,
-leave ``scipy.spatial`` unloaded.
+Importing the package, and running the disk, refined-ball and helical-ball
+pipelines, leave ``scipy.spatial`` unloaded.
 
 The package's parameters with defaults, its knobs, are counted, so adding
 one is a visible edit of ``KNOBS``, and each is set by a call in a program.
@@ -99,7 +99,8 @@ def test_the_scan_sees_an_unused_import():
 
 
 # Programs after which scipy.spatial must still be unloaded: the import, the
-# disk pipeline, and a refined ball assembled with a constant field.
+# disk pipeline, and a refined ball assembled with a constant field and with
+# a helical one.
 SPATIAL_PROBES = {
     "import": "import framefieldops",
     "disk pipeline": (
@@ -115,6 +116,12 @@ SPATIAL_PROBES = {
         "from framefieldops import meshgen\n"
         "mesh = ff.refine_uniform(meshgen.ball())\n"
         "ff.assemble_operator(mesh, ff.constant_field(mesh, ff.axis_frame(3)), 0.1, 'neumann')\n"
+    ),
+    "helical ball": (
+        "import framefieldops as ff\n"
+        "from framefieldops import meshgen\n"
+        "mesh = ff.refine_uniform(meshgen.ball())\n"
+        "ff.assemble_operator(mesh, ff.helical_field_3d(mesh, [0.0, 0.0, 1.0], 1.0), 0.1, 'neumann')\n"
     ),
 }
 
