@@ -55,6 +55,6 @@ helical = ff.helical_field_3d(ball, axis=[0, 0, 1], pitch=1.2)
 ff.save_field(helical, out / "ball_helical.csv")
 print("helical field kind:", helical.kind)
 
-# field files round-trip losslessly
+# field files round-trip exactly up to round-off: the forms move by about 1e-15
 back = ff.load_field(ball, out / "ball_helical.csv")
 print("round trip max form deviation:", np.abs(back.forms() - helical.forms()).max())

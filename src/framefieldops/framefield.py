@@ -4,6 +4,8 @@ A :class:`FrameField` assigns an odeco frame (orthonormal component vectors
 with nonnegative weights) to every mesh vertex.  Each field's kind is
 classified from its weights: ``octahedral`` (all weights one),
 ``conformal_octahedral`` (per-vertex equal weights), or general ``odeco``.
+A field's constructor computes its Mandel forms and fingerprint once; only a
+harmonic field's ``rep_magnitude`` is written later.
 
 Planar crosses are interpolated through the 4-fold symmetric
 (cos 4t, sin 4t) vector; volumetric frames are stored in files as unit
@@ -17,7 +19,7 @@ import logging
 import numpy as np
 from scipy import sparse
 
-from .errors import FieldError, GeometryError, check_values
+from .errors import FieldError, GeometryError, as_floats, check_values
 from .geometry import (
     _freeze,
     _save_csv,
@@ -45,8 +47,8 @@ class FrameField:
 
     Components or weights of another shape, or not finite, raise
     ``FieldError``.  Both arrays are copied and stored read-only, as are
-    ``norms`` and the cached ``forms()``, so no edit to an array passed in
-    or handed out can reach the field or its cached fingerprint.
+    ``norms`` and ``forms()``, so no edit to an array passed in or handed
+    out can reach the field or its fingerprint, both built here, once.
 
     ``kind`` is ``octahedral``, ``conformal_octahedral`` or ``odeco``,
     classified from the weights.
@@ -76,12 +78,13 @@ class FrameField:
 
         self.kind = self._classify()
         self.norms = _freeze(self.weights.max(axis=1))
-        self._forms = None
-        self._fingerprint = None
-        # Generator metadata (harmonic fields): magnitude of the interpolated
-        # symmetry vector, and vertices where it vanished.
+        self._forms = _freeze(odeco_form(self.components, self.weights))
+        h = mesh.hash_state()  # the mesh arrays are hashed once per mesh
+        h.update(self.components.tobytes())
+        h.update(self.weights.tobytes())
+        self._fingerprint = h.hexdigest()
+        # |rep| of a harmonic field, written by harmonic_cross_field_2d
         self.rep_magnitude = None
-        self.singular_vertices = None
 
     def _classify(self):
         w = self.weights
@@ -95,8 +98,6 @@ class FrameField:
 
     def forms(self):
         """Stacked Mandel quadratic forms, shape ``(nv, m, m)``."""
-        if self._forms is None:
-            self._forms = _freeze(odeco_form(self.components, self.weights))
         return self._forms
 
     def epsilon_forms(self, epsilon):
@@ -105,18 +106,8 @@ class FrameField:
 
     def fingerprint(self):
         """Stable content hash of the field and its mesh (dimension, vertices,
-        elements, components, weights).
-
-        Continues from the mesh's cached hash state, so the mesh arrays are
-        hashed once per mesh, and the digest is kept on the field, so the
-        field's arrays are hashed once per field; both are read-only, so
-        the digest cannot go stale.
-        """
-        if self._fingerprint is None:
-            h = self.mesh.hash_state()
-            h.update(self.components.tobytes())
-            h.update(self.weights.tobytes())
-            self._fingerprint = h.hexdigest()
+        elements, components, weights), taken at construction; the arrays
+        are read-only, so it cannot go stale."""
         return self._fingerprint
 
     def __repr__(self):
@@ -135,8 +126,10 @@ def axis_frame(dim):
 
 
 def angles_to_components(theta):
-    """2D cross components for angles: (cos t, sin t) and its quarter turn."""
-    theta = np.asarray(theta, dtype=float)
+    """2D cross components for angles: (cos t, sin t) and its quarter turn.
+    A non-finite angle raises ``FieldError``."""
+    theta = as_floats("angle", theta, FieldError)
+    theta = check_values("angle", theta, theta.shape, FieldError)
     c, s = np.cos(theta), np.sin(theta)
     comps = np.empty(theta.shape + (2, 2))
     comps[..., 0, 0], comps[..., 0, 1] = c, s
@@ -196,9 +189,8 @@ def harmonic_cross_field_2d(mesh):
     (symmetric as built, so ``solve_pinned`` takes it unchecked, in the
     mesh's ``vertex_order``), and each vertex takes the cross of angle
     ``arg(rep) / 4``; ``|rep|`` is kept in ``rep_magnitude``.  Vertices
-    where the interpolated vector vanishes (``|rep| < 1e-8``, field
-    singularities) are flagged in ``singular_vertices``, get angle 0 and
-    are counted in a warning.
+    where the interpolated vector vanishes (``rep_magnitude < 1e-8``, field
+    singularities) get angle 0 and are counted in a warning.
     """
     if mesh.dim != 2:
         raise FieldError("harmonic cross fields are planar (dim=2)")
@@ -232,11 +224,10 @@ def harmonic_cross_field_2d(mesh):
     theta = np.where(singular, 0.0, np.arctan2(rep[:, 1], rep[:, 0]) / 4.0)
     field = FrameField(mesh, angles_to_components(theta), np.ones((len(rep), 2)))
     field.rep_magnitude = mag
-    field.singular_vertices = np.flatnonzero(singular)
-    if len(field.singular_vertices):
+    if singular.any():
         logger.warning(
             "harmonic cross field: %d singular vertices (zero symmetry vector)",
-            len(field.singular_vertices),
+            np.count_nonzero(singular),
         )
     return field
 

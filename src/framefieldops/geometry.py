@@ -13,10 +13,12 @@ edges; every other mesh-only result is built on first use through
 graph, 1-ring neighbors and order, shape gradients, the hash state,
 ``compute_measures``, ``gradient_matrix``, and ``fem.star_blocks``, which
 holds the star blocks of the operator's mesh-only factor and the pattern
-they are assembled into.  The mesh keeps
-read-only copies of its vertex and element arrays, so no cached result can
-go stale; meshes are immutable after construction and safe to share across
-threads.  Only this module touches the cache.
+they are assembled into.  The mesh keeps read-only copies of its vertex and
+element arrays and sets every attribute in its constructor, so no cached
+result can go stale; meshes are immutable after construction and safe to
+share across threads.  Only this module touches the cache.  A refined mesh
+records nothing of the mesh it came from: ``prolong_linear`` reads the
+coarse mesh, and ``framefield.resample_field`` its vertex prefix.
 
 Every mesh pays these kernels on first use, so they run on long 1-D arrays:
 volumes and shape gradients on per-coordinate ``(ne,)`` columns of the
@@ -40,7 +42,7 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse.csgraph import reverse_cuthill_mckee
 
-from .errors import GeometryError, MeshFormatError, ParameterError, check_values
+from .errors import GeometryError, MeshFormatError, check_values
 
 _FACTORIAL = {2: 2.0, 3: 6.0}
 
@@ -179,8 +181,8 @@ class SimplicialMesh:
 
     Both arrays are copied and stored read-only, so later edits to the
     arrays passed in cannot reach the mesh, and writing to ``mesh.vertices``
-    or ``mesh.elements`` raises ``ValueError``; see the module docstring for
-    what is derived from them and how it is cached.
+    or ``mesh.elements`` raises ``ValueError``.  Every attribute is set
+    here; see the module docstring for what is derived and how it is cached.
 
     Raises
     ------
@@ -229,9 +231,6 @@ class SimplicialMesh:
         self.element_volumes = _freeze(vols)
         self._cache = {}  # filled by mesh_cached, in 2D first by the boundary
         self.boundary_facets = _freeze(self._extract_boundary())
-        # Optional refinement provenance: (n_new, 2) coarse edge endpoints for
-        # vertices appended by refine_uniform; None for meshes built directly.
-        self.parent_edges = None
 
     # -- basic queries ----------------------------------------------------
 
@@ -372,7 +371,7 @@ class SimplicialMesh:
         """SHA-256 state after hashing the dimension, vertices and elements.
 
         Each call returns a fresh copy of the cached state that the caller
-        may extend (``FrameField.fingerprint`` adds the field).
+        may extend (``FrameField`` adds the field).
         """
         return self._hashed().copy()
 
@@ -592,8 +591,8 @@ def refine_uniform(mesh):
     Their vertex order comes from fixed tables, which orient the children
     of a positive parent positively with no determinant evaluated.
 
-    The refined mesh records the coarse edge behind each appended vertex in
-    ``parent_edges``, which supports exact linear prolongation
+    Vertex ``nv + i`` of the refined mesh is the midpoint of the coarse
+    ``edges()[i]``, so the coarse mesh alone moves values up a level
     (``prolong_linear``).  Because the coarse vertices come first, a field
     moves back down by restriction to them (``framefield.resample_field``).
     """
@@ -617,23 +616,17 @@ def refine_uniform(mesh):
         octa = np.take_along_axis(nodes, split.reshape(len(t), 16), axis=1)
         children = np.hstack([nodes[:, _TET_CORNERS.ravel()], octa])
 
-    fine = SimplicialMesh(vertices, children.reshape(-1, mesh.dim + 1))
-    fine.parent_edges = edges  # read-only, so it can be shared
-    return fine
+    return SimplicialMesh(vertices, children.reshape(-1, mesh.dim + 1))
 
 
-def prolong_linear(fine_mesh, coarse_values):
-    """Interpolate coarse vertex values, one finite row per coarse vertex,
-    onto a mesh built by refine_uniform; else ``ParameterError``."""
-    if fine_mesh.parent_edges is None:
-        raise ParameterError("mesh does not carry refinement provenance")
-    nc = fine_mesh.num_vertices - len(fine_mesh.parent_edges)
-    coarse_values = check_values("coarse values", coarse_values, (nc, ...))
-    mids = 0.5 * (
-        coarse_values[fine_mesh.parent_edges[:, 0]]
-        + coarse_values[fine_mesh.parent_edges[:, 1]]
-    )
-    return np.concatenate([coarse_values, mids], axis=0)
+def prolong_linear(coarse, coarse_values):
+    """Interpolate values at the vertices of ``coarse``, one finite row per
+    vertex, onto ``refine_uniform(coarse)``: the coarse rows, then the mean
+    of the two ends of each coarse edge, in ``edges()`` order.  Values of
+    another length raise ``ParameterError``."""
+    coarse_values = check_values("coarse values", coarse_values, (coarse.num_vertices, ...))
+    a, b = coarse.edges().T
+    return np.concatenate([coarse_values, 0.5 * (coarse_values[a] + coarse_values[b])])
 
 
 # -- file I/O --------------------------------------------------------------

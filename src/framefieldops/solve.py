@@ -127,13 +127,15 @@ def _row_sums(A, values):
     return sums
 
 
-def _prescribed(names, indices, values, n):
+def _prescribed(names, indices, values, n, row):
     """Distinct ``indices`` in [0, n), each with one finite row of
-    ``values``, as arrays; else ``ParameterError`` naming the argument."""
+    ``values`` of shape ``row`` (``()`` for a value, ``(...,)`` for a value
+    or a row of any length), as arrays; else ``ParameterError`` naming the
+    argument."""
     indices = check_indices(names[0], indices, n)
     if np.unique(indices).size != indices.size:
         raise ParameterError(f"{names[0]}: a vertex is given twice")
-    return indices, check_values(names[1], values, indices.shape + (...,))
+    return indices, check_values(names[1], values, indices.shape + row)
 
 
 class _System(NamedTuple):
@@ -325,7 +327,7 @@ def solve_pinned(A, pinned, values):
     """
     A, kept = _system(A)[:2]
     n = A.shape[0]
-    pinned, values = _prescribed(("pinned", "values"), pinned, values, n)
+    pinned, values = _prescribed(("pinned", "values"), pinned, values, n, (...,))
     free = np.ones(n, dtype=bool)
     free[pinned] = False
     x = np.zeros((n,) + values.shape[1:])
@@ -523,8 +525,8 @@ def solve_box_qp(A, fixed_indices, fixed_values, lower, upper, return_info=False
         Its block on the entries that are neither fixed nor at a bound must
         be positive definite.
     fixed_indices, fixed_values : array_like
-        Equality-pinned entries: distinct indices in [0, n), finite values
-        within the bounds.
+        Equality-pinned entries: distinct indices in [0, n), and one finite
+        value within the bounds per index.
     lower, upper : np.ndarray
         Finite bounds of shape ``(n,)`` with ``lower <= upper``.  An
         infinite bound would make the 1e-12 margin infinite, and the entry
@@ -543,7 +545,7 @@ def solve_box_qp(A, fixed_indices, fixed_values, lower, upper, return_info=False
     if not np.all(lower <= upper):
         raise ParameterError("lower must not exceed upper")
     fixed_indices, fixed_values = _prescribed(
-        ("fixed_indices", "fixed_values"), fixed_indices, fixed_values, n
+        ("fixed_indices", "fixed_values"), fixed_indices, fixed_values, n, ()
     )
     if not np.all(
         (fixed_values >= lower[fixed_indices] - 1e-12)

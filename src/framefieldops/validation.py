@@ -214,7 +214,7 @@ def validate_dirichlet_convergence(rings=6):
         sols.append(apply_dirichlet_partition(op, u0))
     rows, diffs = [], []
     for i in range(3):
-        uf = prolong_linear(meshes[i + 1], sols[i])
+        uf = prolong_linear(meshes[i], sols[i])
         mass = compute_measures(meshes[i + 1]).dual_volumes
         d = float(np.sqrt(mass @ (uf - sols[i + 1]) ** 2))
         diffs.append(d)

@@ -313,10 +313,10 @@ BAD_ENTRY_INPUTS = {
         op, np.full(len(op.boundary_vertices), np.inf)
     ),
     "coarse values nan": lambda mesh, emb, op, d: ff.prolong_linear(
-        ff.refine_uniform(mesh), np.where(np.arange(len(d)) == 3, np.nan, d)
+        mesh, np.where(np.arange(len(d)) == 3, np.nan, d)
     ),
     "coarse values ragged": lambda mesh, emb, op, d: ff.prolong_linear(
-        ff.refine_uniform(mesh), [[0.0, 1.0], [2.0]] + [[0.0, 0.0]] * (len(d) - 2)
+        mesh, [[0.0, 1.0], [2.0]] + [[0.0, 0.0]] * (len(d) - 2)
     ),
     # both used to escape before the file was opened, as numpy's ValueError
     # from padding and as an IndexError

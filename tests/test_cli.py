@@ -4,6 +4,7 @@ import hashlib
 import inspect
 import json
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -117,6 +118,20 @@ def test_field_gen_angle_is_two_dimensional(workspace):
          "--mesh", str(workspace / "ball.mesh"), "--kind", "constant",
          "--angle", "0.3"]
     ) == EXIT_USAGE
+
+
+@pytest.mark.parametrize("angle", ["inf", "nan"])
+def test_field_gen_refuses_a_non_finite_angle(workspace, tmp_path, capsys, angle):
+    # cos(inf) used to warn, and the frame check then blamed the components
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(
+            ["-o", str(tmp_path / "out"), "field", "gen",
+             "--mesh", str(workspace / "disk.off"), "--kind", "constant",
+             "--angle", angle]
+        ) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert f"input error: angle must be finite with shape (), got {angle}" in err
 
 
 def test_assemble_writes_matrixmarket(workspace):

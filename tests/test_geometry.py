@@ -405,12 +405,26 @@ def test_boundary_facets_match_unique_oracle():
         assert np.array_equal(mesh.boundary_facets, boundary_facets_by_unique(mesh))
 
 
-def test_prolongation_exact_on_linears(disk_mesh):
-    fine = ff.refine_uniform(disk_mesh)
-    u = disk_mesh.vertices @ np.array([1.5, -0.3]) + 0.2
-    uf = prolong_linear(fine, u)
-    expect = fine.vertices @ np.array([1.5, -0.3]) + 0.2
-    assert np.abs(uf - expect).max() < 1e-14
+def test_prolongation_exact_on_linears(disk_mesh, small_ball_mesh):
+    # the coarse mesh alone gives the midpoint behind each fine vertex
+    for coarse, slope in ((disk_mesh, [1.5, -0.3]), (small_ball_mesh, [1.5, -0.3, 0.7])):
+        u = coarse.vertices @ np.array(slope) + 0.2
+        uf = prolong_linear(coarse, u)
+        expect = ff.refine_uniform(coarse).vertices @ np.array(slope) + 0.2
+        assert np.abs(uf - expect).max() < 1e-14
+
+
+def test_prolongation_averages_the_ends_of_each_coarse_edge(disk_mesh, small_ball_mesh):
+    rng = np.random.default_rng(4)
+    for coarse in (disk_mesh, small_ball_mesh):
+        a, b = coarse.edges().T
+        for v in (rng.standard_normal(coarse.num_vertices),
+                  rng.standard_normal((coarse.num_vertices, 3))):
+            expect = np.concatenate([v, 0.5 * (v[a] + v[b])])
+            assert np.array_equal(prolong_linear(coarse, v), expect)
+        for n in (coarse.num_vertices - 1, ff.refine_uniform(coarse).num_vertices):
+            with pytest.raises(ff.ParameterError, match="^coarse values must be finite"):
+                prolong_linear(coarse, np.zeros(n))
 
 
 def test_generators_are_valid():
@@ -583,7 +597,6 @@ def test_mesh_hands_out_read_only_arrays():
         G.indptr,
         mesh.element_volumes,
         mesh.boundary_facets,
-        mesh.parent_edges,
         mesh.shape_gradients(),
         mesh.edges(),
         mesh.element_edges(),

@@ -872,6 +872,11 @@ def test_box_qp_validation():
         ff.solve_box_qp(A, [0], [5.0], np.zeros(4), np.ones(4))
     with pytest.raises(ValueError):
         ff.solve_box_qp(A, [], [], np.ones(4), np.zeros(4))
+    # one value per fixed index: rows, which solve_pinned takes, used to end
+    # in numpy's broadcast error (three) or concatenate error (two)
+    for fixed in ([0, 1, 2], [0, 1]):
+        with pytest.raises(ParameterError, match="^fixed_values must be finite with shape"):
+            ff.solve_box_qp(A, fixed, np.zeros((len(fixed), 2)), -np.ones(4), np.ones(4))
 
 
 @pytest.mark.parametrize(
